@@ -56,6 +56,14 @@ against the checked-in baselines in ``benchmarks/baselines.json``:
   measured on the weekly benchmark run instead, where the graph is big
   enough for timing to be stable).
 
+* **candidate-build gates** — ``build_candidate_graph`` with the serving
+  defaults (NLF + two refinement sweeps) on fixed orkut k=12 and patents
+  k=16 queries, the sizes the cold serving path builds: best-of-N wall
+  within ``--wall-tolerance`` × the ``candidate_build`` baseline, and an
+  exact SHA-256 digest of every output array (dtype included) — the
+  batched build must never change what it builds.  Refresh that section
+  alone with ``--update-candidate-build-baselines``.
+
 Refresh the baselines after an intentional change with::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py --update-baselines
@@ -67,6 +75,7 @@ per-run sleep into the timed sections and watch the job fail.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -140,6 +149,14 @@ FLIGHT_EVENT_CALLS = 20_000
 DYN_CHURN_RATE = 0.05
 DYN_N_BATCHES = 5
 DYN_MAX_TOUCHED_FRACTION = 0.25
+
+# Candidate-build gate: the largest cold-path builds (orkut k=12, patents
+# k=16), timed best-of-N with the serving filter defaults.
+BUILD_CASES = [
+    ("build_orkut_q12", "orkut", 12),
+    ("build_patents_q16", "patents", 16),
+]
+BUILD_WALL_REPEATS = 5
 
 
 def _synthetic_delay() -> None:
@@ -615,6 +632,76 @@ def compare_dynamic(cur: dict) -> list:
     return []
 
 
+def candidate_graph_digest(cg) -> str:
+    """SHA-256 over every candidate-graph array: dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    arrays = (
+        cg.q_offsets, cg.q_targets, cg.ecand_offsets, cg.ecand_vertices,
+        cg.local_offsets, cg.local_vertices, *cg.global_candidates,
+    )
+    for array in arrays:
+        digest.update(f"{array.dtype}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def measure_candidate_build() -> dict:
+    """Best-of-N ``build_candidate_graph`` wall time per fixed query."""
+    out = {}
+    for name, dataset, k in BUILD_CASES:
+        workload = build_workload(dataset, k, "dense", 0)
+        build_candidate_graph(workload.graph, workload.query)  # warm caches
+        best_wall = float("inf")
+        for _ in range(BUILD_WALL_REPEATS):
+            start = time.perf_counter()
+            cg = build_candidate_graph(workload.graph, workload.query)
+            _synthetic_delay()
+            best_wall = min(best_wall, time.perf_counter() - start)
+        out[name] = {
+            "dataset": dataset,
+            "k": k,
+            "local_entries": cg.total_local_entries(),
+            "digest": candidate_graph_digest(cg),
+            "wall_ms": best_wall * 1000.0,
+        }
+    return out
+
+
+def compare_candidate_build(
+    cur: dict, base: dict, wall_tolerance: float
+) -> list:
+    failures = []
+    for name, entry in cur.items():
+        ref = base.get(name)
+        if ref is None:
+            failures.append(
+                f"{name}: no baseline entry "
+                "(run --update-candidate-build-baselines)"
+            )
+            continue
+        if entry["digest"] != ref["digest"]:
+            failures.append(
+                f"{name}: candidate-graph digest {entry['digest'][:16]} != "
+                f"baseline {ref['digest'][:16]} (deterministic — must match "
+                "exactly)"
+            )
+        if entry["wall_ms"] > ref["wall_ms"] * wall_tolerance:
+            failures.append(
+                f"{name}: build wall {entry['wall_ms']:.1f}ms exceeds "
+                f"{wall_tolerance:.1f}x baseline ({ref['wall_ms']:.1f}ms)"
+            )
+    return failures
+
+
+def _print_candidate_build(build: dict) -> None:
+    for name, entry in build.items():
+        print(
+            f"{name:<20} wall={entry['wall_ms']:.1f}ms "
+            f"local={entry['local_entries']} "
+            f"digest={entry['digest'][:16]}"
+        )
+
+
 def compare(current: dict, baseline: dict, wall_tolerance: float,
             min_speedup: float) -> list:
     failures = []
@@ -671,6 +758,11 @@ def main(argv=None) -> int:
         "untouched (no re-measurement churn on unrelated baselines)",
     )
     parser.add_argument(
+        "--update-candidate-build-baselines", action="store_true",
+        help="merge ONLY the candidate-build section into "
+        "benchmarks/baselines.json, leaving every other entry untouched",
+    )
+    parser.add_argument(
         "--wall-tolerance", type=float, default=4.0,
         help="max allowed wall-clock ratio vs baseline (default 4.0)",
     )
@@ -704,6 +796,18 @@ def main(argv=None) -> int:
             f"wj={fused_counter['fused_speedup_wj']:.2f}x"
         )
         print(f"counter baselines merged into {BASELINE_PATH}")
+        return 0
+
+    if args.update_candidate_build_baselines:
+        if not BASELINE_PATH.is_file():
+            print("no baselines.json — run with --update-baselines first")
+            return 1
+        build = measure_candidate_build()
+        _print_candidate_build(build)
+        baseline = json.loads(BASELINE_PATH.read_text())
+        baseline["candidate_build"] = build
+        BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
+        print(f"candidate-build baselines merged into {BASELINE_PATH}")
         return 0
 
     current = measure()
@@ -775,6 +879,10 @@ def main(argv=None) -> int:
         f"refresh_speedup={dynamic['speedup']:.2f}x bit-identical"
     )
 
+    build = measure_candidate_build()
+    current["candidate_build"] = build
+    _print_candidate_build(build)
+
     if args.update_baselines:
         BASELINE_PATH.write_text(json.dumps(current, indent=2) + "\n")
         print(f"baselines written to {BASELINE_PATH}")
@@ -796,6 +904,9 @@ def main(argv=None) -> int:
     failures += compare_sharding(sharding, baseline.get("sharding", {}))
     failures += compare_tracing(tracing)
     failures += compare_dynamic(dynamic)
+    failures += compare_candidate_build(
+        build, baseline.get("candidate_build", {}), args.wall_tolerance
+    )
     if failures:
         print("\nPERF SMOKE FAILED:")
         for failure in failures:

@@ -23,7 +23,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.candidate.filters import (
+    flat_ranges,
+    gather_adjacency,
     label_degree_filter,
+    membership_mask,
     nlf_filter,
     refine_global_candidates,
 )
@@ -188,33 +191,54 @@ class CandidateGraph:
         return any(len(c) == 0 for c in self.global_candidates)
 
     def validate(self) -> None:
-        """Structural audit used by tests: sortedness + soundness spot checks."""
+        """Structural audit used by tests: sortedness + soundness checks.
+
+        Every check runs as a whole-array pass, yet the first violation is
+        reported exactly as an entry-by-entry scan would meet it: query
+        vertices, then directed edges in id order; within an edge, candidate
+        by candidate, a local set's order before its entries' edges.
+        """
+        labels = self.graph.labels
         for u in range(self.query.n_vertices):
             cand = self.global_candidates[u]
             if len(cand) > 1 and np.any(np.diff(cand) <= 0):
                 raise CandidateGraphError(f"C({u}) not strictly sorted")
-            for v in cand:
-                if self.label_filtered and (
-                    self.graph.label(int(v)) != self.query.label(u)
-                ):
+            if self.label_filtered:
+                wrong = np.flatnonzero(labels[cand] != self.query.label(u))
+                if len(wrong):
                     raise CandidateGraphError(
-                        f"candidate {v} of {u} has wrong label"
+                        f"candidate {cand[wrong[0]]} of {u} has wrong label"
                     )
-        for eid, u, u_prime in self.directed_edges():
+        n_local = len(self.local_vertices)
+        for eid, _, _ in self.directed_edges():
             cands = self.candidates_of_edge(eid)
             if len(cands) > 1 and np.any(np.diff(cands) <= 0):
                 raise CandidateGraphError(f"edge {eid} candidates not sorted")
-            for v in cands:
-                local = self.local_candidates(eid, int(v))
-                if len(local) > 1 and np.any(np.diff(local) <= 0):
-                    raise CandidateGraphError(
-                        f"local set of edge {eid}, v={v} not sorted"
-                    )
-                for w in local:
-                    if not self.graph.has_edge(int(v), int(w)):
-                        raise CandidateGraphError(
-                            f"local candidate ({v}, {w}) is not a data edge"
-                        )
+            if len(cands) == 0:
+                continue
+            # Strictly sorted, so candidate i sits in slot lo + i; clip the
+            # extents the way slicing ``local_vertices`` would.
+            slots = int(self.ecand_offsets[eid]) + np.arange(len(cands) + 1)
+            bounds = np.clip(self.local_offsets[slots], 0, n_local)
+            starts = bounds[:-1]
+            counts = np.maximum(bounds[1:] - starts, 0)
+            local = self.local_vertices[flat_ranges(starts, counts)]
+            owner = np.repeat(np.arange(len(cands), dtype=np.int64), counts)
+            same_row = owner[1:] == owner[:-1]
+            unsorted = owner[1:][same_row & (local[1:] <= local[:-1])]
+            first_unsorted = unsorted[0] if len(unsorted) else len(cands)
+            non_edge = np.flatnonzero(~self.graph.has_edges(cands[owner], local))
+            if len(non_edge) and owner[non_edge[0]] < first_unsorted:
+                j = non_edge[0]
+                raise CandidateGraphError(
+                    f"local candidate ({cands[owner[j]]}, {local[j]}) "
+                    "is not a data edge"
+                )
+            if first_unsorted < len(cands):
+                raise CandidateGraphError(
+                    f"local set of edge {eid}, v={cands[first_unsorted]} "
+                    "not sorted"
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = "/".join(str(len(c)) for c in self.global_candidates)
@@ -303,47 +327,32 @@ def build_candidate_graph(
         q_offsets[u + 1] = len(q_targets)
 
     n_edges = len(q_targets)
-    membership: List[np.ndarray] = []
-    for u in range(n_q):
-        if use_label:
-            mask = np.zeros(graph.n_vertices, dtype=bool)
-            mask[candidates[u]] = True
-        else:
-            mask = np.ones(graph.n_vertices, dtype=bool)
-        membership.append(mask)
+    if use_label:
+        membership = [membership_mask(graph.n_vertices, c) for c in candidates]
+    else:
+        membership = [np.ones(graph.n_vertices, dtype=bool)] * n_q
 
     ecand_offsets = np.zeros(n_edges + 1, dtype=np.int64)
     ecand_chunks: List[np.ndarray] = []
     length_chunks: List[np.ndarray] = []
     local_chunks: List[np.ndarray] = []
     for u in range(n_q):
-        for pos in range(int(q_offsets[u]), int(q_offsets[u + 1])):
-            u_prime = q_targets[pos]
-            source_cands = candidates[u]
+        lo, hi = int(q_offsets[u]), int(q_offsets[u + 1])
+        if lo == hi:
+            continue
+        source_cands = candidates[u]
+        # One flat gather of every source candidate's adjacency, shared by
+        # all directed edges out of ``u``: each edge filters it against its
+        # target's membership mask and recovers per-candidate local-set
+        # lengths by counting kept entries per owner.
+        nbrs, owner = gather_adjacency(graph, source_cands)
+        for pos in range(lo, hi):
             ecand_chunks.append(source_cands)
             ecand_offsets[pos + 1] = ecand_offsets[pos] + len(source_cands)
-            target_mask = membership[u_prime]
-            # One flat gather of every source candidate's adjacency list,
-            # filtered against the target membership mask; per-candidate
-            # lengths recovered by counting kept entries per owner.
-            starts = graph.offsets[source_cands]
-            counts = graph.offsets[source_cands + 1] - starts
-            total = int(counts.sum())
-            bases = np.zeros(len(counts), dtype=np.int64)
-            np.cumsum(counts[:-1], out=bases[1:])
-            flat_idx = (
-                np.repeat(starts, counts)
-                + np.arange(total, dtype=np.int64)
-                - np.repeat(bases, counts)
-            )
-            nbrs = graph.neighbors[flat_idx]
-            keep = target_mask[nbrs]
-            owner = np.repeat(
-                np.arange(len(counts), dtype=np.int64), counts
-            )
+            keep = membership[q_targets[pos]][nbrs]
             local_chunks.append(nbrs[keep].astype(np.int64))
             length_chunks.append(
-                np.bincount(owner[keep], minlength=len(counts))
+                np.bincount(owner[keep], minlength=len(source_cands))
             )
 
     ecand_vertices = (

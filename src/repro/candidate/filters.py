@@ -11,17 +11,90 @@ implement the standard filter stack used by CPU subgraph-matching systems
 
 All three are *sound*: they never remove a vertex that participates in an
 embedding, which the property tests assert.
+
+Filters 2 and 3 run as whole-candidate-set passes in the style of GSI's
+prealloc-combine join: one flat gather of ``C(u)``'s adjacency
+(:func:`gather_adjacency`) yields every neighbour plus an *owner* index
+naming the candidate it belongs to, and each predicate is then a
+``bincount`` over the owners of the neighbours that satisfy it — no
+per-candidate Python loop.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.query.query_graph import QueryGraph
+
+
+def flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices covering the runs ``[starts[i], starts[i]+counts[i])``,
+    concatenated in order."""
+    bases = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        starts - bases, counts
+    )
+
+
+def gather_adjacency(
+    graph: CSRGraph, vertices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One flat gather of the adjacency lists of ``vertices``.
+
+    Returns ``(nbrs, owner)``: ``nbrs`` concatenates ``N(vertices[i])`` in
+    order (the graph's neighbour dtype) and ``owner[j]`` is the position
+    ``i`` whose list ``nbrs[j]`` came from (int64).
+    """
+    starts = graph.offsets[vertices]
+    counts = graph.offsets[vertices + 1] - starts
+    owner = np.repeat(np.arange(len(vertices), dtype=np.int64), counts)
+    return graph.neighbors[flat_ranges(starts, counts)], owner
+
+
+def nlf_requirements(query: QueryGraph, u: int) -> Dict[int, int]:
+    """Label multiset of ``u``'s query neighbours (what NLF demands)."""
+    return dict(Counter(query.label(w) for w in query.neighbors(u)))
+
+
+def nlf_mask(
+    graph: CSRGraph, vertices: np.ndarray, required: Mapping[int, int]
+) -> np.ndarray:
+    """Batched NLF predicate: ``True`` where the vertex has, for every label
+    ``l`` in ``required``, at least ``required[l]`` neighbours labelled ``l``."""
+    keep = np.ones(len(vertices), dtype=bool)
+    if not required or len(vertices) == 0:
+        return keep
+    nbrs, owner = gather_adjacency(graph, vertices)
+    nbr_labels = graph.labels[nbrs]
+    for label, count in required.items():
+        hits = np.bincount(owner[nbr_labels == label], minlength=len(vertices))
+        keep &= hits >= count
+    return keep
+
+
+def edge_consistent_mask(
+    graph: CSRGraph, vertices: np.ndarray, targets: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Batched edge-consistency predicate: ``True`` where the vertex has at
+    least one neighbour inside every membership mask in ``targets``."""
+    keep = np.ones(len(vertices), dtype=bool)
+    if not targets or len(vertices) == 0:
+        return keep
+    nbrs, owner = gather_adjacency(graph, vertices)
+    for target in targets:
+        keep &= np.bincount(owner[target[nbrs]], minlength=len(vertices)) > 0
+    return keep
+
+
+def membership_mask(n: int, members: np.ndarray) -> np.ndarray:
+    """Dense boolean membership vector of ``members`` over ``n`` vertices."""
+    mask = np.zeros(n, dtype=bool)
+    mask[members] = True
+    return mask
 
 
 def label_degree_filter(
@@ -64,19 +137,30 @@ def nlf_filter(
     """
     refined: List[np.ndarray] = []
     for u in range(query.n_vertices):
-        required = Counter(query.label(w) for w in query.neighbors(u))
+        required = nlf_requirements(query, u)
         if not required:
             refined.append(candidates[u].copy())
             continue
-        min_length = max(required) + 1
-        survivors = []
-        for v in candidates[u]:
-            nbr_labels = graph.labels[graph.neighbors_of(int(v))]
-            counts = np.bincount(nbr_labels, minlength=min_length)
-            if all(counts[l] >= c for l, c in required.items()):
-                survivors.append(int(v))
-        refined.append(np.asarray(survivors, dtype=np.int64))
+        cand = candidates[u]
+        keep = nlf_mask(graph, cand, required)
+        refined.append(np.asarray(cand[keep], dtype=np.int64))
     return refined
+
+
+def refine_sweep(
+    graph: CSRGraph, query: QueryGraph, current: List[np.ndarray]
+) -> List[np.ndarray]:
+    """One edge-consistency sweep as a pure function of ``current``.
+
+    Membership masks are frozen at sweep start, so removals made during the
+    sweep never feed back into the sweep's own predicates.
+    """
+    masks = [membership_mask(graph.n_vertices, c) for c in current]
+    swept = []
+    for u, cand in enumerate(current):
+        targets = [masks[w] for w in query.neighbors(u)]
+        swept.append(cand[edge_consistent_mask(graph, cand, targets)])
+    return swept
 
 
 def refine_global_candidates(
@@ -91,28 +175,11 @@ def refine_global_candidates(
     ``(u, u')``, a candidate ``v`` of ``u`` must have at least one data
     neighbour inside ``C(u')``.
     """
-    n_data = graph.n_vertices
     current = [c.copy() for c in candidates]
     for _ in range(max(0, passes)):
-        changed = False
-        masks: Dict[int, np.ndarray] = {}
-        for u in range(query.n_vertices):
-            mask = np.zeros(n_data, dtype=bool)
-            mask[current[u]] = True
-            masks[u] = mask
-        for u in range(query.n_vertices):
-            if len(current[u]) == 0:
-                continue
-            keep = np.ones(len(current[u]), dtype=bool)
-            for idx, v in enumerate(current[u]):
-                nbrs = graph.neighbors_of(int(v))
-                for w in query.neighbors(u):
-                    if not masks[w][nbrs].any():
-                        keep[idx] = False
-                        break
-            if not keep.all():
-                current[u] = current[u][keep]
-                changed = True
+        swept = refine_sweep(graph, query, current)
+        changed = any(len(a) != len(b) for a, b in zip(swept, current))
+        current = swept
         if not changed:
             break
     return current

@@ -9,7 +9,7 @@ candidate sets and the data graph:
 2. NLF filter — the predicate reads only ``v``'s own adjacency labels, so
    again only endpoints (plus vertices newly admitted by stage 1) can flip;
 3. edge-consistency refinement — each sweep computes membership masks *once*
-   at sweep start (see ``refine_global_candidates``), making the sweep a pure
+   at sweep start (see ``refine_sweep``), making the sweep a pure
    function ``F``; its early fixpoint break is equivalent to running all
    ``passes`` sweeps because ``F`` is idempotent at a fixpoint.  A sweep's
    verdict for ``v`` can change only if ``v``'s adjacency changed, ``v``'s
@@ -30,14 +30,23 @@ gate) at a cost proportional to the delta's neighbourhood, not the graph.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.candidate.candidate_graph import CandidateGraph, build_candidate_graph
-from repro.candidate.filters import label_degree_filter, nlf_filter
+from repro.candidate.filters import (
+    edge_consistent_mask,
+    flat_ranges,
+    gather_adjacency,
+    label_degree_filter,
+    membership_mask,
+    nlf_filter,
+    nlf_mask,
+    nlf_requirements,
+    refine_sweep,
+)
 from repro.dyn.mutable import MutableGraph
 from repro.errors import CandidateGraphError
 from repro.graph.csr import CSRGraph
@@ -66,30 +75,6 @@ class RefreshStats:
     @property
     def is_noop(self) -> bool:
         return self.from_version == self.to_version
-
-
-def _flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat indices covering ``[starts[i], starts[i]+counts[i])`` runs.
-
-    The same gather idiom ``build_candidate_graph`` uses; kept identical so
-    the incremental path reproduces its output byte for byte.
-    """
-    total = int(counts.sum())
-    bases = np.zeros(len(counts), dtype=np.int64)
-    if len(counts) > 1:
-        np.cumsum(counts[:-1], out=bases[1:])
-    return (
-        np.repeat(starts, counts)
-        + np.arange(total, dtype=np.int64)
-        - np.repeat(bases, counts)
-    )
-
-
-def _bool_mask(n: int, members: np.ndarray) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    if len(members):
-        mask[members] = True
-    return mask
 
 
 def candidate_graphs_equal(a: CandidateGraph, b: CandidateGraph) -> bool:
@@ -146,14 +131,10 @@ class DeltaPlanMaintainer:
         self.version = graph.version
         self.last_stats: Optional[RefreshStats] = None
 
-        nq = query.n_vertices
         # Per-query-vertex NLF requirements are static (query never mutates).
-        self._nlf_required: List[Dict[int, int]] = []
-        self._nlf_minlength: List[int] = []
-        for u in range(nq):
-            required = Counter(query.label(w) for w in query.neighbors(u))
-            self._nlf_required.append(dict(required))
-            self._nlf_minlength.append(max(required) + 1 if required else 0)
+        self._nlf_required = [
+            nlf_requirements(query, u) for u in range(query.n_vertices)
+        ]
 
         snap = graph.snapshot()
         self.cg = build_candidate_graph(
@@ -177,36 +158,9 @@ class DeltaPlanMaintainer:
             current = nlf_filter(snap, self.query, current)
             states.append(current)
         for _ in range(self.refine_passes):
-            current = self._refine_pass(snap, current)
+            current = refine_sweep(snap, self.query, current)
             states.append(current)
         return states
-
-    def _refine_pass(
-        self, snap: CSRGraph, current: List[np.ndarray]
-    ) -> List[np.ndarray]:
-        """One edge-consistency sweep as a pure function of ``current``.
-
-        Matches ``refine_global_candidates`` exactly: masks are frozen at
-        sweep start, so in-sweep mutation there never feeds back into the
-        sweep's own predicates.
-        """
-        n = snap.n_vertices
-        masks = [_bool_mask(n, current[u]) for u in range(self.query.n_vertices)]
-        out: List[np.ndarray] = []
-        for u in range(self.query.n_vertices):
-            cand = current[u]
-            if len(cand) == 0:
-                out.append(cand.copy())
-                continue
-            keep = np.ones(len(cand), dtype=bool)
-            for idx, v in enumerate(cand):
-                nbrs = snap.neighbors_of(int(v))
-                for w in self.query.neighbors(u):
-                    if not masks[w][nbrs].any():
-                        keep[idx] = False
-                        break
-            out.append(cand[keep])
-        return out
 
     # ------------------------------------------------------------------
     # Incremental stage updates
@@ -238,13 +192,6 @@ class DeltaPlanMaintainer:
             out.append(np.ascontiguousarray(arr, dtype=np.int64))
         return out
 
-    def _nlf_ok(self, snap: CSRGraph, v: int, u: int) -> bool:
-        required = self._nlf_required[u]
-        counts = np.bincount(
-            snap.labels[snap.neighbors_of(v)], minlength=self._nlf_minlength[u]
-        )
-        return all(counts[label] >= c for label, c in required.items())
-
     def _update_nlf(
         self,
         snap: CSRGraph,
@@ -263,13 +210,12 @@ class DeltaPlanMaintainer:
             if len(base) == 0:
                 out.append(base.copy())
                 continue
-            in_old = _bool_mask(n, old_in[u])
-            was_kept = _bool_mask(n, old_out[u])
+            in_old = membership_mask(n, old_in[u])
+            was_kept = membership_mask(n, old_out[u])
             clean = in_old[base] & ~ep_mask[base]
-            keep = np.zeros(len(base), dtype=bool)
+            keep = np.empty(len(base), dtype=bool)
             keep[clean] = was_kept[base[clean]]
-            for i in np.flatnonzero(~clean):
-                keep[i] = self._nlf_ok(snap, int(base[i]), u)
+            keep[~clean] = nlf_mask(snap, base[~clean], self._nlf_required[u])
             out.append(base[keep])
         return out
 
@@ -290,43 +236,29 @@ class DeltaPlanMaintainer:
         """
         n = snap.n_vertices
         nq = self.query.n_vertices
-        masks = [_bool_mask(n, new_in[u]) for u in range(nq)]
-        old_masks = [_bool_mask(n, old_in[u]) for u in range(nq)]
+        masks = [membership_mask(n, new_in[u]) for u in range(nq)]
+        old_masks = [membership_mask(n, old_in[u]) for u in range(nq)]
         # Input-membership changes, found by mask XOR (no sorting needed).
         delta_any = np.zeros(n, dtype=bool)
         for u in range(nq):
             delta_any |= masks[u] ^ old_masks[u]
         dirty = ep_mask.copy()
         delta_all = np.flatnonzero(delta_any)
-        if len(delta_all):
-            dirty[delta_all] = True
-            starts = snap.offsets[delta_all]
-            counts = snap.offsets[delta_all + 1] - starts
-            if counts.sum():
-                nbrs = snap.neighbors[_flat_ranges(starts, counts)]
-                dirty[nbrs] = True
-        neighbors = snap.neighbors
-        offsets = snap.offsets
+        dirty[delta_all] = True
+        dirty[gather_adjacency(snap, delta_all)[0]] = True
         out: List[np.ndarray] = []
         for u in range(nq):
             base = new_in[u]
             if len(base) == 0:
                 out.append(base.copy())
                 continue
-            was_kept = _bool_mask(n, old_out[u])
+            was_kept = membership_mask(n, old_out[u])
             clean = old_masks[u][base] & ~dirty[base]
-            keep = np.zeros(len(base), dtype=bool)
+            keep = np.empty(len(base), dtype=bool)
             keep[clean] = was_kept[base[clean]]
-            q_nbrs = [masks[w] for w in self.query.neighbors(u)]
-            for i in np.flatnonzero(~clean):
-                v = int(base[i])
-                nbrs = neighbors[offsets[v] : offsets[v + 1]]
-                ok = True
-                for w_mask in q_nbrs:
-                    if not w_mask[nbrs].any():
-                        ok = False
-                        break
-                keep[i] = ok
+            keep[~clean] = edge_consistent_mask(
+                snap, base[~clean], [masks[w] for w in self.query.neighbors(u)]
+            )
             out.append(base[keep])
         return out
 
@@ -356,18 +288,14 @@ class DeltaPlanMaintainer:
         n_edges = len(q_targets)
 
         if self.use_label:
-            membership = [_bool_mask(n, new_final[u]) for u in range(nq)]
+            membership = [membership_mask(n, new_final[u]) for u in range(nq)]
             affected: List[np.ndarray] = []
             for u in range(nq):
                 delta = np.flatnonzero(
-                    membership[u] ^ _bool_mask(n, old_final[u])
+                    membership[u] ^ membership_mask(n, old_final[u])
                 )
                 mask = np.zeros(n, dtype=bool)
-                if len(delta):
-                    starts = snap.offsets[delta]
-                    counts = snap.offsets[delta + 1] - starts
-                    if counts.sum():
-                        mask[snap.neighbors[_flat_ranges(starts, counts)]] = True
+                mask[gather_adjacency(snap, delta)[0]] = True
                 affected.append(mask)
         else:
             membership = [np.ones(n, dtype=bool) for _ in range(nq)]
@@ -391,7 +319,7 @@ class DeltaPlanMaintainer:
                     length_chunks.append(np.zeros(0, dtype=np.int64))
                     local_chunks.append(np.zeros(0, dtype=np.int64))
                     continue
-                in_old_src = _bool_mask(n, src_old)
+                in_old_src = membership_mask(n, src_old)
                 dirty = (
                     ep_mask[src_new]
                     | affected[u_prime][src_new]
@@ -410,18 +338,10 @@ class DeltaPlanMaintainer:
                 old_counts = old_cg.local_offsets[old_slots + 1] - old_starts
 
                 # Dirty rows: same flat gather as the full builder.
-                dirty_cands = src_new[dirty_pos]
-                starts = snap.offsets[dirty_cands]
-                counts = snap.offsets[dirty_cands + 1] - starts
-                nbrs = snap.neighbors[_flat_ranges(starts, counts)]
+                nbrs, owner = gather_adjacency(snap, src_new[dirty_pos])
                 keep = membership[u_prime][nbrs]
-                owner = np.repeat(
-                    np.arange(len(counts), dtype=np.int64), counts
-                )
                 dirty_vals = nbrs[keep].astype(np.int64)
-                dirty_counts = np.bincount(
-                    owner[keep], minlength=len(counts)
-                ).astype(np.int64)
+                dirty_counts = np.bincount(owner[keep], minlength=len(dirty_pos))
 
                 lengths = np.zeros(len(src_new), dtype=np.int64)
                 lengths[clean_pos] = old_counts
@@ -430,11 +350,11 @@ class DeltaPlanMaintainer:
                 np.cumsum(lengths, out=dst[1:])
                 edge_local = np.empty(int(dst[-1]), dtype=np.int64)
                 if len(clean_pos):
-                    src_idx = _flat_ranges(old_starts, old_counts)
-                    dst_idx = _flat_ranges(dst[clean_pos], old_counts)
+                    src_idx = flat_ranges(old_starts, old_counts)
+                    dst_idx = flat_ranges(dst[clean_pos], old_counts)
                     edge_local[dst_idx] = old_cg.local_vertices[src_idx]
                 if len(dirty_pos):
-                    dst_idx = _flat_ranges(dst[dirty_pos], dirty_counts)
+                    dst_idx = flat_ranges(dst[dirty_pos], dirty_counts)
                     edge_local[dst_idx] = dirty_vals
                 length_chunks.append(lengths)
                 local_chunks.append(edge_local)
@@ -509,7 +429,7 @@ class DeltaPlanMaintainer:
             if ep_chunks
             else np.zeros(0, dtype=np.int64)
         )
-        ep_mask = _bool_mask(snap.n_vertices, endpoints)
+        ep_mask = membership_mask(snap.n_vertices, endpoints)
 
         old_states = self._states
         new_states: List[List[np.ndarray]] = []

@@ -110,6 +110,28 @@ class CSRGraph:
         pos = int(np.searchsorted(adj, v))
         return pos < len(adj) and int(adj[pos]) == v
 
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Batched :meth:`has_edge`: ``bool`` array, one verdict per pair.
+
+        Each pair probes the shorter of its two adjacency lists, as the
+        scalar method does, with one ``searchsorted`` over the sorted
+        ``row * n + neighbour`` key of every adjacency entry.
+        """
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        degrees = self.degrees
+        swap = degrees[us] > degrees[vs]
+        rows = np.where(swap, vs, us)
+        probes = np.where(swap, us, vs)
+        if len(self.neighbors) == 0:
+            return np.zeros(len(rows), dtype=bool)
+        n = self.n_vertices
+        keys = np.repeat(np.arange(n, dtype=np.int64), degrees) * n
+        keys += self.neighbors
+        wanted = rows * n + probes
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return keys[pos] == wanted
+
     def vertices_with_label(self, label: Label) -> np.ndarray:
         """All vertices carrying ``label`` (cached per label)."""
         cached = self._label_index.get(label)

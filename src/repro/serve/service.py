@@ -335,6 +335,11 @@ class EstimationService:
         # from paths that already hold the service lock (submit/admission).
         self._lock = threading.RLock()
         self._wakeup = threading.Condition(self._lock)
+        # Serialises scheduling ticks.  A tick executes its batch outside
+        # ``_lock``, and after ``stop()`` several ``estimate_many`` callers
+        # may drain inline at once: their rounds must not interleave on the
+        # shared engines (or their spans on the recorder's tracks).
+        self._tick_lock = threading.Lock()
         self._clock_ms = 0.0
         self._ids = itertools.count(1)
         self._engines: Dict[int, GSWORDEngine] = {}
@@ -773,7 +778,14 @@ class EstimationService:
         return ticks
 
     def process_once(self) -> bool:
-        """One scheduling tick; returns False when there was nothing to do."""
+        """One scheduling tick; returns False when there was nothing to do.
+
+        Ticks run one at a time, whichever thread calls (the worker or any
+        inline drain)."""
+        with self._tick_lock:
+            return self._tick()
+
+    def _tick(self) -> bool:
         rec = self.recorder
         with self._lock:
             self._admit_arrivals_locked()

@@ -37,6 +37,10 @@ from repro.utils.rng import derive_seed
 #: A loose-CI, small-budget profile so service tests stay fast.
 FAST_POLICY = BudgetPolicy(min_round_samples=128, max_round_samples=2048)
 
+#: Repeats of the shutdown race; without serialised inline ticks it
+#: strands a submitter within the first few.
+RACE_REPEATS = 10
+
 
 @pytest.fixture(scope="module")
 def yeast():
@@ -179,35 +183,52 @@ class TestShutdownRace:
 
     def test_estimate_many_racing_stop(self, yeast, query):
         """A submitter racing shutdown either gets answers or a typed
-        rejection — no ticket waits forever (the stranded-ticket race)."""
-        service = make_service()
-        service.start()
-        stop_gate = threading.Event()
-        outcomes = []
+        rejection — no ticket waits forever (the stranded-ticket race).
 
-        def submitter():
-            stop_gate.wait()
-            try:
-                responses = service.estimate_many(
-                    [make_request(yeast, query) for _ in range(3)]
-                )
-                outcomes.append(("ok", len(responses)))
-            except ServiceClosed:
-                outcomes.append(("closed", 0))
+        Each repeat releases one group of submitters while ``stop()`` runs
+        and a second group right after it, so several callers find the
+        worker gone and drain inline at once: their ticks must run one at a
+        time, or rounds interleave on the shared engine and a drainer dies
+        with its tickets stranded."""
+        for _ in range(RACE_REPEATS):
+            service = make_service()
+            service.start()
+            early, late = threading.Event(), threading.Event()
+            outcomes = []
+            errors = []
 
-        threads = [threading.Thread(target=submitter) for _ in range(4)]
-        for t in threads:
-            t.start()
-        stop_gate.set()
-        service.stop(drain=True)
-        for t in threads:
-            t.join(timeout=30)
-            assert not t.is_alive()
-        assert len(outcomes) == 4
-        for kind, n in outcomes:
-            assert kind in ("ok", "closed")
-            if kind == "ok":
-                assert n == 3
+            def submitter(gate):
+                gate.wait()
+                try:
+                    responses = service.estimate_many(
+                        [make_request(yeast, query) for _ in range(3)]
+                    )
+                    outcomes.append(("ok", len(responses)))
+                except ServiceClosed:
+                    outcomes.append(("closed", 0))
+                except Exception as error:  # noqa: BLE001 - reported below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=submitter, args=(gate,), daemon=True)
+                for gate in (early, late)
+                for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            early.set()
+            service.stop(drain=True)
+            late.set()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive(), "submitter stranded on its ticket"
+            assert errors == []
+            assert len(outcomes) == 8
+            for kind, n in outcomes:
+                assert kind in ("ok", "closed")
+                if kind == "ok":
+                    assert n == 3
+            service.close()
 
 
 # ---------------------------------------------------------------------------
