@@ -32,6 +32,15 @@ against the checked-in baselines in ``benchmarks/baselines.json``:
   baseline section; refresh it alone (sequential entries byte-identical)
   with ``--update-counter-baselines``.
 
+* **small-wave gate** — single interactive-size rounds (256 samples at
+  128 tasks per warp, i.e. 2-warp waves) on hprd k=4/k=8 and orkut k=12,
+  where per-step numpy dispatch rather than array width sets the cost.
+  ``fused`` is the default backend, so it must not lose to ``vectorized``
+  there either: best-of-N fused wall must stay within
+  ``SMALL_WAVE_MAX_RATIO`` (1.05) of vectorized, timed alternately in one
+  process, with identical estimates and simulated milliseconds.
+  Self-relative, so it needs no baseline entry.
+
 * **sharding gates** — one saturating workload runs at 1 and 4 shards:
   estimates and simulated milliseconds must be bit-identical, the
   deterministic multi-device makespan must show a ≥1.5× modeled speedup,
@@ -125,6 +134,19 @@ FUSED_WJ_MIN_SPEEDUP = 2.0
 # pins its own baseline section ("fused_counter"), refreshed via
 # --update-counter-baselines without touching the sequential entries.
 FUSED_COUNTER_MIN_SPEEDUP = 3.0
+
+# Small-wave gate: the shape of an interactive request's round.  Timing
+# alternates the two backends so host-speed drift hits both alike.
+SMALL_WAVE_CASES = [
+    ("alley_hprd_q4", AlleyEstimator, "hprd", 4),
+    ("alley_hprd_q8", AlleyEstimator, "hprd", 8),
+    ("wj_hprd_q8", WanderJoinEstimator, "hprd", 8),
+    ("alley_orkut_q12", AlleyEstimator, "orkut", 12),
+]
+SMALL_WAVE_SAMPLES = 256
+SMALL_WAVE_TASKS_PER_WARP = 128
+SMALL_WAVE_REPEATS = 30
+SMALL_WAVE_MAX_RATIO = 1.05
 
 # Sharding gate workload: must be throughput-bound (many small balanced
 # warps, per-shard warp counts above device residency) or the modeled
@@ -338,6 +360,70 @@ def compare_fused_counter(cur: dict, base: dict) -> list:
                 f"fused_counter: {label} compiled plan only "
                 f"{cur[f'fused_speedup_{label}']:.2f}x faster than "
                 f"vectorized (gate: {FUSED_COUNTER_MIN_SPEEDUP:.2f}x)"
+            )
+    return failures
+
+
+def measure_small_waves() -> dict:
+    """Best-of-N wall time of one small round per backend and case."""
+    out = {}
+    for name, estimator_cls, dataset, k in SMALL_WAVE_CASES:
+        workload = build_workload(dataset, k, "dense", 0)
+        engines = {
+            backend: GSWORDEngine(
+                estimator_cls(),
+                EngineConfig.gsword(
+                    backend=backend,
+                    tasks_per_warp=SMALL_WAVE_TASKS_PER_WARP,
+                ),
+            )
+            for backend in ("vectorized", "fused")
+        }
+        for engine in engines.values():  # build kernels / compile plans
+            engine.run(workload.cg, workload.order, SMALL_WAVE_SAMPLES, rng=1)
+        best = dict.fromkeys(engines, float("inf"))
+        results = {}
+        for _ in range(SMALL_WAVE_REPEATS):
+            for backend, engine in engines.items():
+                start = time.perf_counter()
+                results[backend] = engine.run(
+                    workload.cg, workload.order, SMALL_WAVE_SAMPLES, rng=SEED
+                )
+                best[backend] = min(best[backend], time.perf_counter() - start)
+        vec, fus = results["vectorized"], results["fused"]
+        out[name] = {
+            "backend": fus.backend,
+            "identical": (
+                fus.estimate == vec.estimate
+                and fus.simulated_ms() == vec.simulated_ms()
+            ),
+            "wall_ms_vectorized": best["vectorized"] * 1000.0,
+            "wall_ms_fused": best["fused"] * 1000.0,
+            "ratio": best["fused"] / best["vectorized"],
+        }
+    return out
+
+
+def compare_small_waves(cur: dict) -> list:
+    failures = []
+    for name, entry in cur.items():
+        if entry["backend"] != "fused":
+            failures.append(
+                f"{name}: small-wave fused run fell back to "
+                f"{entry['backend']!r}"
+            )
+        if not entry["identical"]:
+            failures.append(
+                f"{name}: fused and vectorized disagree on a small wave "
+                "(estimate or simulated ms) — equivalence broken"
+            )
+        if entry["ratio"] > SMALL_WAVE_MAX_RATIO:
+            failures.append(
+                f"{name}: fused {entry['wall_ms_fused']:.2f}ms is "
+                f"{entry['ratio']:.2f}x vectorized "
+                f"{entry['wall_ms_vectorized']:.2f}ms on a "
+                f"{SMALL_WAVE_SAMPLES}-sample round "
+                f"(gate <= {SMALL_WAVE_MAX_RATIO:.2f}x)"
             )
     return failures
 
@@ -842,6 +928,14 @@ def main(argv=None) -> int:
         f"{fused_counter['wall_ms_fused_alley']:.0f}/"
         f"{fused_counter['wall_ms_fused_wj']:.0f}ms)"
     )
+    small_waves = measure_small_waves()
+    for name, entry in small_waves.items():
+        print(
+            f"{name:<20} small wave: fused/vectorized="
+            f"{entry['ratio']:.2f}x (vec {entry['wall_ms_vectorized']:.2f}ms, "
+            f"fused {entry['wall_ms_fused']:.2f}ms; gate <= "
+            f"{SMALL_WAVE_MAX_RATIO:.2f}x)"
+        )
     if args.plan_out is not None:
         dump_plan_ir(args.plan_out)
         print(f"fused plan IR written to {args.plan_out}")
@@ -901,6 +995,7 @@ def main(argv=None) -> int:
     failures += compare_fused_counter(
         fused_counter, baseline.get("fused_counter", {})
     )
+    failures += compare_small_waves(small_waves)
     failures += compare_sharding(sharding, baseline.get("sharding", {}))
     failures += compare_tracing(tracing)
     failures += compare_dynamic(dynamic)

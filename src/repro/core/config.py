@@ -38,10 +38,13 @@ BACKENDS = ("fused", "vectorized", "scalar")
 def default_backend() -> str:
     """Session default for :attr:`EngineConfig.backend`.
 
-    ``vectorized`` unless the ``REPRO_BACKEND`` environment variable says
+    ``fused`` unless the ``REPRO_BACKEND`` environment variable says
     otherwise — handy for A/B timing runs without touching call sites.
+    Configurations the compiled plans do not cover step down the fallback
+    ladder: iteration sync runs on ``vectorized``, estimators without a
+    vector kernel on ``scalar``.
     """
-    return os.environ.get("REPRO_BACKEND", "vectorized")
+    return os.environ.get("REPRO_BACKEND", "fused")
 
 
 def default_shards() -> int:
@@ -98,15 +101,17 @@ class EngineConfig:
             trawling to produce partial instances); ``None`` = full query.
         streaming_threshold: minimum remaining candidates for the
             collaborative phase (32 in the paper — one per lane).
-        backend: warp-execution backend.  ``"vectorized"`` (the default,
-            overridable via ``REPRO_BACKEND``) runs lanes as
-            struct-of-arrays waves; ``"fused"`` executes a plan compiled
+        backend: warp-execution backend.  ``"fused"`` (the default,
+            overridable via ``REPRO_BACKEND``) executes a plan compiled
             once per (query, estimator) pair as whole-batch level kernels
-            (sample synchronisation only); ``"scalar"`` is the
+            (sample synchronisation only); ``"vectorized"`` runs lanes as
+            struct-of-arrays waves of any depth mix; ``"scalar"`` is the
             lane-at-a-time reference path.  Estimates and profiles are
             bit-identical; the engine steps down the fallback ladder
             (fused -> vectorized -> scalar) for configurations or custom
-            estimators a backend doesn't cover.
+            estimators a backend doesn't cover — iteration sync runs on
+            ``vectorized``, estimators without a vector kernel on
+            ``scalar``.
         n_shards: number of simulated devices (OS worker processes) a
             round's warp batch is partitioned across.  ``1`` (the default,
             overridable via ``REPRO_SHARDS``) runs in-process.  Because

@@ -125,6 +125,12 @@ class GPURunResult:
     #: fields feed the separate multi-device makespan telemetry.
     n_shards: int = 1
     shard_ms: List[float] = field(default_factory=list)
+    #: Wasted warp work of the vector backends, which run every warp at an
+    #: optimistic quota up front: warps re-run alone because inheritance
+    #: made their true quota smaller, and warps the fold never reached.
+    #: Telemetry only — neither changes a result.
+    n_rerun_warps: int = 0
+    n_discarded_warps: int = 0
 
     @property
     def backend_label(self) -> str:
@@ -391,6 +397,9 @@ class GSWORDEngine:
             n_shards=n_shards,
             shard_ms=shard_ms,
         )
+        if provider is not None:
+            result.n_rerun_warps = provider.n_reruns
+            result.n_discarded_warps = provider.max_warps - n_warps
         if launch_span is not None:
             self._trace_launch(launch_span, result)
         return result
@@ -412,6 +421,8 @@ class GSWORDEngine:
             "n_warps": result.n_warps,
             "n_samples": result.n_samples,
             "n_valid": result.n_valid,
+            "n_rerun_warps": result.n_rerun_warps,
+            "n_discarded_warps": result.n_discarded_warps,
             "stall": result.profile.stall_summary(),
             "cycles": result.profile.cycle_breakdown(),
             "status": "ok",

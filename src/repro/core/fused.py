@@ -20,7 +20,13 @@ estimator) pair instead:
   plan, so the per-warp Python charge loop disappears);
 * batch-end Horvitz–Thompson folds run as masked per-lane Welford updates
   across all finishing warps at once, reproducing ``HTAccumulator.add``'s
-  float operation order exactly.
+  float operation order exactly (a few warps fold through
+  ``HTAccumulator.add`` itself, which is cheaper than the numpy calls).
+
+It is the default backend.  An interactive round is one or two warps, so
+per-step numpy dispatch, not array width, is what the runner pays for;
+the charge path skips every call that cannot change a value for the
+common shapes (see :meth:`FusedRunner._charge_rows`).
 
 All persistent buffers come from a :class:`FusedArena` — named, high-water
 reused across waves *and* rounds, so steady-state execution allocates
@@ -75,6 +81,15 @@ from repro.utils.rng import generator_from_state
 #: runner pass is row-wise.
 _FUSED_WAVE_CHUNK = 8192
 
+#: Batch-end folds over at most this many finishing warps run lane by lane
+#: through :meth:`HTAccumulator.add` itself.  The vector fold's cost is
+#: nine numpy calls per lane whatever the row count, the scalar fold's
+#: grows with the rows; both make the same float operations.  Measured on
+#: a 2-vCPU x86 host: one full-batch warp folds in 19 us vs 304 us, and
+#: the two break even at 16-17 warps (partial batches favour the scalar
+#: fold further still).
+_SCALAR_FOLD_ROWS = 16
+
 #: Array-id key offsets for the row-wise union counter; the same
 #: collision-free packing :func:`repro.gpu.memory.batched_union_counts`
 #: uses (array ids < 8, candidate arrays far below 2^45 elements).
@@ -93,6 +108,42 @@ def _distinct_rows(keys: np.ndarray) -> np.ndarray:
     return distinct - (s[:, 0] == -1)
 
 
+def _masked(mask: Optional[np.ndarray], x, fill):
+    """``x`` on the lanes ``mask`` keeps, ``fill`` elsewhere; ``None``
+    means every lane is kept."""
+    return x if mask is None else np.where(mask, x, fill)
+
+
+def _union_sweep(
+    m: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """Per-row count of distinct keys covered by one inclusive key range
+    ``[first, last]`` per masked lane: an interval-union sweep over the
+    lane spans sorted by start."""
+    fk = np.where(m, first, _KEY_SENTINEL)
+    lk = np.where(m, last, np.int64(-1))
+    order = np.argsort(fk, axis=1)
+    row = np.arange(len(fk))[:, None]
+    fs = fk[row, order]
+    ls = lk[row, order]
+    run = np.maximum.accumulate(ls, axis=1)
+    pm = np.empty_like(run)
+    pm[:, 0] = -2
+    if run.shape[1] > 1:
+        pm[:, 1:] = run[:, :-1]
+    # Sorted by start, the already-covered part of span i is exactly
+    # [fs_i, pm_i], so its new coverage is [max(fs_i, pm_i + 1), ls_i].
+    return np.maximum(0, ls - np.maximum(fs, pm + 1) + 1).sum(axis=1)
+
+
+def _extra_regions(
+    m: np.ndarray, aidk: np.ndarray, eid: np.ndarray
+) -> np.ndarray:
+    """Per-row distinct ``(array, region)`` count beyond the first."""
+    keys = np.where(m, aidk + eid + 1, np.int64(-1))
+    return np.maximum(0, _distinct_rows(keys) - 1)
+
+
 def _scan_union_rows(
     m: np.ndarray, eid: np.ndarray, first: np.ndarray, last: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -101,27 +152,13 @@ def _scan_union_rows(
     Same counts as :func:`repro.gpu.memory.batched_union_counts` for the
     fused refine step's shape — each masked lane contributes one inclusive
     segment range ``[first, last]`` in the array given by ``eid``'s sign —
-    but computed per warp row: distinct ``(array, segment)`` via an
-    interval-union sweep over the lane spans sorted by start, distinct
-    ``(array, region)`` via a 32-wide row sort.  No flat concatenation,
-    no global key sort.
+    but computed per warp row: distinct ``(array, segment)`` via
+    :func:`_union_sweep`, distinct ``(array, region)`` via a 32-wide row
+    sort.  No flat concatenation, no global key sort.
     """
     aidk = np.where(eid >= 0, _AID_LOCAL, _AID_GLOBAL)
-    fk = np.where(m, aidk + first, _KEY_SENTINEL)
-    lk = np.where(m, aidk + last, np.int64(-1))
-    order = np.argsort(fk, axis=1)
-    fs = np.take_along_axis(fk, order, axis=1)
-    ls = np.take_along_axis(lk, order, axis=1)
-    run = np.maximum.accumulate(ls, axis=1)
-    pm = np.empty_like(run)
-    pm[:, 0] = -2
-    if run.shape[1] > 1:
-        pm[:, 1:] = run[:, :-1]
-    # Sorted by start, the already-covered part of span i is exactly
-    # [fs_i, pm_i], so its new coverage is [max(fs_i, pm_i + 1), ls_i].
-    segs = np.maximum(0, ls - np.maximum(fs, pm + 1) + 1).sum(axis=1)
-    extra = np.maximum(0, _distinct_rows(np.where(m, aidk + eid + 1, np.int64(-1))) - 1)
-    return segs, extra
+    segs = _union_sweep(m, aidk + first, aidk + last)
+    return segs, _extra_regions(m, aidk, eid)
 
 
 def _touch_union_rows(
@@ -132,8 +169,7 @@ def _touch_union_rows(
     counts, no interval sweep needed."""
     aidk = np.where(eid >= 0, _AID_LOCAL, _AID_GLOBAL)
     segs = _distinct_rows(np.where(m, aidk + seg_idx, np.int64(-1)))
-    extra = np.maximum(0, _distinct_rows(np.where(m, aidk + eid + 1, np.int64(-1))) - 1)
-    return segs, extra
+    return segs, _extra_regions(m, aidk, eid)
 
 
 class FusedArena:
@@ -400,7 +436,9 @@ class FusedRunner:
             inst[gr, vc, d] = res.v[vr, vc]
             prob[gr, vc] *= res.prob_factor[vr, vc]
         valid[rows] = res.valid
-        self._charge_rows(lv, rows, present, prep, res, prof)
+        self._charge_rows(
+            lv, slice(None) if full else rows, present, prep, res, prof
+        )
 
     def _draw_rows(
         self,
@@ -465,44 +503,34 @@ class FusedRunner:
         run_r = running[rows]
         votes = run_r & valid[rows]
         anyv = votes.any(axis=1)
-        if np.array_equal(votes, run_r):
-            # No lane died this step (the common case at high valid
-            # ratios): voting changes nothing, only the syncs are charged.
+        # One vote sync per warp; a warp with a surviving lane pays a
+        # second, a warp without one stops.
+        if not anyv.all():
             nv = rows[~anyv]
-            if len(nv):
-                prof.sync[nv] += sc
-            vr = rows[anyv]
-            if len(vr):
-                y = prof.sync[vr] + sc
-                prof.sync[vr] = y + sc
-            return
-        nv = rows[~anyv]
-        if len(nv):
             prof.sync[nv] += sc
             running[nv] = False
-        vr = rows[anyv]
-        if len(vr) == 0:
+            rows = rows[anyv]
+            if len(rows) == 0:
+                return
+            run_r = run_r[anyv]
+            votes = votes[anyv]
+        y = prof.sync[rows] + sc
+        prof.sync[rows] = y + sc
+        idle_m = run_r & ~votes
+        if not idle_m.any():
+            # No lane died this step (the common case at high valid
+            # ratios): nothing to inherit.
             return
-        y = prof.sync[vr] + sc
-        prof.sync[vr] = y + sc
-        v2 = votes[anyv]
-        idle_m = running[vr] & ~v2
         idle = idle_m.sum(axis=1)
-        z = idle == 0
-        if z.any():
-            running[vr[z]] = v2[z]
-        iw = ~z
-        if not iw.any():
-            return
-        wr = vr[iw]
-        vm = v2[iw]
+        iw = idle > 0
+        wr = rows[iw]
         im = idle_m[iw]
         ic = idle[iw]
-        parent = np.argmax(vm, axis=1)
+        parent = np.argmax(votes[iw], axis=1)
         prob[wr, parent] *= ic + 1
-        # One shfl-sync per inheriting lane, exactly idle times per warp.
-        for i in range(int(ic.max())):
-            prof.sync[wr[ic > i]] += sc
+        # One shfl-sync per inheriting lane, exactly idle times per warp
+        # (``add.at`` adds once per repeated index, in order).
+        np.add.at(prof.sync, np.repeat(wr, ic), sc)
         rr, ll = np.nonzero(im)
         gr = wr[rr]
         par = parent[rr]
@@ -525,46 +553,28 @@ class FusedRunner:
         wm2: np.ndarray,
         collected: Optional[List[List[Tuple[Tuple[int, ...], float]]]],
     ) -> None:
-        """Batch-end HT fold: masked Welford updates lane 0..W-1 in order,
-        replicating ``HTAccumulator.add`` per active lane."""
+        """Batch-end HT fold: every finishing warp adds its active lanes'
+        values in lane order, exactly ``HTAccumulator.add`` per lane."""
         target = self.p.target
-        W = self.p.warp_size
         ok = running[fin] & (dvals[fin] == target)[:, None]
         act = active[fin]
         pv = prob[fin]
         val = np.where(
             ok, np.divide(1.0, pv, out=np.zeros_like(pv), where=ok), 0.0
         )
-        n = wn[fin]
-        nv = wvalid[fin]
-        mean = wmean[fin]
-        m2 = wm2[fin]
-        if act.all():
-            # Full batches (the common case): every lane adds, so the
-            # masked selects vanish and n is always >= 1 after increment.
-            for lane in range(W):
-                value = val[:, lane]
-                n = n + 1
-                nv = nv + (value > 0)
-                delta = value - mean
-                mean = mean + delta / n
-                m2 = m2 + delta * (value - mean)
+        if len(fin) <= _SCALAR_FOLD_ROWS:
+            for i, r in enumerate(fin.tolist()):
+                acc = HTAccumulator(n=int(wn[r]), n_valid=int(wvalid[r]))
+                acc._mean = float(wmean[r])
+                acc._m2 = float(wm2[r])
+                for value in val[i][act[i]].tolist():
+                    acc.add(value)
+                wn[r] = acc.n
+                wvalid[r] = acc.n_valid
+                wmean[r] = acc._mean
+                wm2[r] = acc._m2
         else:
-            for lane in range(W):
-                m = act[:, lane]
-                value = val[:, lane]
-                n = n + m
-                nv = nv + (m & (value > 0))
-                delta = value - mean
-                nsafe = np.maximum(n, 1)
-                mean_new = mean + delta / nsafe
-                m2_new = m2 + delta * (value - mean_new)
-                mean = np.where(m, mean_new, mean)
-                m2 = np.where(m, m2_new, m2)
-        wn[fin] = n
-        wvalid[fin] = nv
-        wmean[fin] = mean
-        wm2[fin] = m2
+            self._fold_rows(fin, act, val, wn, wvalid, wmean, wm2)
         if collected is not None:
             for i in range(len(fin)):
                 row_ok = ok[i]
@@ -579,13 +589,55 @@ class FusedRunner:
                         )
                     )
 
+    @staticmethod
+    def _fold_rows(
+        fin: np.ndarray,
+        act: np.ndarray,
+        val: np.ndarray,
+        wn: np.ndarray,
+        wvalid: np.ndarray,
+        wmean: np.ndarray,
+        wm2: np.ndarray,
+    ) -> None:
+        """Masked Welford updates lane 0..W-1 in order across all rows."""
+        n = wn[fin]
+        nv = wvalid[fin]
+        mean = wmean[fin]
+        m2 = wm2[fin]
+        if act.all():
+            # Full batches (the common case): every lane adds, so the
+            # masked selects vanish and n is always >= 1 after increment.
+            for lane in range(act.shape[1]):
+                value = val[:, lane]
+                n = n + 1
+                nv = nv + (value > 0)
+                delta = value - mean
+                mean = mean + delta / n
+                m2 = m2 + delta * (value - mean)
+        else:
+            for lane in range(act.shape[1]):
+                m = act[:, lane]
+                value = val[:, lane]
+                n = n + m
+                nv = nv + (m & (value > 0))
+                delta = value - mean
+                nsafe = np.maximum(n, 1)
+                mean_new = mean + delta / nsafe
+                m2_new = m2 + delta * (value - mean_new)
+                mean = np.where(m, mean_new, mean)
+                m2 = np.where(m, m2_new, m2)
+        wn[fin] = n
+        wvalid[fin] = nv
+        wmean[fin] = mean
+        wm2[fin] = m2
+
     # ------------------------------------------------------------------
     # Cost accounting (value-for-value with WaveRunner._charge_step)
     # ------------------------------------------------------------------
     def _charge_rows(
         self,
         lv,
-        rows: np.ndarray,
+        ix,
         present: np.ndarray,
         prep,
         res,
@@ -593,143 +645,154 @@ class FusedRunner:
     ) -> None:
         """Whole-column cost accounting, value-for-value with the scalar
         charge sequence: each profile field is gathered once, updated with
-        the same additions in the same order, and scattered once."""
+        the same additions in the same order, and scattered once.
+
+        ``ix`` selects the stepping warps' profile rows (a slice when the
+        depth group is the whole wave).  Small waves are dominated by the
+        number of numpy calls, not their width, so the common shapes get
+        shortcuts that drop calls without changing a value: when every
+        lane is present the busy count is the constant ``W`` (no lane
+        masks, and the sample-sync idle charge adds exactly ``0.0``), a
+        level with one backward pair has no extra regions, and a global
+        level streams nothing.
+        """
         p = self.p
         spec = p.spec
         W = p.warp_size
-        R = len(rows)
-        seg_el = spec.segment_elements
         op = spec.op_cycles
-        busy = present.sum(axis=1)
-
-        c0 = prof.comp[rows]
-        m0 = prof.mem[rows]
-        y0 = prof.sync[rows]
-        cyc_before = c0 + m0 + y0
-
+        mem_lat = spec.mem_latency_cycles
+        issue = spec.issue_cycles
+        nbc = lv.nb
         has_refine = p.has_refine
         streaming = p.streaming and has_refine
-        nbc = lv.nb
+        all_present = bool(present.all())
+        mask = None if all_present else present
+        busy = W if all_present else present.sum(axis=1)
+
+        c0 = prof.comp[ix]
+        m0 = prof.mem[ix]
+        y0 = prof.sync[ix]
+        # (``ix`` may be a slice: take the pre-step total before the
+        # scatter below overwrites the viewed columns.)
+        cyc_before = None if all_present else c0 + m0 + y0
 
         # (1) backward-pair lookups, lockstep across the warp.  When any
         # lane is busy the per-lane maximum is the constant nb * loads.
         tot_lookup = busy * (nbc * _PROBE_LOADS)
         lookup_cost = np.where(
             tot_lookup > 0,
-            (nbc * _PROBE_LOADS) * spec.mem_latency_cycles
-            + tot_lookup * spec.issue_cycles,
+            (nbc * _PROBE_LOADS) * mem_lat + tot_lookup * issue,
             0.0,
         )
 
         base_ops = float(_ITER_BASE_OPS + _SAMPLE_OPS + _VALIDATE_OPS)
         if has_refine and not streaming and nbc > 0:
-            clen_p = np.where(present, prep.clen, 0)
-            opsv = np.where(
-                present, (base_ops + clen_p * float(_CAND_SCAN_OPS)) * op, 0.0
+            opsv = _masked(
+                mask, (base_ops + prep.clen * float(_CAND_SCAN_OPS)) * op, 0.0
             )
             ops_max = opsv.max(axis=1)
         else:
             # All present lanes cost the same constant.
             ops_max = np.where(busy > 0, base_ops * op, 0.0)
 
-        probes_p = np.where(present, res.probes, 0)
-
         # Tracker unions.  Global levels are analytic: every present lane
         # touches the same constant pool slot, one segment, no extra
-        # regions.  Backward levels run the row-wise interval sweep.
+        # regions.  Backward levels run the row-wise interval sweep; with
+        # one backward pair every lane reads the same edge's array, so
+        # there are no extra regions either.
+        extra_reg = 0
         if lv.glob:
-            if lv.g_len > 0:
-                seg_counts = (busy > 0).astype(np.int64)
-            else:
-                seg_counts = np.zeros(R, dtype=np.int64)
-            extra_reg = np.zeros(R, dtype=np.int64)
+            seg_counts = np.where(busy > 0, int(lv.g_len > 0), 0)
         else:
-            span_lo = np.where(present, prep.span_lo, 0)
-            span_hi = np.where(present, prep.span_hi, 0)
-            eid = np.where(present, prep.edge_id, np.int64(-1))
+            span_lo = _masked(mask, prep.span_lo, 0)
+            span_hi = _masked(mask, prep.span_hi, 0)
+            seg_el = spec.segment_elements
             if has_refine:
+                # Each lane scans its whole candidate span.
                 length = np.maximum(0, span_hi - span_lo)
-                m = present & (length > 0)
+                m = length > 0
                 first = span_lo // seg_el
                 last = (span_lo + length - 1) // seg_el
-                seg_counts, extra_reg = _scan_union_rows(m, eid, first, last)
             else:
-                m = present & (span_hi > span_lo)
-                touch = (span_lo + (span_hi - span_lo) // 2) // seg_el
-                seg_counts, extra_reg = _touch_union_rows(m, eid, touch)
+                # Each lane touches the middle of its span.
+                m = span_hi > span_lo
+                first = (span_lo + (span_hi - span_lo) // 2) // seg_el
+            if mask is not None:
+                m &= mask
+            if nbc > 1:
+                # Lanes read different edges' arrays: segments are keyed
+                # by array id and may cross regions.
+                eid = _masked(mask, prep.edge_id, np.int64(-1))
+                if has_refine:
+                    seg_counts, extra_reg = _scan_union_rows(m, eid, first, last)
+                else:
+                    seg_counts, extra_reg = _touch_union_rows(m, eid, first)
+            elif has_refine:
+                # One pair: every lane reads the same array, so the bare
+                # segment ids are the keys and there is one region.
+                seg_counts = _union_sweep(m, first, last)
+            else:
+                seg_counts = _distinct_rows(np.where(m, first, np.int64(-1)))
 
         # (2) candidate probes — streamed (Alg. 3) or lockstep
         seg_add = tot_lookup
         sync_new = y0
         comp_new = c0
         mem_new = m0 + lookup_cost
-        if streaming:
-            clen_p = np.where(present, prep.clen, 0)
-            if nbc > 0:
-                lane_clens = clen_p
-            else:
-                lane_clens = np.zeros((R, W), dtype=np.int64)
+        probe_costs: Tuple = ()
+        if streaming and nbc > 0:
+            # (Global levels stream nothing: every term below is +0.)
+            clen_p = _masked(mask, prep.clen, 0)
+            probes_p = _masked(mask, res.probes, 0)
+            # (int64 / int64 true-divides in float64)
             rate = np.divide(
-                probes_p.astype(np.float64),
-                clen_p.astype(np.float64),
-                out=np.zeros((R, W)),
-                where=clen_p > 0,
+                probes_p, clen_p, out=np.zeros(clen_p.shape), where=clen_p > 0
             )
             threshold = p.streaming_threshold
             limit = W if threshold is None else threshold
             if limit <= W:
-                full = lane_clens // W
-                tail = lane_clens % W
+                tail = clen_p % W
                 partial = tail >= limit
-                rounds_per_lane = full + partial
+                rounds_per_lane = clen_p // W + partial
                 remainders = np.where(partial, 0, tail)
             else:
-                eligible = lane_clens >= limit
+                eligible = clen_p >= limit
                 rounds_per_lane = np.where(
-                    eligible, (lane_clens - limit) // W + 1, 0
+                    eligible, (clen_p - limit) // W + 1, 0
                 )
-                remainders = lane_clens - rounds_per_lane * W
+                remainders = clen_p - rounds_per_lane * W
             rounds_w = rounds_per_lane.sum(axis=1)
             ind_max = remainders.max(axis=1)
             rate_max = rate.max(axis=1)
             leftover = remainders * rate
             wic_full = warp_instruction_cost(spec, spec.warp_size)
-            probe_cycles = rounds_w * rate_max * _PROBE_LOADS * wic_full
+            probe_loads = rounds_w * rate_max * _PROBE_LOADS
+            probe_cycles = probe_loads * wic_full
             mem_new = mem_new + probe_cycles
             seg_add = seg_add + np.where(
                 probe_cycles > 0,
-                np.rint(
-                    rounds_w * rate_max * _PROBE_LOADS * spec.warp_size
-                ).astype(np.int64),
+                np.rint(probe_loads * spec.warp_size).astype(np.int64),
                 0,
             )
             sync_new = sync_new + rounds_w * 5 * spec.sync_cycles
             comp_new = comp_new + rounds_w * _CAND_SCAN_OPS * op
             comp_new = comp_new + ind_max * _CAND_SCAN_OPS * op
             max_leftover = leftover.max(axis=1)
-            # Lane-order fold: float accumulation order matches the scalar
-            # path's Python sum over the 32-lane list.
-            total_leftover = np.zeros(R)
-            for lane in range(W):
-                total_leftover = total_leftover + leftover[:, lane]
+            # Lane-order fold: cumsum adds left to right, the same float
+            # accumulation order as the scalar path's Python sum over the
+            # 32-lane list.
+            total_leftover = leftover.cumsum(axis=1)[:, -1]
             ml = max_leftover * _PROBE_LOADS
             tl = total_leftover * _PROBE_LOADS
-            lcost = np.where(
-                tl > 0,
-                ml * spec.mem_latency_cycles + tl * spec.issue_cycles,
-                0.0,
-            )
+            lcost = np.where(tl > 0, ml * mem_lat + tl * issue, 0.0)
             mem_new = mem_new + lcost
             seg_add = seg_add + np.rint(tl).astype(np.int64)
             probe_costs = (probe_cycles, lcost)
-        else:
+        elif not streaming:
+            probes_p = _masked(mask, res.probes, 0)
             tp = probes_p.sum(axis=1) * _PROBE_LOADS
             mp = probes_p.max(axis=1) * _PROBE_LOADS
-            pcost = np.where(
-                tp > 0,
-                mp * spec.mem_latency_cycles + tp * spec.issue_cycles,
-                0.0,
-            )
+            pcost = np.where(tp > 0, mp * mem_lat + tp * issue, 0.0)
             mem_new = mem_new + pcost
             seg_add = seg_add + tp
             probe_costs = (pcost,)
@@ -740,9 +803,7 @@ class FusedRunner:
         # (4) coalescing-union memory instruction
         ucost = np.where(
             seg_counts > 0,
-            spec.mem_latency_cycles
-            + seg_counts * spec.issue_cycles
-            + extra_reg * spec.region_miss_cycles,
+            mem_lat + seg_counts * issue + extra_reg * spec.region_miss_cycles,
             0.0,
         )
         um = ucost > 0
@@ -751,25 +812,25 @@ class FusedRunner:
 
         # StallLong mirrors every memory charge: same adds, same order,
         # from the stall column's own base.
-        sl = prof.slong[rows] + lookup_cost
+        sl = prof.slong[ix] + lookup_cost
         for cost in probe_costs:
             sl = sl + cost
         sl = sl + ucost
 
-        prof.comp[rows] = comp_new
-        prof.mem[rows] = mem_new
-        prof.sync[rows] = sync_new
-        prof.slong[rows] = sl
-        prof.segs[rows] += seg_add
-        prof.regs[rows] += np.where(um, extra_reg, 0)
+        prof.comp[ix] = comp_new
+        prof.mem[ix] = mem_new
+        prof.sync[ix] = sync_new
+        prof.slong[ix] = sl
+        prof.segs[ix] += seg_add
+        prof.regs[ix] += np.where(um, extra_reg, 0)
 
         # (5) sample-sync idle lanes sit through the whole iteration
-        cyc_after = comp_new + mem_new + sync_new
-        delta = cyc_after - cyc_before
-        prof.swait[rows] += np.where(busy < W, delta * (W - busy), 0.0)
-        prof.busy[rows] += busy
-        prof.ltot[rows] += W
-        prof.iters[rows] += 1
+        if not all_present:
+            delta = (comp_new + mem_new + sync_new) - cyc_before
+            prof.swait[ix] += np.where(busy < W, delta * (W - busy), 0.0)
+        prof.busy[ix] += busy
+        prof.ltot[ix] += W
+        prof.iters[ix] += 1
 
 
 class FusedWarpProvider(VectorWarpProvider):

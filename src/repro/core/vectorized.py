@@ -717,7 +717,8 @@ class VectorWarpProvider:
     :meth:`warp` returns the cached result when the fold confirms the
     quota, or re-runs that single warp locally (from the same spawned child
     state, so the random stream is identical) when inheritance made the
-    true quota smaller.
+    true quota smaller.  ``n_reruns`` counts those re-runs; warps past the
+    last one the fold reaches are computed and discarded.
     """
 
     def __init__(
@@ -748,6 +749,7 @@ class VectorWarpProvider:
         self.guesses = [
             min(tpw, n_samples - w * tpw) for w in range(self.max_warps)
         ]
+        self.n_reruns = 0
         self.n_shards = min(engine.config.n_shards, max(1, self.max_warps))
         self.shard_offset = shard_offset % self.n_shards
         if self.n_shards > 1:
@@ -771,4 +773,5 @@ class VectorWarpProvider:
     def warp(self, w: int, quota: int) -> WarpResult:
         if quota == self.guesses[w]:
             return self.results[w]
+        self.n_reruns += 1
         return self.runner.run_warps([self.states[w]], [quota])[0]

@@ -359,10 +359,10 @@ class FusedKernelMixin:
             plen_st[k] = shi - slo
         # First-occurrence argmin == the scalar loop's strict-< selection.
         best = np.argmin(plen_st, axis=0)
-        bexp = best[None]
-        clen = np.take_along_axis(plen_st, bexp, 0)[0]
-        span_lo = np.take_along_axis(slo_st, bexp, 0)[0]
-        span_hi = np.take_along_axis(shi_st, bexp, 0)[0]
+        pick = (best, np.arange(R)[:, None], np.arange(W))
+        clen = plen_st[pick]
+        span_lo = slo_st[pick]
+        span_hi = shi_st[pick]
         return FusedPrep(
             clen=clen, rlen=zeros, probes=zeros,
             edge_id=lv.eid[best], span_lo=span_lo, span_hi=span_hi,

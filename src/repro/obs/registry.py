@@ -621,6 +621,14 @@ def registry_from_service_snapshot(
     )
     for shards, count in (snap.get("rounds_by_shard_count") or {}).items():
         by_shards.labels(shards=shards).inc(float(count))
+    reg.counter(
+        "rerun_warps_total",
+        "Warps re-run alone at a smaller true quota (vector backends)",
+    ).inc(float(snap.get("n_rerun_warps", 0)))
+    reg.counter(
+        "discarded_warps_total",
+        "Optimistic warps computed but never folded (vector backends)",
+    ).inc(float(snap.get("n_discarded_warps", 0)))
 
     samples = reg.counter(
         "samples_total", "Samples drawn / valid", labels=("kind",)

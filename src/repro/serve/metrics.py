@@ -133,6 +133,11 @@ class ServiceMetrics:
     # on fewer shards than configured — the engine never spreads one warp
     # across many workers).
     rounds_by_shard_count: Dict[int, int] = field(default_factory=dict)
+    # Wasted warp work of the vector backends (``GPURunResult``): warps
+    # re-run at a smaller true quota, and optimistic warps discarded
+    # because the fold never reached them.
+    n_rerun_warps: int = 0
+    n_discarded_warps: int = 0
     # Dynamic-graph plan lifecycle (repro.dyn serving integration): plans
     # installed after a delta refresh, explicit invalidation calls, and the
     # total entries those calls evicted.
@@ -190,6 +195,11 @@ class ServiceMetrics:
             self.rounds_by_shard_count[n] = (
                 self.rounds_by_shard_count.get(n, 0) + 1
             )
+
+    def record_wasted_warps(self, n_rerun: int, n_discarded: int) -> None:
+        """Fold one batch's re-run and discarded warp counts in."""
+        self.n_rerun_warps += n_rerun
+        self.n_discarded_warps += n_discarded
 
     # Resilience events ------------------------------------------------
     def record_round_faults(
@@ -286,6 +296,8 @@ class ServiceMetrics:
                 str(n): count
                 for n, count in sorted(self.rounds_by_shard_count.items())
             },
+            "n_rerun_warps": self.n_rerun_warps,
+            "n_discarded_warps": self.n_discarded_warps,
             "plans": {
                 "n_refreshes": self.n_plan_refreshes,
                 "n_invalidations": self.n_plan_invalidations,

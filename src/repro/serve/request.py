@@ -74,9 +74,15 @@ class EstimateRequest:
         deadline_ms: simulated-ms latency budget measured from submission
             (queue wait, plan construction on a cache miss, and sampling
             all count); ``None`` = no deadline.
-        max_samples: hard cap on collected samples — the backstop that
-            bounds requests whose CI never converges (e.g. zero-count
-            queries, whose relative CI is undefined).
+        max_samples: sample budget — the backstop that bounds requests
+            whose CI never converges (e.g. zero-count queries, whose
+            relative CI is undefined).  No round starts once the collected
+            samples reach it, and a round asks for at most what is left.
+            A round's root samples never exceed its request, but under
+            inheritance (Alg. 2) they carry inherited continuations that
+            count as collected samples too, so the guarantee is
+            ``n_samples <= max_samples + inherited continuations of the
+            final round`` — not a hard cap.
         estimator: ``"alley"``/``"wanderjoin"`` or an estimator instance.
         graph_id: stable identity of ``graph`` for plan-cache keying;
             defaults to the graph's name + size signature + content

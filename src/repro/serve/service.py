@@ -833,11 +833,12 @@ class EstimationService:
                 n_samples=result.n_samples,
                 batch_ms=result.batch_ms,
             )
-            self.metrics.record_backends(
-                [r.backend_label for r in result.round_results if r is not None]
-            )
-            self.metrics.record_shards(
-                [r.n_shards for r in result.round_results if r is not None]
+            done = [r for r in result.round_results if r is not None]
+            self.metrics.record_backends([r.backend_label for r in done])
+            self.metrics.record_shards([r.n_shards for r in done])
+            self.metrics.record_wasted_warps(
+                sum(r.n_rerun_warps for r in done),
+                sum(r.n_discarded_warps for r in done),
             )
             if result.n_faults or result.n_retries or result.fault_ms:
                 self.metrics.record_round_faults(

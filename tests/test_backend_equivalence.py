@@ -327,7 +327,7 @@ class TestBackendConfig:
 
     def test_default_backend_env_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert default_backend() == "vectorized"
+        assert default_backend() == "fused"
         monkeypatch.setenv("REPRO_BACKEND", "scalar")
         assert default_backend() == "scalar"
         assert EngineConfig.gsword().backend == "scalar"
