@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from repro.bench.reporting import render_table, save_results
-from repro.utils.lanerng import HAVE_NUMBA, philox_bounded, warp_keys
+from repro.utils.lanerng import philox_bounded, warp_keys
 from repro.utils.rng import spawn_generator_states, spawn_generators
 
 #: (warps per wave, draws per warp per super-step) shapes to time.  The
@@ -47,7 +47,7 @@ def _time(fn, repeats: int = REPEATS) -> float:
 
 def run_rng_draw():
     rows = []
-    payload = {"bound": BOUND, "have_numba": HAVE_NUMBA, "shapes": []}
+    payload = {"bound": BOUND, "shapes": []}
     for n_warps, per_warp in SHAPES:
         n_draws = n_warps * per_warp
         gens = spawn_generators(20240613, n_warps)

@@ -64,7 +64,6 @@ from repro.graph.datasets import DATASET_ORDER, load_dataset
 from repro.obs import (
     load_bundle,
     load_trace,
-    registry_from_service_snapshot,
     render_report,
     replay_bundle,
 )
@@ -380,14 +379,14 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
               f"{args.distinct} distinct queries)",
     ))
     if args.metrics_out is not None:
-        # One unified-registry snapshot per configuration, keyed by
-        # "<clients>x<config>"; the raw snapshots are dropped from the
-        # records afterwards so results/ JSON stays flat.
-        registries = {}
-        for record in records:
-            snap = record.pop("metrics_snapshot")
-            key = f"{record['clients']}x{record['config']}"
-            registries[key] = registry_from_service_snapshot(snap).snapshot()
+        # One live-registry snapshot per configuration, keyed by
+        # "<clients>x<config>"; they are dropped from the records
+        # afterwards so results/ JSON stays flat.
+        registries = {
+            f"{record['clients']}x{record['config']}":
+                record.pop("registry")
+            for record in records
+        }
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             json.dump(registries, fh, indent=2)
             fh.write("\n")
@@ -611,17 +610,15 @@ def _cmd_slo_report(args: argparse.Namespace) -> int:
         seed=args.seed,
         quick=True,
     )
-    slo = (payload["soak"]["shed"] or {}).get("slo")
+    shed = payload["soak"]["shed"] or {}
+    slo = shed.get("slo")
     if not slo:
         print("repro: error: the soak produced no SLO snapshot",
               file=sys.stderr)
         return 2
-    from repro.obs import registry_from_slo_snapshot
-
     print(f"SLO report (quick soak, {payload['n_requests']} arrivals at "
           f"{payload['soak']['overload_factor']:.1f}x capacity, "
           f"seed {payload['seed']})\n")
-    reg = registry_from_slo_snapshot(slo)
     burn = slo.get("burn_rates", {})
     alerts = slo.get("alerts", {})
     header = (f"{'objective':<18} {'short':>8} {'long':>8} "
@@ -647,7 +644,7 @@ def _cmd_slo_report(args: argparse.Namespace) -> int:
     else:
         print("\nalert log: (empty)")
     print("\nslo_burn_rate exposition:")
-    for line in reg.prometheus_text().splitlines():
+    for line in shed["slo_exposition"].splitlines():
         if "_slo_burn_rate{" in line:
             print(f"  {line}")
     fired = any(e["state"] == "fire" for e in log)

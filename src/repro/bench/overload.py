@@ -53,10 +53,10 @@ from repro.errors import ConfigError, Overloaded
 from repro.estimators.alley import AlleyEstimator
 from repro.faults import OVERLOAD, ArrivalPlan, FaultKind, FaultPlan, maybe_injector
 from repro.gpu.costmodel import DEFAULT_GPU
+from repro.obs.registry import quantile
 from repro.obs.slo import default_slo_policy
 from repro.serve.admission import AdmissionPolicy, HedgePolicy, TenantQuota
 from repro.serve.cache import build_plan
-from repro.serve.metrics import percentile
 from repro.serve.request import EstimateRequest
 from repro.serve.service import EstimationService, ServiceConfig, Ticket
 from repro.utils.rng import derive_seed
@@ -229,6 +229,7 @@ def run_open_loop(
         service.drain()
         snap = service.metrics_snapshot()
         slo_snap = None
+        slo_exposition: Optional[str] = None
         if config.slo is not None and service.slo is not None:
             # Post-storm idle padding: advance the clock one long window
             # past the last event so the burn windows empty and any
@@ -238,6 +239,9 @@ def run_open_loop(
                 service.clock_ms + config.slo.long_window_ms + 1.0
             )
             slo_snap = service.slo.snapshot(service.clock_ms)
+            slo_exposition = service.slo.to_registry(
+                service.clock_ms
+            ).prometheus_text()
     finally:
         service.close()
 
@@ -288,13 +292,14 @@ def run_open_loop(
         "goodput_per_s": (
             deadline_met / clock_ms * 1000.0 if clock_ms > 0 else 0.0
         ),
-        "p50_admitted_ms": percentile(latencies, 50),
-        "p99_admitted_ms": percentile(latencies, 99),
+        "p50_admitted_ms": quantile(latencies, 0.5),
+        "p99_admitted_ms": quantile(latencies, 0.99),
         "max_admitted_ms": max(latencies) if latencies else 0.0,
         "by_tenant": by_tenant,
         "n_degraded": snap["n_degraded"],
         "ewma_request_ms": snap["admission_state"].get("ewma_request_ms"),
         "slo": slo_snap,
+        "slo_exposition": slo_exposition,
     }
 
 
@@ -391,7 +396,7 @@ def run_hedge_check(
         durations_u.append(result.simulated_ms())
 
     # Fire past ordinary rounds but well before a 24x stall completes.
-    delay_ms = max(0.05, 1.5 * percentile(durations_u, 50))
+    delay_ms = max(0.05, 1.5 * quantile(durations_u, 0.5))
     hedged = make_session()
     estimates_h: List[float] = []
     durations_h: List[float] = []
@@ -416,10 +421,10 @@ def run_hedge_check(
         "n_hedges_fired": n_fired,
         "n_hedge_wins": n_won,
         "hedge_wasted_ms": wasted_ms,
-        "p50_unhedged_ms": percentile(durations_u, 50),
-        "p50_hedged_ms": percentile(durations_h, 50),
-        "p99_unhedged_ms": percentile(durations_u, 99),
-        "p99_hedged_ms": percentile(durations_h, 99),
+        "p50_unhedged_ms": quantile(durations_u, 0.5),
+        "p50_hedged_ms": quantile(durations_h, 0.5),
+        "p99_unhedged_ms": quantile(durations_u, 0.99),
+        "p99_hedged_ms": quantile(durations_h, 0.99),
     }
 
 

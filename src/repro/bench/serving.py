@@ -109,8 +109,9 @@ def run_serving_benchmark(
     the scheduler to one request per device batch — the no-batching
     baseline.  ``shards`` partitions every round across that many worker
     processes (bit-identical estimates; the admission cap scales with it).
-    ``collect_metrics`` attaches the full service metrics snapshot under
-    ``"metrics_snapshot"`` (the ``repro serve-bench --metrics-out`` feed).
+    ``collect_metrics`` attaches the service's live metrics registry
+    snapshot under ``"registry"`` (the ``repro serve-bench --metrics-out``
+    feed).
     """
     if pool is None:
         pool = build_request_pool(distinct=distinct)
@@ -126,6 +127,7 @@ def run_serving_benchmark(
         for start in range(0, len(stream), max(1, clients)):
             service.estimate_many(stream[start:start + max(1, clients)])
         snap = service.metrics_snapshot()
+        registry = service.registry().snapshot() if collect_metrics else None
     finally:
         service.close()
     latency = snap["latency_ms"]
@@ -155,6 +157,6 @@ def run_serving_benchmark(
         "stall": snap["stall"],
         "multidev_ms": snap["multidev_ms"],
     }
-    if collect_metrics:
-        record["metrics_snapshot"] = snap
+    if registry is not None:
+        record["registry"] = registry
     return record

@@ -25,12 +25,11 @@ That constancy is what the fused kernels exploit:
   ``lanes x g_len`` values at depth 0 only to draw one of them).
 
 The innermost intersection kernel (sorted-span membership during Alley
-refinement and WanderJoin validation) is JIT-compiled with Numba when the
-dependency is importable (gate it off with ``REPRO_FUSED_JIT=0``); the
-pure-numpy lockstep bisection from the vectorized kernels is the fallback.
-Both compute the identical integer lower bound, so results are
-bit-identical either way — the property the fused backend inherits from
-``vectorized``'s equivalence contract and that CI enforces per backend.
+refinement and WanderJoin validation) is the vectorized kernels' lockstep
+bisection, :func:`~repro.estimators.vectorized.ragged_contains`, so fused
+and vectorized compute the identical integer lower bound — the property
+the fused backend inherits from ``vectorized``'s equivalence contract and
+that CI enforces per backend.
 
 Kernels here subclass the vectorized ones: they reuse the same precomputed
 tables, so :func:`repro.estimators.vectorized.kernel_tables` snapshots
@@ -39,7 +38,6 @@ round-trip through shared memory to shard workers unchanged.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Type
 
@@ -56,68 +54,6 @@ from repro.estimators.vectorized import (
     ragged_contains,
 )
 from repro.estimators.wanderjoin import WanderJoinEstimator
-
-
-def _jit_enabled() -> bool:
-    raw = os.environ.get("REPRO_FUSED_JIT", "1").strip().lower()
-    return raw not in ("0", "false", "no", "off")
-
-
-def _load_numba():
-    if not _jit_enabled():
-        return None
-    try:
-        import numba  # noqa: F401
-
-        return numba
-    except Exception:  # pragma: no cover - numba not installed in CI image
-        return None
-
-
-_NUMBA = _load_numba()
-
-#: True when the optional Numba JIT path is active for this process.
-HAVE_NUMBA = _NUMBA is not None
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @_NUMBA.njit(cache=True)
-    def _nb_contains(arr, lo, hi, vals):  # type: ignore[no-redef]
-        out = np.zeros(len(vals), dtype=np.bool_)
-        for i in range(len(vals)):
-            left = lo[i]
-            right = hi[i]
-            v = vals[i]
-            while left < right:
-                mid = (left + right) >> 1
-                if arr[mid] < v:
-                    left = mid + 1
-                else:
-                    right = mid
-            out[i] = left < hi[i] and arr[left] == v
-        return out
-
-
-def fused_contains(
-    arr: np.ndarray, lo: np.ndarray, hi: np.ndarray, vals: np.ndarray
-) -> np.ndarray:
-    """Membership of ``vals_i`` in the sorted slice ``arr[lo_i:hi_i]``.
-
-    The fused backend's innermost intersection kernel: Numba-jitted scalar
-    loop when available, the vectorized lockstep bisection otherwise.  Both
-    are integer lower-bound searches, so the outputs are identical.
-    """
-    if HAVE_NUMBA:  # pragma: no cover - numba not installed in CI image
-        if len(arr) == 0:
-            return np.zeros(len(vals), dtype=bool)
-        return _nb_contains(
-            arr,
-            lo.astype(np.int64, copy=False),
-            hi.astype(np.int64, copy=False),
-            vals.astype(np.int64, copy=False),
-        )
-    return ragged_contains(arr, lo, hi, vals)
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +119,6 @@ class FusedPlan:
             "n_q": self.n_q,
             "target": self.target,
             "direct": self.direct,
-            "jit": HAVE_NUMBA,
             "levels": levels,
         }
 
@@ -461,7 +396,7 @@ class FusedWanderJoinKernel(FusedKernelMixin, WanderJoinVectorKernel):
                 break
             probes[ar, ac] += 1
             oslo, oshi = self._other_spans(prep, ar, ac, k)
-            member = fused_contains(self.local, oslo, oshi, v[ar, ac])
+            member = ragged_contains(self.local, oslo, oshi, v[ar, ac])
             alive[ar[~member], ac[~member]] = False
         return FusedRes(v=v, valid=alive, probes=probes, prob_factor=prob_factor)
 
@@ -520,7 +455,7 @@ class FusedAlleyKernel(FusedKernelMixin, AlleyVectorKernel):
             pmask[part] = True
             ridx = np.nonzero(pmask[lane_of])[0]
             el = lane_of[ridx]
-            member = fused_contains(
+            member = ragged_contains(
                 self.local, span_lo_l[el], span_hi_l[el], values[ridx]
             )
             keep = np.ones(len(values), dtype=bool)

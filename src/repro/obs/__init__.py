@@ -8,16 +8,17 @@ Four halves, all importable from here:
   singleton every un-traced component points at.
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`
   counters/gauges/histograms with label sets, JSON snapshot and
-  Prometheus text exposition (with a parser for round-trip validation),
-  and bridges from the existing telemetry shapes (`ServiceMetrics`
-  snapshots, `KernelProfile` stall summaries, fault tallies,
-  `multidev_ms`).
+  Prometheus text exposition (with a parser for round-trip validation).
+  It is the one metrics store: the serving layer records straight into
+  registry families (`EstimationService.registry()` returns them live),
+  and `registry_from_run` exports a one-shot engine run.
 * :mod:`repro.obs.flight` — the always-on :class:`FlightRecorder` ring,
   the :class:`FlightMonitor` trigger taxonomy, and self-contained
   postmortem bundles that :func:`replay_bundle` re-executes
   bit-identically.
 * :mod:`repro.obs.slo` — declarative :class:`SLOObjective` targets with
-  Google-SRE multi-window burn-rate alerting on the simulated clock.
+  Google-SRE multi-window burn-rate alerting on the simulated clock;
+  :meth:`SLOEngine.to_registry` writes its families into a registry.
 
 This package sits *below* ``core``/``serve`` in the import graph: its
 modules import only the standard library and :mod:`repro.errors`
@@ -45,8 +46,8 @@ from repro.obs.registry import (
     add_stall_summary,
     escape_label_value,
     parse_prometheus_text,
+    quantile,
     registry_from_run,
-    registry_from_service_snapshot,
     unescape_label_value,
 )
 from repro.obs.report import (
@@ -61,7 +62,6 @@ from repro.obs.slo import (
     SLOObjective,
     SLOPolicy,
     default_slo_policy,
-    registry_from_slo_snapshot,
 )
 from repro.obs.trace import (
     NO_TRACE,
@@ -79,8 +79,8 @@ __all__ = [
     "add_stall_summary",
     "escape_label_value",
     "parse_prometheus_text",
+    "quantile",
     "registry_from_run",
-    "registry_from_service_snapshot",
     "unescape_label_value",
     "count_instants",
     "load_trace",
@@ -104,5 +104,4 @@ __all__ = [
     "SLOObjective",
     "SLOPolicy",
     "default_slo_policy",
-    "registry_from_slo_snapshot",
 ]

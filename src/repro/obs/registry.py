@@ -1,16 +1,17 @@
-"""Unified metrics registry: counters, gauges, and histograms with labels.
+"""Metrics registry: counters, gauges, and histograms with labels.
 
-Before this module, the repository's telemetry lived in four unrelated
-shapes: ``ServiceMetrics.snapshot()`` plain dicts, ``KernelProfile``
-cycle counters with their Figure-5 ``stall_summary``, fault-injection
-tallies on :class:`~repro.faults.injector.FaultInjector`, and the
-multi-device ``multidev_ms`` makespan.  :class:`MetricsRegistry` gives
-them one namespace with two exports:
+:class:`MetricsRegistry` is the repository's one metrics store.  The
+serving layer records straight into registry families
+(:class:`~repro.serve.metrics.ServiceMetrics` holds the handles, and
+``EstimationService.registry()`` returns the live registry), and
+:func:`registry_from_run` gives a one-shot engine run the same
+namespace.  Two exports:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-safe nested dict, and
 * :meth:`MetricsRegistry.prometheus_text` — the Prometheus text
   exposition format (histograms rendered as summaries with ``quantile``
-  labels), so a real deployment can scrape the registry unchanged.
+  labels plus ``_sum``/``_count``), so a real deployment can scrape the
+  registry unchanged.
 
 Metric families follow the Prometheus client idiom: a family owns a
 name, help string, and label-name tuple; ``family.labels(k=v)`` returns
@@ -19,10 +20,11 @@ and a family with no label names acts directly as its single child.
 Re-registering an existing name returns the same family if the type and
 labels match and raises :class:`ObservabilityError` otherwise — wiring
 code in different layers can idempotently declare the metrics it touches.
+A running total kept by another component is exported with
+:meth:`Counter.advance_to`, so exporting it twice never double-counts.
 
-Histograms sample via the same deterministic reservoir
-(:class:`Reservoir`) the serving layer's latency histogram uses, so the
-registry's memory is bounded under sustained load while ``count``,
+Histograms sample via a deterministic reservoir (:class:`Reservoir`), so
+the registry's memory is bounded under sustained load while ``count``,
 ``sum``/``mean``, and ``max`` stay exact.
 
 The registry is thread-safe: family registration takes a registry-level
@@ -32,9 +34,9 @@ caller's thread both touch the same families, and lost updates there
 would silently corrupt the SLO feed.
 
 This module imports nothing from the engine or serving layers (only the
-error hierarchy); the ``registry_from_*`` bridges at the bottom are
-duck-typed over plain snapshot dicts so ``repro.obs`` sits below every
-other package in the import graph.
+error hierarchy); :func:`registry_from_run` is duck-typed over a run
+result's attributes, so ``repro.obs`` sits below every other package in
+the import graph.
 """
 
 from __future__ import annotations
@@ -46,8 +48,17 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.errors import ObservabilityError
 
 
-def _quantile(ordered: List[float], q: float) -> float:
-    """Linear-interpolated quantile (``q`` in [0, 1]) of pre-sorted data."""
+def quantile(values: Iterable[float], q: float) -> float:
+    """Linear-interpolated quantile (``q`` in [0, 1]) of ``values``.
+
+    Empty input gives 0.0.
+
+    >>> quantile([4.0, 1.0, 3.0, 2.0], 0.5)
+    2.5
+    """
+    if not (0.0 <= q <= 1.0):
+        raise ValueError("q must be in [0, 1]")
+    ordered = sorted(values)
     if not ordered:
         return 0.0
     if len(ordered) == 1:
@@ -109,9 +120,7 @@ class Reservoir:
 
     def quantile(self, q: float) -> float:
         """Quantile estimate from the retained sample (``q`` in [0, 1])."""
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("q must be in [0, 1]")
-        return _quantile(sorted(self._sample), q)
+        return quantile(self._sample, q)
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +140,17 @@ class Counter:
             raise ObservabilityError("counters can only increase")
         with self._lock:
             self.value += amount
+
+    def advance_to(self, total: float) -> None:
+        """Raise the count to ``total``, a running total kept elsewhere.
+
+        Exporting another component's cumulative tally this way is
+        idempotent: advancing to the same total twice counts it once.
+        """
+        with self._lock:
+            if total < self.value:
+                raise ObservabilityError("counters can only increase")
+            self.value = float(total)
 
 
 class Gauge:
@@ -566,224 +586,8 @@ prometheus_text` emits only well-formed, declared series.
 
 
 # ----------------------------------------------------------------------
-# Bridges from the repository's existing telemetry shapes.  All inputs
-# are the plain dicts those layers already export, so this module stays
-# import-independent of them.
+# One-shot exports of engine telemetry
 # ----------------------------------------------------------------------
-def _fill_histogram(family: MetricFamily, summary: Mapping[str, Any],
-                    **labels: Any) -> None:
-    """Represent an already-aggregated latency summary as gauges.
-
-    The serving layer aggregates before we see the data, so the registry
-    stores the summary statistics it reports (count/mean/p50/p95/p99/max)
-    as ``stat``-labelled series rather than re-sampling.
-    """
-    for stat in ("count", "mean", "p50", "p95", "p99", "max"):
-        if stat in summary:
-            family.labels(stat=stat, **labels).set(float(summary[stat]))
-
-
-def registry_from_service_snapshot(
-    snap: Mapping[str, Any], registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Absorb an ``EstimationService.metrics_snapshot()`` dict.
-
-    Maps every counter the serving layer tracks into labelled families:
-    request states, batches/rounds (with per-backend and per-shard-count
-    breakdowns), sample totals, device busy time, latency and queue-wait
-    summaries, the resilience block (fault kinds included), plan-cache
-    stats, injected-fault tallies, the cumulative kernel stall summary,
-    and the multi-device makespan when present.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-
-    requests = reg.counter(
-        "requests_total", "Requests by terminal state", labels=("state",)
-    )
-    for state in ("submitted", "completed", "degraded", "failed"):
-        requests.labels(state=state).inc(float(snap.get(f"n_{state}", 0)))
-
-    reg.counter("batches_total", "Fused device batches executed").inc(
-        float(snap.get("n_batches", 0))
-    )
-    reg.counter("rounds_total", "Engine rounds executed").inc(
-        float(snap.get("n_rounds", 0))
-    )
-    by_backend = reg.counter(
-        "rounds_by_backend_total", "Rounds per warp-execution backend",
-        labels=("backend",),
-    )
-    for backend, count in (snap.get("rounds_by_backend") or {}).items():
-        by_backend.labels(backend=backend).inc(float(count))
-    by_shards = reg.counter(
-        "rounds_by_shard_count_total", "Rounds per shard count used",
-        labels=("shards",),
-    )
-    for shards, count in (snap.get("rounds_by_shard_count") or {}).items():
-        by_shards.labels(shards=shards).inc(float(count))
-    reg.counter(
-        "rerun_warps_total",
-        "Warps re-run alone at a smaller true quota (vector backends)",
-    ).inc(float(snap.get("n_rerun_warps", 0)))
-    reg.counter(
-        "discarded_warps_total",
-        "Optimistic warps computed but never folded (vector backends)",
-    ).inc(float(snap.get("n_discarded_warps", 0)))
-
-    samples = reg.counter(
-        "samples_total", "Samples drawn / valid", labels=("kind",)
-    )
-    samples.labels(kind="drawn").inc(float(snap.get("total_samples", 0)))
-    samples.labels(kind="valid").inc(float(snap.get("total_valid", 0)))
-
-    reg.gauge("device_busy_ms", "Simulated device time in batches").set(
-        float(snap.get("busy_ms", 0.0))
-    )
-    reg.gauge(
-        "samples_per_second", "Aggregate simulated device throughput"
-    ).set(float(snap.get("samples_per_second", 0.0)))
-    reg.gauge("mean_batch_size", "Mean requests per fused batch").set(
-        float(snap.get("mean_batch_size", 0.0))
-    )
-    reg.gauge("max_queue_depth", "Peak admission queue depth").set(
-        float(snap.get("max_queue_depth", 0))
-    )
-    if "clock_ms" in snap:
-        reg.gauge("service_clock_ms", "Simulated service clock").set(
-            float(snap["clock_ms"])
-        )
-
-    latency = reg.gauge(
-        "latency_ms", "Request latency summary (simulated ms)",
-        labels=("stat",),
-    )
-    _fill_histogram(latency, snap.get("latency_ms") or {})
-    queue_wait = reg.gauge(
-        "queue_wait_ms", "Queue wait summary (simulated ms)",
-        labels=("stat",),
-    )
-    _fill_histogram(queue_wait, snap.get("queue_wait_ms") or {})
-
-    resilience = snap.get("resilience") or {}
-    events = reg.counter(
-        "resilience_events_total", "Fault-handling events by type",
-        labels=("event",),
-    )
-    for key in (
-        "n_faults", "n_retries", "n_round_failures", "n_fallbacks",
-        "n_breaker_trips", "n_breaker_rejections", "n_worker_crashes",
-    ):
-        events.labels(event=key[2:]).inc(float(resilience.get(key, 0)))
-    reg.gauge("fault_ms", "Simulated ms charged to faults").set(
-        float(resilience.get("fault_ms", 0.0))
-    )
-    by_kind = reg.counter(
-        "faults_by_kind_total", "Survived-or-fatal faults by kind",
-        labels=("kind",),
-    )
-    for kind, count in (resilience.get("faults_by_kind") or {}).items():
-        by_kind.labels(kind=kind).inc(float(count))
-
-    admission = snap.get("admission")
-    if isinstance(admission, Mapping):
-        shed = reg.counter(
-            "admission_shed_total", "Requests shed at admission by reason",
-            labels=("reason",),
-        )
-        for reason, count in (admission.get("shed_by_reason") or {}).items():
-            shed.labels(reason=str(reason)).inc(float(count))
-        reg.counter(
-            "requests_cancelled_total", "Requests cancelled by their caller"
-        ).inc(float(admission.get("n_cancelled", 0)))
-        retry_after = reg.gauge(
-            "retry_after_ms", "Retry-after hints on shed requests "
-            "(simulated ms)", labels=("stat",),
-        )
-        _fill_histogram(retry_after, admission.get("retry_after_ms") or {})
-    if "queue_depth" in snap:
-        reg.gauge(
-            "queue_depth", "Live queued rounds + unadmitted arrivals"
-        ).set(float(snap["queue_depth"]))
-
-    hedging = snap.get("hedging")
-    if isinstance(hedging, Mapping):
-        hedge_events = reg.counter(
-            "hedge_events_total", "Straggler-hedging events",
-            labels=("event",),
-        )
-        hedge_events.labels(event="fired").inc(
-            float(hedging.get("n_hedges", 0))
-        )
-        hedge_events.labels(event="won").inc(
-            float(hedging.get("n_hedge_wins", 0))
-        )
-        reg.gauge(
-            "hedge_wasted_ms",
-            "Overlapped device occupancy of cancelled hedge losers",
-        ).set(float(hedging.get("hedge_wasted_ms", 0.0)))
-
-    cache = snap.get("cache")
-    if isinstance(cache, Mapping):
-        cache_gauge = reg.gauge(
-            "plan_cache", "Plan-cache state", labels=("stat",)
-        )
-        for stat in ("entries", "bytes", "max_bytes", "hit_rate"):
-            if stat in cache:
-                cache_gauge.labels(stat=stat).set(float(cache[stat]))
-        cache_events = reg.counter(
-            "plan_cache_events_total", "Plan-cache events",
-            labels=("event",),
-        )
-        for event in ("hits", "misses", "evictions"):
-            if event in cache:
-                cache_events.labels(event=event).inc(float(cache[event]))
-        reasons = cache.get("evictions_by_reason")
-        if isinstance(reasons, Mapping):
-            cache_evictions = reg.counter(
-                "plan_cache_evictions_total",
-                "Plan-cache evictions by reason (capacity vs. version "
-                "invalidation)",
-                labels=("reason",),
-            )
-            for reason, count in reasons.items():
-                cache_evictions.labels(reason=str(reason)).inc(float(count))
-
-    plans = snap.get("plans")
-    if isinstance(plans, Mapping):
-        plan_events = reg.counter(
-            "plan_lifecycle_total",
-            "Dynamic-graph plan lifecycle events (delta refreshes installed, "
-            "invalidation sweeps, entries evicted as stale)",
-            labels=("event",),
-        )
-        for key, label in (
-            ("n_refreshes", "refresh"),
-            ("n_invalidations", "invalidation"),
-            ("n_invalidated_entries", "invalidated_entry"),
-        ):
-            if key in plans:
-                plan_events.labels(event=label).inc(float(plans[key]))
-
-    injected = snap.get("faults_injected")
-    if isinstance(injected, Mapping):
-        inj = reg.counter(
-            "faults_injected_total", "Faults injected by the fault plan",
-            labels=("kind",),
-        )
-        for kind, count in injected.items():
-            if isinstance(count, (int, float)):
-                inj.labels(kind=kind).inc(float(count))
-
-    stall = snap.get("stall")
-    if isinstance(stall, Mapping):
-        add_stall_summary(reg, stall)
-    if "multidev_ms" in snap:
-        reg.gauge(
-            "multidev_ms", "Cumulative multi-device makespan (simulated ms)"
-        ).set(float(snap["multidev_ms"]))
-    return reg
-
-
 def add_stall_summary(
     registry: MetricsRegistry, stall: Mapping[str, Any]
 ) -> None:
@@ -801,9 +605,8 @@ def registry_from_run(
 ) -> MetricsRegistry:
     """Absorb a single ``GPURunResult`` (duck-typed: attributes only).
 
-    Used by ``repro estimate`` to offer the same unified namespace for a
-    one-shot run that ``registry_from_service_snapshot`` provides for the
-    serving layer.
+    Gives a one-shot engine run the same namespace the serving layer's
+    live registry (``EstimationService.registry()``) uses.
     """
     reg = registry if registry is not None else MetricsRegistry()
     reg.gauge("estimate", "HT estimate of the subgraph count").set(

@@ -21,16 +21,17 @@ back below, which gives fast reset after recovery without flapping.
 
 Events are ``(sim_ms, good)`` pairs fed by the serving layer (admission
 outcomes, completion latencies, degraded flags) or by benches (q-error
-versus a reference).  :meth:`SLOEngine.to_registry` exports a
-``slo_burn_rate{slo,window}`` gauge family plus alert counters into the
-shared :class:`~repro.obs.registry.MetricsRegistry` namespace.
+versus a reference).  :meth:`SLOEngine.to_registry` — the one SLO
+exporter — writes a ``slo_burn_rate{slo,window}`` gauge family plus alert
+counters into a :class:`~repro.obs.registry.MetricsRegistry` (the serving
+layer's live registry, or a fresh one).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.registry import MetricsRegistry
@@ -317,7 +318,13 @@ class SLOEngine:
     def to_registry(
         self, now_ms: float, registry: Optional[MetricsRegistry] = None
     ) -> MetricsRegistry:
-        """Export the ``slo_burn_rate`` family (+ alert counters)."""
+        """Export the ``slo_burn_rate`` family (+ alert counters).
+
+        Gauges are set and the alert counters advanced to this engine's
+        running totals, so exporting into the same registry again (the
+        serving layer does it on every ``registry()`` call) never
+        double-counts.
+        """
         reg = registry if registry is not None else MetricsRegistry()
         burn = reg.gauge(
             "slo_burn_rate",
@@ -337,12 +344,10 @@ class SLOEngine:
             burn.labels(slo=name, window="long").set(rates["long"])
             active.labels(slo=name).set(1.0 if self._active[name] else 0.0)
             for state in ("fire", "clear"):
-                alerts.labels(slo=name, state=state).inc(
-                    float(
-                        sum(
-                            1 for e in self.alert_log
-                            if e["slo"] == name and e["state"] == state
-                        )
+                alerts.labels(slo=name, state=state).advance_to(
+                    sum(
+                        1 for e in self.alert_log
+                        if e["slo"] == name and e["state"] == state
                     )
                 )
         return reg
@@ -377,47 +382,9 @@ class SLOEngine:
         return "\n".join(lines)
 
 
-def registry_from_slo_snapshot(
-    snap: Mapping[str, Any], registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Bridge an :meth:`SLOEngine.snapshot` dict into a registry (used by
-    the serving layer's ``metrics_snapshot`` → registry path, where only
-    the dict is in hand)."""
-    reg = registry if registry is not None else MetricsRegistry()
-    burn = reg.gauge(
-        "slo_burn_rate",
-        "Error-budget burn rate per objective and window",
-        labels=("slo", "window"),
-    )
-    for name, rates in (snap.get("burn_rates") or {}).items():
-        for window in ("short", "long"):
-            if window in rates:
-                burn.labels(slo=name, window=window).set(
-                    float(rates[window])
-                )
-    active = reg.gauge(
-        "slo_alert_active", "1 while the objective's alert is firing",
-        labels=("slo",),
-    )
-    alerts = reg.counter(
-        "slo_alerts_total", "Alert transitions per objective",
-        labels=("slo", "state"),
-    )
-    for name, totals in (snap.get("alerts") or {}).items():
-        active.labels(slo=name).set(float(totals.get("active", 0)))
-        alerts.labels(slo=name, state="fire").inc(
-            float(totals.get("n_fired", 0))
-        )
-        alerts.labels(slo=name, state="clear").inc(
-            float(totals.get("n_cleared", 0))
-        )
-    return reg
-
-
 __all__ = (
     "SLOObjective",
     "SLOPolicy",
     "SLOEngine",
     "default_slo_policy",
-    "registry_from_slo_snapshot",
 )

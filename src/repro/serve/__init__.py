@@ -22,6 +22,13 @@ Quickstart::
     for response in service.estimate_many(requests):
         print(response.estimate, response.degraded, response.latency_ms)
     print(service.metrics_snapshot())
+    print(service.registry().prometheus_text())
+
+Metrics live in one :class:`~repro.obs.registry.MetricsRegistry`:
+:class:`ServiceMetrics` records into its families,
+:meth:`EstimationService.metrics_snapshot` is a plain-dict view of them,
+and :meth:`EstimationService.registry` returns the live registry for
+JSON or Prometheus export.
 """
 
 from repro.errors import Overloaded, RequestCancelled, ServiceClosed
@@ -47,7 +54,7 @@ from repro.serve.controller import (
     BudgetPolicy,
     relative_ci,
 )
-from repro.serve.metrics import LatencyHistogram, ServiceMetrics, percentile
+from repro.serve.metrics import ServiceMetrics
 from repro.serve.request import (
     EstimateRequest,
     EstimateResponse,
@@ -79,8 +86,6 @@ __all__ = [
     "BudgetPolicy",
     "relative_ci",
     "ServiceMetrics",
-    "LatencyHistogram",
-    "percentile",
     "resolve_estimator",
     "estimator_name",
     "BreakerPolicy",

@@ -32,7 +32,7 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import EngineConfig
 from repro.core.engine import GSWORDEngine, RetryPolicy
@@ -60,8 +60,8 @@ from repro.obs.flight import (
     serialize_round,
     write_bundle,
 )
-from repro.obs.registry import MetricsRegistry, registry_from_service_snapshot
-from repro.obs.slo import SLOEngine, SLOPolicy, registry_from_slo_snapshot
+from repro.obs.registry import MetricsRegistry, add_stall_summary
+from repro.obs.slo import SLOEngine, SLOPolicy
 from repro.obs.trace import NO_TRACE, TraceRecorder
 from repro.serve.admission import (
     AdmissionController,
@@ -531,9 +531,7 @@ class EstimationService:
             name: breaker.snapshot(self._clock_ms)
             for name, breaker in self._breakers.items()
         }
-        snap["faults_injected"] = (
-            self.injector.stats() if self.injector else {"enabled": False}
-        )
+        snap["faults_injected"] = self._injector_stats()
         snap["admission_state"] = (
             self._admission.snapshot()
             if self._admission is not None
@@ -553,15 +551,65 @@ class EstimationService:
         return snap
 
     def registry(self) -> MetricsRegistry:
-        """The unified :class:`~repro.obs.registry.MetricsRegistry` view of
-        :meth:`metrics_snapshot` (JSON snapshot + Prometheus exposition),
-        including the ``slo_burn_rate`` family when SLOs are configured."""
-        reg = registry_from_service_snapshot(self.metrics_snapshot())
-        if self.slo is not None:
-            registry_from_slo_snapshot(
-                self.slo.snapshot(self._clock_ms), registry=reg
+        """The live :class:`~repro.obs.registry.MetricsRegistry` the service
+        records into (JSON snapshot + Prometheus exposition).
+
+        Before returning it writes in the state other components own: queue
+        depth, clock, plan cache, injected faults, the kernel stall summary,
+        ``multidev_ms`` and, when SLOs are configured, the ``slo_*``
+        families.  Gauges are set and counters advanced to the owner's
+        running total, so calling it twice never double-counts.  Safe to
+        call from several threads while the worker runs.
+        """
+        reg = self.metrics.registry
+        # Serialised: ``Counter.advance_to`` rejects a lower total, so two
+        # concurrent exporters must not interleave their reads and writes.
+        with self._lock:
+            reg.gauge(
+                "queue_depth", "Live queued rounds + unadmitted arrivals"
+            ).set(self._live_depth_locked())
+            reg.gauge("service_clock_ms", "Simulated service clock").set(
+                self._clock_ms
             )
+            cache_state = reg.gauge(
+                "plan_cache", "Plan-cache state", labels=("stat",)
+            )
+            cache_events = reg.counter(
+                "plan_cache_events_total", "Plan-cache events",
+                labels=("event",),
+            )
+            if self.cache is not None:
+                stats: Mapping[str, Any] = self.cache.stats()
+                for stat in ("entries", "bytes", "max_bytes", "hit_rate"):
+                    cache_state.labels(stat=stat).set(stats[stat])
+                for event in ("hits", "misses", "evictions"):
+                    cache_events.labels(event=event).advance_to(stats[event])
+                evictions = reg.counter(
+                    "plan_cache_evictions_total",
+                    "Plan-cache evictions by reason (capacity vs. version "
+                    "invalidation)",
+                    labels=("reason",),
+                )
+                for reason, count in stats["evictions_by_reason"].items():
+                    evictions.labels(reason=reason).advance_to(count)
+            injected = reg.counter(
+                "faults_injected_total", "Faults injected by the fault plan",
+                labels=("kind",),
+            )
+            for kind, count in self._injector_stats().items():
+                if isinstance(count, (int, float)):
+                    injected.labels(kind=kind).advance_to(count)
+            add_stall_summary(reg, self._kernel_profile.stall_summary())
+            reg.gauge(
+                "multidev_ms",
+                "Cumulative multi-device makespan (simulated ms)",
+            ).set(self._multidev_ms)
+            if self.slo is not None:
+                self.slo.to_registry(self._clock_ms, registry=reg)
         return reg
+
+    def _injector_stats(self) -> Dict[str, object]:
+        return self.injector.stats() if self.injector else {"enabled": False}
 
     # ------------------------------------------------------------------
     # Flight recording & SLOs (repro.obs.flight / repro.obs.slo)

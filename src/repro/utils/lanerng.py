@@ -23,16 +23,11 @@ This module is that idiom in numpy:
 * :class:`LaneRNG` — a duck-typed ``.integers``-only stand-in for
   ``np.random.Generator`` used on the scalar warp path, drawing from the
   same counter sequence the vectorized/fused batch paths consume.
-
-An optional numba kernel (gated exactly like the fused containment kernel:
-importable numba + ``REPRO_LANE_JIT`` not disabled) accelerates the
-bounded-draw pass; the pure-numpy fallback is bit-identical.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, List, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -47,7 +42,6 @@ __all__ = [
     "philox_bounded",
     "philox_words",
     "warp_keys",
-    "HAVE_NUMBA",
 ]
 
 PHILOX_ROUNDS = 10
@@ -66,29 +60,6 @@ class LaneKey(NamedTuple):
 
     k0: int
     k1: int
-
-
-def _jit_enabled() -> bool:
-    return os.environ.get("REPRO_LANE_JIT", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-def _load_numba() -> Optional[Any]:
-    if not _jit_enabled():
-        return None
-    try:
-        import numba  # type: ignore[import-not-found]
-    except ImportError:
-        return None
-    return numba
-
-
-_NUMBA = _load_numba()
-HAVE_NUMBA = _NUMBA is not None
 
 
 def lane_key(state: Union[GeneratorState, LaneKey]) -> LaneKey:
@@ -196,40 +167,6 @@ def _philox_word_np(
     return c0.reshape(shape)
 
 
-if HAVE_NUMBA:  # pragma: no cover - exercised only when numba is installed
-
-    @_NUMBA.njit(cache=True)  # type: ignore[misc]
-    def _philox_bounded_jit(k0s, k1s, idxs, bounds, out):
-        m0 = np.uint64(0xD2511F53)
-        m1 = np.uint64(0xCD9E8D57)
-        w0 = np.uint64(0x9E3779B9)
-        w1 = np.uint64(0xBB67AE85)
-        mask = np.uint64(0xFFFFFFFF)
-        for i in range(idxs.shape[0]):
-            idx = np.uint64(idxs[i])
-            c0 = idx & mask
-            c1 = idx >> np.uint64(32)
-            c2 = np.uint64(0)
-            c3 = np.uint64(0)
-            k0 = np.uint64(k0s[i])
-            k1 = np.uint64(k1s[i])
-            for _ in range(10):
-                p0 = m0 * c0
-                p1 = m1 * c2
-                hi0 = p0 >> np.uint64(32)
-                lo0 = p0 & mask
-                hi1 = p1 >> np.uint64(32)
-                lo1 = p1 & mask
-                n0 = hi1 ^ c1 ^ k0
-                n1 = lo1
-                n2 = hi0 ^ c3 ^ k1
-                n3 = lo0
-                c0, c1, c2, c3 = n0, n1, n2, n3
-                k0 = (k0 + w0) & mask
-                k1 = (k1 + w1) & mask
-            out[i] = np.int64((c0 * np.uint64(bounds[i])) >> np.uint64(32))
-
-
 def philox_bounded(
     k0: np.ndarray, k1: np.ndarray, idx: np.ndarray, bounds: np.ndarray
 ) -> np.ndarray:
@@ -246,16 +183,6 @@ def philox_bounded(
     idxa = np.ascontiguousarray(np.asarray(idx, dtype=np.uint64))
     bnda = np.ascontiguousarray(np.asarray(bounds, dtype=np.uint64))
     k0a, k1a, idxa, bnda = np.broadcast_arrays(k0a, k1a, idxa, bnda)
-    if HAVE_NUMBA and idxa.ndim == 1:  # pragma: no cover - numba-only
-        out = np.empty(idxa.shape[0], dtype=np.int64)
-        _philox_bounded_jit(
-            np.ascontiguousarray(k0a),
-            np.ascontiguousarray(k1a),
-            np.ascontiguousarray(idxa),
-            np.ascontiguousarray(bnda),
-            out,
-        )
-        return out
     word = _philox_word_np(k0a, k1a, idxa)
     return ((word * bnda) >> _SH32).astype(np.int64)
 

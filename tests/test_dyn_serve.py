@@ -10,7 +10,6 @@ from repro.dyn.serving import DynamicEstimationSession
 from repro.dyn.stream import UniformChurnStream
 from repro.errors import ServiceError
 from repro.graph.generators import erdos_renyi_graph, random_labels
-from repro.obs import registry_from_service_snapshot
 from repro.query.extract import extract_query
 from repro.serve.service import ServiceConfig
 
@@ -179,7 +178,11 @@ class TestObservability:
             session.mutate(churn(graph))
             session.estimate(query, max_samples=512)
             snap = session.service.metrics_snapshot()
-        out = registry_from_service_snapshot(snap).snapshot()
+            out = session.service.registry().snapshot()
+        assert snap["plans"] == {
+            "n_refreshes": 2, "n_invalidations": 1,
+            "n_invalidated_entries": 1,
+        }
         events = {
             e["labels"]["event"]: e["value"]
             for e in out["plan_lifecycle_total"]["series"]
@@ -193,7 +196,7 @@ class TestObservability:
         }
         assert reasons["version"] == 1.0
         assert reasons["capacity"] == 0.0
-        json.dumps(out)  # the bridged registry stays serialisable
+        json.dumps(out)  # the live registry stays serialisable
 
     def test_trace_instants_recorded(self, tmp_path):
         graph = make_graph()

@@ -15,19 +15,20 @@ from repro.estimators.alley import AlleyEstimator
 from repro.graph.datasets import load_dataset
 from repro.obs import (
     NO_TRACE,
+    Histogram,
     MetricsRegistry,
     Reservoir,
     TraceRecorder,
     load_trace,
+    quantile,
     registry_from_run,
-    registry_from_service_snapshot,
     render_report,
     span_breakdown,
     validate_chrome_trace,
 )
 from repro.query.extract import extract_query
 from repro.query.matching_order import quicksi_order
-from repro.serve.metrics import LatencyHistogram, percentile
+from repro.serve.metrics import ServiceMetrics
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +227,14 @@ class TestMetricsRegistry:
         with pytest.raises(ObservabilityError, match="only increase"):
             reg.counter("c", "c").inc(-1.0)
 
+    def test_counter_advance_to_is_idempotent(self):
+        counter = MetricsRegistry().counter("c", "c").labels()
+        counter.advance_to(5)
+        counter.advance_to(5)  # exporting the same total again
+        assert counter.value == 5.0
+        with pytest.raises(ObservabilityError, match="only increase"):
+            counter.advance_to(4)
+
     def test_prometheus_text(self):
         reg = MetricsRegistry(namespace="repro")
         reg.counter("reqs", "requests").inc(2)
@@ -246,71 +255,108 @@ class TestMetricsRegistry:
 
 
 class TestServiceSnapshotBridge:
+    """``ServiceMetrics`` records straight into registry families; its
+    ``snapshot()`` is a plain-dict view over the same values."""
+
     def test_minimal_snapshot_maps(self):
-        snap = {
-            "n_submitted": 4, "n_completed": 4, "n_degraded": 1,
-            "n_failed": 0, "n_batches": 2, "n_rounds": 6,
-            "total_samples": 1024, "total_valid": 900,
-            "busy_ms": 12.5, "samples_per_second": 81920.0,
-            "mean_batch_size": 2.0, "max_queue_depth": 3, "clock_ms": 20.0,
-            "rounds_by_backend": {"vectorized": 6},
-            "rounds_by_shard_count": {"2": 6},
-            "latency_ms": {"count": 4, "mean": 5.0, "p50": 4.0,
-                           "p95": 9.0, "p99": 9.5, "max": 10.0},
-            "queue_wait_ms": {"count": 4, "mean": 1.0, "p50": 1.0,
-                              "p95": 2.0, "p99": 2.0, "max": 2.0},
-            "resilience": {"n_faults": 2, "n_retries": 1,
-                           "faults_by_kind": {"transient": 2},
-                           "fault_ms": 3.0},
-            "cache": {"entries": 2, "bytes": 100, "max_bytes": 1000,
-                      "hit_rate": 0.5, "hits": 2, "misses": 2,
-                      "evictions": 0},
-            "stall": {"stall_long_per_iter": 10.0,
-                      "stall_wait_per_iter": 1.0, "warp_efficiency": 0.9},
-            "multidev_ms": 7.5,
+        metrics = ServiceMetrics()
+        for depth in (1, 3, 2, 3):
+            metrics.record_submit(depth)
+        metrics.record_batch(2, 512, 5.0)
+        metrics.record_batch(4, 512, 7.5)
+        for i, latency in enumerate((4.0, 2.0, 10.0, 4.0)):
+            metrics.record_completion(latency, 1.0, 225, degraded=i == 0)
+        metrics.record_backends(["vectorized"] * 6)
+        metrics.record_shards([2] * 6)
+        metrics.record_round_faults(2, 1, 3.0, kinds=["transient"] * 2)
+
+        snap = metrics.snapshot()
+        assert snap["n_submitted"] == 4 and type(snap["n_submitted"]) is int
+        assert snap["max_queue_depth"] == 3
+        assert snap["total_samples"] == 1024 and snap["total_valid"] == 900
+        assert snap["busy_ms"] == 12.5
+        assert snap["mean_batch_size"] == 3.0
+        assert snap["samples_per_second"] == 1024 / 12.5 * 1000.0
+        assert snap["rounds_by_backend"] == {"vectorized": 6}
+        assert snap["rounds_by_shard_count"] == {"2": 6}
+        assert snap["latency_ms"] == {
+            "count": 4, "mean": 5.0, "p50": 4.0,
+            "p95": pytest.approx(9.1), "p99": pytest.approx(9.82),
+            "max": 10.0,
         }
-        reg = registry_from_service_snapshot(snap)
-        out = reg.snapshot()
+        resilience = snap["resilience"]
+        assert resilience["n_faults"] == 2 and resilience["n_retries"] == 1
+        assert resilience["faults_by_kind"] == {"transient": 2}
+
+        out = metrics.registry.snapshot()
         states = {e["labels"]["state"]: e["value"]
                   for e in out["requests_total"]["series"]}
         assert states == {"submitted": 4.0, "completed": 4.0,
                           "degraded": 1.0, "failed": 0.0}
-        assert out["multidev_ms"]["series"][0]["value"] == 7.5
-        stall = {e["labels"]["metric"]: e["value"]
-                 for e in out["kernel_stall"]["series"]}
-        assert stall["warp_efficiency"] == pytest.approx(0.9)
+        assert out["latency_ms"]["type"] == "histogram"
+        (latency,) = out["latency_ms"]["series"]
+        assert latency["count"] == 4 and latency["sum"] == 20.0
         events = {e["labels"]["event"]: e["value"]
                   for e in out["resilience_events_total"]["series"]}
         assert events["faults"] == 2.0 and events["retries"] == 1.0
+        assert out["mean_batch_size"]["series"][0]["value"] == 3.0
         # The whole registry serialises (what --metrics-out writes).
         json.dumps(out)
-        assert reg.prometheus_text().startswith("# HELP")
+        assert metrics.registry.prometheus_text().startswith("# HELP")
+
+    def test_batches_keep_no_per_batch_state(self):
+        def series_sizes(metrics):
+            return {name: len(family["series"])
+                    for name, family in metrics.registry.snapshot().items()}
+
+        metrics = ServiceMetrics()
+        metrics.record_batch(3, 100, 1.0)
+        sizes = series_sizes(metrics)
+        state = {k: type(v) for k, v in vars(metrics).items()}
+        per_batch = [1 + i % 7 for i in range(499)]
+        for n in per_batch:
+            metrics.record_batch(n, 100, 1.0)
+        snap = metrics.snapshot()
+        assert snap["n_batches"] == 500
+        assert snap["n_rounds"] == 3 + sum(per_batch)
+        assert metrics.mean_batch_size == snap["n_rounds"] / snap["n_batches"]
+        assert snap["mean_batch_size"] == metrics.mean_batch_size
+        # Nothing grows with the number of batches: the same series and
+        # attributes as after one batch, and no per-batch list anywhere.
+        assert series_sizes(metrics) == sizes
+        assert {k: type(v) for k, v in vars(metrics).items()} == state
+        assert not any(isinstance(v, list) for v in vars(metrics).values())
 
 
 # ----------------------------------------------------------------------
-# percentile() / Reservoir / LatencyHistogram
+# quantile() / Reservoir / Histogram
 # ----------------------------------------------------------------------
 class TestPercentile:
     def test_empty_returns_zero(self):
-        assert percentile([], 50) == 0.0
+        assert quantile([], 0.5) == 0.0
+        assert Reservoir().quantile(0.5) == 0.0
 
     def test_single_sample(self):
-        for q in (0, 37.5, 100):
-            assert percentile([4.2], q) == 4.2
+        for q in (0.0, 0.375, 1.0):
+            assert quantile([4.2], q) == 4.2
 
     def test_extremes(self):
         values = [5.0, 1.0, 3.0, 2.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 5.0
+        assert quantile(values, 0.0) == 1.0
+        assert quantile(values, 1.0) == 5.0
 
     def test_interpolation(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
+        assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(2.5)
+        res = Reservoir()
+        for v in (4.0, 1.0, 3.0, 2.0):
+            res.add(v)
+        assert res.quantile(0.5) == pytest.approx(2.5)
 
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            percentile([1.0], -1)
+            quantile([1.0], -0.01)
         with pytest.raises(ValueError):
-            percentile([1.0], 101)
+            quantile([1.0], 1.01)
 
 
 class TestReservoir:
@@ -341,23 +387,28 @@ class TestReservoir:
 
 class TestLatencyHistogram:
     def test_empty_snapshot(self):
-        snap = LatencyHistogram().snapshot()
-        assert snap == {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
-                        "p99": 0.0, "max": 0.0}
+        snap = Histogram().snapshot()
+        assert snap == {"count": 0, "sum": 0.0, "mean": 0.0, "p50": 0.0,
+                        "p95": 0.0, "p99": 0.0, "max": 0.0}
+        # The service's JSON view of an empty latency histogram.
+        assert ServiceMetrics().snapshot()["latency_ms"] == {
+            "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
+            "max": 0.0,
+        }
 
     def test_bounded_with_exact_aggregates(self):
-        hist = LatencyHistogram(max_samples=128)
+        hist = Histogram(max_samples=128)
         values = [float((i * 13) % 97) + 0.5 for i in range(2000)]
         for v in values:
-            hist.add(v)
-        assert len(hist.samples) == 128  # memory stays bounded
+            hist.observe(v)
+        assert len(hist.reservoir.values()) == 128  # memory stays bounded
         snap = hist.snapshot()
         assert snap["count"] == 2000
         assert snap["mean"] == pytest.approx(sum(values) / 2000)
         assert snap["max"] == max(values)
         # Percentiles are estimates from the retained subsample — close,
         # not exact (the documented tradeoff for bounded memory).
-        assert abs(snap["p50"] - percentile(values, 50)) < 15.0
+        assert abs(snap["p50"] - quantile(values, 0.5)) < 15.0
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Tests for repro.obs.registry hardening: thread-safety under
 concurrent updates, Prometheus label-value escaping round-trips, and
-parser-level validation of the ``registry_from_*`` bridge expositions
-(exact family names and label sets)."""
+parser-level validation of the service's live registry and the
+``registry_from_run`` export (exact family names and label sets)."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -11,22 +12,24 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import GSWORDEngine
 from repro.candidate.candidate_graph import build_candidate_graph
-from repro.errors import ObservabilityError
+from repro.errors import ObservabilityError, Overloaded
 from repro.estimators.alley import AlleyEstimator
+from repro.faults import FaultKind, FaultPlan
 from repro.graph.datasets import load_dataset
 from repro.obs.registry import (
     MetricsRegistry,
     escape_label_value,
     parse_prometheus_text,
     registry_from_run,
-    registry_from_service_snapshot,
     unescape_label_value,
 )
 from repro.obs.slo import default_slo_policy
 from repro.query.extract import extract_query
 from repro.query.matching_order import quicksi_order
 from repro.serve import EstimateRequest, EstimationService, ServiceConfig
+from repro.serve.admission import AdmissionPolicy, HedgePolicy
 from repro.serve.controller import BudgetPolicy
+from repro.serve.metrics import ServiceMetrics
 
 
 def _hammer(n_threads, fn):
@@ -185,7 +188,7 @@ class TestExpositionParser:
 
 @pytest.fixture(scope="module")
 def served_registry():
-    """A registry bridged from a real (small) service run with SLOs on."""
+    """The live registry of a real (small) service run with SLOs on."""
     graph = load_dataset("yeast")
     query = extract_query(graph, 4, rng=8)
     service = EstimationService(ServiceConfig(
@@ -205,10 +208,13 @@ class TestServiceBridgeNames:
         "rounds_by_backend_total": ("backend",),
         "rounds_by_shard_count_total": ("shards",),
         "samples_total": ("kind",),
-        "latency_ms": ("stat",),
-        "queue_wait_ms": ("stat",),
+        "latency_ms": (),
+        "queue_wait_ms": (),
+        "retry_after_ms": (),
         "resilience_events_total": ("event",),
         "plan_cache": ("stat",),
+        "kernel_stall": ("metric",),
+        "multidev_ms": (),
         "slo_burn_rate": ("slo", "window"),
         "slo_alert_active": ("slo",),
         "slo_alerts_total": ("slo", "state"),
@@ -223,11 +229,14 @@ class TestServiceBridgeNames:
             "mean_batch_size", "max_queue_depth", "service_clock_ms",
             "latency_ms", "queue_wait_ms", "resilience_events_total",
             "queue_depth", "plan_cache", "plan_cache_events_total",
+            "kernel_stall", "multidev_ms",
             "slo_burn_rate", "slo_alert_active", "slo_alerts_total",
         }
         assert expected_names <= set(by_name)
         for name, labels in self.EXPECTED_LABELS.items():
             assert by_name[name].label_names == labels, name
+        for name in ("latency_ms", "queue_wait_ms", "retry_after_ms"):
+            assert by_name[name].metric_type == "histogram", name
 
     def test_exposition_parses_and_is_fully_declared(self, served_registry):
         text = served_registry.prometheus_text()
@@ -243,10 +252,19 @@ class TestServiceBridgeNames:
         }
         assert ("admitted_latency", "short") in burn_labels
         assert ("q_error", "long") in burn_labels
-        # Histogram-style families expose summary quantiles + _sum/_count.
-        latency_names = {s["name"]
-                         for s in parsed["repro_latency_ms"]["samples"]}
-        assert "repro_latency_ms" in latency_names
+        # Latency families are summaries: quantiles plus _sum/_count.
+        latency = parsed["repro_latency_ms"]
+        assert latency["type"] == "summary"
+        assert {s["name"] for s in latency["samples"]} == {
+            "repro_latency_ms", "repro_latency_ms_sum",
+            "repro_latency_ms_count",
+        }
+        quantiles = {s["labels"].get("quantile")
+                     for s in latency["samples"]}
+        assert quantiles == {"0.5", "0.95", "0.99", None}
+        count = [s["value"] for s in latency["samples"]
+                 if s["name"] == "repro_latency_ms_count"]
+        assert count == [4.0]
         # The snapshot form is JSON-safe end to end.
         json.dumps(served_registry.snapshot())
 
@@ -277,32 +295,238 @@ class TestRunBridgeNames:
         assert kinds == {"drawn", "valid"}
 
     def test_snapshot_bridge_declares_everything(self):
-        # The hand-written minimal snapshot from test_obs plus the newer
-        # sections (hedging, shed, cancellations) all parse cleanly.
-        snap = {
-            "n_submitted": 2, "n_completed": 2, "n_degraded": 0,
-            "n_failed": 0, "n_batches": 1, "n_rounds": 2,
-            "total_samples": 256, "total_valid": 200,
-            "busy_ms": 1.0, "samples_per_second": 1000.0,
-            "mean_batch_size": 2.0, "max_queue_depth": 2, "clock_ms": 3.0,
-            "admission": {
-                "shed_by_reason": {"queue_full": 3},
-                "n_cancelled": 1,
-                "retry_after_ms": {"count": 3, "mean": 0.5, "p50": 0.5,
-                                   "p95": 0.9, "p99": 0.9, "max": 1.0},
-            },
-            "hedging": {"n_hedges": 2, "n_hedge_wins": 1,
-                        "hedge_wasted_ms": 0.25},
-        }
-        reg = registry_from_service_snapshot(snap)
-        names = {f.name for f in reg.families()}
+        # Shed, cancellation and hedging records land in their families
+        # and the whole exposition parses cleanly.
+        metrics = ServiceMetrics()
+        for retry_after_ms in (0.5, 0.25, 1.0):
+            metrics.record_shed("queue_full", retry_after_ms)
+        metrics.record_cancelled()
+        metrics.record_hedges(2, 1, 0.25)
+        names = {f.name for f in metrics.registry.families()}
         assert {"admission_shed_total", "requests_cancelled_total",
                 "retry_after_ms", "hedge_events_total",
                 "hedge_wasted_ms"} <= names
-        parsed = parse_prometheus_text(reg.prometheus_text())
+        parsed = parse_prometheus_text(metrics.registry.prometheus_text())
         shed = parsed["repro_admission_shed_total"]["samples"]
         assert shed[0]["labels"] == {"reason": "queue_full"}
         assert shed[0]["value"] == 3.0
         events = {s["labels"]["event"]: s["value"]
                   for s in parsed["repro_hedge_events_total"]["samples"]}
         assert events == {"fired": 2.0, "won": 1.0}
+        retry = {s["name"]: s["value"]
+                 for s in parsed["repro_retry_after_ms"]["samples"]
+                 if "quantile" not in s["labels"]}
+        assert retry == {"repro_retry_after_ms_sum": 1.75,
+                         "repro_retry_after_ms_count": 3.0}
+        assert metrics.snapshot()["admission"]["retry_after_ms"]["max"] == 1.0
+
+
+def _series(out, name, label):
+    """``{label value: value}`` of one family in a registry snapshot."""
+    return {e["labels"][label]: e["value"] for e in out[name]["series"]}
+
+
+def _value(out, name):
+    (entry,) = out[name]["series"]
+    return entry["value"]
+
+
+class TestLiveServiceRegistry:
+    """A service that sheds, hedges, absorbs injected faults, invalidates
+    plans and fires + clears an SLO alert exports all of it live."""
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        graph = load_dataset("yeast")
+        query = extract_query(graph, 8, rng=1, query_type="dense")
+        policy = default_slo_policy()
+        service = EstimationService(ServiceConfig(
+            slo=policy,
+            admission=AdmissionPolicy(max_pending=2),
+            hedge=HedgePolicy(
+                quantile=0.5, min_observations=1, delay_floor_ms=1e-6
+            ),
+            faults=FaultPlan(
+                seed=3,
+                rates={FaultKind.STALL: 0.5, FaultKind.CORRUPTION: 0.2},
+                stall_factor=50.0,
+            ),
+            policy=BudgetPolicy(min_round_samples=64, max_round_samples=256),
+        ))
+        for _ in range(4):
+            try:
+                service.submit(EstimateRequest(
+                    graph=graph, query=query, target_rel_ci=0.01,
+                    max_samples=2048,
+                ))
+            except Overloaded:
+                pass
+        service.drain()
+        service.invalidate_plans("yeast")
+        for _ in range(6):
+            service.report_q_error(1000.0, 100.0)  # q = 10: all bad
+        service.advance_clock(service.clock_ms + policy.long_window_ms + 1.0)
+        yield service
+        service.close()
+
+    def test_scenario_covers_every_event(self, service):
+        snap = service.metrics_snapshot()
+        assert snap["admission"]["n_shed"] > 0
+        assert snap["hedging"]["n_hedges"] > 0
+        assert snap["faults_injected"]["n_faulted_launches"] > 0
+        assert snap["resilience"]["n_faults"] > 0
+        assert snap["plans"]["n_invalidations"] == 1
+        alerts = snap["slo"]["alerts"]["q_error"]
+        assert alerts["n_fired"] == 1 and alerts["n_cleared"] == 1
+
+    def test_exposition_round_trips(self, service):
+        reg = service.registry()
+        out = reg.snapshot()
+        parsed = parse_prometheus_text(reg.prometheus_text())
+        assert set(parsed) == {f"repro_{name}" for name in out}
+        for name, family in out.items():
+            entry = parsed[f"repro_{name}"]
+            samples = entry["samples"]
+            if family["type"] == "histogram":
+                assert entry["type"] == "summary"
+                for series in family["series"]:
+                    by_name = {s["name"]: s["value"] for s in samples
+                               if "quantile" not in s["labels"]}
+                    assert by_name[f"repro_{name}_count"] == series["count"]
+                    assert by_name[f"repro_{name}_sum"] == pytest.approx(
+                        series["sum"], rel=1e-5
+                    )
+                continue
+            assert entry["type"] == family["type"]
+            assert [(s["labels"], s["value"]) for s in samples] == [
+                (e["labels"], pytest.approx(e["value"], rel=1e-5))
+                for e in family["series"]
+            ]
+
+    def test_repeated_export_is_idempotent(self, service):
+        first = service.registry().snapshot()
+        second = service.registry().snapshot()
+        assert first == second
+
+    def test_snapshot_view_matches_families(self, service):
+        snap = service.metrics_snapshot()
+        out = service.registry().snapshot()
+        assert _series(out, "requests_total", "state") == {
+            state: snap[f"n_{state}"]
+            for state in ("submitted", "completed", "degraded", "failed")
+        }
+        assert _value(out, "batches_total") == snap["n_batches"]
+        assert _value(out, "rounds_total") == snap["n_rounds"]
+        assert _series(out, "samples_total", "kind") == {
+            "drawn": snap["total_samples"], "valid": snap["total_valid"],
+        }
+        assert _value(out, "mean_batch_size") == snap["mean_batch_size"]
+        assert _value(out, "mean_batch_size") == (
+            snap["n_rounds"] / snap["n_batches"]
+        )
+        assert _series(out, "rounds_by_backend_total", "backend") == (
+            snap["rounds_by_backend"]
+        )
+        admission = snap["admission"]
+        assert _series(out, "admission_shed_total", "reason") == (
+            admission["shed_by_reason"]
+        )
+        hedging = snap["hedging"]
+        assert _series(out, "hedge_events_total", "event") == {
+            "fired": hedging["n_hedges"], "won": hedging["n_hedge_wins"],
+        }
+        assert _value(out, "hedge_wasted_ms") == hedging["hedge_wasted_ms"]
+        resilience = snap["resilience"]
+        assert _series(out, "resilience_events_total", "event") == {
+            key[2:]: value for key, value in resilience.items()
+            if key.startswith("n_")
+        }
+        assert _series(out, "faults_by_kind_total", "kind") == (
+            resilience["faults_by_kind"]
+        )
+        injected = _series(out, "faults_injected_total", "kind")
+        assert injected["n_faulted_launches"] == (
+            snap["faults_injected"]["n_faulted_launches"]
+        )
+        plans = snap["plans"]
+        assert _series(out, "plan_lifecycle_total", "event") == {
+            "refresh": plans["n_refreshes"],
+            "invalidation": plans["n_invalidations"],
+            "invalidated_entry": plans["n_invalidated_entries"],
+        }
+        events = _series(out, "plan_cache_events_total", "event")
+        assert events == {
+            key: snap["cache"][key] for key in ("hits", "misses", "evictions")
+        }
+        assert _series(out, "plan_cache", "stat") == {
+            key: snap["cache"][key]
+            for key in ("entries", "bytes", "max_bytes", "hit_rate")
+        }
+        assert _value(out, "queue_depth") == snap["queue_depth"]
+        assert _value(out, "service_clock_ms") == snap["clock_ms"]
+        assert _value(out, "multidev_ms") == snap["multidev_ms"]
+        assert _series(out, "kernel_stall", "metric") == pytest.approx(
+            snap["stall"]
+        )
+        alerts = snap["slo"]["alerts"]
+        fired = {
+            (e["labels"]["slo"], e["labels"]["state"]): e["value"]
+            for e in out["slo_alerts_total"]["series"]
+        }
+        assert fired == {
+            (name, state): totals[f"n_{word}"]
+            for name, totals in alerts.items()
+            for state, word in (("fire", "fired"), ("clear", "cleared"))
+        }
+        for name, key in (("latency_ms", None), ("queue_wait_ms", None),
+                          ("retry_after_ms", "admission")):
+            (series,) = out[name]["series"]
+            view = (snap[key] if key else snap)[name]
+            assert {k: series[k] for k in view} == view
+        assert out["retry_after_ms"]["series"][0]["count"] == (
+            admission["n_shed"]
+        )
+
+
+def test_concurrent_registry_exports_while_serving():
+    # Exporters race the worker and each other: the counters they advance
+    # (plan-cache hits/misses, injected faults) grow underneath them, and
+    # a stale total written after a fresher one would be rejected.
+    graph = load_dataset("yeast")
+    query = extract_query(graph, 4, rng=8)
+    service = EstimationService(ServiceConfig(
+        faults=FaultPlan(seed=5, rates={FaultKind.STALL: 0.3}),
+        policy=BudgetPolicy(min_round_samples=64, max_round_samples=128),
+    ))
+    service.start()
+    n_clients, n_requests = 2, 10
+    clients_done = threading.Semaphore(0)
+
+    def body(i):
+        if i < n_clients:
+            for _ in range(n_requests):
+                service.submit(EstimateRequest(
+                    graph=graph, query=query, max_samples=256,
+                )).result(timeout=60)
+            clients_done.release()
+            return
+        # Export for as long as the clients are being served.
+        while not clients_done.acquire(blocking=False):
+            service.registry()
+        clients_done.release()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave threads as finely as possible
+    try:
+        _hammer(6, body)
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()
+    out = service.registry().snapshot()
+    snap = service.metrics_snapshot()
+    assert _series(out, "requests_total", "state")["completed"] == (
+        n_clients * n_requests
+    )
+    assert _series(out, "plan_cache_events_total", "event") == {
+        key: snap["cache"][key] for key in ("hits", "misses", "evictions")
+    }

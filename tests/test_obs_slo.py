@@ -14,7 +14,6 @@ from repro.obs.slo import (
     SLOObjective,
     SLOPolicy,
     default_slo_policy,
-    registry_from_slo_snapshot,
 )
 from repro.serve import EstimateRequest, EstimationService, ServiceConfig
 from repro.serve.controller import BudgetPolicy
@@ -219,13 +218,29 @@ class TestSnapshotAndRegistry:
         assert parsed["repro_slo_alert_active"]["samples"][0]["value"] == 1.0
 
     def test_snapshot_bridge_matches_live_export(self):
+        """The JSON snapshot and the registry export agree, and exporting
+        twice into one registry never double-counts the alerts."""
         engine = self._fired_engine()
-        live = engine.to_registry(5.0).snapshot()
+        reg = engine.to_registry(5.0)
+        engine.to_registry(5.0, registry=reg)
+        live = reg.snapshot()
         snap = json.loads(json.dumps(engine.snapshot(5.0)))
-        bridged = registry_from_slo_snapshot(snap).snapshot()
-        assert bridged["slo_burn_rate"] == live["slo_burn_rate"]
-        assert bridged["slo_alert_active"] == live["slo_alert_active"]
-        assert bridged["slo_alerts_total"] == live["slo_alerts_total"]
+        burn = {
+            (e["labels"]["slo"], e["labels"]["window"]): e["value"]
+            for e in live["slo_burn_rate"]["series"]
+        }
+        assert burn == {
+            ("avail", window): snap["burn_rates"]["avail"][window]
+            for window in ("short", "long")
+        }
+        totals = snap["alerts"]["avail"]
+        alerts = {e["labels"]["state"]: e["value"]
+                  for e in live["slo_alerts_total"]["series"]}
+        assert alerts == {"fire": totals["n_fired"],
+                          "clear": totals["n_cleared"]}
+        assert alerts == {"fire": 1.0, "clear": 0.0}
+        (active,) = live["slo_alert_active"]["series"]
+        assert active["value"] == totals["active"] == 1
 
     def test_report_renders(self):
         engine = self._fired_engine()
