@@ -14,7 +14,8 @@ shard count:
   and the pool's IPC overhead makes N > 1 *slower*; the record keeps
   ``host_cores`` beside it so readers can tell the two situations apart.
 
-Bit-identity is asserted for every shard count — estimates, sample
+The workload runs on the default backend (``fused``), the one the
+service shards.  Bit-identity is asserted for every shard count — estimates, sample
 counts, and single-device simulated time must match the 1-shard run
 exactly, or the benchmark aborts.
 
@@ -66,7 +67,7 @@ def run_scaling() -> dict:
     base_wall = None
     for shards in SHARD_COUNTS:
         config = EngineConfig.gsword(
-            backend="vectorized", tasks_per_warp=TASKS_PER_WARP
+            tasks_per_warp=TASKS_PER_WARP
         ).with_shards(shards)
         with GSWORDEngine(AlleyEstimator(), config=config) as engine:
             # Warmup run: spawns the pool and publishes the shared-memory
@@ -150,6 +151,7 @@ def run_scaling() -> dict:
             "dataset": "orkut",
             "query": "q6 dense #0",
             "tasks_per_warp": TASKS_PER_WARP,
+            "backend": reference.backend,
         },
         "host_cores": cores,
         "records": records,

@@ -32,7 +32,7 @@ class SyncMode(str, enum.Enum):
 
 
 #: Valid values of :attr:`EngineConfig.backend`.
-BACKENDS = ("fused", "vectorized", "scalar")
+BACKENDS = ("fused", "scalar")
 
 
 def default_backend() -> str:
@@ -40,9 +40,8 @@ def default_backend() -> str:
 
     ``fused`` unless the ``REPRO_BACKEND`` environment variable says
     otherwise — handy for A/B timing runs without touching call sites.
-    Configurations the compiled plans do not cover step down the fallback
-    ladder: iteration sync runs on ``vectorized``, estimators without a
-    vector kernel on ``scalar``.
+    Estimators without a fused kernel step down the fallback ladder to
+    ``scalar``.
     """
     return os.environ.get("REPRO_BACKEND", "fused")
 
@@ -103,29 +102,25 @@ class EngineConfig:
             collaborative phase (32 in the paper — one per lane).
         backend: warp-execution backend.  ``"fused"`` (the default,
             overridable via ``REPRO_BACKEND``) executes a plan compiled
-            once per (query, estimator) pair as whole-batch level kernels
-            (sample synchronisation only); ``"vectorized"`` runs lanes as
-            struct-of-arrays waves of any depth mix; ``"scalar"`` is the
-            lane-at-a-time reference path.  Estimates and profiles are
-            bit-identical; the engine steps down the fallback ladder
-            (fused -> vectorized -> scalar) for configurations or custom
-            estimators a backend doesn't cover — iteration sync runs on
-            ``vectorized``, estimators without a vector kernel on
-            ``scalar``.
+            once per (query, estimator) pair as whole-batch level kernels,
+            under either sync mode; ``"scalar"`` is the lane-at-a-time
+            reference path.  Estimates and profiles are bit-identical; the
+            engine steps down the fallback ladder (fused -> scalar) for
+            custom estimators, which have no fused kernel.
         n_shards: number of simulated devices (OS worker processes) a
             round's warp batch is partitioned across.  ``1`` (the default,
             overridable via ``REPRO_SHARDS``) runs in-process.  Because
             each warp owns its RNG substream, estimates are bit-identical
             for any shard count; only wall-clock and the multi-device
-            makespan telemetry change.  Requires a vector-capable backend
-            (``"vectorized"`` or ``"fused"``).
+            makespan telemetry change.  Requires the ``"fused"``
+            backend, under either sync mode.
         rng_mode: per-warp randomness source.  ``"sequential"`` (the
             default, overridable via ``REPRO_RNG_MODE``) replays numpy
             ``Generator.integers`` calls warp-at-a-time from spawned PCG64
             substreams; ``"counter"`` derives a Philox lane key per warp
             from the *same* spawned ``SeedSequence`` children and computes
             each draw as a pure function of ``(key, draw_index)``, letting
-            the vector backends produce a whole wave's draws in one numpy
+            the fused backend produce a whole wave's draws in one numpy
             pass (:mod:`repro.utils.lanerng`).  Estimates differ *between*
             modes (different streams) but all backends and shard counts
             stay bit-identical *within* a mode.
@@ -174,9 +169,8 @@ class EngineConfig:
             raise ConfigError("n_shards must be >= 1")
         if self.n_shards > 1 and self.backend == "scalar":
             raise ConfigError(
-                "sharded execution (n_shards > 1) requires a vector-capable "
-                "backend (vectorized or fused); the scalar reference path "
-                "is single-process only"
+                "sharded execution (n_shards > 1) requires the fused "
+                "backend; the scalar reference path is single-process only"
             )
 
     # Named presets matching the paper's method labels -----------------

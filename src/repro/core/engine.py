@@ -110,14 +110,13 @@ class GPURunResult:
     longest_warp_cycles: float
     spec: GPUSpec
     collected: List[Tuple[Tuple[int, ...], float]] = field(default_factory=list)
-    #: Warp-execution backend that produced this result ("fused",
-    #: "vectorized" or "scalar"); all yield bit-identical numbers, so this
-    #: is telemetry.
+    #: Warp-execution backend that produced this result ("fused" or
+    #: "scalar"); both yield bit-identical numbers, so this is telemetry.
     backend: str = "scalar"
     #: Backend the config *asked* for.  Differs from ``backend`` when the
-    #: fallback ladder (fused -> vectorized -> scalar) stepped down — e.g.
-    #: an estimator without a fused kernel, or iteration sync.  Empty means
-    #: "same as executed" (constructors that predate the ladder).
+    #: fallback ladder (fused -> scalar) stepped down for an estimator
+    #: without a fused kernel.  Empty means "same as executed"
+    #: (constructors that predate the ladder).
     requested_backend: str = ""
     #: Shard count the round actually executed with (1 = in-process) and
     #: the per-shard simulated kernel durations.  Estimates, profiles and
@@ -125,7 +124,7 @@ class GPURunResult:
     #: fields feed the separate multi-device makespan telemetry.
     n_shards: int = 1
     shard_ms: List[float] = field(default_factory=list)
-    #: Wasted warp work of the vector backends, which run every warp at an
+    #: Wasted warp work of the fused backend, which runs every warp at an
     #: optimistic quota up front: warps re-run alone because inheritance
     #: made their true quota smaller, and warps the fold never reached.
     #: Telemetry only — neither changes a result.
@@ -219,10 +218,9 @@ class GSWORDEngine:
             self.recorder = recorder
         else:
             self.recorder = TraceRecorder() if config.trace else NO_TRACE
-        # Cross-round caches (vectorized backend): last-built vector kernel,
-        # reusable lane-state scratch, and the lazily started shard pool.
+        # Cross-round caches (fused backend): last-built kernel, reusable
+        # scratch arena, and the lazily started shard pool.
         self._kernel_cache: Optional[tuple] = None
-        self._scratch = None
         self._arena = None
         self._shard_pool = None
 
@@ -271,7 +269,7 @@ class GSWORDEngine:
         coincide.
 
         ``shard_offset`` rotates the warp->shard assignment of a sharded
-        vectorized run (hedged re-executions land on different workers);
+        run (hedged re-executions land on different workers);
         every warp owns its spawned RNG state, so the result is
         bit-identical for any offset.
         """
@@ -464,45 +462,32 @@ class GSWORDEngine:
     ):
         """``(provider, backend)`` via the fallback ladder.
 
-        ``fused`` needs sample synchronisation (the compiled schedule
-        exploits depth lockstep) and a registered fused kernel; failing
-        either it degrades to ``vectorized``, which in turn needs a vector
-        kernel; the scalar interpreter (``provider=None``) covers
-        everything.  Every rung is bit-identical to the ones below it, so
-        the ladder only changes speed, never results.
+        ``fused`` needs a registered fused kernel (the exact built-in
+        estimator types) and runs either sync mode on the compiled plan;
+        the scalar interpreter (``provider=None``) covers everything.  Both
+        rungs are bit-identical, so the ladder only changes speed, never
+        results.
         """
-        backend = self.config.backend
-        if backend == "fused" and self.config.sync_mode is SyncMode.SAMPLE:
+        if self.config.backend == "fused":
             from repro.estimators.fused import fused_kernel_for
 
             kernel_cls = fused_kernel_for(self.estimator)
             if kernel_cls is not None:
-                from repro.core.fused import FusedWarpProvider
+                from repro.core.fused import WarpProvider, wave_params_for
+                from repro.core.vectorized import runner_for
 
-                return (
-                    FusedWarpProvider(
-                        self, kernel_cls, cg, order, n_samples, rng,
-                        collect_states, shard_offset=shard_offset,
-                    ),
-                    "fused",
+                runner = runner_for(
+                    self._fused_kernel(kernel_cls, cg, order),
+                    wave_params_for(self, order, collect_states),
+                    self._fused_arena(),
                 )
-        if backend in ("fused", "vectorized"):
-            from repro.estimators.vectorized import vector_kernel_for
-
-            kernel_cls = vector_kernel_for(self.estimator)
-            if kernel_cls is not None:
-                from repro.core.vectorized import VectorWarpProvider
-
                 return (
-                    VectorWarpProvider(
-                        self, kernel_cls, cg, order, n_samples, rng,
-                        collect_states, shard_offset=shard_offset,
-                    ),
-                    "vectorized",
+                    WarpProvider(self, runner, n_samples, rng, shard_offset),
+                    "fused",
                 )
         return None, "scalar"
 
-    def _vector_kernel(self, kernel_cls, cg: CandidateGraph, order: MatchingOrder):
+    def _fused_kernel(self, kernel_cls, cg: CandidateGraph, order: MatchingOrder):
         """Last-plan kernel cache: ``EngineSession`` rounds reuse one
         ``(cg, order)`` pair, so the derived tables (and the shard pool's
         shared-memory publication keyed on object identity) are built
@@ -518,14 +503,6 @@ class GSWORDEngine:
         kernel = kernel_cls(cg, order)
         self._kernel_cache = (cg, order, kernel_cls, kernel)
         return kernel
-
-    def _lane_scratch(self):
-        """The engine-lifetime lane-state scratch (reused across rounds)."""
-        if self._scratch is None:
-            from repro.core.vectorized import LaneStateScratch
-
-            self._scratch = LaneStateScratch()
-        return self._scratch
 
     def _fused_arena(self):
         """The engine-lifetime fused scratch arena (reused across rounds —

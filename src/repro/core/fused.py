@@ -1,13 +1,18 @@
-"""Fused wave execution — ``backend="fused"``'s dense sample-sync runner.
+"""Fused wave execution — the vector backend's runners and warp provider.
 
-:class:`repro.core.vectorized.WaveRunner` is already array-at-a-time, but it
-re-interprets the RSV loop every super-step: it rebuilds flat lane lists,
-re-gathers per-lane table rows for an arbitrary depth mix, and walks a
-Python loop over live warps to charge the cost model.  Under sample
-synchronisation the loop structure is static — every running lane of a warp
-sits at the warp's depth — so :class:`FusedRunner` executes the
-:class:`repro.estimators.fused.FusedPlan` compiled once per (query,
-estimator) pair instead:
+The scalar engine walks one lane at a time through Python ``SampleState``
+objects.  The vector backend keeps lane state as dense arrays and executes
+the :class:`repro.estimators.fused.FusedPlan` compiled once per (query,
+estimator) pair.  This module holds what both synchronisation modes share
+— the frozen :class:`WaveParams`, the :class:`FusedArena` scratch, the
+per-warp profile and Welford registers as struct-of-arrays columns, the
+per-warp draw, the batch-end fold, and the :class:`WarpProvider` that
+spawns, shards and re-runs warps — plus :class:`FusedRunner`, the
+sample-synchronised runner.  Iteration synchronisation runs on
+:class:`repro.core.vectorized.WaveRunner` over the same plan.
+
+Under sample synchronisation every running lane of a warp sits at the
+warp's depth, so :class:`FusedRunner` steps whole depth groups:
 
 * lane state stays **dense**: ``(K, W, n_q)`` instances, ``(K, W)``
   probabilities and masks, per-warp depth/quota/profile registers as
@@ -17,32 +22,35 @@ estimator) pair instead:
 * cost-model charges are whole-column arithmetic on the profile SoA,
   replicating the scalar charge sequence value-for-value (the per-level
   constants — backward-pair count, candidate spans — are baked into the
-  plan, so the per-warp Python charge loop disappears);
+  plan, so there is no per-warp Python charge loop);
 * batch-end Horvitz–Thompson folds run as masked per-lane Welford updates
   across all finishing warps at once, reproducing ``HTAccumulator.add``'s
   float operation order exactly (a few warps fold through
   ``HTAccumulator.add`` itself, which is cheaper than the numpy calls).
 
-It is the default backend.  An interactive round is one or two warps, so
-per-step numpy dispatch, not array width, is what the runner pays for;
-the charge path skips every call that cannot change a value for the
-common shapes (see :meth:`FusedRunner._charge_rows`).
+An interactive round is one or two warps, so per-step numpy dispatch, not
+array width, is what the runner pays for; the charge path skips every call
+that cannot change a value for the common shapes (see
+:meth:`FusedRunner._charge_rows`).
 
 All persistent buffers come from a :class:`FusedArena` — named, high-water
 reused across waves *and* rounds, so steady-state execution allocates
 nothing.  Bit-identity with the scalar backend (estimates, inheritance
-decisions, reservoir contents, simulated-ms) is the same tested contract
-``vectorized`` carries; the equivalence suite runs all three backends.
+decisions, reservoir contents, simulated-ms) is a tested contract.
 
-Iteration synchronisation has no depth-lockstep property to exploit, so the
-engine's fallback ladder routes ``sync_mode=ITERATION`` runs (and
-estimators without a fused kernel) to the vectorized or scalar backends —
-see ``GSWORDEngine._warp_provider``.
+Everything a runner needs — the kernel tables, a frozen
+:class:`WaveParams`, per-warp generator states — is picklable or
+shared-memory-mappable, which is what lets :mod:`repro.multidev` run
+slices of a round's warps in worker processes while remaining
+bit-identical to in-process execution (each warp owns its RNG substream,
+so results are independent of wave composition).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,31 +62,67 @@ from repro.core.engine import (
     _SAMPLE_OPS,
     _VALIDATE_OPS,
 )
-from repro.core.vectorized import (
-    LaneStateScratch,
-    VectorWarpProvider,
-    WarpResult,
-    WarpState,
-    WaveParams,
-    WaveRunner,
-)
-from repro.estimators.fused import FusedKernelMixin, FusedPlan
+from repro.estimators.fused import FusedKernel, FusedPlan
 from repro.estimators.ht import HTAccumulator
+from repro.gpu.costmodel import GPUSpec
 from repro.gpu.memory import (
     ARRAY_GLOBAL_CANDIDATES,
     ARRAY_LOCAL_CANDIDATES,
     warp_instruction_cost,
 )
 from repro.gpu.profiler import WarpProfile
-from repro.utils.lanerng import philox_bounded, warp_keys
-from repro.utils.rng import generator_from_state
+from repro.query.matching_order import MatchingOrder
+from repro.utils.lanerng import LaneKey, lane_key, philox_bounded, warp_keys
+from repro.utils.rng import (
+    GeneratorState,
+    RandomSource,
+    generator_from_state,
+    spawn_generator_states,
+)
 
-#: Warps processed per fused wave.  The dense SoA state is small (a few
-#: hundred bytes per warp), so the fused runner takes much wider waves
-#: than the interpreting backend's 1024 — per-super-step numpy dispatch
-#: is its only fixed cost, and wave width is what amortises it.  Chunk
-#: size never changes results: warps own their RNG substreams and every
-#: runner pass is row-wise.
+#: What a warp's replayable identity can be: a spawned generator state
+#: (sequential mode) or a derived Philox :class:`LaneKey` (counter mode).
+WarpState = Union[GeneratorState, LaneKey]
+
+#: One warp-result tuple: ``(acc, profile, n_valid, collected, count)`` —
+#: the same shape ``GSWORDEngine._run_warp`` returns.
+WarpResult = Tuple[
+    HTAccumulator, WarpProfile, int, List[Tuple[Tuple[int, ...], float]], int
+]
+
+#: Per-warp reservoir lists of ``(partial_instance, probability)`` pairs.
+Collected = List[List[Tuple[Tuple[int, ...], float]]]
+
+
+@dataclass(frozen=True)
+class WaveParams:
+    """Everything a runner needs beyond the kernel tables.
+
+    A frozen, picklable snapshot of the engine knobs the wave loops read —
+    shard workers receive one of these instead of the engine object.
+    """
+
+    sync_mode: SyncMode
+    inheritance: bool
+    streaming: bool
+    streaming_threshold: int
+    has_refine: bool
+    target: int
+    n_q: int
+    warp_size: int
+    spec: GPUSpec
+    collect_states: bool
+    #: Per-warp randomness source ("sequential" or "counter").  Part of the
+    #: frozen params on purpose: shard workers key their cached plan on
+    #: ``(kernel, params)``, so switching modes invalidates the plan.
+    rng_mode: str = "sequential"
+
+
+#: Warps processed per wave.  The dense SoA state is small (a few hundred
+#: bytes per warp), so waves are wide — per-super-step numpy dispatch is
+#: the runners' only fixed cost, and wave width is what amortises it.
+#: Chunk size never changes results: warps own their RNG substreams and
+#: every runner pass is row-wise.
 _FUSED_WAVE_CHUNK = 8192
 
 #: Batch-end folds over at most this many finishing warps run lane by lane
@@ -247,29 +291,203 @@ class _ProfileSoA:
         )
 
 
-class FusedRunner:
-    """Executes warps against a compiled :class:`FusedPlan`.
+def _warp_streams(states: Sequence[WarpState], rng_mode: str, arena: FusedArena):
+    """Per-warp draw sources for one wave, as :func:`_draw_rows` takes them.
 
-    Drop-in for :class:`WaveRunner` on the sample-synchronised path: same
-    ``run_warps(states, quotas) -> List[WarpResult]`` contract, same
-    bit-identical results for any wave composition or process placement —
-    which is what lets :mod:`repro.multidev` shard fused rounds unchanged.
+    Sequential mode: each warp's bound ``Generator.integers`` (the draw
+    loop calls one per warp per step, and attribute lookup on Generator is
+    measurable at scale).  Counter mode: a ``(K, 2)`` key table plus one
+    running draw index per warp replaces K generator objects — the whole
+    wave's draws become a single Philox pass per super-step.
+    """
+    if rng_mode == "counter":
+        keys = warp_keys(states)
+        return (
+            keys[:, 0].astype(np.uint64),
+            keys[:, 1].astype(np.uint64),
+            arena.zeros("dcount", (len(states),), np.int64),
+        )
+    return [generator_from_state(s).integers for s in states]
+
+
+def _draw_rows(
+    rng_mode: str, rows: np.ndarray, rlen: np.ndarray, igs
+) -> np.ndarray:
+    """Per-warp draws for the ``(rows, lanes)`` bound matrix ``rlen``,
+    lanes in ascending order within each warp ``rows[i]``.
+
+    Sequential mode: each warp's own generator consumes the identical
+    bound array the scalar path feeds it.  The drawable bounds of all
+    rows are gathered once (row-major, so each row's slice is its
+    positive bounds in ascending lane order — the scalar
+    ``bounds[drawable]``) and each warp's pre-bound
+    ``Generator.integers`` draws from a contiguous view; per-row numpy
+    work is one slice and one ``integers`` call.
+
+    Counter mode: the entire group is one Philox pass — lane ``j`` of
+    warp ``r`` draws counter ``dcount[r] + (rank of j among r's
+    drawable lanes)``, the same accounting the scalar ``LaneRNG`` uses,
+    so both stay bit-identical.
+    """
+    idx = np.full(rlen.shape, -1, dtype=np.int64)
+    mask = rlen > 0
+    if rng_mode == "counter":
+        k0, k1, dcount = igs
+        ri, _ = np.nonzero(mask)
+        if len(ri):
+            pos = (np.cumsum(mask, axis=1) - 1)[mask]
+            g = rows[ri]
+            ctr = dcount[g].astype(np.uint64) + pos.astype(np.uint64)
+            idx[mask] = philox_bounded(k0[g], k1[g], ctr, rlen[mask])
+            dcount[rows] += mask.sum(axis=1)
+        return idx
+    counts = mask.sum(axis=1).tolist()
+    flat_bounds = rlen[mask]
+    off = 0
+    parts: List[np.ndarray] = []
+    ap = parts.append
+    row_ids = rows.tolist()
+    for i, c in enumerate(counts):
+        if c:
+            end = off + c
+            ap(igs[row_ids[i]](0, flat_bounds[off:end]))
+            off = end
+    if parts:
+        idx[mask] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return idx
+
+
+def _collect_rows(
+    collected: Collected,
+    fin: np.ndarray,
+    ok: np.ndarray,
+    inst: np.ndarray,
+    pv: np.ndarray,
+    target: int,
+) -> None:
+    """Append warp ``fin[i]``'s completed lanes ``ok[i]`` to its reservoir
+    in lane order, with the probabilities ``pv[i]``."""
+    for i in range(len(fin)):
+        row_ok = ok[i]
+        if not row_ok.any():
+            continue
+        r = int(fin[i])
+        for lane in np.nonzero(row_ok)[0]:
+            collected[r].append(
+                (
+                    tuple(int(x) for x in inst[r, lane, :target]),
+                    float(pv[i, lane]),
+                )
+            )
+
+
+def _warp_results(
+    prof: _ProfileSoA,
+    wn: np.ndarray,
+    wvalid: np.ndarray,
+    wmean: np.ndarray,
+    wm2: np.ndarray,
+    collected: Optional[Collected],
+    ncoll: np.ndarray,
+) -> List[WarpResult]:
+    """One :data:`WarpResult` per wave row from the SoA registers."""
+    out: List[WarpResult] = []
+    for i in range(len(wn)):
+        acc = HTAccumulator(n=int(wn[i]), n_valid=int(wvalid[i]))
+        acc._mean = float(wmean[i])
+        acc._m2 = float(wm2[i])
+        out.append(
+            (
+                acc,
+                prof.materialize(i),
+                int(wvalid[i]),
+                collected[i] if collected is not None else [],
+                int(ncoll[i]),
+            )
+        )
+    return out
+
+
+def _charge_streamed(
+    p: WaveParams,
+    lane_clens: np.ndarray,
+    rate: np.ndarray,
+    mem: np.ndarray,
+    sync: np.ndarray,
+    comp: np.ndarray,
+    segs: np.ndarray,
+):
+    """Alg. 3's streamed candidate probes for one ``(rows, lanes)`` step,
+    value-for-value with the scalar ``streaming_schedule`` charge:
+    collaborative rounds over ``lane_clens`` (the refining lanes'
+    candidate counts, 0 elsewhere), then each lane's independent leftover
+    scan at its probe ``rate``.  Returns the updated ``(mem, sync, comp,
+    segs)`` columns and the memory charges in order (StallLong mirrors
+    them)."""
+    spec = p.spec
+    W = p.warp_size
+    op = spec.op_cycles
+    limit = p.streaming_threshold
+    if limit <= W:
+        tail = lane_clens % W
+        partial = tail >= limit
+        rounds_per_lane = lane_clens // W + partial
+        remainders = np.where(partial, 0, tail)
+    else:
+        eligible = lane_clens >= limit
+        rounds_per_lane = np.where(eligible, (lane_clens - limit) // W + 1, 0)
+        remainders = lane_clens - rounds_per_lane * W
+    rounds_w = rounds_per_lane.sum(axis=1)
+    ind_max = remainders.max(axis=1)
+    rate_max = rate.max(axis=1)
+    leftover = remainders * rate
+    wic_full = warp_instruction_cost(spec, spec.warp_size)
+    probe_loads = rounds_w * rate_max * _PROBE_LOADS
+    probe_cycles = probe_loads * wic_full
+    mem = mem + probe_cycles
+    segs = segs + np.where(
+        probe_cycles > 0,
+        np.rint(probe_loads * spec.warp_size).astype(np.int64),
+        0,
+    )
+    sync = sync + rounds_w * 5 * spec.sync_cycles
+    comp = comp + rounds_w * _CAND_SCAN_OPS * op
+    comp = comp + ind_max * _CAND_SCAN_OPS * op
+    max_leftover = leftover.max(axis=1)
+    # Lane-order fold: cumsum adds left to right, the same float
+    # accumulation order as the scalar path's Python sum over the
+    # 32-lane list.
+    total_leftover = leftover.cumsum(axis=1)[:, -1]
+    ml = max_leftover * _PROBE_LOADS
+    tl = total_leftover * _PROBE_LOADS
+    lcost = np.where(
+        tl > 0, ml * spec.mem_latency_cycles + tl * spec.issue_cycles, 0.0
+    )
+    mem = mem + lcost
+    segs = segs + np.rint(tl).astype(np.int64)
+    return mem, sync, comp, segs, (probe_cycles, lcost)
+
+
+class FusedRunner:
+    """Executes sample-synchronised warps against a compiled
+    :class:`FusedPlan`.
+
+    ``run_warps(states, quotas) -> List[WarpResult]`` gives bit-identical
+    results for any wave composition or process placement — which is what
+    lets :mod:`repro.multidev` shard rounds unchanged.
     """
 
     def __init__(
         self,
-        kernel: FusedKernelMixin,
+        kernel: FusedKernel,
         params: WaveParams,
         arena: Optional[FusedArena] = None,
     ) -> None:
         if params.sync_mode is not SyncMode.SAMPLE:
             raise ValueError(
-                "the fused backend compiles the sample-synchronised "
-                "schedule only; iteration sync runs on the vectorized "
-                "fallback"
+                "FusedRunner steps the sample-synchronised schedule; "
+                "iteration sync runs on repro.core.vectorized.WaveRunner"
             )
-        if not isinstance(kernel, FusedKernelMixin):
-            raise TypeError("FusedRunner needs a fused kernel")
         self.kernel = kernel
         self.p = params
         self.arena = arena if arena is not None else FusedArena()
@@ -294,21 +512,7 @@ class FusedRunner:
         K = len(states)
         W, target, n_q = p.warp_size, p.target, p.n_q
         ar = self.arena
-        if p.rng_mode == "counter":
-            # Counter streams: a (K, 2) key table plus one running draw
-            # index per warp replaces K generator objects — the whole
-            # wave's draws become a single Philox pass per super-step.
-            keys = warp_keys(states)
-            igs = (
-                keys[:, 0].astype(np.uint64),
-                keys[:, 1].astype(np.uint64),
-                ar.zeros("dcount", (K,), np.int64),
-            )
-        else:
-            # Bound `integers` methods: the draw loop calls one per warp per
-            # step, and attribute lookup on Generator is measurable at scale.
-            igs = [generator_from_state(s).integers for s in states]
-
+        igs = _warp_streams(states, p.rng_mode, ar)
         inst = ar.take("inst", (K, W, n_q), np.int64)
         prob = ar.take("prob", (K, W), np.float64)
         active = ar.take("active", (K, W), np.bool_)
@@ -329,7 +533,7 @@ class FusedRunner:
         alive = ar.take("alive", (K,), np.bool_)
         alive.fill(True)
         ncoll = ar.zeros("ncoll", (K,), np.int64)
-        collected: Optional[List[List[Tuple[Tuple[int, ...], float]]]] = (
+        collected: Optional[Collected] = (
             [[] for _ in range(K)] if p.collect_states else None
         )
         lane_iota = np.arange(W, dtype=np.int64)
@@ -389,21 +593,7 @@ class FusedRunner:
                 alive[fin[~cont]] = False
                 rows_alive = np.nonzero(alive)[0]
 
-        out: List[WarpResult] = []
-        for i in range(K):
-            acc = HTAccumulator(n=int(wn[i]), n_valid=int(wvalid[i]))
-            acc._mean = float(wmean[i])
-            acc._m2 = float(wm2[i])
-            out.append(
-                (
-                    acc,
-                    prof.materialize(i),
-                    int(wvalid[i]),
-                    collected[i] if collected is not None else [],
-                    int(ncoll[i]),
-                )
-            )
-        return out
+        return _warp_results(prof, wn, wvalid, wmean, wm2, collected, ncoll)
 
     # ------------------------------------------------------------------
     # Step pieces
@@ -428,7 +618,7 @@ class FusedRunner:
         present = running if full else running[rows]
         inst3 = inst if full else inst[rows]
         prep = self.kernel.fused_prepare(lv, inst3, present)
-        idx = self._draw_rows(rows, prep.rlen, igs)
+        idx = _draw_rows(self.p.rng_mode, rows, prep.rlen, igs)
         res = self.kernel.fused_finish(lv, prep, idx, inst3)
         vr, vc = np.nonzero(res.valid)
         if len(vr):
@@ -439,54 +629,6 @@ class FusedRunner:
         self._charge_rows(
             lv, slice(None) if full else rows, present, prep, res, prof
         )
-
-    def _draw_rows(
-        self,
-        rows: np.ndarray,
-        rlen: np.ndarray,
-        igs,
-    ) -> np.ndarray:
-        """Per-warp draws for one depth group.
-
-        Sequential mode: each warp's own generator consumes the identical
-        bound array the scalar path feeds it.  The drawable bounds of all
-        rows are gathered once (row-major, so each row's slice is its
-        positive bounds in ascending lane order — the scalar
-        ``bounds[drawable]``) and each warp's pre-bound
-        ``Generator.integers`` draws from a contiguous view; per-row numpy
-        work is one slice and one ``integers`` call.
-
-        Counter mode: the entire group is one Philox pass — lane ``j`` of
-        warp ``r`` draws counter ``dcount[r] + (rank of j among r's
-        drawable lanes)``, the same accounting the scalar ``LaneRNG`` and
-        the interpreting backend use, so all three stay bit-identical.
-        """
-        idx = np.full(rlen.shape, -1, dtype=np.int64)
-        mask = rlen > 0
-        if self.p.rng_mode == "counter":
-            k0, k1, dcount = igs
-            ri, _ = np.nonzero(mask)
-            if len(ri):
-                pos = (np.cumsum(mask, axis=1) - 1)[mask]
-                g = rows[ri]
-                ctr = dcount[g].astype(np.uint64) + pos.astype(np.uint64)
-                idx[mask] = philox_bounded(k0[g], k1[g], ctr, rlen[mask])
-                dcount[rows] += mask.sum(axis=1)
-            return idx
-        counts = mask.sum(axis=1).tolist()
-        flat_bounds = rlen[mask]
-        off = 0
-        parts: List[np.ndarray] = []
-        ap = parts.append
-        row_ids = rows.tolist()
-        for i, c in enumerate(counts):
-            if c:
-                end = off + c
-                ap(igs[row_ids[i]](0, flat_bounds[off:end]))
-                off = end
-        if parts:
-            idx[mask] = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return idx
 
     def _inherit_rows(
         self,
@@ -551,7 +693,7 @@ class FusedRunner:
         wvalid: np.ndarray,
         wmean: np.ndarray,
         wm2: np.ndarray,
-        collected: Optional[List[List[Tuple[Tuple[int, ...], float]]]],
+        collected: Optional[Collected],
     ) -> None:
         """Batch-end HT fold: every finishing warp adds its active lanes'
         values in lane order, exactly ``HTAccumulator.add`` per lane."""
@@ -562,32 +704,37 @@ class FusedRunner:
         val = np.where(
             ok, np.divide(1.0, pv, out=np.zeros_like(pv), where=ok), 0.0
         )
-        if len(fin) <= _SCALAR_FOLD_ROWS:
-            for i, r in enumerate(fin.tolist()):
-                acc = HTAccumulator(n=int(wn[r]), n_valid=int(wvalid[r]))
-                acc._mean = float(wmean[r])
-                acc._m2 = float(wm2[r])
-                for value in val[i][act[i]].tolist():
-                    acc.add(value)
-                wn[r] = acc.n
-                wvalid[r] = acc.n_valid
-                wmean[r] = acc._mean
-                wm2[r] = acc._m2
-        else:
-            self._fold_rows(fin, act, val, wn, wvalid, wmean, wm2)
+        self._fold(fin, act, val, wn, wvalid, wmean, wm2)
         if collected is not None:
-            for i in range(len(fin)):
-                row_ok = ok[i]
-                if not row_ok.any():
-                    continue
-                r = int(fin[i])
-                for lane in np.nonzero(row_ok)[0]:
-                    collected[r].append(
-                        (
-                            tuple(int(x) for x in inst[r, lane, :target]),
-                            float(pv[i, lane]),
-                        )
-                    )
+            _collect_rows(collected, fin, ok, inst, pv, target)
+
+    @classmethod
+    def _fold(
+        cls,
+        fin: np.ndarray,
+        act: np.ndarray,
+        val: np.ndarray,
+        wn: np.ndarray,
+        wvalid: np.ndarray,
+        wmean: np.ndarray,
+        wm2: np.ndarray,
+    ) -> None:
+        """Fold ``val[i][act[i]]`` into warp ``fin[i]``'s Welford registers
+        in lane order: lane by lane through ``HTAccumulator.add`` for a few
+        rows, as a vector fold for many (the same float operations)."""
+        if len(fin) > _SCALAR_FOLD_ROWS:
+            cls._fold_rows(fin, act, val, wn, wvalid, wmean, wm2)
+            return
+        for i, r in enumerate(fin.tolist()):
+            acc = HTAccumulator(n=int(wn[r]), n_valid=int(wvalid[r]))
+            acc._mean = float(wmean[r])
+            acc._m2 = float(wm2[r])
+            for value in val[i][act[i]].tolist():
+                acc.add(value)
+            wn[r] = acc.n
+            wvalid[r] = acc.n_valid
+            wmean[r] = acc._mean
+            wm2[r] = acc._m2
 
     @staticmethod
     def _fold_rows(
@@ -632,7 +779,7 @@ class FusedRunner:
         wm2[fin] = m2
 
     # ------------------------------------------------------------------
-    # Cost accounting (value-for-value with WaveRunner._charge_step)
+    # Cost accounting (value-for-value with GSWORDEngine._charge_iteration)
     # ------------------------------------------------------------------
     def _charge_rows(
         self,
@@ -748,46 +895,9 @@ class FusedRunner:
             rate = np.divide(
                 probes_p, clen_p, out=np.zeros(clen_p.shape), where=clen_p > 0
             )
-            threshold = p.streaming_threshold
-            limit = W if threshold is None else threshold
-            if limit <= W:
-                tail = clen_p % W
-                partial = tail >= limit
-                rounds_per_lane = clen_p // W + partial
-                remainders = np.where(partial, 0, tail)
-            else:
-                eligible = clen_p >= limit
-                rounds_per_lane = np.where(
-                    eligible, (clen_p - limit) // W + 1, 0
-                )
-                remainders = clen_p - rounds_per_lane * W
-            rounds_w = rounds_per_lane.sum(axis=1)
-            ind_max = remainders.max(axis=1)
-            rate_max = rate.max(axis=1)
-            leftover = remainders * rate
-            wic_full = warp_instruction_cost(spec, spec.warp_size)
-            probe_loads = rounds_w * rate_max * _PROBE_LOADS
-            probe_cycles = probe_loads * wic_full
-            mem_new = mem_new + probe_cycles
-            seg_add = seg_add + np.where(
-                probe_cycles > 0,
-                np.rint(probe_loads * spec.warp_size).astype(np.int64),
-                0,
+            mem_new, sync_new, comp_new, seg_add, probe_costs = _charge_streamed(
+                p, clen_p, rate, mem_new, sync_new, comp_new, seg_add
             )
-            sync_new = sync_new + rounds_w * 5 * spec.sync_cycles
-            comp_new = comp_new + rounds_w * _CAND_SCAN_OPS * op
-            comp_new = comp_new + ind_max * _CAND_SCAN_OPS * op
-            max_leftover = leftover.max(axis=1)
-            # Lane-order fold: cumsum adds left to right, the same float
-            # accumulation order as the scalar path's Python sum over the
-            # 32-lane list.
-            total_leftover = leftover.cumsum(axis=1)[:, -1]
-            ml = max_leftover * _PROBE_LOADS
-            tl = total_leftover * _PROBE_LOADS
-            lcost = np.where(tl > 0, ml * mem_lat + tl * issue, 0.0)
-            mem_new = mem_new + lcost
-            seg_add = seg_add + np.rint(tl).astype(np.int64)
-            probe_costs = (probe_cycles, lcost)
         elif not streaming:
             probes_p = _masked(mask, res.probes, 0)
             tp = probes_p.sum(axis=1) * _PROBE_LOADS
@@ -833,27 +943,81 @@ class FusedRunner:
         prof.iters[ix] += 1
 
 
-class FusedWarpProvider(VectorWarpProvider):
-    """`VectorWarpProvider` with the fused runner behind the same wave
-    contract — warp spawning, sharding, and quota re-runs are inherited
-    unchanged because the runner API and result tuples are identical."""
-
-    def _make_runner(self, engine):
-        return FusedRunner(self.kernel, self.params, engine._fused_arena())
-
-
-def runner_for_kernel(
-    kernel,
-    params: WaveParams,
-    scratch: Optional[LaneStateScratch] = None,
-    arena: Optional[FusedArena] = None,
-):
-    """The wave runner matching ``kernel``'s type — fused kernels get a
-    :class:`FusedRunner`, everything else the interpreting
-    :class:`WaveRunner`.  Shard workers use this to stay backend-agnostic:
-    the kernel tables they receive already encode the backend choice."""
-    if isinstance(kernel, FusedKernelMixin) and params.sync_mode is SyncMode.SAMPLE:
-        return FusedRunner(kernel, params, arena)
-    return WaveRunner(
-        kernel, params, scratch if scratch is not None else LaneStateScratch()
+def wave_params_for(engine, order: MatchingOrder, collect_states: bool) -> WaveParams:
+    """The :class:`WaveParams` snapshot of ``engine`` for one run."""
+    config = engine.config
+    return WaveParams(
+        sync_mode=config.sync_mode,
+        inheritance=config.inheritance,
+        streaming=config.streaming,
+        streaming_threshold=config.streaming_threshold,
+        has_refine=engine.estimator.has_refine_stage,
+        target=engine._target_depth(order),
+        n_q=len(order),
+        warp_size=engine.spec.warp_size,
+        spec=engine.spec,
+        collect_states=collect_states,
+        rng_mode=config.rng_mode,
     )
+
+
+class WarpProvider:
+    """Runs all of a run's warps up front; hands results to the fold loop.
+
+    Construction runs every warp at its optimistic quota ``min(tpw,
+    n - w·tpw)`` — in-process when ``n_shards == 1``, or partitioned
+    round-robin by warp index across the engine's shard pool otherwise
+    (bit-identical either way, because each warp's result depends only on
+    its own spawned generator state).  The scalar loop sizes warp ``w``'s
+    quota from the live remaining count, which only differs from the
+    guess when inheritance over-collects: :meth:`warp` returns the cached
+    result when the fold confirms the quota, or re-runs that single warp
+    locally (from the same spawned child state, so the random stream is
+    identical) when the true quota is smaller.  ``n_reruns`` counts those
+    re-runs; warps past the last one the fold reaches are computed and
+    discarded.
+    """
+
+    def __init__(
+        self,
+        engine,
+        runner,
+        n_samples: int,
+        rng: RandomSource,
+        shard_offset: int = 0,
+    ) -> None:
+        self.runner = runner
+        tpw = engine.config.tasks_per_warp
+        self.max_warps = math.ceil(n_samples / tpw)
+        self.states: List[WarpState] = list(
+            spawn_generator_states(rng, self.max_warps)
+        )
+        if runner.p.rng_mode == "counter":
+            # Ship derived lane keys instead of SeedSequence objects: a
+            # key is a pure function of its spawned child, tiny on the
+            # shard pipes, and replays with no state to clone.
+            self.states = [lane_key(s) for s in self.states]
+        self.guesses = [
+            min(tpw, n_samples - w * tpw) for w in range(self.max_warps)
+        ]
+        self.n_reruns = 0
+        self.n_shards = min(engine.config.n_shards, max(1, self.max_warps))
+        self.shard_offset = shard_offset % self.n_shards
+        if self.n_shards > 1:
+            executor = engine._shard_executor()
+            self.results = executor.run_round(
+                runner.kernel, runner.p, self.states, self.guesses,
+                shard_offset=self.shard_offset,
+            )
+        else:
+            self.results = runner.run_warps(self.states, self.guesses)
+
+    def shard_of(self, w: int) -> int:
+        """Shard owning warp ``w`` (round-robin, hedges rotate the map)."""
+        return (w + self.shard_offset) % self.n_shards
+
+    def warp(self, w: int, quota: int) -> WarpResult:
+        if quota == self.guesses[w]:
+            return self.results[w]
+        self.n_reruns += 1
+        return self.runner.run_warps([self.states[w]], [quota])[0]

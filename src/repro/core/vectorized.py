@@ -1,49 +1,32 @@
-"""Vectorized (struct-of-arrays) warp execution — the engine's fast path.
+"""Iteration-synchronised wave execution over the compiled plan.
 
-The scalar engine walks one lane at a time through Python ``SampleState``
-objects.  This module keeps lane state as ``(n_warps, warp_size)`` arrays
-(instances, probabilities, depths, active/running masks) and advances every
-live warp one RSV super-step at a time:
+Under iteration synchronisation (§3.2; the NextDoor-style GPU baseline,
+Figure 12's O0) a lane starts its next sample the moment the current one
+dies or completes, so the lanes of one warp sit at different depths.
+:class:`WaveRunner` steps every warp of a wave one RSV iteration per
+super-step over the same :class:`~repro.estimators.fused.FusedPlan` the
+sample-synchronised :class:`~repro.core.fused.FusedRunner` executes:
 
-1. :meth:`VectorKernel.prepare` runs GetMinCandidate + Refine for the flat
-   batch of all running lanes (any mix of warps and depths);
-2. the per-warp generators draw each warp's lane indices with one
-   array-bound ``integers`` call (bit-identical to the scalar path's
-   sequential draws, including state advancement);
-3. :meth:`VectorKernel.finish` validates, the winners are scattered back
-   into the state arrays, and the cost model is charged per warp from the
-   same flat arrays (:func:`repro.gpu.memory.batched_union_counts` computes
-   every warp's coalescing union in one sort).
-
-Bit-identity with the scalar path — same estimates, same inheritance
-decisions, same per-kernel cycle counters — is a tested invariant, so the
-charge sequence below mirrors ``GSWORDEngine._charge_iteration`` operation
-for operation (including Python-``sum`` accumulation where float ordering
-matters).
-
-Warps are executed in *waves* with optimistic task quotas ``min(tpw,
-n - w·tpw)``.  The scalar loop sizes warp ``w``'s quota from the live
-remaining count, which only differs from the guess when inheritance
-over-collects; the fold detects that and re-runs the affected warp from
-its spawned ``SeedSequence`` child (replayable by construction).
-
-The wave executor itself is split off as :class:`WaveRunner`: everything it
-needs — the kernel tables, a frozen :class:`WaveParams`, per-warp generator
-states — is picklable or shared-memory-mappable, which is what lets
-:mod:`repro.multidev` run slices of a round's warps in worker processes
-while remaining bit-identical to in-process execution (each warp owns its
-RNG substream, so results are independent of wave composition).
+1. for each level that has active lanes, that level's lanes from all warps
+   are gathered into one dense row and run through the kernel's
+   ``fused_prepare`` — a level's pass costs its own lanes, not the wave;
+2. every warp draws its lanes' indices in lane order, the scalar path's
+   sequential draw order in both RNG modes;
+3. ``fused_finish`` validates each level and the winners are pushed;
+4. every stepping warp is charged from per-lane columns, the
+   ``GSWORDEngine._charge_iteration`` sequence under per-lane depths —
+   with no idle-wait term: a lane idles only once its warp's pool is
+   exhausted, and then it retires rather than stalls;
+5. finished lanes fold into their warp's HT accumulator in lane order and
+   then restart from the warp's pool or retire.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.candidate.candidate_graph import CandidateGraph
 from repro.core.config import SyncMode
 from repro.core.engine import (
     _CAND_SCAN_OPS,
@@ -52,726 +35,326 @@ from repro.core.engine import (
     _SAMPLE_OPS,
     _VALIDATE_OPS,
 )
-from repro.estimators.ht import HTAccumulator
-from repro.estimators.vectorized import StepPrep, StepResult, VectorKernel
-from repro.gpu.costmodel import GPUSpec
-from repro.gpu.memory import (
-    ARRAY_GLOBAL_CANDIDATES,
-    ARRAY_LOCAL_CANDIDATES,
-    batched_union_counts,
-    warp_instruction_cost,
+from repro.core.fused import (
+    _FUSED_WAVE_CHUNK,
+    Collected,
+    FusedArena,
+    FusedRunner,
+    WarpResult,
+    WarpState,
+    WaveParams,
+    _collect_rows,
+    _draw_rows,
+    _charge_streamed,
+    _ProfileSoA,
+    _scan_union_rows,
+    _warp_results,
+    _warp_streams,
 )
-from repro.gpu.profiler import WarpProfile
-from repro.query.matching_order import MatchingOrder
-from repro.utils.lanerng import LaneKey, LaneRNG, lane_key, philox_bounded
-from repro.utils.rng import (
-    GeneratorState,
-    RandomSource,
-    generator_from_state,
-    spawn_generator_states,
-)
-
-#: What a warp's replayable identity can be: a spawned generator state
-#: (sequential mode) or a derived Philox :class:`LaneKey` (counter mode).
-WarpState = Union[GeneratorState, LaneKey]
-
-#: Warps stepped together per wave.  Bounds transient state-array memory and
-#: keeps :func:`batched_union_counts` row keys comfortably inside int64.
-_WAVE_CHUNK = 1024
-
-#: One warp-result tuple: ``(acc, profile, n_valid, collected, count)`` —
-#: the same shape ``GSWORDEngine._run_warp`` returns.
-WarpResult = Tuple[
-    HTAccumulator, WarpProfile, int, List[Tuple[Tuple[int, ...], float]], int
-]
-
-
-@dataclass(frozen=True)
-class WaveParams:
-    """Everything :class:`WaveRunner` needs beyond the kernel tables.
-
-    A frozen, picklable snapshot of the engine knobs the wave loops read —
-    shard workers receive one of these instead of the engine object.
-    """
-
-    sync_mode: SyncMode
-    inheritance: bool
-    streaming: bool
-    streaming_threshold: int
-    has_refine: bool
-    target: int
-    n_q: int
-    warp_size: int
-    spec: GPUSpec
-    collect_states: bool
-    #: Per-warp randomness source ("sequential" or "counter").  Part of the
-    #: frozen params on purpose: shard workers key their cached plan on
-    #: ``(kernel, params)``, so switching modes invalidates the plan.
-    rng_mode: str = "sequential"
-
-
-class LaneStateScratch:
-    """Growable flat buffers behind the per-wave ``(K, W, n_q)`` lane-state
-    arrays.
-
-    One scratch lives per engine (and per shard worker) and is reused
-    across waves *and* rounds: ``acquire`` hands out reshaped views of the
-    flat buffers after resetting them to the fresh-lane values, so no
-    state can leak between rounds and no allocation happens once the
-    high-water mark is reached.
-    """
-
-    __slots__ = ("_inst", "_prob", "_depth")
-
-    def __init__(self) -> None:
-        self._inst = np.zeros(0, dtype=np.int64)
-        self._prob = np.zeros(0, dtype=np.float64)
-        self._depth = np.zeros(0, dtype=np.int64)
-
-    def acquire(
-        self, K: int, W: int, n_q: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reset views shaped ``(K, W, n_q)`` / ``(K, W)`` / ``(K, W)``."""
-        need3 = K * W * n_q
-        need2 = K * W
-        if self._inst.size < need3:
-            self._inst = np.empty(need3, dtype=np.int64)
-        if self._prob.size < need2:
-            self._prob = np.empty(need2, dtype=np.float64)
-            self._depth = np.empty(need2, dtype=np.int64)
-        inst = self._inst[:need3].reshape(K, W, n_q)
-        prob = self._prob[:need2].reshape(K, W)
-        depth = self._depth[:need2].reshape(K, W)
-        inst.fill(-1)
-        prob.fill(1.0)
-        depth.fill(0)
-        return inst, prob, depth
-
-
-class _WarpTask:
-    """Mutable per-warp bookkeeping inside one wave."""
-
-    __slots__ = (
-        "row",
-        "rng",
-        "profile",
-        "acc",
-        "collected",
-        "n_valid",
-        "n_collected",
-        "remaining",
-        "batch",
-        "round_inherited",
-        "active",
-        "running",
-        "d",
-        "need_batch",
-        "fetched",
-        "pool",
-    )
-
-    def __init__(self, row: int, rng: Union[np.random.Generator, LaneRNG]) -> None:
-        self.row = row
-        self.rng = rng
-        self.profile = WarpProfile()
-        self.acc = HTAccumulator()
-        self.collected: List[Tuple[Tuple[int, ...], float]] = []
-        self.n_valid = 0
-        self.n_collected = 0
+from repro.estimators.fused import FusedKernel
 
 
 class WaveRunner:
-    """Executes warps in waves against one kernel's tables.
+    """Executes iteration-synchronised warps against a compiled plan.
 
-    Self-contained: given the per-warp spawned generator states and task
-    quotas it produces the same :data:`WarpResult` tuples regardless of how
-    the warps are grouped into waves or which process runs them — the
-    bit-identity property multi-device sharding rests on.
+    Same ``run_warps(states, quotas) -> List[WarpResult]`` contract as
+    :class:`FusedRunner`: bit-identical results for any wave composition
+    or process placement, which is what lets :mod:`repro.multidev` shard
+    iteration-sync rounds.
     """
 
     def __init__(
         self,
-        kernel: VectorKernel,
+        kernel: FusedKernel,
         params: WaveParams,
-        scratch: Optional[LaneStateScratch] = None,
+        arena: Optional[FusedArena] = None,
     ) -> None:
+        if params.sync_mode is not SyncMode.ITERATION:
+            raise ValueError(
+                "WaveRunner steps the iteration-synchronised schedule; "
+                "sample sync runs on repro.core.fused.FusedRunner"
+            )
         self.kernel = kernel
         self.p = params
-        self.scratch = scratch if scratch is not None else LaneStateScratch()
+        self.arena = arena if arena is not None else FusedArena()
+        self.plan = kernel.compile_plan(params.target)
+        # Backward-pair count per depth (0 on global levels).  The extra
+        # entry covers retired lanes, which can rest at depth ``target``.
+        self._nb = np.array(
+            [lv.nb for lv in self.plan.levels] + [0], dtype=np.int64
+        )
+        # Per-lane charge columns of a global level (clen, probes,
+        # span_lo, span_hi, edge_id, v): every lane scans or touches the
+        # level's whole constant pool slice.
+        self._glob_cols = {
+            lv.d: np.array([[lv.g_len], [0], [0], [lv.g_len], [-1], [0]])
+            for lv in self.plan.levels
+            if lv.glob
+        }
 
     def run_warps(
         self, states: Sequence[WarpState], quotas: Sequence[int]
     ) -> List[WarpResult]:
-        """Run one warp per ``(state, quota)`` pair, chunked into waves."""
         results: List[WarpResult] = []
-        for lo in range(0, len(states), _WAVE_CHUNK):
-            hi = min(lo + _WAVE_CHUNK, len(states))
+        for lo in range(0, len(states), _FUSED_WAVE_CHUNK):
+            hi = min(lo + _FUSED_WAVE_CHUNK, len(states))
             results.extend(self._wave(states[lo:hi], quotas[lo:hi]))
         return results
 
     # ------------------------------------------------------------------
-    # Wave execution
+    # Wave loop
     # ------------------------------------------------------------------
     def _wave(
         self, states: Sequence[WarpState], quotas: Sequence[int]
     ) -> List[WarpResult]:
-        counter = self.p.rng_mode == "counter"
-        tasks = []
-        for row, (state, quota) in enumerate(zip(states, quotas)):
-            t = _WarpTask(
-                row,
-                LaneRNG(state) if counter else generator_from_state(state),
-            )
-            t.remaining = quota
-            t.pool = quota
-            tasks.append(t)
-        if self.p.sync_mode is SyncMode.SAMPLE:
-            self._wave_sample(tasks)
-        else:
-            self._wave_iteration(tasks)
-        return [
-            (t.acc, t.profile, t.n_valid, t.collected, t.n_collected)
-            for t in tasks
-        ]
+        p = self.p
+        K = len(states)
+        W, target, n_q = p.warp_size, p.target, p.n_q
+        ar = self.arena
+        igs = _warp_streams(states, p.rng_mode, ar)
 
-    def _wave_sample(self, tasks: List[_WarpTask]) -> None:
-        W, target, n_q = self.p.warp_size, self.p.target, self.p.n_q
-        spec = self.p.spec
-        inherit = self.p.inheritance
-        K = len(tasks)
-        inst, prob, depth = self.scratch.acquire(K, W, n_q)
-        for t in tasks:
-            t.need_batch = True
-        live = list(tasks)
+        inst = ar.take("inst", (K, W, n_q), np.int64)
+        inst.fill(-1)
+        prob = ar.take("prob", (K, W), np.float64)
+        prob.fill(1.0)
+        depth = ar.zeros("depth", (K, W), np.int64)
+        pool = np.asarray(quotas, dtype=np.int64)
+        fetched = np.minimum(pool, W)
+        active = ar.take("active", (K, W), np.bool_)
+        np.less(np.arange(W)[None, :], fetched[:, None], out=active)
+        prof = _ProfileSoA(ar, K)
+        wn = ar.zeros("wf_n", (K,), np.int64)
+        wvalid = ar.zeros("wf_valid", (K,), np.int64)
+        wmean = ar.zeros("wf_mean", (K,), np.float64)
+        wm2 = ar.zeros("wf_m2", (K,), np.float64)
+        collected: Optional[Collected] = (
+            [[] for _ in range(K)] if p.collect_states else None
+        )
 
-        while live:
-            for t in live:
-                if t.need_batch:
-                    t.batch = min(W, t.remaining)
-                    r = t.row
-                    inst[r] = -1
-                    prob[r] = 1.0
-                    depth[r] = 0
-                    t.active = np.zeros(W, dtype=bool)
-                    t.active[: t.batch] = True
-                    t.running = t.active.copy()
-                    t.d = 0
-                    t.round_inherited = 0
-                    t.need_batch = False
+        rows = np.nonzero(active.any(axis=1))[0]
+        while len(rows):
+            act = active[rows]
+            valid = self._step(rows, act, inst, prob, depth, igs, prof)
+            completed = valid & (depth[rows] == target)
+            done = (act & ~valid) | completed
+            fr = np.nonzero(done.any(axis=1))[0]
+            if len(fr) == 0:
+                continue
+            g = rows[fr]
+            fin = done[fr]
+            ok = completed[fr]
+            pv = prob[g]
+            val = np.divide(1.0, pv, out=np.zeros_like(pv), where=ok)
+            n_fin = fin.sum(axis=1)
+            # Fold each warp's finished lanes in lane order.  Packing them
+            # to the front of the row first keeps the order and lets the
+            # vector fold run one pass per finished lane, not per lane.
+            m = int(n_fin.max())
+            if m < W:
+                pack = np.argsort(~fin, axis=1, kind="stable")[:, :m]
+                FusedRunner._fold(
+                    g,
+                    np.take_along_axis(fin, pack, axis=1),
+                    np.take_along_axis(val, pack, axis=1),
+                    wn, wvalid, wmean, wm2,
+                )
+            else:
+                FusedRunner._fold(g, fin, val, wn, wvalid, wmean, wm2)
+            if collected is not None:
+                _collect_rows(collected, g, ok, inst, pv, target)
 
-            lanes_list = [np.nonzero(t.running)[0] for t in live]
-            counts = np.array([len(x) for x in lanes_list], dtype=np.int64)
-            row_of = np.repeat(
-                np.array([t.row for t in live], dtype=np.int64), counts
-            )
-            step_row_of = np.repeat(np.arange(len(live), dtype=np.int64), counts)
-            lane_of = np.concatenate(lanes_list)
-            depths_flat = np.repeat(
-                np.array([t.d for t in live], dtype=np.int64), counts
-            )
-            prep = self.kernel.prepare(inst[row_of, lane_of], depths_flat)
-            idx = self._draw(live, counts, prep)
-            res = self.kernel.finish(prep, idx)
-            self._push(inst, prob, depth, row_of, lane_of, depths_flat, res)
-            validm = self._charge_step(
-                live, step_row_of, lane_of, prep, res, depths_flat,
-                busy=counts, sample_sync=True,
-            )
+            # Restart finished lanes while the pool lasts (lane order),
+            # retire the rest.
+            room = pool[g] - fetched[g]
+            restart = fin & (np.cumsum(fin, axis=1) <= room[:, None])
+            fetched[g] += np.minimum(n_fin, room)
+            rr, rl = np.nonzero(restart)
+            if len(rr):
+                rg = g[rr]
+                inst[rg, rl] = -1
+                prob[rg, rl] = 1.0
+                depth[rg, rl] = 0
+            if (n_fin > room).any():
+                active[g] = act[fr] & ~(fin & ~restart)
+                rows = rows[active[rows].any(axis=1)]
 
-            next_live = []
-            for s, t in enumerate(live):
-                vrow = validm[s]
-                if inherit:
-                    self._inherit(t, vrow, inst, prob, depth, spec)
-                else:
-                    t.running &= vrow
-                t.d += 1
-                if t.d >= target or not t.running.any():
-                    self._finish_batch(t, inst, prob, depth)
-                    if t.remaining > 0:
-                        t.need_batch = True
-                        next_live.append(t)
-                else:
-                    next_live.append(t)
-            live = next_live
-
-    def _wave_iteration(self, tasks: List[_WarpTask]) -> None:
-        W, target, n_q = self.p.warp_size, self.p.target, self.p.n_q
-        K = len(tasks)
-        inst, prob, depth = self.scratch.acquire(K, W, n_q)
-        for t in tasks:
-            t.fetched = min(W, t.pool)
-            t.active = np.zeros(W, dtype=bool)
-            t.active[: t.fetched] = True
-        live = list(tasks)
-
-        while live:
-            lanes_list = [np.nonzero(t.active)[0] for t in live]
-            counts = np.array([len(x) for x in lanes_list], dtype=np.int64)
-            row_of = np.repeat(
-                np.array([t.row for t in live], dtype=np.int64), counts
-            )
-            step_row_of = np.repeat(np.arange(len(live), dtype=np.int64), counts)
-            lane_of = np.concatenate(lanes_list)
-            depths_flat = depth[row_of, lane_of]
-            prep = self.kernel.prepare(inst[row_of, lane_of], depths_flat)
-            idx = self._draw(live, counts, prep)
-            res = self.kernel.finish(prep, idx)
-            self._push(inst, prob, depth, row_of, lane_of, depths_flat, res)
-            validm = self._charge_step(
-                live, step_row_of, lane_of, prep, res, depths_flat,
-                busy=counts, sample_sync=False,
-            )
-
-            next_live = []
-            for s, t in enumerate(live):
-                r = t.row
-                vrow = validm[s]
-                for lane in lanes_list[s]:
-                    lane = int(lane)
-                    if not vrow[lane]:
-                        t.acc.add(0.0)
-                    elif depth[r, lane] == target:
-                        pv = float(prob[r, lane])
-                        t.acc.add(1.0 / pv)
-                        t.n_valid += 1
-                        if self.p.collect_states:
-                            t.collected.append(
-                                (
-                                    tuple(int(x) for x in inst[r, lane, :target]),
-                                    pv,
-                                )
-                            )
-                    else:
-                        continue
-                    # Iteration synchronisation: restart immediately if the
-                    # pool still has tasks, otherwise the lane retires.
-                    if t.fetched < t.pool:
-                        t.fetched += 1
-                        inst[r, lane] = -1
-                        prob[r, lane] = 1.0
-                        depth[r, lane] = 0
-                    else:
-                        t.active[lane] = False
-                if t.active.any():
-                    next_live.append(t)
-                else:
-                    t.n_collected = t.fetched
-            live = next_live
+        return _warp_results(prof, wn, wvalid, wmean, wm2, collected, fetched)
 
     # ------------------------------------------------------------------
     # Step pieces
     # ------------------------------------------------------------------
-    def _draw(
-        self, live: List[_WarpTask], counts: np.ndarray, prep: StepPrep
-    ) -> np.ndarray:
-        """Per-warp draws, lanes in ascending order.
-
-        Sequential mode replays each warp's PCG64 stream with one
-        array-bound ``integers`` call per warp (bit-identical to the scalar
-        path's sequential draws, including state advancement).  Counter
-        mode computes the whole super-step in a single Philox pass: every
-        drawable lane's value is a pure function of its warp key and the
-        warp's running draw index, so no per-warp dispatch remains.
-        """
-        if self.p.rng_mode == "counter":
-            return self._draw_counter(live, counts, prep)
-        idx = np.full(len(prep.rlen), -1, dtype=np.int64)
-        start = 0
-        for t, c in zip(live, counts):
-            c = int(c)
-            bounds = prep.rlen[start : start + c]
-            drawable = np.nonzero(bounds > 0)[0] + start
-            if len(drawable):
-                idx[drawable] = t.rng.integers(0, prep.rlen[drawable])
-            start += c
-        return idx
-
-    def _draw_counter(
-        self, live: List[_WarpTask], counts: np.ndarray, prep: StepPrep
-    ) -> np.ndarray:
-        """One Philox pass for all warps in the step.
-
-        Counter accounting matches the scalar reference exactly: each warp
-        consumes one counter per *drawable* lane (``rlen > 0``), lanes
-        ascending — the same order the sequential draws happen in.
-        """
-        idx = np.full(len(prep.rlen), -1, dtype=np.int64)
-        mask = prep.rlen > 0
-        draws_per_task = np.bincount(
-            np.repeat(np.arange(len(live), dtype=np.int64), counts)[mask],
-            minlength=len(live),
-        )
-        if not mask.any():
-            return idx
-        sel = np.nonzero(mask)[0]
-        task_start = np.concatenate(
-            ([0], np.cumsum(draws_per_task)[:-1])
-        ).astype(np.int64)
-        seg_sel = np.repeat(
-            np.arange(len(live), dtype=np.int64), draws_per_task
-        )
-        pos_in_task = np.arange(len(sel), dtype=np.int64) - task_start[seg_sel]
-        base = np.array([t.rng.counter for t in live], dtype=np.uint64)
-        k0 = np.array([t.rng.key.k0 for t in live], dtype=np.uint64)
-        k1 = np.array([t.rng.key.k1 for t in live], dtype=np.uint64)
-        ctr = base[seg_sel] + pos_in_task.astype(np.uint64)
-        idx[sel] = philox_bounded(
-            k0[seg_sel], k1[seg_sel], ctr, prep.rlen[sel]
-        )
-        for t, c in zip(live, draws_per_task):
-            t.rng.counter += int(c)
-        return idx
-
-    @staticmethod
-    def _push(
+    def _step(
+        self,
+        rows: np.ndarray,
+        act: np.ndarray,
         inst: np.ndarray,
         prob: np.ndarray,
         depth: np.ndarray,
-        row_of: np.ndarray,
-        lane_of: np.ndarray,
-        depths_flat: np.ndarray,
-        res: StepResult,
-    ) -> None:
-        v = np.nonzero(res.valid)[0]
-        if len(v) == 0:
-            return
-        inst[row_of[v], lane_of[v], depths_flat[v]] = res.v[v]
-        prob[row_of[v], lane_of[v]] *= res.prob_factor[v]
-        depth[row_of[v], lane_of[v]] += 1
-
-    def _inherit(
-        self,
-        t: _WarpTask,
-        vrow: np.ndarray,
-        inst: np.ndarray,
-        prob: np.ndarray,
-        depth: np.ndarray,
-        spec,
-    ) -> None:
-        """One warp's inheritance round (Alg. 2) on array state.
-
-        Charge sequence matches :func:`repro.core.inheritance
-        .apply_inheritance`: one sync for the any-ballot, one for the
-        parent election, one shfl per inheriting lane.
-        """
-        votes = t.running & vrow
-        if not votes.any():
-            t.profile.charge_sync(spec.sync_cycles)
-            t.running[:] = False
-            return
-        t.profile.charge_sync(spec.sync_cycles)
-        t.profile.charge_sync(spec.sync_cycles)
-        idle_mask = t.running & ~votes
-        idle = int(idle_mask.sum())
-        if idle == 0:
-            t.running = votes
-            return
-        parent = int(np.argmax(votes))
-        r = t.row
-        prob[r, parent] *= idle + 1
-        for _ in range(idle):
-            t.profile.charge_sync(spec.sync_cycles)
-        inst[r, idle_mask] = inst[r, parent]
-        prob[r, idle_mask] = prob[r, parent]
-        depth[r, idle_mask] = depth[r, parent]
-        t.round_inherited += idle
-        # All previously running lanes continue (the Alg. 2 behaviour).
-
-    def _finish_batch(
-        self,
-        t: _WarpTask,
-        inst: np.ndarray,
-        prob: np.ndarray,
-        depth: np.ndarray,
-    ) -> None:
-        """Leaf accounting at batch end: one HT value per root task."""
-        target = self.p.target
-        r = t.row
-        drow = depth[r]
-        prow = prob[r]
-        for lane in range(self.p.warp_size):
-            if not t.active[lane]:
-                continue
-            if t.running[lane] and drow[lane] == target:
-                pv = float(prow[lane])
-                t.acc.add(1.0 / pv)
-                t.n_valid += 1
-                if self.p.collect_states:
-                    t.collected.append(
-                        (tuple(int(x) for x in inst[r, lane, :target]), pv)
-                    )
-            else:
-                t.acc.add(0.0)
-        round_collected = t.batch + t.round_inherited
-        t.n_collected += round_collected
-        t.remaining -= round_collected
-
-    # ------------------------------------------------------------------
-    # Cost accounting (mirrors GSWORDEngine._charge_iteration)
-    # ------------------------------------------------------------------
-    def _lockstep_load_cost(self, max_chain: float, total_loads: float) -> float:
-        """Same formula as ``GSWORDEngine._lockstep_load_cost``."""
-        if total_loads <= 0:
-            return 0.0
-        spec = self.p.spec
-        return max_chain * spec.mem_latency_cycles + total_loads * spec.issue_cycles
-
-    def _charge_step(
-        self,
-        live: List[_WarpTask],
-        step_row_of: np.ndarray,
-        lane_of: np.ndarray,
-        prep: StepPrep,
-        res: StepResult,
-        depths_flat: np.ndarray,
-        busy: np.ndarray,
-        sample_sync: bool,
+        igs,
+        prof: _ProfileSoA,
     ) -> np.ndarray:
-        """Charge one super-step for every stepping warp; returns the dense
-        ``(n_warps, warp_size)`` validity matrix for the control logic."""
-        spec = self.p.spec
-        W = self.p.warp_size
-        S = len(live)
-
-        def dense(vals: np.ndarray, fill=0):
-            m = np.full((S, W), fill, dtype=vals.dtype)
-            m[step_row_of, lane_of] = vals
-            return m
-
-        present = np.zeros((S, W), dtype=bool)
-        present[step_row_of, lane_of] = True
-        validm = np.zeros((S, W), dtype=bool)
-        validm[step_row_of, lane_of] = res.valid
-        nb = dense(prep.nb)
-        clen = dense(prep.clen)
-        probes = dense(res.probes)
-
-        has_refine = self.p.has_refine
-        streaming = self.p.streaming and has_refine
-        needs_ref = present & (nb > 0) if has_refine else np.zeros_like(present)
-
-        backs = np.where(present, nb, 0)
-        max_lookup = backs.max(axis=1)
-        tot_lookup = backs.sum(axis=1)
-
-        opsv = np.where(
-            present, float(_ITER_BASE_OPS + _SAMPLE_OPS + _VALIDATE_OPS), 0.0
-        )
-        if has_refine and not streaming:
-            opsv = opsv + np.where(needs_ref, clen * float(_CAND_SCAN_OPS), 0.0)
-        opsv = opsv * spec.op_cycles
-        ops_max = opsv.max(axis=1)
-
-        probes_p = np.where(present, probes, 0)
-        max_probe = probes_p.max(axis=1)
-        tot_probe = probes_p.sum(axis=1)
-        clen_p = np.where(present, clen, 0)
-        rate = np.divide(
-            probes_p.astype(np.float64),
-            clen_p.astype(np.float64),
-            out=np.zeros((S, W)),
-            where=clen_p > 0,
-        )
-
-        # Tracker unions from the flat arrays: refining lanes scan their
-        # candidate span contiguously; the rest touch the sampled slot.
-        length = np.maximum(0, prep.span_hi - prep.span_lo)
-        nr_flat = (
-            (prep.nb > 0)
-            if has_refine
-            else np.zeros(len(lane_of), dtype=bool)
-        )
-        scan_m = nr_flat & (length > 0)
-        touch_m = ~nr_flat & (prep.span_hi > prep.span_lo)
-        aid_flat = np.where(
-            prep.edge_id >= 0, ARRAY_LOCAL_CANDIDATES, ARRAY_GLOBAL_CANDIDATES
-        )
-        seg_counts, extra_reg = batched_union_counts(
-            spec,
-            S,
-            step_row_of[scan_m],
-            aid_flat[scan_m],
-            prep.edge_id[scan_m],
-            prep.span_lo[scan_m],
-            length[scan_m],
-            step_row_of[touch_m],
-            aid_flat[touch_m],
-            prep.edge_id[touch_m],
-            prep.span_lo[touch_m]
-            + (prep.span_hi[touch_m] - prep.span_lo[touch_m]) // 2,
-        )
-
-        if streaming:
-            lane_clens = np.where(needs_ref, clen, 0)
-            threshold = self.p.streaming_threshold
-            limit = W if threshold is None else threshold
-            if limit <= W:
-                full = lane_clens // W
-                tail = lane_clens % W
-                partial = tail >= limit
-                rounds_per_lane = full + partial
-                remainders = np.where(partial, 0, tail)
-            else:
-                eligible = lane_clens >= limit
-                rounds_per_lane = np.where(
-                    eligible, (lane_clens - limit) // W + 1, 0
-                )
-                remainders = lane_clens - rounds_per_lane * W
-            rounds_w = rounds_per_lane.sum(axis=1)
-            ind_max = remainders.max(axis=1)
-            rate_max = rate.max(axis=1)
-            leftover = remainders * rate
-
-        for s, t in enumerate(live):
-            p = t.profile
-            cycles_before = p.cycles
-            tl = int(tot_lookup[s]) * _PROBE_LOADS
-            p.charge_memory(
-                self._lockstep_load_cost(int(max_lookup[s]) * _PROBE_LOADS, tl),
-                tl,
-                0,
+        """One super-step for the live warps ``rows``; returns the dense
+        ``(rows, lanes)`` validity matrix."""
+        kernel = self.kernel
+        levels = self.plan.levels
+        R, W = act.shape
+        dep = depth[rows]
+        rlen = np.zeros((R, W), dtype=np.int64)
+        groups = []
+        for d in np.unique(dep[act]).tolist():
+            sr, sl = np.nonzero(act & (dep == d))
+            inst3 = inst[rows[sr], sl][None]
+            prep = kernel.fused_prepare(
+                levels[d], inst3, np.ones((1, len(sr)), dtype=bool)
             )
-            if streaming:
-                rounds = int(rounds_w[s])
-                probe_rate = float(rate_max[s])
-                if rounds:
-                    probe_cycles = (
-                        rounds
-                        * probe_rate
-                        * _PROBE_LOADS
-                        * warp_instruction_cost(spec, spec.warp_size)
-                    )
-                    if probe_cycles:
-                        p.charge_memory(
-                            probe_cycles,
-                            int(round(
-                                rounds * probe_rate * _PROBE_LOADS * spec.warp_size
-                            )),
-                            0,
-                        )
-                    p.charge_sync(rounds * 5 * spec.sync_cycles)
-                    p.charge_compute(rounds * _CAND_SCAN_OPS * spec.op_cycles)
-                p.charge_compute(
-                    int(ind_max[s]) * _CAND_SCAN_OPS * spec.op_cycles
-                )
-                lane_leftover = leftover[s].tolist()
-                max_leftover = max(lane_leftover) if lane_leftover else 0.0
-                # Sequential Python sum: float accumulation order matches
-                # the scalar path's ``sum()`` over the 32-lane list.
-                total_leftover = sum(lane_leftover)
-                p.charge_memory(
-                    self._lockstep_load_cost(
-                        max_leftover * _PROBE_LOADS,
-                        total_leftover * _PROBE_LOADS,
-                    ),
-                    int(round(total_leftover * _PROBE_LOADS)),
-                    0,
-                )
+            rlen[sr, sl] = prep.rlen[0]
+            groups.append((d, sr, sl, inst3, prep))
+        idx = _draw_rows(self.p.rng_mode, rows, rlen, igs)
+
+        # Per-lane columns: clen, probes, span_lo, span_hi, edge_id, v.
+        cols = np.zeros((6, R, W), dtype=np.int64)
+        factor = np.zeros((R, W))
+        valid = np.zeros((R, W), dtype=bool)
+        for d, sr, sl, inst3, prep in groups:
+            lv = levels[d]
+            res = kernel.fused_finish(lv, prep, idx[sr, sl][None], inst3)
+            if lv.glob:
+                cols[:, sr, sl] = self._glob_cols[d]
+                cols[1, sr, sl] = res.probes[0]
+                cols[5, sr, sl] = res.v[0]
             else:
-                tp = int(tot_probe[s]) * _PROBE_LOADS
-                p.charge_memory(
-                    self._lockstep_load_cost(
-                        int(max_probe[s]) * _PROBE_LOADS, tp
-                    ),
-                    tp,
-                    0,
-                )
-            p.charge_compute(float(ops_max[s]))
-            segments = int(seg_counts[s])
-            regions = int(extra_reg[s])
-            cycles = warp_instruction_cost(spec, segments, regions)
-            if cycles:
-                p.charge_memory(cycles, segments, regions)
-            if sample_sync:
-                p.charge_idle_wait(p.cycles - cycles_before, int(busy[s]), W)
-            p.note_lanes(busy=int(busy[s]), total=W)
-        return validm
+                cols[:, sr, sl] = np.stack((
+                    prep.clen[0], res.probes[0], prep.span_lo[0],
+                    prep.span_hi[0], prep.edge_id[0], res.v[0],
+                ))
+            valid[sr, sl] = res.valid[0]
+            factor[sr, sl] = res.prob_factor[0]
 
+        vr, vc = np.nonzero(valid)
+        if len(vr):
+            gr = rows[vr]
+            dv = dep[vr, vc]
+            inst[gr, vc, dv] = cols[5, vr, vc]
+            prob[gr, vc] *= factor[vr, vc]
+            depth[gr, vc] = dv + 1
+        self._charge_lanes(rows, act, dep, cols, prof)
+        return valid
 
-def wave_params_for(engine, order: MatchingOrder, collect_states: bool) -> WaveParams:
-    """The :class:`WaveParams` snapshot of ``engine`` for one run."""
-    config = engine.config
-    return WaveParams(
-        sync_mode=config.sync_mode,
-        inheritance=config.inheritance,
-        streaming=config.streaming,
-        streaming_threshold=config.streaming_threshold,
-        has_refine=engine.estimator.has_refine_stage,
-        target=engine._target_depth(order),
-        n_q=len(order),
-        warp_size=engine.spec.warp_size,
-        spec=engine.spec,
-        collect_states=collect_states,
-        rng_mode=config.rng_mode,
-    )
-
-
-class VectorWarpProvider:
-    """Wave-executes all of a run's warps; hands results to the fold loop.
-
-    Construction runs every warp at its optimistic quota — in-process when
-    ``n_shards == 1``, or partitioned round-robin by warp index across the
-    engine's shard pool otherwise (bit-identical either way, because each
-    warp's result depends only on its own spawned generator state).
-    :meth:`warp` returns the cached result when the fold confirms the
-    quota, or re-runs that single warp locally (from the same spawned child
-    state, so the random stream is identical) when inheritance made the
-    true quota smaller.  ``n_reruns`` counts those re-runs; warps past the
-    last one the fold reaches are computed and discarded.
-    """
-
-    def __init__(
+    # ------------------------------------------------------------------
+    # Cost accounting (value-for-value with GSWORDEngine._charge_iteration)
+    # ------------------------------------------------------------------
+    def _charge_lanes(
         self,
-        engine,
-        kernel_cls,
-        cg: CandidateGraph,
-        order: MatchingOrder,
-        n_samples: int,
-        rng: RandomSource,
-        collect_states: bool,
-        shard_offset: int = 0,
+        rows: np.ndarray,
+        act: np.ndarray,
+        dep: np.ndarray,
+        cols: np.ndarray,
+        prof: _ProfileSoA,
     ) -> None:
-        self.engine = engine
-        self.kernel: VectorKernel = engine._vector_kernel(kernel_cls, cg, order)
-        self.params = wave_params_for(engine, order, collect_states)
-        self.runner = self._make_runner(engine)
-        tpw = engine.config.tasks_per_warp
-        self.max_warps = math.ceil(n_samples / tpw)
-        self.states: List[WarpState] = list(
-            spawn_generator_states(rng, self.max_warps)
+        """Whole-column cost accounting for the stepping warps ``rows``:
+        each profile field is gathered once, updated with the scalar
+        charge sequence's additions in the same order, and scattered once.
+        Lanes outside ``act`` hold zero columns, so they add nothing to a
+        sum, a maximum or a union."""
+        p = self.p
+        spec = p.spec
+        W = p.warp_size
+        op = spec.op_cycles
+        mem_lat = spec.mem_latency_cycles
+        issue = spec.issue_cycles
+        has_refine = p.has_refine
+        streaming = p.streaming and has_refine
+        clen, probes, span_lo, span_hi, eid = cols[:5]
+        nb = np.where(act, self._nb[dep], 0)
+        needs_ref = nb > 0
+
+        # (1) backward-pair lookups, lockstep across the warp
+        tot_lookup = nb.sum(axis=1) * _PROBE_LOADS
+        lookup_cost = np.where(
+            tot_lookup > 0,
+            nb.max(axis=1) * _PROBE_LOADS * mem_lat + tot_lookup * issue,
+            0.0,
         )
-        if self.params.rng_mode == "counter":
-            # Ship derived lane keys instead of SeedSequence objects: a
-            # key is a pure function of its spawned child, tiny on the
-            # shard pipes, and replays with no state to clone.
-            self.states = [lane_key(s) for s in self.states]
-        self.guesses = [
-            min(tpw, n_samples - w * tpw) for w in range(self.max_warps)
-        ]
-        self.n_reruns = 0
-        self.n_shards = min(engine.config.n_shards, max(1, self.max_warps))
-        self.shard_offset = shard_offset % self.n_shards
-        if self.n_shards > 1:
-            executor = engine._shard_executor()
-            self.results = executor.run_round(
-                self.kernel, self.params, self.states, self.guesses,
-                shard_offset=self.shard_offset,
+
+        # Every live warp has a busy lane, and a busy lane costs at least
+        # the base ops, so idle lanes' base cost never sets the maximum.
+        base_ops = float(_ITER_BASE_OPS + _SAMPLE_OPS + _VALIDATE_OPS)
+        if has_refine and not streaming:
+            scan_ops = np.where(needs_ref, clen, 0) * float(_CAND_SCAN_OPS)
+            ops_max = ((base_ops + scan_ops) * op).max(axis=1)
+        else:
+            ops_max = base_ops * op
+
+        # (2) candidate probes — streamed (Alg. 3) or lockstep
+        seg_add = tot_lookup
+        sync_new = prof.sync[rows]
+        comp_new = prof.comp[rows]
+        mem_new = prof.mem[rows] + lookup_cost
+        if streaming:
+            # (int64 / int64 true-divides in float64)
+            rate = np.divide(probes, clen, out=np.zeros(clen.shape), where=clen > 0)
+            mem_new, sync_new, comp_new, seg_add, probe_costs = _charge_streamed(
+                p, np.where(needs_ref, clen, 0), rate,
+                mem_new, sync_new, comp_new, seg_add,
             )
         else:
-            self.results = self.runner.run_warps(self.states, self.guesses)
+            tp = probes.sum(axis=1) * _PROBE_LOADS
+            pcost = np.where(
+                tp > 0, probes.max(axis=1) * _PROBE_LOADS * mem_lat + tp * issue, 0.0
+            )
+            mem_new = mem_new + pcost
+            seg_add = seg_add + tp
+            probe_costs = (pcost,)
 
-    def _make_runner(self, engine):
-        """Runner factory — the fused provider overrides this to swap in
-        its compiled-plan runner while inheriting spawning and sharding."""
-        return WaveRunner(self.kernel, self.params, engine._lane_scratch())
+        # (3) per-iteration compute, slowest lane paces the warp
+        comp_new = comp_new + ops_max
 
-    def shard_of(self, w: int) -> int:
-        """Shard owning warp ``w`` (round-robin, hedges rotate the map)."""
-        return (w + self.shard_offset) % self.n_shards
+        # (4) coalescing-union memory instruction: refining lanes scan
+        # their whole candidate span, the rest touch its middle slot.
+        seg_el = spec.segment_elements
+        width = span_hi - span_lo
+        touch = (span_lo + width // 2) // seg_el
+        if has_refine:
+            first = np.where(needs_ref, span_lo // seg_el, touch)
+            last = np.where(needs_ref, (span_lo + width - 1) // seg_el, touch)
+        else:
+            first = last = touch
+        seg_counts, extra_reg = _scan_union_rows(width > 0, eid, first, last)
+        ucost = np.where(
+            seg_counts > 0,
+            mem_lat + seg_counts * issue + extra_reg * spec.region_miss_cycles,
+            0.0,
+        )
+        um = ucost > 0
+        mem_new = mem_new + ucost
+        seg_add = seg_add + np.where(um, seg_counts, 0)
 
-    def warp(self, w: int, quota: int) -> WarpResult:
-        if quota == self.guesses[w]:
-            return self.results[w]
-        self.n_reruns += 1
-        return self.runner.run_warps([self.states[w]], [quota])[0]
+        # StallLong mirrors every memory charge: same adds, same order,
+        # from the stall column's own base.
+        sl = prof.slong[rows] + lookup_cost
+        for cost in probe_costs:
+            sl = sl + cost
+        sl = sl + ucost
+
+        prof.comp[rows] = comp_new
+        prof.mem[rows] = mem_new
+        prof.sync[rows] = sync_new
+        prof.slong[rows] = sl
+        prof.segs[rows] += seg_add
+        prof.regs[rows] += np.where(um, extra_reg, 0)
+        prof.busy[rows] += act.sum(axis=1)
+        prof.ltot[rows] += W
+        prof.iters[rows] += 1
+
+
+def runner_for(
+    kernel: FusedKernel,
+    params: WaveParams,
+    arena: Optional[FusedArena] = None,
+):
+    """The runner for ``params.sync_mode`` over ``kernel``'s compiled plan:
+    :class:`~repro.core.fused.FusedRunner` for sample sync,
+    :class:`WaveRunner` for iteration sync."""
+    if params.sync_mode is SyncMode.SAMPLE:
+        return FusedRunner(kernel, params, arena)
+    return WaveRunner(kernel, params, arena)

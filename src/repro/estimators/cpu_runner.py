@@ -9,8 +9,8 @@ parallel").
 The runner shares the estimator kernels with the GPU engine, so CPU and GPU
 estimates for the same seed policy are statistically identical — only the
 time model differs.  Like the engine, it has two backends: the scalar
-per-sample loop (the reference) and a vectorized batch mode built on the
-same :mod:`repro.estimators.vectorized` kernels.  Batch mode advances a
+per-sample loop (the reference) and a batch mode (``backend="fused"``)
+built on the :mod:`repro.estimators.fused` kernels.  Batch mode advances a
 block of samples depth-by-depth and therefore consumes the random stream
 in a different order than the scalar loop — its estimates are equal in
 distribution (and deterministic per seed), not bit-identical.  Simulated
@@ -39,9 +39,9 @@ from repro.query.matching_order import MatchingOrder
 from repro.utils.lanerng import LaneRNG, lane_key
 from repro.utils.rng import RandomSource, as_generator, spawn_generator_states
 
-#: Samples advanced together by the vectorized backend.  Bounds the flat
-#: arrays the step kernels build while keeping per-step numpy overhead
-#: amortised over thousands of lanes.
+#: Samples advanced together in batch mode.  Bounds the arrays the step
+#: kernels build while keeping per-step numpy overhead amortised over
+#: thousands of lanes.
 _BATCH = 8192
 
 
@@ -137,13 +137,10 @@ class CPUSamplingRunner:
         n_q = len(order)
         target_depth = n_q if max_depth is None else min(max_depth, n_q)
 
-        # The CPU runner has no compiled-plan path; "fused" means the same
-        # batch mode the vectorized backend uses (the fused/vectorized
-        # distinction is a GPU-engine wave-execution concern).
-        if self.backend in ("vectorized", "fused"):
+        if self.backend == "fused":
             kernel_cls = _kernel_for(self.estimator)
             if kernel_cls is not None:
-                return self._run_vectorized(
+                return self._run_batch(
                     kernel_cls, cg, order, n_samples, gen,
                     checkpoint_set, target_depth,
                 )
@@ -178,7 +175,7 @@ class CPUSamplingRunner:
             checkpoints=checkpoints,
         )
 
-    def _run_vectorized(
+    def _run_batch(
         self,
         kernel_cls,
         cg: CandidateGraph,
@@ -188,7 +185,8 @@ class CPUSamplingRunner:
         checkpoint_set,
         target_depth: int,
     ) -> CPURunResult:
-        """Batch-mode execution: a block of samples per kernel step.
+        """Batch-mode execution: a block of samples per kernel step, the
+        live samples at each depth as one dense row of the compiled plan.
 
         Per-sample cycles and HT values are computed batch-wise, then folded
         in sample order so checkpoints see the same prefix semantics as the
@@ -197,6 +195,7 @@ class CPUSamplingRunner:
         spec = self.spec
         n_q = len(order)
         kernel = kernel_cls(cg, order)
+        levels = kernel.compile_plan(target_depth).levels
         has_refine = self.estimator.has_refine_stage
         sample_cycles = np.zeros(n_samples)
         sample_valid = np.zeros(n_samples, dtype=bool)
@@ -211,14 +210,16 @@ class CPUSamplingRunner:
                 lanes = np.nonzero(alive)[0]
                 if len(lanes) == 0:
                     break
-                prep = kernel.prepare(
-                    inst[lanes], np.full(len(lanes), d, dtype=np.int64)
-                )
-                idx = np.full(len(lanes), -1, dtype=np.int64)
-                drawable = np.nonzero(prep.rlen > 0)[0]
+                inst3 = inst[lanes][None]
+                present = np.ones((1, len(lanes)), dtype=bool)
+                prep = kernel.fused_prepare(levels[d], inst3, present)
+                rlen = prep.rlen[0]
+                idx = np.full((1, len(lanes)), -1, dtype=np.int64)
+                drawable = np.nonzero(rlen > 0)[0]
                 if len(drawable):
-                    idx[drawable] = gen.integers(0, prep.rlen[drawable])
-                res = kernel.finish(prep, idx)
+                    idx[0, drawable] = gen.integers(0, rlen[drawable])
+                res = kernel.fused_finish(levels[d], prep, idx, inst3)
+                clen, probes, valid = prep.clen[0], res.probes[0], res.valid[0]
                 cycles = (
                     float(spec.iteration_overhead_cycles)
                     + len(order.backward[d]) * spec.probe_cycles
@@ -226,16 +227,16 @@ class CPUSamplingRunner:
                 if has_refine:
                     step_cycles = (
                         cycles
-                        + prep.clen * spec.candidate_scan_cycles
-                        + res.probes * spec.refine_probe_cycles
+                        + clen * spec.candidate_scan_cycles
+                        + probes * spec.refine_probe_cycles
                     )
                 else:
-                    step_cycles = cycles + res.probes * spec.probe_cycles
+                    step_cycles = cycles + probes * spec.probe_cycles
                 sample_cycles[base + lanes] += step_cycles
-                ok = np.nonzero(res.valid)[0]
-                inst[lanes[ok], d] = res.v[ok]
-                prob[lanes[ok]] *= res.prob_factor[ok]
-                alive[lanes] = res.valid
+                ok = np.nonzero(valid)[0]
+                inst[lanes[ok], d] = res.v[0, ok]
+                prob[lanes[ok]] *= res.prob_factor[0, ok]
+                alive[lanes] = valid
             sample_valid[base : base + size] = alive
             sample_prob[base : base + size] = prob
 
@@ -266,8 +267,8 @@ class CPUSamplingRunner:
 
 
 def _kernel_for(estimator: RSVEstimator):
-    """Late import: :mod:`repro.estimators.vectorized` imports the concrete
+    """Late import: :mod:`repro.estimators.fused` imports the concrete
     estimators, so the lookup cannot live at module scope."""
-    from repro.estimators.vectorized import vector_kernel_for
+    from repro.estimators.fused import fused_kernel_for
 
-    return vector_kernel_for(estimator)
+    return fused_kernel_for(estimator)

@@ -1,16 +1,15 @@
-"""Fused per-level RSV kernels — the plan-compiled ``backend="fused"``.
+"""Fused per-level RSV kernels — the plan-compiled vector backend.
 
-The vectorized kernels (:mod:`repro.estimators.vectorized`) re-interpret the
-matching order on every super-step: each ``prepare`` call re-gathers the
-backward-edge table rows for an arbitrary mix of depths, re-derives the
-ecand spans, and runs a Python-level lockstep bisection over ragged
-per-lane intervals.  Under sample synchronisation none of that mixing can
-happen — every running lane of a warp sits at the *same* depth — so the
-whole walk can be compiled once per ``(query, estimator)`` pair into a
+The scalar estimators (:mod:`repro.estimators.wanderjoin`,
+:mod:`repro.estimators.alley`) run one lane at a time over Python objects.
+The kernels here execute the same Refine–Sample–Validate iteration for
+whole dense ``(rows, lanes)`` batches of lanes that sit at one matching-
+order level, using numpy gathers over the candidate graph's triple CSR.
+
+A query's walk is compiled once per ``(query, estimator)`` pair into a
 :class:`FusedPlan`: a flattened per-level schedule whose backward-pair
 spans, candidate-pool bases, and query labels are plain Python constants.
-
-That constancy is what the fused kernels exploit:
+That constancy is what the kernels exploit:
 
 * the ragged per-lane binary search collapses to one
   ``np.searchsorted(ecand[lo_k:hi_k], v_b)`` per backward pair — a
@@ -21,39 +20,83 @@ That constancy is what the fused kernels exploit:
   edge achieving the strict minimum — the same tie-break);
 * global-candidate levels skip candidate materialisation entirely: every
   lane shares the same constant pool slice, so ``finish`` gathers the
-  sampled vertices straight from the pool (the vectorized path gathers
-  ``lanes x g_len`` values at depth 0 only to draw one of them).
+  sampled vertices straight from the pool.
 
-The innermost intersection kernel (sorted-span membership during Alley
-refinement and WanderJoin validation) is the vectorized kernels' lockstep
-bisection, :func:`~repro.estimators.vectorized.ragged_contains`, so fused
-and vectorized compute the identical integer lower bound — the property
-the fused backend inherits from ``vectorized``'s equivalence contract and
-that CI enforces per backend.
+Bit-identity with the scalar path is a tested invariant, which pins down
+the RNG split: an RSV iteration is deterministic except for the single
+uniform draw in Sample, so ``fused_prepare`` computes everything up to the
+refined-set sizes without touching any generator, the runner draws every
+warp's lane indices (bit-identical to the scalar path's sequential
+per-lane draws), and ``fused_finish`` validates the sampled vertices.
+Validate probes stop at the first failing backward edge and Alley's
+refinement intersects one backward edge at a time with early exit; the
+per-round masks below reproduce the exact probe counts.
 
-Kernels here subclass the vectorized ones: they reuse the same precomputed
-tables, so :func:`repro.estimators.vectorized.kernel_tables` snapshots
-round-trip through shared memory to shard workers unchanged.
+Sample synchronisation steps a depth group of warps per call; iteration
+synchronisation gathers each level's lanes from all warps into one dense
+row (:mod:`repro.core.vectorized`).  Either way a call sees one level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.candidate.candidate_graph import CandidateGraph
 from repro.estimators.alley import AlleyEstimator
 from repro.estimators.base import RSVEstimator
-from repro.estimators.vectorized import (
-    AlleyVectorKernel,
-    VectorKernel,
-    WanderJoinVectorKernel,
-    _flat_within,
-    _register_kernel_class,
-    ragged_contains,
-)
 from repro.estimators.wanderjoin import WanderJoinEstimator
+from repro.query.matching_order import MatchingOrder
+
+
+def ragged_lower_bound(
+    arr: np.ndarray, lo: np.ndarray, hi: np.ndarray, vals: np.ndarray
+) -> np.ndarray:
+    """Vectorized ``searchsorted(arr[lo_i:hi_i], vals_i) + lo_i`` per element.
+
+    Classic lockstep bisection: every element halves its own ``[lo, hi)``
+    interval per round, so the loop runs ``log2(max span)`` iterations of
+    whole-array gathers — the data-parallel shape of the GPU's
+    ``find(v, lc)`` binary search.
+    """
+    lo = lo.astype(np.int64, copy=True)
+    hi = hi.astype(np.int64, copy=True)
+    idx = np.nonzero(lo < hi)[0]
+    while len(idx):
+        l, h = lo[idx], hi[idx]
+        mid = (l + h) >> 1
+        goes_right = arr[mid] < vals[idx]
+        l = np.where(goes_right, mid + 1, l)
+        h = np.where(goes_right, h, mid)
+        lo[idx] = l
+        hi[idx] = h
+        idx = idx[l < h]
+    return lo
+
+
+def ragged_contains(
+    arr: np.ndarray, lo: np.ndarray, hi: np.ndarray, vals: np.ndarray
+) -> np.ndarray:
+    """Membership of ``vals_i`` in the sorted slice ``arr[lo_i:hi_i]``."""
+    if len(arr) == 0:
+        return np.zeros(len(vals), dtype=bool)
+    pos = ragged_lower_bound(arr, lo, hi, vals)
+    found = pos < hi
+    safe = np.minimum(pos, len(arr) - 1)
+    found &= arr[safe] == vals
+    return found
+
+
+def _flat_within(counts: np.ndarray) -> np.ndarray:
+    """``[0..c_0), [0..c_1), ...`` concatenated (ragged arange)."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    offsets = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +168,7 @@ class FusedPlan:
 
 @dataclass
 class FusedPrep:
-    """Dense ``(rows, lanes)`` phase-A output for one depth group."""
+    """Dense ``(rows, lanes)`` phase-A output for one level."""
 
     clen: np.ndarray
     rlen: np.ndarray
@@ -147,7 +190,7 @@ class FusedPrep:
 
 @dataclass
 class FusedRes:
-    """Dense phase-B/C output for one depth group."""
+    """Dense phase-B/C output for one level."""
 
     v: np.ndarray
     valid: np.ndarray
@@ -156,28 +199,54 @@ class FusedRes:
     field: int = 0
 
 
-class FusedKernelMixin:
-    """Plan compilation + dense per-level step phases over vector tables.
+class FusedKernel:
+    """Precomputed per-``(cg, order)`` tables, plan compilation, and the
+    dense per-level step phases."""
 
-    Mixed into the vectorized kernels, which provide the precomputed
-    table arrays (``b_off``/``b_j``/``ecand``/``local``/``_pool``/...).
-    """
+    def __init__(self, cg: CandidateGraph, order: MatchingOrder) -> None:
+        n = len(order)
+        self.n_q = n
+        j_flat: list = []
+        eid_flat: list = []
+        offsets = [0]
+        for d in range(n):
+            u = order.order[d]
+            for j in order.backward[d]:
+                j_flat.append(j)
+                eid_flat.append(cg.edge_id(order.order[j], u))
+            offsets.append(len(j_flat))
+        self.b_off = np.asarray(offsets, dtype=np.int64)
+        self.b_j = np.asarray(j_flat, dtype=np.int64)
+        self.b_eid = np.asarray(eid_flat, dtype=np.int64)
+        ecand_off = np.asarray(cg.ecand_offsets, dtype=np.int64)
+        self.b_lo = ecand_off[self.b_eid] if len(self.b_eid) else self.b_eid
+        self.b_hi = ecand_off[self.b_eid + 1] if len(self.b_eid) else self.b_eid
+        self.nbacks = np.diff(self.b_off)
 
-    # Provided by the VectorKernel side of the MRO.
-    n_q: int
-    direct: bool
-    nbacks: np.ndarray
-    b_off: np.ndarray
-    b_j: np.ndarray
-    b_eid: np.ndarray
-    b_lo: np.ndarray
-    b_hi: np.ndarray
-    g_len: np.ndarray
-    ecand: np.ndarray
-    local_off: np.ndarray
-    local: np.ndarray
-    _pool: np.ndarray
-    _g_base: np.ndarray
+        globals_ = [
+            np.asarray(cg.global_candidates[u], dtype=np.int64)
+            for u in order.order
+        ]
+        self.g_len = np.asarray([len(g) for g in globals_], dtype=np.int64)
+        g_off = np.zeros(n, dtype=np.int64)
+        if n > 1:
+            np.cumsum(self.g_len[:-1], out=g_off[1:])
+        gpool = (
+            np.concatenate(globals_) if globals_ else np.zeros(0, dtype=np.int64)
+        )
+        self.ecand = np.asarray(cg.ecand_vertices, dtype=np.int64)
+        self.local_off = np.asarray(cg.local_offsets, dtype=np.int64)
+        self.local = np.asarray(cg.local_vertices, dtype=np.int64)
+        # Combined candidate pool: local lists first, then the global sets,
+        # so every candidate gather is one base offset into one array.
+        self._pool = np.concatenate([self.local, gpool])
+        self._g_base = len(self.local) + g_off
+        self.direct = not cg.label_filtered
+        if self.direct:
+            self.labels = np.asarray(cg.graph.labels)
+            self.qlab = np.asarray(
+                [cg.query.label(u) for u in order.order], dtype=np.int64
+            )
 
     def compile_plan(self, target: int) -> FusedPlan:
         """Walk the matching order once; cache per target depth."""
@@ -233,7 +302,7 @@ class FusedKernelMixin:
     def _dense_base(
         self, lv: LevelPlan, inst3: np.ndarray, present: np.ndarray
     ) -> FusedPrep:
-        """GetMinCandidate for one depth group on dense lane matrices."""
+        """GetMinCandidate for one level on dense lane matrices."""
         R, W = present.shape
         zeros = np.zeros((R, W), dtype=np.int64)
         if lv.glob:
@@ -335,6 +404,7 @@ class FusedKernelMixin:
     def fused_prepare(
         self, lv: LevelPlan, inst3: np.ndarray, present: np.ndarray
     ) -> FusedPrep:
+        """Phase A: GetMinCandidate + Refine for the level's lanes; no RNG."""
         raise NotImplementedError
 
     def fused_finish(
@@ -344,10 +414,11 @@ class FusedKernelMixin:
         idx: np.ndarray,
         inst3: np.ndarray,
     ) -> FusedRes:
+        """Phase B/C: resolve drawn indices, then Validate."""
         raise NotImplementedError
 
 
-class FusedWanderJoinKernel(FusedKernelMixin, WanderJoinVectorKernel):
+class FusedWanderJoinKernel(FusedKernel):
     """WanderJoin on the compiled schedule: pass-through refine, validate
     probes over the level's constant other-pair spans."""
 
@@ -401,7 +472,7 @@ class FusedWanderJoinKernel(FusedKernelMixin, WanderJoinVectorKernel):
         return FusedRes(v=v, valid=alive, probes=probes, prob_factor=prob_factor)
 
 
-class FusedAlleyKernel(FusedKernelMixin, AlleyVectorKernel):
+class FusedAlleyKernel(FusedKernel):
     """Alley on the compiled schedule: survivor-major refinement rounds
     over constant pair spans, dup-then-label validate."""
 
@@ -509,18 +580,66 @@ class FusedAlleyKernel(FusedKernelMixin, AlleyVectorKernel):
         return FusedRes(v=v, valid=alive, probes=probes, prob_factor=prob_factor)
 
 
-_register_kernel_class(FusedWanderJoinKernel)  # type: ignore[arg-type]
-_register_kernel_class(FusedAlleyKernel)  # type: ignore[arg-type]
-
-
 def fused_kernel_for(
     estimator: RSVEstimator,
-) -> Optional[Type[VectorKernel]]:
-    """Fused kernel class for ``estimator``, or ``None`` when the fallback
-    ladder (vectorized, then scalar) should take over.  Exact types only —
-    subclasses may override any RSV hook."""
+) -> Optional[Type[FusedKernel]]:
+    """Fused kernel class for ``estimator``, or ``None`` when only the
+    scalar reference path applies.  Exact types only — subclasses may
+    override any RSV hook."""
     if type(estimator) is WanderJoinEstimator:
         return FusedWanderJoinKernel
     if type(estimator) is AlleyEstimator:
         return FusedAlleyKernel
     return None
+
+
+# ----------------------------------------------------------------------
+# Table snapshot / rebuild (multi-device sharding)
+# ----------------------------------------------------------------------
+#: Array attributes that fully determine plan compilation and the step
+#: phases.  A kernel rebuilt from these tables (plus the scalars in the
+#: meta dict) compiles the same plans and steps identically.
+_TABLE_ARRAYS: Tuple[str, ...] = (
+    "b_off", "b_j", "b_eid", "b_lo", "b_hi", "nbacks",
+    "g_len", "ecand", "local_off", "local", "_pool", "_g_base",
+)
+_LABEL_ARRAYS: Tuple[str, ...] = ("labels", "qlab")
+
+_KERNEL_CLASSES: Dict[str, Type[FusedKernel]] = {
+    cls.__name__: cls for cls in (FusedWanderJoinKernel, FusedAlleyKernel)
+}
+
+
+def kernel_tables(
+    kernel: FusedKernel,
+) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """Snapshot ``kernel`` as ``(meta, arrays)``.
+
+    ``arrays`` is the read-only table set a shard worker maps from shared
+    memory; ``meta`` is the small picklable remainder.  Round-trips through
+    :func:`kernel_from_tables`.
+    """
+    names = _TABLE_ARRAYS + (_LABEL_ARRAYS if kernel.direct else ())
+    arrays = {name: getattr(kernel, name) for name in names}
+    meta: Dict[str, object] = {
+        "cls": type(kernel).__name__,
+        "n_q": kernel.n_q,
+        "direct": kernel.direct,
+    }
+    return meta, arrays
+
+
+def kernel_from_tables(
+    meta: Dict[str, object], arrays: Dict[str, np.ndarray]
+) -> FusedKernel:
+    """Rebuild a step-identical kernel from a :func:`kernel_tables`
+    snapshot without re-deriving anything from a candidate graph (the
+    arrays may be zero-copy shared-memory views)."""
+    cls = _KERNEL_CLASSES[str(meta["cls"])]
+    kernel = cls.__new__(cls)
+    kernel.n_q = int(meta["n_q"])  # type: ignore[call-overload]
+    kernel.direct = bool(meta["direct"])
+    names = _TABLE_ARRAYS + (_LABEL_ARRAYS if kernel.direct else ())
+    for name in names:
+        setattr(kernel, name, arrays[name])
+    return kernel

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple, TypeVar
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.gpu.costmodel import GPUSpec
 from repro.gpu.profiler import WarpProfile
@@ -112,41 +110,3 @@ def reduce_max_by_key(
             best_key = k
             best_lane = lane
     return best_key, payloads[best_lane], best_lane
-
-
-# ----------------------------------------------------------------------
-# Row-wise (struct-of-arrays) variants
-# ----------------------------------------------------------------------
-# The vectorized backend keeps lane state as ``(n_warps, warp_size)``
-# arrays and evaluates a primitive for every warp at once.  These return
-# pure results; sync-cycle charging stays with the caller, which applies
-# it per warp in the same order the scalar path would.
-
-
-def warp_any_rows(predicate: np.ndarray) -> np.ndarray:
-    """``__any_sync`` per warp row: ``bool[n_warps]``."""
-    return np.any(predicate, axis=1)
-
-
-def ballot_first_rows(predicate: np.ndarray) -> np.ndarray:
-    """First set lane per warp row (``__ffs(__ballot_sync(...))``), -1 when
-    the row has no set lane."""
-    has = np.any(predicate, axis=1)
-    first = np.argmax(predicate, axis=1)
-    return np.where(has, first, -1)
-
-
-def ballot_mask_rows(predicate: np.ndarray) -> np.ndarray:
-    """``__ballot_sync`` per warp row: ``uint64[n_warps]`` lane bitmasks."""
-    lanes = np.uint64(1) << np.arange(predicate.shape[1], dtype=np.uint64)
-    return (predicate.astype(np.uint64) * lanes).sum(axis=1, dtype=np.uint64)
-
-
-def reduce_sum_rows(values: np.ndarray) -> np.ndarray:
-    """Warp-wide sum per row."""
-    return values.sum(axis=1)
-
-
-def reduce_max_rows(values: np.ndarray) -> np.ndarray:
-    """Warp-wide max per row."""
-    return values.max(axis=1)

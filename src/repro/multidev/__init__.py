@@ -1,9 +1,11 @@
-"""Multi-device sharded execution for the vectorized backend.
+"""Multi-device sharded execution for the fused backend.
 
 A round's warp batch is partitioned round-robin by warp index across N OS
-worker processes ("shards"), each running the same :class:`~repro.core
-.vectorized.WaveRunner` over kernel tables published once via
-``multiprocessing.shared_memory`` (zero-copy, read-only views).  Because
+worker processes ("shards"), each running the runner the in-process path
+uses for the round's sync mode (:class:`~repro.core.fused.FusedRunner` or
+:class:`~repro.core.vectorized.WaveRunner`) over kernel tables published
+once via ``multiprocessing.shared_memory`` (zero-copy, read-only views).
+Each worker compiles the same plan from those tables.  Because
 every warp owns its spawned RNG substream, shard results assembled in warp
 order are bit-identical to single-process execution for any shard count;
 only wall-clock and the modeled multi-device makespan change.

@@ -24,12 +24,11 @@ import itertools
 import multiprocessing as mp
 from typing import List, Optional, Sequence
 
-from repro.core.vectorized import WaveParams, WarpResult
+from repro.core.fused import WarpResult, WarpState, WaveParams
 from repro.errors import ConfigError, ShardFailure
-from repro.estimators.vectorized import VectorKernel, kernel_tables
+from repro.estimators.fused import FusedKernel, kernel_tables
 from repro.multidev.shm import SharedArrayPack
 from repro.multidev.worker import worker_loop
-from repro.core.vectorized import WarpState
 
 
 def shard_of(warp_index: int, n_shards: int, offset: int = 0) -> int:
@@ -78,7 +77,7 @@ class ShardedVectorExecutor:
         self._plan_ids = itertools.count(1)
         self._pack: Optional[SharedArrayPack] = None
         self._plan_id: Optional[int] = None
-        self._plan_kernel: Optional[VectorKernel] = None
+        self._plan_kernel: Optional[FusedKernel] = None
         self._plan_params: Optional[WaveParams] = None
         self._plan_payload = None
         self._pending_crash: Optional[int] = None
@@ -157,7 +156,7 @@ class ShardedVectorExecutor:
     # ------------------------------------------------------------------
     # Plan publication
     # ------------------------------------------------------------------
-    def _setup_plan(self, kernel: VectorKernel, params: WaveParams) -> None:
+    def _setup_plan(self, kernel: FusedKernel, params: WaveParams) -> None:
         if kernel is not self._plan_kernel or params != self._plan_params:
             meta, arrays = kernel_tables(kernel)
             if self._pack is not None:
@@ -191,7 +190,7 @@ class ShardedVectorExecutor:
     # ------------------------------------------------------------------
     def run_round(
         self,
-        kernel: VectorKernel,
+        kernel: FusedKernel,
         params: WaveParams,
         states: Sequence[WarpState],
         quotas: Sequence[int],

@@ -1,6 +1,6 @@
 """Zero-copy array publication over ``multiprocessing.shared_memory``.
 
-The parent packs the vector kernel's derived tables (triple-CSR candidate
+The parent packs the fused kernel's derived tables (triple-CSR candidate
 structure, combined candidate pool, labels) into one shared-memory segment;
 each shard worker attaches and maps read-only numpy views at the recorded
 offsets.  Per round only generator states and task quotas are pickled —

@@ -1,11 +1,11 @@
 """Shard worker: the child-process half of multi-device execution.
 
 The parent ships each worker a one-time *plan* (shared-memory manifest of
-the kernel tables, kernel meta, :class:`~repro.core.vectorized.WaveParams`)
+the kernel tables, kernel meta, :class:`~repro.core.fused.WaveParams`)
 and then, per round, just the worker's slice of per-warp generator states
-and task quotas.  The worker rebuilds the kernel over zero-copy views and
-runs the same :class:`~repro.core.vectorized.WaveRunner` the in-process
-path uses — bit-identical by construction.
+and task quotas.  The worker rebuilds the kernel over zero-copy views,
+compiles the same plan, and runs the same runner the in-process path uses
+for ``params.sync_mode`` — bit-identical by construction.
 
 All logic lives in :func:`build_runtime` / :class:`ShardRuntime` so it is
 testable in-process; :func:`worker_loop` is the thin child-side message
@@ -19,23 +19,17 @@ from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.fused import runner_for_kernel
-from repro.core.vectorized import (
-    WaveParams,
-    WarpResult,
-)
-from repro.estimators.vectorized import kernel_from_tables
+from repro.core.fused import WarpResult, WarpState, WaveParams
+from repro.core.vectorized import runner_for
+from repro.estimators.fused import kernel_from_tables
 from repro.multidev.shm import PackManifest, attach_pack
-from repro.core.vectorized import WarpState
 
 
 class ShardRuntime:
     """One plan's per-worker state: rebuilt kernel + persistent runner.
 
-    The runner matches the kernel's backend (fused kernels get the
-    compiled-plan runner, vector kernels the wave interpreter), and its
-    scratch — lane-state arrays or the fused arena — persists across
-    rounds, the same reuse the in-process path gets.
+    The runner matches ``params.sync_mode``, and its scratch arena persists
+    across rounds, the same reuse the in-process path gets.
     """
 
     def __init__(
@@ -43,7 +37,7 @@ class ShardRuntime:
         params: WaveParams,
     ) -> None:
         self.kernel = kernel_from_tables(dict(meta), arrays)
-        self.runner = runner_for_kernel(self.kernel, params)
+        self.runner = runner_for(self.kernel, params)
 
     def run(
         self, states: Sequence[WarpState], quotas: Sequence[int]

@@ -592,12 +592,14 @@ class EstimationService:
                 )
                 for reason, count in stats["evictions_by_reason"].items():
                     evictions.labels(reason=reason).advance_to(count)
-            injected = reg.counter(
-                "faults_injected_total", "Faults injected by the fault plan",
-                labels=("kind",),
-            )
-            for kind, count in self._injector_stats().items():
-                if isinstance(count, (int, float)):
+            if self.injector is not None:
+                # Per-kind tallies only; the launch counts and the plan's
+                # expected rate stay in the JSON snapshot.
+                injected = reg.counter(
+                    "faults_injected_total", "Faults injected by the fault plan",
+                    labels=("kind",),
+                )
+                for kind, count in self.injector.stats()["injected"].items():
                     injected.labels(kind=kind).advance_to(count)
             add_stall_summary(reg, self._kernel_profile.stall_summary())
             reg.gauge(

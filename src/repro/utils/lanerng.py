@@ -22,7 +22,7 @@ This module is that idiom in numpy:
   arbitrary mix of warps/counters/bounds;
 * :class:`LaneRNG` — a duck-typed ``.integers``-only stand-in for
   ``np.random.Generator`` used on the scalar warp path, drawing from the
-  same counter sequence the vectorized/fused batch paths consume.
+  same counter sequence the fused batch paths consume.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ class LaneRNG:
     ``integers(0, bound)`` — drawing successive counters from this warp's
     Philox stream.  Scalar bounds return a Python int and consume one
     counter; array bounds consume one counter per element in order, exactly
-    matching how the vectorized/fused batch paths account draws, so a warp
+    matching how the fused batch paths account draws, so a warp
     re-run through *any* backend replays the identical value sequence.
     """
 

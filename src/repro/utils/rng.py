@@ -42,7 +42,7 @@ def spawn_generator_states(source: RandomSource, count: int) -> List[GeneratorSt
     """Derive ``count`` replayable child-stream states.
 
     This is :func:`spawn_generators` minus the final ``default_rng`` call:
-    the vectorized engine keeps the states so it can re-materialise a
+    the fused backend keeps the states so it can re-materialise a
     warp's stream from scratch (wave execution re-runs a warp when its
     optimistic task quota turns out too large).  Advances the root exactly
     as :func:`spawn_generators` does, so the two are interchangeable.

@@ -1,12 +1,14 @@
-"""Scalar vs vectorized backend equivalence (the tentpole invariant).
+"""Scalar vs fused backend equivalence (the tentpole invariant).
 
-The vectorized backend is only allowed to change *how fast* the simulator
+The fused backend is only allowed to change *how fast* the simulator
 runs, never *what* it computes: for a fixed seed the two backends must
 produce bit-identical HT estimates, per-kernel cycle counters (hence
 simulated milliseconds), collected partial instances, and fault-injection
 behaviour.  These tests pin that contract across estimators, sync modes,
-optimisation presets, seeds, and query sizes.
+optimisation presets, RNG modes, seeds, and query sizes.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -99,11 +101,9 @@ class TestEngineEquivalence:
     def test_bit_identical_runs(self, plans, estimator_cls, preset, seed, k):
         cg, order = plans[k]
         a = run_backend("scalar", estimator_cls(), cg, order, 96, seed, preset=preset)
-        b = run_backend(
-            "vectorized", estimator_cls(), cg, order, 96, seed, preset=preset
-        )
+        b = run_backend("fused", estimator_cls(), cg, order, 96, seed, preset=preset)
         assert a.backend == "scalar"
-        assert b.backend == "vectorized"
+        assert b.backend == "fused"
         assert_identical(a, b)
 
     def test_partial_warp_and_odd_quota(self, plans):
@@ -115,7 +115,7 @@ class TestEngineEquivalence:
                 preset="gsword", tasks_per_warp=17,
             )
             b = run_backend(
-                "vectorized", AlleyEstimator(), cg, order, n, 7,
+                "fused", AlleyEstimator(), cg, order, n, 7,
                 preset="gsword", tasks_per_warp=17,
             )
             assert_identical(a, b)
@@ -127,9 +127,38 @@ class TestEngineEquivalence:
                 "scalar", AlleyEstimator(), cg, order, 64, 3, **kwargs
             )
             b = run_backend(
-                "vectorized", AlleyEstimator(), cg, order, 64, 3, **kwargs
+                "fused", AlleyEstimator(), cg, order, 64, 3, **kwargs
             )
             assert_identical(a, b)
+
+    @pytest.mark.parametrize("estimator_cls", [WanderJoinEstimator, AlleyEstimator])
+    @pytest.mark.parametrize("rng_mode", sorted(RNG_MODES))
+    def test_iteration_sync_edge_cases(self, plc_plan, estimator_cls, rng_mode):
+        """Iteration sync (lanes at mixed depths, restarting from the
+        warp's pool) on the compiled plan: odd quotas, partial warps,
+        truncated samples and streaming all match the scalar engine,
+        reservoir included."""
+        cg, order = plc_plan
+        cases = [(n, dict(tasks_per_warp=17)) for n in (1, 31, 33, 41)] + [
+            (100, dict(max_depth=2)),
+            (100, dict(streaming=True)),
+            (100, dict(streaming=True, streaming_threshold=8)),
+            (100, dict(streaming=True, streaming_threshold=48)),
+        ]
+        n_collected = 0
+        for n, overrides in cases:
+            runs = []
+            for backend in ("scalar", "fused"):
+                config = replace(
+                    EngineConfig.gpu_baseline(backend=backend, rng_mode=rng_mode),
+                    **overrides,
+                )
+                engine = GSWORDEngine(estimator_cls(), config=config)
+                runs.append(engine.run(cg, order, n, rng=5, collect_states=True))
+            assert runs[1].backend == "fused"
+            assert_identical(*runs)
+            n_collected += len(runs[0].collected)
+        assert n_collected > 0
 
     def test_custom_estimator_falls_back_to_scalar(self, plans):
         """Subclasses may override RSV hooks, so only exact types vectorize."""
@@ -138,7 +167,7 @@ class TestEngineEquivalence:
             pass
 
         cg, order = plans[4]
-        result = run_backend("vectorized", TweakedWJ(), cg, order, 32, 1)
+        result = run_backend("fused", TweakedWJ(), cg, order, 32, 1)
         assert result.backend == "scalar"
         reference = run_backend("scalar", WanderJoinEstimator(), cg, order, 32, 1)
         assert_identical(result, reference)
@@ -149,36 +178,36 @@ class TestRngModeEquivalence:
 
     ``sequential`` replays numpy ``Generator.integers`` draw-for-draw;
     ``counter`` derives every draw as a pure function of the warp's key and
-    a draw index (:mod:`repro.utils.lanerng`).  Either way scalar,
-    vectorized, and fused must agree bit-for-bit — the mode changes *which*
-    stream a warp consumes, never lets backends disagree about it.
+    a draw index (:mod:`repro.utils.lanerng`).  Either way scalar and fused
+    must agree bit-for-bit, under every preset and so under both sync
+    modes — the mode changes *which* stream a warp consumes, never lets
+    backends disagree about it.
     """
 
+    @pytest.mark.parametrize("preset", sorted(_PRESETS))
     @pytest.mark.parametrize("estimator_cls", [WanderJoinEstimator, AlleyEstimator])
     @pytest.mark.parametrize("rng_mode", sorted(RNG_MODES))
-    def test_three_backends_bit_identical(self, plc_plan, estimator_cls, rng_mode):
+    def test_backends_bit_identical(self, plc_plan, estimator_cls, rng_mode, preset):
         cg, order = plc_plan
         runs = {
             backend: run_backend(
                 backend, estimator_cls(), cg, order, 96, 20240613,
-                rng_mode=rng_mode,
+                rng_mode=rng_mode, preset=preset,
             )
-            for backend in ("scalar", "vectorized", "fused")
+            for backend in ("scalar", "fused")
         }
-        assert runs["vectorized"].backend == "vectorized"
         assert runs["fused"].backend == "fused"
-        assert_identical(runs["scalar"], runs["vectorized"])
         assert_identical(runs["scalar"], runs["fused"])
 
     def test_modes_are_distinct_streams(self, plc_plan):
         """Sanity: switching the mode actually changes the draws."""
         cg, order = plc_plan
         seq = run_backend(
-            "vectorized", AlleyEstimator(), cg, order, 96, 3,
+            "fused", AlleyEstimator(), cg, order, 96, 3,
             rng_mode="sequential",
         )
         ctr = run_backend(
-            "vectorized", AlleyEstimator(), cg, order, 96, 3,
+            "fused", AlleyEstimator(), cg, order, 96, 3,
             rng_mode="counter",
         )
         assert seq.estimate != ctr.estimate
@@ -209,10 +238,10 @@ class TestRngModeEquivalence:
         # it is equal in distribution, not bit-identical — but per seed it
         # is exactly reproducible too.
         c1 = CPUSamplingRunner(
-            AlleyEstimator(), backend="vectorized", rng_mode="counter"
+            AlleyEstimator(), backend="fused", rng_mode="counter"
         ).run(cg, order, 128, rng=11)
         c2 = CPUSamplingRunner(
-            AlleyEstimator(), backend="vectorized", rng_mode="counter"
+            AlleyEstimator(), backend="fused", rng_mode="counter"
         ).run(cg, order, 128, rng=11)
         assert c1.estimate == c2.estimate
         assert c1.total_cycles == c2.total_cycles
@@ -230,7 +259,7 @@ class TestCPURunnerEquivalence:
         a = CPUSamplingRunner(estimator_cls(), backend="scalar").run(
             cg, order, 256, rng=11, checkpoint_at=checkpoints
         )
-        b = CPUSamplingRunner(estimator_cls(), backend="vectorized").run(
+        b = CPUSamplingRunner(estimator_cls(), backend="fused").run(
             cg, order, 256, rng=11, checkpoint_at=checkpoints
         )
         assert a.total_cycles == b.total_cycles
@@ -243,7 +272,7 @@ class TestCPURunnerEquivalence:
 
     def test_batch_mode_deterministic_per_seed(self, plans):
         cg, order = plans[4]
-        runner = CPUSamplingRunner(AlleyEstimator(), backend="vectorized")
+        runner = CPUSamplingRunner(AlleyEstimator(), backend="fused")
         a = runner.run(cg, order, 512, rng=42)
         b = runner.run(cg, order, 512, rng=42)
         assert a.estimate == b.estimate
@@ -255,7 +284,7 @@ class TestCPURunnerEquivalence:
         a = CPUSamplingRunner(AlleyEstimator(), backend="scalar").run(
             cg, order, 2048, rng=5
         )
-        b = CPUSamplingRunner(AlleyEstimator(), backend="vectorized").run(
+        b = CPUSamplingRunner(AlleyEstimator(), backend="fused").run(
             cg, order, 2048, rng=5
         )
         sigma = max(a.accumulator.std_error, b.accumulator.std_error, 1e-9)
@@ -299,7 +328,7 @@ class TestFaultEquivalence:
                 log, result.estimate, result.n_samples,
                 session.n_faults, session.n_retries, session.fault_ms,
             )
-        assert outcomes["scalar"] == outcomes["vectorized"]
+        assert outcomes["scalar"] == outcomes["fused"]
 
     def test_clean_session_rounds_identical(self, plans):
         cg, order = plans[6]
@@ -311,7 +340,7 @@ class TestFaultEquivalence:
             session = engine.session(cg, order, rng=77)
             per_round = [session.run_round(32).estimate for _ in range(4)]
             results[backend] = (per_round, session.result().estimate)
-        assert results["scalar"] == results["vectorized"]
+        assert results["scalar"] == results["fused"]
 
 
 class TestBackendConfig:
@@ -324,6 +353,18 @@ class TestBackendConfig:
     def test_with_backend(self):
         config = EngineConfig.gsword().with_backend("scalar")
         assert config.backend == "scalar"
+
+    def test_vectorized_backend_rejected(self, monkeypatch):
+        """``vectorized`` is not a backend: asking for it, directly or
+        through the environment, raises."""
+        assert "vectorized" not in BACKENDS
+        with pytest.raises(ConfigError):
+            EngineConfig(backend="vectorized")
+        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
+        with pytest.raises(ConfigError):
+            EngineConfig()
+        with pytest.raises(ConfigError):
+            CPUSamplingRunner(WanderJoinEstimator())
 
     def test_default_backend_env_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)

@@ -1,12 +1,12 @@
 """Fused-backend edge cases: plan compilation, the fallback ladder,
-scratch-arena reuse, and the row-wise union counter.
+runner selection, scratch-arena reuse, and the row-wise union counter.
 
 The broad bit-identity matrix lives in ``test_backend_equivalence.py``
-(BACKENDS includes ``fused``, so every parametrised case there already
-runs the compiled plans).  This module pins the corners that matrix does
-not reach: single-level plans, estimators with no fused kernel, silent
-fallbacks and their ``backend_label``, arena allocation plateaus, and the
-union/contains kernels against their reference implementations.
+(scalar vs fused across every preset, so both sync modes).  This module
+pins the corners that matrix does not reach: single-level plans,
+estimators with no fused kernel, fallbacks and their ``backend_label``,
+arena allocation plateaus, and the union/contains kernels against their
+reference implementations.
 """
 
 import json
@@ -20,18 +20,19 @@ from repro.core.engine import GPURunResult, GSWORDEngine
 from repro.core.fused import (
     FusedArena,
     FusedRunner,
+    WaveParams,
     _scan_union_rows,
     _touch_union_rows,
-    runner_for_kernel,
+    wave_params_for,
 )
-from repro.core.vectorized import LaneStateScratch, WaveRunner, wave_params_for
+from repro.core.vectorized import WaveRunner, runner_for
 from repro.estimators.alley import AlleyEstimator
 from repro.estimators.fused import (
     FusedAlleyKernel,
     FusedWanderJoinKernel,
     fused_kernel_for,
+    ragged_contains,
 )
-from repro.estimators.vectorized import ragged_contains, vector_kernel_for
 from repro.estimators.wanderjoin import WanderJoinEstimator
 from repro.gpu.costmodel import DEFAULT_GPU
 from repro.gpu.memory import (
@@ -120,8 +121,8 @@ class TestPlanEdges:
 
 class TestFallbackLadder:
     def test_custom_estimator_falls_back_to_scalar(self, plan6):
-        """Subclasses may override any RSV hook, so no compiled or vector
-        kernel applies: the run lands on the scalar rung."""
+        """Subclasses may override any RSV hook, so no compiled kernel
+        applies: the run lands on the scalar rung."""
         cg, order = plan6
 
         class TweakedWJ(WanderJoinEstimator):
@@ -140,9 +141,9 @@ class TestFallbackLadder:
         assert res.backend_label == "fused_fallback_scalar"
         assert_identical(res, ref)
 
-    def test_iteration_sync_falls_back_to_vectorized(self, plan6):
-        """The compiled schedule needs depth lockstep; gpu_baseline runs
-        iteration sync, so fused degrades one rung, not two."""
+    def test_iteration_sync_runs_fused(self, plan6):
+        """gpu_baseline (O0) runs iteration sync on the compiled plan: no
+        fallback, and the label says so."""
         cg, order = plan6
         res = _run(
             AlleyEstimator(),
@@ -154,27 +155,25 @@ class TestFallbackLadder:
             EngineConfig.gpu_baseline(backend="scalar"),
             cg, order,
         )
-        assert res.backend == "vectorized"
-        assert res.backend_label == "fused_fallback_vectorized"
+        assert res.backend == "fused"
+        assert res.backend_label == "fused"
         assert_identical(res, ref)
 
     def test_runner_for_kernel_matches_sync_mode(self, plan6):
         cg, order = plan6
         kernel = FusedAlleyKernel(cg, order)
         sample = _params(len(order), SyncMode.SAMPLE)
-        assert isinstance(runner_for_kernel(kernel, sample), FusedRunner)
+        assert isinstance(runner_for(kernel, sample), FusedRunner)
         iteration = _params(len(order), SyncMode.ITERATION)
-        assert isinstance(runner_for_kernel(kernel, iteration), WaveRunner)
+        assert isinstance(runner_for(kernel, iteration), WaveRunner)
         with pytest.raises(ValueError):
             FusedRunner(kernel, iteration)
+        with pytest.raises(ValueError):
+            WaveRunner(kernel, sample)
 
     def test_backend_label_spelling(self):
         assert _result("fused").backend_label == "fused"
         assert _result("fused", "fused").backend_label == "fused"
-        assert (
-            _result("vectorized", "fused").backend_label
-            == "fused_fallback_vectorized"
-        )
         assert (
             _result("scalar", "fused").backend_label
             == "fused_fallback_scalar"
@@ -183,9 +182,9 @@ class TestFallbackLadder:
     def test_rounds_by_backend_metric_counts_labels(self):
         metrics = ServiceMetrics()
         metrics.record_backends(
-            ["fused", "fused", "fused_fallback_vectorized", "scalar"]
+            ["fused", "fused", "fused_fallback_scalar", "scalar"]
         )
-        expected = {"fused": 2, "fused_fallback_vectorized": 1, "scalar": 1}
+        expected = {"fused": 2, "fused_fallback_scalar": 1, "scalar": 1}
         families = {f.name: f for f in metrics.registry.families()}
         family = families["rounds_by_backend_total"]
         assert family.label_names == ("backend",)
@@ -208,8 +207,6 @@ def _result(backend, requested=""):
 
 
 def _params(target, sync_mode):
-    from repro.core.vectorized import WaveParams
-
     return WaveParams(
         spec=DEFAULT_GPU,
         sync_mode=sync_mode,
@@ -329,25 +326,25 @@ class TestCounterReplay:
     """Counter-mode warps replay from bare lane keys.
 
     The optimistic-quota path re-runs a single warp in isolation
-    (:meth:`repro.core.vectorized.VectorWarpProvider.warp`), and in
-    counter mode the warp's state is a pure ``LaneKey`` — nothing to
-    clone, no generator position to restore.  These tests pin that the
-    isolated re-run reproduces the warp's wave results bit-for-bit on
-    both the interpreting and the compiled runner.
+    (:meth:`repro.core.fused.WarpProvider.warp`), and in counter mode the
+    warp's state is a pure ``LaneKey`` — nothing to clone, no generator
+    position to restore.  These tests pin that the isolated re-run
+    reproduces the warp's wave results bit-for-bit on the runner of
+    either sync mode.
     """
 
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_isolated_rerun_matches_wave(self, plan6, fused):
+    @pytest.mark.parametrize("iteration", [False, True])
+    def test_isolated_rerun_matches_wave(self, plan6, iteration):
         cg, order = plan6
-        config = EngineConfig.gsword(rng_mode="counter")
-        engine = GSWORDEngine(WanderJoinEstimator(), config=config)
-        if fused:
-            kernel = fused_kernel_for(WanderJoinEstimator())(cg, order)
-        else:
-            kernel = vector_kernel_for(WanderJoinEstimator())(cg, order)
+        preset = EngineConfig.gpu_baseline if iteration else EngineConfig.gsword
+        engine = GSWORDEngine(
+            WanderJoinEstimator(), config=preset(rng_mode="counter")
+        )
+        kernel = fused_kernel_for(WanderJoinEstimator())(cg, order)
         params = wave_params_for(engine, order, collect_states=False)
         assert params.rng_mode == "counter"
-        runner = runner_for_kernel(kernel, params)
+        runner = runner_for(kernel, params)
+        assert isinstance(runner, WaveRunner if iteration else FusedRunner)
         keys = [lane_key(s) for s in spawn_generator_states(123, 4)]
         quotas = [32, 32, 32, 17]
         wave = runner.run_warps(keys, quotas)

@@ -10,7 +10,9 @@ must leave every float operation in place, so this module compares the
 fused backend with the scalar engine on random labelled graphs and
 queries — estimate and every ``WarpProfile`` field, exactly, across every
 streaming-threshold case — and checks that both sides of each branch
-actually ran.
+actually ran.  Iteration synchronisation, whose warps charge lanes at
+mixed depths (``WaveRunner._charge_lanes``), gets the same random
+comparison.
 """
 
 import contextlib
@@ -220,3 +222,39 @@ class TestFusedChargeMatchesScalar:
         assert counts["multi_pair"] > 0
         assert counts["vector_fold"] > 0
         assert region_misses > 0
+
+    @given(
+        plan=plans(),
+        quota=st.integers(min_value=1, max_value=160),
+        tasks_per_warp=st.sampled_from([16, 32, 128]),
+        streaming=st.booleans(),
+        streaming_threshold=st.sampled_from([None, 8, 32, 48]),
+        max_depth=st.sampled_from([None, 1, 2]),
+        estimator_cls=st.sampled_from([AlleyEstimator, WanderJoinEstimator]),
+        rng_mode=st.sampled_from(["sequential", "counter"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    def test_iteration_sync_random_graphs(
+        self, plan, quota, tasks_per_warp, streaming, streaming_threshold,
+        max_depth, estimator_cls, rng_mode, seed,
+    ):
+        cg, order = plan
+        config = dict(
+            sync_mode="iteration",
+            inheritance=False,
+            streaming=streaming,
+            tasks_per_warp=tasks_per_warp,
+            max_depth=max_depth,
+            rng_mode=rng_mode,
+        )
+        if streaming_threshold is not None:
+            config["streaming_threshold"] = streaming_threshold
+        assert_same(
+            run("fused", estimator_cls, cg, order, quota, seed, **config),
+            run("scalar", estimator_cls, cg, order, quota, seed, **config),
+        )

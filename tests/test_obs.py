@@ -266,7 +266,7 @@ class TestServiceSnapshotBridge:
         metrics.record_batch(4, 512, 7.5)
         for i, latency in enumerate((4.0, 2.0, 10.0, 4.0)):
             metrics.record_completion(latency, 1.0, 225, degraded=i == 0)
-        metrics.record_backends(["vectorized"] * 6)
+        metrics.record_backends(["fused"] * 6)
         metrics.record_shards([2] * 6)
         metrics.record_round_faults(2, 1, 3.0, kinds=["transient"] * 2)
 
@@ -277,7 +277,7 @@ class TestServiceSnapshotBridge:
         assert snap["busy_ms"] == 12.5
         assert snap["mean_batch_size"] == 3.0
         assert snap["samples_per_second"] == 1024 / 12.5 * 1000.0
-        assert snap["rounds_by_backend"] == {"vectorized": 6}
+        assert snap["rounds_by_backend"] == {"fused": 6}
         assert snap["rounds_by_shard_count"] == {"2": 6}
         assert snap["latency_ms"] == {
             "count": 4, "mean": 5.0, "p50": 4.0,

@@ -238,6 +238,14 @@ class TestServiceBridgeNames:
         for name in ("latency_ms", "queue_wait_ms", "retry_after_ms"):
             assert by_name[name].metric_type == "histogram", name
 
+    def test_fault_free_service_exports_no_fault_series(self, served_registry):
+        """Without a fault plan there is nothing to count: no
+        ``faults_injected_total`` series (in particular no ``enabled``
+        flag exported as a counter)."""
+        family = served_registry.snapshot().get("faults_injected_total")
+        assert family is None or family["series"] == []
+        assert 'kind="enabled"' not in served_registry.prometheus_text()
+
     def test_exposition_parses_and_is_fully_declared(self, served_registry):
         text = served_registry.prometheus_text()
         parsed = parse_prometheus_text(text)  # undeclared samples raise
@@ -445,9 +453,8 @@ class TestLiveServiceRegistry:
             resilience["faults_by_kind"]
         )
         injected = _series(out, "faults_injected_total", "kind")
-        assert injected["n_faulted_launches"] == (
-            snap["faults_injected"]["n_faulted_launches"]
-        )
+        assert injected == snap["faults_injected"]["injected"]
+        assert sum(injected.values()) > 0
         plans = snap["plans"]
         assert _series(out, "plan_lifecycle_total", "event") == {
             "refresh": plans["n_refreshes"],

@@ -19,15 +19,16 @@ import pytest
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig, default_shards
 from repro.core.engine import GSWORDEngine, RetryPolicy
-from repro.core.vectorized import LaneStateScratch, WaveRunner, wave_params_for
+from repro.core.fused import FusedRunner, wave_params_for
+from repro.core.vectorized import WaveRunner, runner_for
 from repro.errors import ConfigError, ShardFailure
 from repro.estimators.alley import AlleyEstimator
-from repro.estimators.wanderjoin import WanderJoinEstimator
-from repro.estimators.vectorized import (
+from repro.estimators.fused import (
+    fused_kernel_for,
     kernel_from_tables,
     kernel_tables,
-    vector_kernel_for,
 )
+from repro.estimators.wanderjoin import WanderJoinEstimator
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.graph.datasets import load_dataset
 from repro.multidev import (
@@ -67,7 +68,7 @@ def run_sharded(estimator_cls, cg, order, n, seed, n_shards, **kwargs):
         preset = EngineConfig.gpu_baseline
     else:
         preset = EngineConfig.gsword
-    config = preset(backend="vectorized", **kwargs).with_shards(n_shards)
+    config = preset(backend="fused", **kwargs).with_shards(n_shards)
     with GSWORDEngine(estimator_cls(), config=config) as engine:
         return engine.run(cg, order, n, rng=seed, collect_states=True)
 
@@ -105,6 +106,7 @@ class TestShardingEquivalence:
         )
         assert base.n_shards == 1
         assert sharded.n_shards == min(n_shards, sharded.n_warps)
+        assert base.backend_label == sharded.backend_label == "fused"
         assert_identical(base, sharded)
 
     def test_session_rounds_and_rerun_paths_identical(self, plan):
@@ -230,34 +232,42 @@ class TestSharedArrayPack:
 class TestWorkerRuntime:
     def test_in_process_runtime_matches_wave_runner(self, plan):
         """The exact path a shard worker runs (tables → shm → rebuilt
-        kernel → WaveRunner) reproduces the in-process runner's output."""
+        kernel → the sync mode's runner) reproduces the in-process
+        runner's output, for the iteration-sync WaveRunner and the
+        sample-sync FusedRunner alike."""
         cg, order = plan
-        engine = GSWORDEngine(WanderJoinEstimator(), EngineConfig.gsword())
-        kernel = vector_kernel_for(WanderJoinEstimator())(cg, order)
-        params = wave_params_for(engine, order, collect_states=False)
-        runner = WaveRunner(kernel, params, LaneStateScratch())
         from repro.utils.rng import spawn_generator_states
 
+        kernel = fused_kernel_for(WanderJoinEstimator())(cg, order)
+        meta, arrays = kernel_tables(kernel)
         states = spawn_generator_states(123, 4)
         quotas = [32, 32, 32, 17]
-        expected = runner.run_warps(states, quotas)
+        for preset, runner_cls in (
+            (EngineConfig.gpu_baseline, WaveRunner),
+            (EngineConfig.gsword, FusedRunner),
+        ):
+            engine = GSWORDEngine(WanderJoinEstimator(), preset())
+            params = wave_params_for(engine, order, collect_states=True)
+            runner = runner_for(kernel, params)
+            assert type(runner) is runner_cls
+            expected = runner.run_warps(states, quotas)
 
-        meta, arrays = kernel_tables(kernel)
-        pack = SharedArrayPack(arrays)
-        try:
-            shm, views = attach_pack(pack.manifest)
+            pack = SharedArrayPack(arrays)
             try:
-                runtime = build_runtime(meta, views, params)
-                got = runtime.run(states, quotas)
+                shm, views = attach_pack(pack.manifest)
+                try:
+                    runtime = build_runtime(meta, views, params)
+                    assert type(runtime.runner) is runner_cls
+                    got = runtime.run(states, quotas)
+                finally:
+                    shm.close()
             finally:
-                shm.close()
-        finally:
-            pack.close()
-        assert got == expected
+                pack.close()
+            assert got == expected
 
     def test_kernel_tables_roundtrip(self, plan):
         cg, order = plan
-        kernel = vector_kernel_for(AlleyEstimator())(cg, order)
+        kernel = fused_kernel_for(AlleyEstimator())(cg, order)
         meta, arrays = kernel_tables(kernel)
         rebuilt = kernel_from_tables(dict(meta), arrays)
         assert type(rebuilt) is type(kernel)
