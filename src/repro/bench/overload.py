@@ -391,7 +391,7 @@ def run_hedge_check(
     estimates_u: List[float] = []
     durations_u: List[float] = []
     for _ in range(n_rounds):
-        result = unhedged.run_round(n_samples)
+        result = unhedged.run_round(n_samples).result
         estimates_u.append(result.estimate)
         durations_u.append(result.simulated_ms())
 
@@ -404,7 +404,7 @@ def run_hedge_check(
     n_won = 0
     wasted_ms = 0.0
     for _ in range(n_rounds):
-        report = hedged.run_round_hedged(n_samples, hedge_delay_ms=delay_ms)
+        report = hedged.run_round(n_samples, hedge_delay_ms=delay_ms)
         estimates_h.append(report.result.estimate)
         durations_h.append(report.result.simulated_ms() + report.extra_ms)
         n_fired += int(report.hedged)

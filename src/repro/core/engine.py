@@ -842,7 +842,7 @@ class GSWORDEngine:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Round-retry parameters for :meth:`EngineSession.run_round_resilient`.
+    """Round-retry parameters for :meth:`EngineSession.run_round`.
 
     Backoff is *simulated* milliseconds (charged to the caller's clock, not
     slept): ``backoff_ms · backoff_factor^attempt`` before retry
@@ -874,50 +874,52 @@ RECOVERABLE_ERRORS = (DeviceFault, SimulationError)
 
 
 @dataclass
-class RoundAttemptReport:
-    """What it took to land one round: the committed result plus the fault
-    bill (failed attempts, simulated backoff, and abort charges)."""
+class RoundReport:
+    """Everything one :meth:`EngineSession.run_round` call took.
 
-    result: GPURunResult
-    n_faults: int = 0
+    ``result`` is the committed round (``None`` when the round failed).
+    Fault bill: ``errors`` holds every failed launch in launch order
+    (``n_faults`` is their count), ``n_retries`` the relaunches after
+    attempt 0, and ``fault_ms`` the simulated critical-path time lost to
+    aborted attempts and retry backoff.  Hedging bill: ``hedged`` when a backup launch fired,
+    ``hedge_won`` when the backup committed, ``extra_ms`` the time the
+    round took beyond the winner's own kernel (the hedge delay when the
+    backup won; charged to the batch like backoff), and ``wasted_ms`` the
+    loser's occupancy of another replica (telemetry, not critical path).
+    ``launch`` is the replay capture of the committed launch — or, on a
+    failed round, of the last launch that executed (``None`` if none did):
+    the RNG substream state, sample count, shard offset, stall factor and
+    the observed estimate / simulated ms.  The flight recorder snapshots it
+    into postmortem bundles; ``repro flight-replay`` re-executes it
+    bit-identically.
+    """
+
+    result: Optional[GPURunResult] = None
     n_retries: int = 0
     fault_ms: float = 0.0
     errors: List[BaseException] = field(default_factory=list)
-
-
-@dataclass
-class HedgedRoundReport:
-    """Outcome of one hedged round (:meth:`EngineSession.run_round_hedged`).
-
-    ``extra_ms`` is the wall-clock the round took *beyond* the winner's own
-    kernel duration (the hedge delay when the hedge won) — the scheduler
-    charges it to the batch like fault backoff.  ``wasted_ms`` is the
-    loser's device occupancy until cancellation: spent on *another*
-    replica, so it is telemetry (goodput cost of hedging), not critical
-    path.
-    """
-
-    result: GPURunResult
     hedged: bool = False
     hedge_won: bool = False
     extra_ms: float = 0.0
     wasted_ms: float = 0.0
-    n_faults: int = 0
-    n_retries: int = 0
-    fault_ms: float = 0.0
-    errors: List[BaseException] = field(default_factory=list)
+    launch: Optional[Dict[str, Any]] = None
+
+    @property
+    def n_faults(self) -> int:
+        return len(self.errors)
 
 
 class EngineSession:
     """Incremental (round-by-round) execution state for one query.
 
-    Each :meth:`run_round` call launches one kernel's worth of sampling and
+    Each :meth:`run_round` call lands one kernel's worth of sampling and
     folds its HT accumulator and cycle counters into the session, so the
     cumulative estimate, variance, and confidence interval tighten round
     over round.  Per-round results keep their own profiles too — the
     serving scheduler needs the *round's* kernel profile to account a batch
     of co-resident kernels, while convergence checks read the cumulative
-    :meth:`result`.
+    :meth:`result`.  :attr:`last_round` is the most recent round's
+    :class:`RoundReport`, set before the round's error (if any) is raised.
 
     Round RNG streams are spawned from the session's root source, so a
     session seeded with an integer replays identically.
@@ -932,7 +934,9 @@ class EngineSession:
     never a replay of the failed round's stream — and the Horvitz–Thompson
     estimator stays unbiased under any fault/retry pattern (Thm. 1 needs
     i.i.d. samples, not any *particular* samples; see
-    ``tests/test_engine_faults.py`` for the statistical check).
+    ``tests/test_engine_faults.py`` for the statistical check).  A hedged
+    attempt 0 replays one child on both of its launches, so it too advances
+    the root exactly once.
     """
 
     def __init__(
@@ -953,21 +957,7 @@ class EngineSession:
         self._n_samples = 0
         self._rounds = 0
         self._collected: List[Tuple[Tuple[int, ...], float]] = []
-        # Fault bookkeeping (monotone; the scheduler reads deltas).
-        self.n_faults = 0
-        self.n_retries = 0
-        self.fault_ms = 0.0
-        #: Errors of the most recent resilient round's attempts (including
-        #: the final one when retries were exhausted) — lets callers report
-        #: per-kind fault metrics even when the round ultimately raised.
-        self.last_attempt_errors: List[BaseException] = []
-        #: Replay capture of the most recent *executed* launch (committed
-        #: or watchdog-killed): the spawned RNG substream state, sample
-        #: count, shard offset, stall factor, and the observed estimate /
-        #: simulated ms.  The flight recorder snapshots this into
-        #: postmortem bundles; ``repro flight-replay`` re-executes it
-        #: bit-identically.  ``None`` until a launch has produced a result.
-        self.last_launch: Optional[Dict[str, Any]] = None
+        self.last_round: Optional[RoundReport] = None
 
     @property
     def n_rounds(self) -> int:
@@ -988,221 +978,137 @@ class EngineSession:
     def run_round(
         self,
         n_samples: int,
-        collect_states: bool = False,
+        *,
+        retry: Optional[RetryPolicy] = None,
+        hedge_delay_ms: Optional[float] = None,
         watchdog_ms: Optional[float] = None,
-    ) -> GPURunResult:
-        """Run one sampling round and merge it into the session.
+        collect_states: bool = False,
+    ) -> RoundReport:
+        """Run one sampling round, merge it into the session, and report it.
 
-        Returns the *round's own* result (its profile is what a batch
-        scheduler co-schedules); read :meth:`result` for the cumulative
-        view.  With a fault injector attached this is one *launch*: any
-        injected or organic device failure raises before the commit, so the
-        session state is untouched by failed rounds.  ``watchdog_ms``
-        tightens the device watchdog for this round only (the serving
-        layer propagates a request's remaining deadline here).
+        ``report.result`` is the *round's own* result (its profile is what
+        a batch scheduler co-schedules); read :meth:`result` for the
+        cumulative view.  Attempt 0 is one launch, or the hedged pair when
+        ``hedge_delay_ms`` is set; each failed attempt with a recoverable,
+        retryable error is followed by up to ``retry.max_retries`` single
+        relaunches (``retry=None`` fails fast), each after
+        ``retry.backoff_for(i)`` simulated ms and on a fresh substream.
+        Once the budget is spent the round's error is raised; failed
+        attempts never touch the session's cumulative state.
+        ``watchdog_ms`` tightens the device watchdog for this round only
+        (the serving layer propagates a request's remaining deadline here).
+
+        **Hedging** is the straggler mitigation of "The Tail at Scale": if
+        the primary launch has not finished within ``hedge_delay_ms`` (the
+        scheduler passes a p99 of recent round durations), a second launch
+        of the *same* round fires with the warp->shard map rotated by one,
+        and the first completion wins.  Both launches replay one child
+        state spawned from the session root, and a warp's estimate depends
+        only on its own RNG stream — so the committed estimate is
+        bit-identical to the unhedged round no matter which launch wins.
+        Fault injection still draws fresh per *launch*, so the two can fail
+        independently: timing and failure differ, values never do.
         """
+        if hedge_delay_ms is not None and hedge_delay_ms < 0:
+            raise ConfigError("hedge_delay_ms must be non-negative")
+        max_retries = retry.max_retries if retry is not None else 0
+        report = RoundReport()
+        self.last_round = report
         rec = self.engine.recorder
-        round_span = (
-            rec.begin(
-                "engine.round", track="engine",
-                args={"round": self._rounds, "n_samples": n_samples},
-            )
-            if rec.enabled
-            else None
-        )
+        round_span = None
+        if rec.enabled:
+            args = {"round": self._rounds, "n_samples": n_samples}
+            if hedge_delay_ms is not None:
+                args["hedge_delay_ms"] = hedge_delay_ms
+            round_span = rec.begin("engine.round", track="engine", args=args)
         try:
-            round_result = self._attempt_round(
-                n_samples, collect_states, watchdog_ms=watchdog_ms
-            )
-        except BaseException as error:
-            if round_span is not None:
-                self._trace_abort(error)
-                rec.end(
-                    round_span,
-                    args={"status": "failed", "error": type(error).__name__},
-                )
-            raise
-        self._commit_round(round_result)
-        if round_span is not None:
-            rec.end(round_span, args={"status": "ok"})
-        return round_result
-
-    def run_round_resilient(
-        self,
-        n_samples: int,
-        retry: RetryPolicy = RetryPolicy(),
-        collect_states: bool = False,
-        watchdog_ms: Optional[float] = None,
-    ) -> RoundAttemptReport:
-        """Run one round, retrying transient device failures.
-
-        Each retry waits an exponentially growing *simulated* backoff and
-        redraws a fresh RNG substream (see the class docstring for why that
-        preserves unbiasedness).  Raises the last error once
-        ``retry.max_retries`` retries are exhausted; the fault bill of the
-        failed attempts is still recorded on the session either way.
-        """
-        report_errors: List[BaseException] = []
-        self.last_attempt_errors = report_errors
-        fault_ms = 0.0
-        attempt = 0
-        rec = self.engine.recorder
-        round_span = (
-            rec.begin(
-                "engine.round", track="engine",
-                args={"round": self._rounds, "n_samples": n_samples},
-            )
-            if rec.enabled
-            else None
-        )
-        while True:
-            try:
-                round_result = self._attempt_round(
-                    n_samples, collect_states, watchdog_ms=watchdog_ms
-                )
-            except RECOVERABLE_ERRORS as error:
-                self.n_faults += 1
-                report_errors.append(error)
-                fault_ms += self.abort_charge_ms(error)
-                if round_span is not None:
-                    self._trace_abort(error)
+            while True:
+                if hedge_delay_ms is not None and report.n_retries == 0:
+                    result, error = self._hedged_attempt(
+                        report, n_samples, hedge_delay_ms, watchdog_ms,
+                        collect_states,
+                    )
+                else:
+                    result, error = self._launch(
+                        report, n_samples, watchdog_ms, collect_states
+                    )
+                    if error is not None:
+                        report.fault_ms += self.abort_charge_ms(error)
+                if error is None:
+                    break
                 # Non-retryable faults (a shard worker is gone until the
                 # pool heals) surface immediately: relaunching the same
                 # round cannot succeed, so retries would only burn budget.
-                if attempt >= retry.max_retries or not getattr(
+                if report.n_retries >= max_retries or not getattr(
                     error, "retryable", True
                 ):
-                    self.fault_ms += fault_ms
-                    if round_span is not None:
-                        rec.end(
-                            round_span,
-                            args={
-                                "status": "failed",
-                                "error": type(error).__name__,
-                                "n_faults": len(report_errors),
-                                "n_retries": attempt,
-                            },
-                        )
-                    raise
-                backoff = retry.backoff_for(attempt)
-                fault_ms += backoff
+                    raise error
+                backoff = retry.backoff_for(report.n_retries)
+                report.fault_ms += backoff
+                report.n_retries += 1
                 if round_span is not None:
                     rec.advance("engine", backoff)
                     rec.instant(
                         "retry", track="engine",
-                        args={"attempt": attempt + 1, "backoff_ms": backoff},
+                        args={"attempt": report.n_retries,
+                              "backoff_ms": backoff},
                     )
-                self.n_retries += 1
-                attempt += 1
-                continue
-            except BaseException as error:
-                if round_span is not None:
-                    rec.end(
-                        round_span,
-                        args={"status": "failed",
-                              "error": type(error).__name__},
-                    )
-                raise
-            self._commit_round(round_result)
-            self.fault_ms += fault_ms
+        except BaseException as exc:
             if round_span is not None:
-                rec.end(
-                    round_span,
-                    args={
-                        "status": "ok",
-                        "n_faults": len(report_errors),
-                        "n_retries": attempt,
-                        "fault_ms": fault_ms,
-                    },
-                )
-            return RoundAttemptReport(
-                result=round_result,
-                n_faults=len(report_errors),
-                n_retries=attempt,
-                fault_ms=fault_ms,
-                errors=report_errors,
-            )
+                rec.end(round_span, args={
+                    "status": "failed", "error": type(exc).__name__,
+                    "n_faults": report.n_faults,
+                    "n_retries": report.n_retries,
+                })
+            raise
+        self._commit_round(result)
+        report.result = result
+        if round_span is not None:
+            rec.end(round_span, args={
+                "status": "ok", "n_faults": report.n_faults,
+                "n_retries": report.n_retries, "fault_ms": report.fault_ms,
+                "hedged": report.hedged, "hedge_won": report.hedge_won,
+            })
+        return report
 
-    def run_round_hedged(
+    #: Aliases of :meth:`run_round`, kept only because the layer ledger in
+    #: ``perfbench/ledger.py`` wraps these names and fails without them.
+    run_round_resilient = run_round_hedged = run_round
+
+    # ------------------------------------------------------------------
+    # Launch internals
+    # ------------------------------------------------------------------
+    def _hedged_attempt(
         self,
+        report: RoundReport,
         n_samples: int,
         hedge_delay_ms: float,
-        retry: Optional[RetryPolicy] = None,
-        collect_states: bool = False,
-        watchdog_ms: Optional[float] = None,
-    ) -> "HedgedRoundReport":
-        """Run one round with a backup request hedged onto another replica.
+        watchdog_ms: Optional[float],
+        collect_states: bool,
+    ) -> Tuple[Optional[GPURunResult], Optional[BaseException]]:
+        """Attempt 0 of a hedged round: the primary launch and, unless it
+        finished within ``hedge_delay_ms``, a backup on the same substream.
 
-        The straggler mitigation of "The Tail at Scale": if the primary
-        launch has not finished within ``hedge_delay_ms`` (the scheduler
-        passes a p99 of recent round durations), a second launch of the
-        *same* round fires with the warp->shard map rotated by one, and the
-        first completion wins; the loser is cancelled.
-
-        **Bit-identity.**  Both attempts replay one child state spawned
-        from the session root (the root advances exactly once, same as
-        :meth:`run_round`), and a warp's estimate depends only on its own
-        RNG stream — so the committed estimate is bit-identical to the
-        unhedged round no matter which attempt wins, and shard rotation
-        cannot perturb it either.  Fault injection still draws fresh per
-        *launch*, so the two attempts can fail independently — timing and
-        failure differ, values never do.  (Stall faults scale only the
-        round's cycle profile, post-result.)
-
-        Accounting: the winner's kernel time is the round's duration;
-        ``extra_ms`` (the hedge delay, when the hedge wins) extends the
-        critical path like fault backoff; the loser's overlapped occupancy
-        lands in ``wasted_ms`` (telemetry only).  If *both* attempts fail
-        the round falls back to :meth:`run_round_resilient` when ``retry``
-        is given — fresh substreams, preserving HT unbiasedness — else the
-        primary's error is raised.
+        The winner's kernel time is the round's duration; ``extra_ms`` (the
+        hedge delay, when the backup wins) extends the critical path; the
+        loser's overlapped occupancy lands in ``wasted_ms``.  When both
+        launches fail, the critical path burned until the slower failure
+        was known (``fault_ms``) and the primary's error is the attempt's.
         """
-        if hedge_delay_ms < 0:
-            raise ConfigError("hedge_delay_ms must be non-negative")
         rec = self.engine.recorder
-        round_span = (
-            rec.begin(
-                "engine.round", track="engine",
-                args={
-                    "round": self._rounds, "n_samples": n_samples,
-                    "hedge_delay_ms": hedge_delay_ms,
-                },
-            )
-            if rec.enabled
-            else None
-        )
         state = spawn_generator_states(self._root, 1)[0]
-        primary: Optional[GPURunResult] = None
-        primary_err: Optional[BaseException] = None
-        try:
-            primary = self._attempt_round(
-                n_samples, collect_states,
-                rng=generator_from_state(clone_state(state)),
-                watchdog_ms=watchdog_ms,
-                rng_state=clone_state(state),
-            )
-        except RECOVERABLE_ERRORS as error:
-            primary_err = error
-            if round_span is not None:
-                self._trace_abort(error)
-        except BaseException as error:
-            if round_span is not None:
-                rec.end(
-                    round_span,
-                    args={"status": "failed", "error": type(error).__name__},
-                )
-            raise
+        primary, primary_err = self._launch(
+            report, n_samples, watchdog_ms, collect_states, rng_state=state
+        )
         dur_p = primary.simulated_ms() if primary is not None else math.inf
-
         if primary is not None and dur_p <= hedge_delay_ms:
             # Primary beat the hedge trigger: identical to an unhedged round.
-            self._commit_round(primary)
-            if round_span is not None:
-                rec.end(round_span, args={"status": "ok", "hedged": False})
-            return HedgedRoundReport(result=primary, hedged=False)
+            return primary, None
+        primary_launch = report.launch
 
         # Hedge fires: same substream, rotated shard map (a different
         # replica executes it when the engine is sharded).
+        report.hedged = True
         shard_offset = 1 if self.engine.config.n_shards > 1 else 0
         if rec.enabled:
             rec.instant(
@@ -1213,28 +1119,11 @@ class EngineSession:
                     "shard_offset": shard_offset,
                 },
             )
-        hedge: Optional[GPURunResult] = None
-        hedge_err: Optional[BaseException] = None
-        try:
-            hedge = self._attempt_round(
-                n_samples, collect_states,
-                rng=generator_from_state(clone_state(state)),
-                watchdog_ms=watchdog_ms,
-                shard_offset=shard_offset,
-                rng_state=clone_state(state),
-            )
-        except RECOVERABLE_ERRORS as error:
-            hedge_err = error
-            if round_span is not None:
-                self._trace_abort(error)
-        except BaseException as error:
-            if round_span is not None:
-                rec.end(
-                    round_span,
-                    args={"status": "failed", "error": type(error).__name__},
-                )
-            raise
-        # Occupancy of each attempt on its replica (failed attempts hold
+        hedge, hedge_err = self._launch(
+            report, n_samples, watchdog_ms, collect_states,
+            rng_state=state, shard_offset=shard_offset,
+        )
+        # Occupancy of each launch on its replica (failed launches hold
         # the device for their abort charge).
         occ_p = dur_p if primary is not None else self.abort_charge_ms(primary_err)
         occ_h = (
@@ -1242,104 +1131,61 @@ class EngineSession:
             if hedge is not None
             else self.abort_charge_ms(hedge_err)
         )
-        dur_h_total = hedge_delay_ms + occ_h if hedge is not None else math.inf
-        errors = [e for e in (primary_err, hedge_err) if e is not None]
-        self.n_faults += len(errors)
-
         if primary is None and hedge is None:
-            # Both replicas failed.  The critical path burned until the
-            # slower failure was known; retries (if configured) draw fresh
-            # substreams, which keeps HT unbiased.
-            both_dead_ms = max(occ_p, hedge_delay_ms + occ_h)
-            self.fault_ms += both_dead_ms
-            if retry is not None:
-                try:
-                    report = self.run_round_resilient(
-                        n_samples, retry, collect_states,
-                        watchdog_ms=watchdog_ms,
-                    )
-                except BaseException:
-                    # Keep the hedge-phase failures visible to callers that
-                    # report per-kind fault metrics off the attempt log.
-                    self.last_attempt_errors = (
-                        errors + list(self.last_attempt_errors)
-                    )
-                    raise
-                all_errors = errors + list(report.errors)
-                self.last_attempt_errors = all_errors
-                if round_span is not None:
-                    rec.end(
-                        round_span,
-                        args={"status": "ok", "hedged": True,
-                              "n_faults": len(all_errors)},
-                    )
-                return HedgedRoundReport(
-                    result=report.result,
-                    hedged=True,
-                    hedge_won=False,
-                    extra_ms=0.0,
-                    wasted_ms=min(occ_p, occ_h),
-                    n_faults=report.n_faults + 2,
-                    n_retries=report.n_retries,
-                    fault_ms=report.fault_ms + both_dead_ms,
-                    errors=all_errors,
-                )
-            self.last_attempt_errors = errors
-            if round_span is not None:
-                rec.end(
-                    round_span,
-                    args={"status": "failed",
-                          "error": type(primary_err).__name__},
-                )
-            raise primary_err  # type: ignore[misc]
+            report.fault_ms += max(occ_p, hedge_delay_ms + occ_h)
+            report.wasted_ms = min(occ_p, occ_h)
+            return None, primary_err
 
-        hedge_won = dur_h_total < dur_p
-        winner = hedge if hedge_won else primary
+        dur_h_total = hedge_delay_ms + occ_h if hedge is not None else math.inf
+        report.hedge_won = dur_h_total < dur_p
+        winner = hedge if report.hedge_won else primary
         assert winner is not None
-        win_time = dur_h_total if hedge_won else dur_p
+        win_time = dur_h_total if report.hedge_won else dur_p
         # Loser occupancy until the winner's completion cancels it.
-        if hedge_won:
-            wasted = min(occ_p, win_time)
+        if report.hedge_won:
+            report.wasted_ms = min(occ_p, win_time)
         else:
-            wasted = min(occ_h, max(0.0, win_time - hedge_delay_ms))
-        extra = win_time - winner.simulated_ms()
-        self.last_attempt_errors = errors
-        self._commit_round(winner)
+            report.wasted_ms = min(occ_h, max(0.0, win_time - hedge_delay_ms))
+            report.launch = primary_launch
+        report.extra_ms = win_time - winner.simulated_ms()
         if rec.enabled:
             rec.instant(
                 "hedge.win", track="engine",
                 args={
-                    "winner": "hedge" if hedge_won else "primary",
+                    "winner": "hedge" if report.hedge_won else "primary",
                     "win_ms": win_time,
-                    "wasted_ms": wasted,
+                    "wasted_ms": report.wasted_ms,
                 },
             )
-        if round_span is not None:
-            rec.end(
-                round_span,
-                args={"status": "ok", "hedged": True,
-                      "hedge_won": hedge_won, "n_faults": len(errors)},
-            )
-        return HedgedRoundReport(
-            result=winner,
-            hedged=True,
-            hedge_won=hedge_won,
-            extra_ms=extra,
-            wasted_ms=wasted,
-            n_faults=len(errors),
-            n_retries=0,
-            fault_ms=0.0,
-            errors=errors,
-        )
+        return winner, None
 
-    # ------------------------------------------------------------------
-    # Launch internals
-    # ------------------------------------------------------------------
+    def _launch(
+        self,
+        report: RoundReport,
+        n_samples: int,
+        watchdog_ms: Optional[float],
+        collect_states: bool,
+        rng_state: Optional[GeneratorState] = None,
+        shard_offset: int = 0,
+    ) -> Tuple[Optional[GPURunResult], Optional[BaseException]]:
+        """:meth:`_attempt_round`, with a recoverable failure logged on
+        ``report`` (and the timeline) and returned instead of raised."""
+        try:
+            return self._attempt_round(
+                report, n_samples, collect_states, watchdog_ms=watchdog_ms,
+                shard_offset=shard_offset, rng_state=rng_state,
+            ), None
+        except RECOVERABLE_ERRORS as error:
+            report.errors.append(error)
+            if self.engine.recorder.enabled:
+                self._trace_abort(error)
+            return None, error
+
     def _attempt_round(
         self,
+        report: RoundReport,
         n_samples: int,
         collect_states: bool,
-        rng: RandomSource = None,
         watchdog_ms: Optional[float] = None,
         shard_offset: int = 0,
         rng_state: Optional[GeneratorState] = None,
@@ -1347,11 +1193,11 @@ class EngineSession:
         """One kernel launch: injection, admission, execution, watchdog.
 
         Raises a typed error on any failure; returns the (uncommitted)
-        round result on success.
+        round result on success.  An executed launch is captured in
+        ``report.launch``.
 
-        ``rng`` overrides the default fresh-substream draw (the hedging
-        path replays one substream across two attempts — it passes the
-        shared ``rng_state`` too so the launch stays replay-capturable);
+        ``rng_state`` overrides the default fresh-substream draw (the
+        hedged attempt replays one substream across two launches);
         ``watchdog_ms`` tightens the device watchdog for this launch
         (deadline propagation); ``shard_offset`` rotates the warp->shard
         map.
@@ -1387,15 +1233,13 @@ class EngineSession:
             # when this launch's round dispatches to it, exercising the
             # real death-detection path rather than a synthetic raise.
             engine._shard_executor().inject_crash(faults.launch_index)
-        if rng is not None:
-            round_rng = as_generator(rng)
-        else:
+        if rng_state is None:
             # Materialising via the captured state (instead of
             # spawn_generators) is stream-identical — default_rng never
             # advances a SeedSequence's child counter — but leaves the
             # state in hand for postmortem replay.
             rng_state = spawn_generator_states(self._root, 1)[0]
-            round_rng = generator_from_state(clone_state(rng_state))
+        round_rng = generator_from_state(clone_state(rng_state))
         round_result = engine.run(
             self.cg, self.order, n_samples, rng=round_rng,
             collect_states=collect_states, shard_offset=shard_offset,
@@ -1424,26 +1268,25 @@ class EngineSession:
         # verdict: a timeout round is exactly the one a flight bundle
         # needs to carry.  (Launches that raised earlier never executed,
         # so there is nothing replayable to capture.)
-        if rng_state is not None:
-            stall_factor = (
-                float(faults.stall_factor)
-                if faults is not None and faults.stalls
-                else 1.0
-            )
-            self.last_launch = {
-                "rng_state": clone_state(rng_state),
-                "n_samples": int(n_samples),
-                "shard_offset": int(shard_offset),
-                "stall_factor": stall_factor,
-                "estimate": float(round_result.estimate),
-                "simulated_ms": float(round_result.simulated_ms()),
-                "backend": round_result.backend_label,
-                "n_warps": int(round_result.n_warps),
-                "round": int(self._rounds),
-                "launch_index": (
-                    int(faults.launch_index) if faults is not None else None
-                ),
-            }
+        stall_factor = (
+            float(faults.stall_factor)
+            if faults is not None and faults.stalls
+            else 1.0
+        )
+        report.launch = {
+            "rng_state": clone_state(rng_state),
+            "n_samples": int(n_samples),
+            "shard_offset": int(shard_offset),
+            "stall_factor": stall_factor,
+            "estimate": float(round_result.estimate),
+            "simulated_ms": float(round_result.simulated_ms()),
+            "backend": round_result.backend_label,
+            "n_warps": int(round_result.n_warps),
+            "round": int(self._rounds),
+            "launch_index": (
+                int(faults.launch_index) if faults is not None else None
+            ),
+        }
         device.check_watchdog(round_result.simulated_ms(), watchdog_ms)
         return round_result
 

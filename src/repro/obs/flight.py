@@ -343,7 +343,7 @@ def serialize_round(
     tasks_per_warp: int,
     rng_mode: str,
 ) -> Dict[str, Any]:
-    """Encode an :attr:`EngineSession.last_launch` capture for a bundle."""
+    """Encode a :attr:`RoundReport.launch` capture for a bundle."""
     state = launch["rng_state"]
     out: Dict[str, Any] = {
         "rng_state": serialize_rng_state(state),

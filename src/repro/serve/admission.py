@@ -32,7 +32,7 @@ under a fixed seed — the soak benchmark's shed counts are pinned in
 ``benchmarks/baselines.json`` exactly because of this.
 
 :class:`HedgePolicy` lives here too: it parameterises straggler hedging
-(see :meth:`repro.core.engine.EngineSession.run_round_hedged`) — the hedge
+(see :meth:`repro.core.engine.EngineSession.run_round`) — the hedge
 delay is a quantile of observed round durations, so only genuine tail
 rounds pay the hedge.
 """

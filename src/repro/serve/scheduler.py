@@ -49,13 +49,14 @@ class RoundTask:
     """One schedulable unit: run ``n_samples`` on a request's session.
 
     ``payload`` is opaque to the scheduler (the service stores its pending-
-    request record there).  ``retry`` enables in-round retry of transient
-    device faults (``None`` = fail fast, the pre-resilience behaviour).
-    ``tenant``/``weight`` drive weighted-fair queueing in
-    :class:`FairQueue`; ``watchdog_ms`` tightens this round's launch
-    watchdog (deadline propagation); ``hedge_delay_ms`` arms straggler
-    hedging for the round (see
-    :meth:`~repro.core.engine.EngineSession.run_round_hedged`)."""
+    request record there).  ``retry``, ``hedge_delay_ms`` and
+    ``watchdog_ms`` are passed straight to
+    :meth:`~repro.core.engine.EngineSession.run_round`: ``retry`` allows
+    relaunches after a transient device fault (``None`` = fail fast),
+    ``hedge_delay_ms`` makes attempt 0 a hedged pair (straggler
+    mitigation), and ``watchdog_ms`` tightens the round's launch watchdog
+    (deadline propagation).  ``tenant``/``weight`` drive weighted-fair
+    queueing in :class:`FairQueue`."""
 
     session: EngineSession
     n_samples: int
@@ -291,67 +292,29 @@ class BatchScheduler:
         hedge_extra_ms = 0.0
         hedge_wasted_ms = 0.0
         for task in tasks:
-            session = task.session
-            # Snapshot the session's fault bill so the failure path can
-            # charge exactly this round's share (the counters are
-            # cumulative across the session's lifetime).
-            pre_fault_ms = session.fault_ms
-            pre_faults = session.n_faults
-            pre_retries = session.n_retries
             try:
-                if task.hedge_delay_ms is not None:
-                    hreport = session.run_round_hedged(
-                        task.n_samples,
-                        task.hedge_delay_ms,
-                        retry=task.retry,
-                        watchdog_ms=task.watchdog_ms,
-                    )
-                    fault_ms += hreport.fault_ms
-                    n_faults += hreport.n_faults
-                    n_retries += hreport.n_retries
-                    fault_kinds.extend(fault_kind(e) for e in hreport.errors)
-                    if hreport.hedged:
-                        n_hedges += 1
-                        hedge_extra_ms += hreport.extra_ms
-                        hedge_wasted_ms += hreport.wasted_ms
-                        if hreport.hedge_won:
-                            n_hedge_wins += 1
-                    results.append(hreport.result)
-                elif task.retry is not None:
-                    report = session.run_round_resilient(
-                        task.n_samples, task.retry,
-                        watchdog_ms=task.watchdog_ms,
-                    )
-                    fault_ms += report.fault_ms
-                    n_faults += report.n_faults
-                    n_retries += report.n_retries
-                    fault_kinds.extend(fault_kind(e) for e in report.errors)
-                    results.append(report.result)
-                else:
-                    results.append(
-                        session.run_round(
-                            task.n_samples, watchdog_ms=task.watchdog_ms
-                        )
-                    )
+                task.session.run_round(
+                    task.n_samples,
+                    retry=task.retry,
+                    hedge_delay_ms=task.hedge_delay_ms,
+                    watchdog_ms=task.watchdog_ms,
+                )
                 failures.append(None)
             except RECOVERABLE_ERRORS as error:
-                fault_ms += session.fault_ms - pre_fault_ms
-                n_faults += session.n_faults - pre_faults
-                n_retries += session.n_retries - pre_retries
-                if task.retry is None and task.hedge_delay_ms is None:
-                    # Fail-fast rounds bypass the session's bookkeeping;
-                    # bill the single aborted attempt here.
-                    n_faults += 1
-                    fault_ms += session.abort_charge_ms(error)
-                    fault_kinds.append(fault_kind(error))
-                else:
-                    # The resilient/hedged paths recorded every attempt's
-                    # error (including the one that exhausted the retries).
-                    fault_kinds.extend(
-                        fault_kind(e) for e in session.last_attempt_errors
-                    )
-                results.append(None)
                 failures.append(error)
+            report = task.session.last_round
+            results.append(report.result)
+            fault_ms += report.fault_ms
+            n_faults += report.n_faults
+            n_retries += report.n_retries
+            fault_kinds.extend(fault_kind(e) for e in report.errors)
+            # Hedges are counted over committed rounds: the service's
+            # hedge-storm rate divides them by the completed-round count.
+            if report.hedged and report.result is not None:
+                n_hedges += 1
+                n_hedge_wins += report.hedge_won
+                hedge_extra_ms += report.extra_ms
+                hedge_wasted_ms += report.wasted_ms
         ok = [r for r in results if r is not None]
         batch_ms = (
             self.device.coresident_ms(

@@ -725,8 +725,8 @@ class EstimationService:
         """Stash references to the most recent captured launch (cheap —
         no serialization; see :meth:`_flight_context`)."""
         session = pending.session
-        launch = getattr(session, "last_launch", None)
-        if launch is None:
+        report = session.last_round
+        if report is None or report.launch is None:
             return
         request = pending.request
         self._launch_context = {
@@ -736,7 +736,7 @@ class EstimationService:
             "estimator": estimator_name(request.estimator),
             "graph_id": request.graph_id,
             "graph_version": pending.graph_version,
-            "launch": dict(launch),
+            "launch": dict(report.launch),
         }
 
     def _note_shed_signals(self, reason: str) -> None:

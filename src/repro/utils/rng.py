@@ -71,7 +71,7 @@ def clone_state(state: GeneratorState) -> GeneratorState:
     grandchildren — not a replay.  Cloning rebuilds the sequence from its
     ``(entropy, spawn_key)`` identity with the counter reset, so every
     consumer of a clone sees the identical unspawned sequence (the hedged
-    round replay in :meth:`repro.core.engine.EngineSession.run_round_hedged`
+    round replay in :meth:`repro.core.engine.EngineSession.run_round`
     depends on this for bit-identical estimates).
     """
     if isinstance(state, np.random.SeedSequence):

@@ -317,17 +317,16 @@ class TestFaultEquivalence:
             log = []
             for _ in range(6):
                 try:
-                    report = session.run_round_resilient(
-                        40, RetryPolicy(max_retries=2)
-                    )
-                    log.append(("ok", report.n_faults, report.fault_ms))
+                    session.run_round(40, retry=RetryPolicy(max_retries=2))
                 except DeviceFault:
-                    log.append(("failed", None, None))
+                    pass
+                report = session.last_round
+                log.append((
+                    report.result is not None, report.n_faults,
+                    report.n_retries, report.fault_ms,
+                ))
             result = session.result()
-            outcomes[backend] = (
-                log, result.estimate, result.n_samples,
-                session.n_faults, session.n_retries, session.fault_ms,
-            )
+            outcomes[backend] = (log, result.estimate, result.n_samples)
         assert outcomes["scalar"] == outcomes["fused"]
 
     def test_clean_session_rounds_identical(self, plans):
@@ -338,7 +337,9 @@ class TestFaultEquivalence:
                 WanderJoinEstimator(), EngineConfig.gsword(backend=backend)
             )
             session = engine.session(cg, order, rng=77)
-            per_round = [session.run_round(32).estimate for _ in range(4)]
+            per_round = [
+                session.run_round(32).result.estimate for _ in range(4)
+            ]
             results[backend] = (per_round, session.result().estimate)
         assert results["scalar"] == results["fused"]
 

@@ -165,8 +165,8 @@ class TestEngineSession:
         cg, order, _ = small_workload
         engine = GSWORDEngine(AlleyEstimator(), EngineConfig.gsword())
         session = engine.session(cg, order, rng=5)
-        r1 = session.run_round(512)
-        r2 = session.run_round(512)
+        r1 = session.run_round(512).result
+        r2 = session.run_round(512).result
         total = session.result()
         assert session.n_rounds == 2
         assert total.n_samples == r1.n_samples + r2.n_samples
@@ -192,8 +192,8 @@ class TestEngineSession:
         cg, order = noisy_workload
         engine = GSWORDEngine(AlleyEstimator(), EngineConfig.gsword())
         session = engine.session(cg, order, rng=3)
-        r1 = session.run_round(1024)
-        r2 = session.run_round(1024)
+        r1 = session.run_round(1024).result
+        r2 = session.run_round(1024).result
         assert r1.accumulator._m2 != r2.accumulator._m2
 
     def test_ci_tightens_over_rounds(self, noisy_workload):

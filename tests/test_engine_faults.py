@@ -26,6 +26,7 @@ from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.gpu.costmodel import DEFAULT_GPU
 from repro.gpu.device import DeviceModel
 from repro.graph.datasets import load_dataset
+from repro.obs.trace import TraceRecorder
 from repro.query.extract import extract_query
 from repro.query.matching_order import quicksi_order
 
@@ -40,7 +41,8 @@ def plan_parts():
     return cg, order
 
 
-def make_engine(plan=None, watchdog_ms=None, memory_budget_bytes=None):
+def make_engine(plan=None, watchdog_ms=None, memory_budget_bytes=None,
+                recorder=None):
     device = DeviceModel(
         DEFAULT_GPU,
         watchdog_ms=watchdog_ms,
@@ -49,7 +51,7 @@ def make_engine(plan=None, watchdog_ms=None, memory_budget_bytes=None):
     injector = FaultInjector(plan) if plan is not None else None
     return GSWORDEngine(
         AlleyEstimator(), EngineConfig.gsword(), DEFAULT_GPU,
-        device=device, injector=injector,
+        device=device, injector=injector, recorder=recorder,
     )
 
 
@@ -101,8 +103,8 @@ class TestFaultRaising:
     def test_stall_without_watchdog_just_runs_slow(self, plan_parts):
         cg, order = plan_parts
         plan = FaultPlan(overrides={0: (FaultKind.STALL,)}, stall_factor=64.0)
-        slow = make_engine(plan).session(cg, order, rng=0).run_round(128)
-        fast = make_engine().session(cg, order, rng=0).run_round(128)
+        slow = make_engine(plan).session(cg, order, rng=0).run_round(128).result
+        fast = make_engine().session(cg, order, rng=0).run_round(128).result
         assert slow.simulated_ms() > fast.simulated_ms()
         assert slow.estimate == fast.estimate  # timing-only fault
 
@@ -146,7 +148,7 @@ class TestResilientRetry:
             })
         )
         session = engine.session(cg, order, rng=0)
-        report = session.run_round_resilient(128, RetryPolicy(max_retries=3))
+        report = session.run_round(128, retry=RetryPolicy(max_retries=3))
         assert report.n_faults == 2
         assert report.n_retries == 2
         assert len(report.errors) == 2
@@ -158,25 +160,27 @@ class TestResilientRetry:
         )
         assert report.fault_ms == pytest.approx(expected)
         assert session.n_rounds == 1
-        assert session.n_faults == 2 and session.n_retries == 2
+        assert session.last_round is report
 
     def test_retries_exhausted_raises_last_error(self, plan_parts):
         cg, order = plan_parts
         engine = make_engine(FaultPlan(rates={FaultKind.CORRUPTION: 1.0}))
         session = engine.session(cg, order, rng=0)
         with pytest.raises(DeviceFault):
-            session.run_round_resilient(128, RetryPolicy(max_retries=2))
-        assert session.n_faults == 3  # initial attempt + 2 retries
-        assert session.n_retries == 2
+            session.run_round(128, retry=RetryPolicy(max_retries=2))
+        report = session.last_round
+        assert report.n_faults == 3  # initial attempt + 2 retries
+        assert report.n_retries == 2
         assert session.n_rounds == 0
-        assert len(session.last_attempt_errors) == 3
+        assert len(report.errors) == 3
+        assert report.result is None
 
     def test_timeout_abort_charges_watchdog(self, plan_parts):
         cg, order = plan_parts
         plan = FaultPlan(overrides={0: (FaultKind.STALL,)}, stall_factor=1e6)
         engine = make_engine(plan, watchdog_ms=7.5)
         session = engine.session(cg, order, rng=0)
-        report = session.run_round_resilient(128, RetryPolicy(backoff_ms=0.0))
+        report = session.run_round(128, retry=RetryPolicy(backoff_ms=0.0))
         assert isinstance(report.errors[0], KernelTimeout)
         assert report.fault_ms == pytest.approx(7.5)
 
@@ -205,7 +209,7 @@ class TestRetryUnbiasedness:
             FaultPlan(overrides={0: (FaultKind.CORRUPTION,)})
         )
         faulted = faulted_engine.session(cg, order, rng=seed)
-        report = faulted.run_round_resilient(64, RetryPolicy())
+        report = faulted.run_round(64, retry=RetryPolicy())
         assert report.n_retries == 1
         assert faulted.result().estimate == healthy.result().estimate
 
@@ -230,8 +234,8 @@ class TestRetryUnbiasedness:
                 ),
                 watchdog_ms=5.0,
             ).session(cg, order, rng=seed)
-            report = f.run_round_resilient(
-                n_samples, RetryPolicy(max_retries=2)
+            report = f.run_round(
+                n_samples, retry=RetryPolicy(max_retries=2)
             )
             assert report.n_retries >= 1  # the fault actually fired
             faulted_estimates.append(f.result().estimate)
@@ -243,6 +247,78 @@ class TestRetryUnbiasedness:
             + np.var(faulted_estimates, ddof=1) / n_runs
         ))
         assert abs(h_mean - f_mean) <= 5.0 * pooled_se + 1e-9
+
+
+class TestHedgedRetry:
+    """A hedged round's pair of launches is attempt 0 of the retry loop."""
+
+    @pytest.mark.parametrize("max_retries", [0, 1, 2])
+    def test_failed_pair_spends_exactly_the_retry_budget(
+        self, plan_parts, max_retries
+    ):
+        cg, order = plan_parts
+        rec = TraceRecorder()
+        engine = make_engine(
+            FaultPlan(seed=1, rates={FaultKind.CORRUPTION: 1.0}),
+            recorder=rec,
+        )
+        session = engine.session(cg, order, rng=0)
+        sentinel = rec.begin("sentinel", track="engine")
+        with pytest.raises(DeviceFault):
+            session.run_round(
+                128, retry=RetryPolicy(max_retries=max_retries),
+                hedge_delay_ms=0.0,
+            )
+        rec.end(sentinel)  # the round left no span open on the track
+        report = session.last_round
+        assert engine.injector.n_launches == 2 + max_retries
+        assert len(report.errors) == 2 + max_retries
+        assert report.n_retries == max_retries
+        assert report.hedged and report.result is None
+        rounds = rec.spans("engine.round")
+        assert len(rounds) == 1
+        assert rounds[0]["args"]["status"] == "failed"
+        assert len(rec.spans("sentinel")) == 1
+
+    def test_failed_pair_then_retry_charges_backoff(self, plan_parts):
+        cg, order = plan_parts
+        engine = make_engine(FaultPlan(overrides={
+            0: (FaultKind.CORRUPTION,), 1: (FaultKind.CORRUPTION,),
+        }))
+        session = engine.session(cg, order, rng=0)
+        policy = RetryPolicy(max_retries=2)
+        report = session.run_round(128, retry=policy, hedge_delay_ms=0.0)
+        overhead = engine.spec.launch_overhead_ms
+        assert report.result is not None
+        assert report.n_faults == 2 and report.n_retries == 1
+        # Both launches died at launch: the pair burned one overhead after
+        # the hedge delay, then the single retry waited backoff(0).
+        assert report.fault_ms == pytest.approx(overhead + policy.backoff_for(0))
+        assert engine.injector.n_launches == 3
+
+
+class TestLaunchCapture:
+    def test_capture_is_the_committed_launch(self, plan_parts):
+        """With the hedge armed on every round, the capture must describe
+        whichever launch committed — not the losing (stalled) backup."""
+        cg, order = plan_parts
+        plan = FaultPlan(seed=5, rates={FaultKind.STALL: 0.5},
+                         stall_factor=24.0)
+        session = make_engine(plan).session(cg, order, rng=0)
+        stalled_losers = 0
+        for r in range(12):
+            report = session.run_round(128, hedge_delay_ms=0.0)
+            launch, result = report.launch, report.result
+            # Each round launches the primary (2r) and the hedge (2r+1).
+            assert launch["launch_index"] == 2 * r + int(report.hedge_won)
+            assert launch["simulated_ms"] == result.simulated_ms()
+            assert launch["estimate"] == result.estimate
+            committed = plan.faults_for(launch["launch_index"])
+            expected = plan.stall_factor if committed.stalls else 1.0
+            assert launch["stall_factor"] == expected
+            if not report.hedge_won and plan.faults_for(2 * r + 1).stalls:
+                stalled_losers += 1
+        assert stalled_losers > 0  # the plan really produced a stalled loser
 
 
 class TestEngineWiring:

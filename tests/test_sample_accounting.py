@@ -96,7 +96,7 @@ class TestWastedWarpCounts:
         rec = TraceRecorder()
         engine = GSWORDEngine(AlleyEstimator(), EngineConfig(), recorder=rec)
         session = engine.session(cg, order, rng=4)
-        rounds = [session.run_round(n) for n in (700, 1500)]
+        rounds = [session.run_round(n).result for n in (700, 1500)]
         launches = rec.spans("kernel.launch")
         assert len(launches) == len(rounds)
         for span, result in zip(launches, rounds):

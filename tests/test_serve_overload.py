@@ -362,7 +362,7 @@ class TestHedging:
         durations = []
         baseline = []
         for _ in range(24):
-            result = plain.run_round(192)
+            result = plain.run_round(192).result
             durations.append(result.simulated_ms())
             baseline.append(result.estimate)
         delay = max(0.05, 1.5 * float(np.percentile(durations, 50)))
@@ -371,7 +371,7 @@ class TestHedging:
         estimates = []
         n_fired = n_won = 0
         for _ in range(24):
-            report = hedged.run_round_hedged(192, hedge_delay_ms=delay)
+            report = hedged.run_round(192, hedge_delay_ms=delay)
             estimates.append(report.result.estimate)
             n_fired += int(report.hedged)
             n_won += int(report.hedge_won)
@@ -396,7 +396,7 @@ class TestHedging:
             )
 
         plain = make().session(cg, order, rng=7)
-        baseline = [plain.run_round(192).estimate for _ in range(8)]
+        baseline = [plain.run_round(192).result.estimate for _ in range(8)]
 
         hedged = make().session(cg, order, rng=7)
         estimates = []
@@ -404,7 +404,7 @@ class TestHedging:
         for _ in range(8):
             # Zero delay arms the hedge every round, so every round takes
             # the dual-launch path (rotated shard map included).
-            report = hedged.run_round_hedged(192, hedge_delay_ms=0.0)
+            report = hedged.run_round(192, hedge_delay_ms=0.0)
             estimates.append(report.result.estimate)
             n_fired += int(report.hedged)
         assert estimates == baseline
@@ -414,7 +414,7 @@ class TestHedging:
         cg, order = plan_parts
         session = _make_engine().session(cg, order, rng=3)
         # A huge delay never fires the hedge on a healthy device.
-        report = session.run_round_hedged(192, hedge_delay_ms=1e9)
+        report = session.run_round(192, hedge_delay_ms=1e9)
         assert not report.hedged and not report.hedge_won
         assert report.extra_ms == 0.0 and report.wasted_ms == 0.0
 

@@ -6,9 +6,10 @@ import pytest
 
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig
-from repro.core.engine import GSWORDEngine
-from repro.errors import ServiceError
+from repro.core.engine import GSWORDEngine, RetryPolicy
+from repro.errors import DeviceFault, ServiceError
 from repro.estimators.alley import AlleyEstimator
+from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.gpu.costmodel import GPUSpec
 from repro.graph.datasets import load_dataset
 from repro.query.extract import extract_query
@@ -31,9 +32,11 @@ def plans():
     return out
 
 
-def make_session(plans, i=0, spec=SMALL_SPEC, seed=0):
+def make_session(plans, i=0, spec=SMALL_SPEC, seed=0, fault_plan=None):
     cg, order = plans[i % len(plans)]
-    engine = GSWORDEngine(AlleyEstimator(), ENGINE_CONFIG, spec)
+    injector = FaultInjector(fault_plan) if fault_plan is not None else None
+    engine = GSWORDEngine(AlleyEstimator(), ENGINE_CONFIG, spec,
+                          injector=injector)
     return engine.session(cg, order, rng=seed)
 
 
@@ -143,3 +146,124 @@ class TestExecute:
             BatchScheduler(max_batch_requests=0)
         with pytest.raises(ServiceError):
             BatchScheduler(warp_overcommit=0)
+
+
+#: Corruption on the listed launches of one engine (pre-draw faults: the
+#: failed launch costs one launch overhead and no RNG substream).
+def corrupt(*launches):
+    return FaultPlan(overrides={i: (FaultKind.CORRUPTION,) for i in launches})
+
+
+class TestFaultAccounting:
+    """The batch's fault bill, per kind of task: fail-fast, retried,
+    retry-exhausted and hedged rounds, alone and mixed in one batch."""
+
+    OVERHEAD = SMALL_SPEC.launch_overhead_ms
+    POLICY = RetryPolicy(max_retries=2)
+
+    def coresident_ms(self, scheduler, result):
+        ok = [r for r in result.round_results if r is not None]
+        if not ok:
+            return SMALL_SPEC.launch_overhead_ms
+        return scheduler.device.coresident_ms(
+            [r.profile for r in ok], [r.longest_warp_cycles for r in ok]
+        )
+
+    def assert_batch_ms(self, scheduler, result):
+        assert result.batch_ms == pytest.approx(
+            self.coresident_ms(scheduler, result)
+            + result.fault_ms + result.hedge_extra_ms
+        )
+
+    def test_fail_fast_task_bills_one_abort(self, plans):
+        scheduler = BatchScheduler(spec=SMALL_SPEC)
+        session = make_session(plans, fault_plan=corrupt(0))
+        result = scheduler.execute([RoundTask(session, 128, retry=None)])
+        assert result.round_results == [None]
+        assert isinstance(result.failures[0], DeviceFault)
+        assert result.n_faults == 1
+        assert result.n_retries == 0
+        assert result.fault_ms == pytest.approx(self.OVERHEAD)
+        assert result.fault_kinds == ["corruption"]
+        assert result.n_hedges == 0
+        self.assert_batch_ms(scheduler, result)
+
+    def test_task_recovers_after_retries(self, plans):
+        scheduler = BatchScheduler(spec=SMALL_SPEC)
+        session = make_session(plans, fault_plan=corrupt(0, 1))
+        result = scheduler.execute(
+            [RoundTask(session, 128, retry=self.POLICY)]
+        )
+        assert result.failures == [None]
+        assert result.round_results[0] is not None
+        assert result.n_faults == 2
+        assert result.n_retries == 2
+        assert result.fault_ms == pytest.approx(
+            2 * self.OVERHEAD
+            + self.POLICY.backoff_for(0) + self.POLICY.backoff_for(1)
+        )
+        assert result.fault_kinds == ["corruption", "corruption"]
+        assert session.n_rounds == 1
+        self.assert_batch_ms(scheduler, result)
+
+    def test_task_exhausts_retries(self, plans):
+        scheduler = BatchScheduler(spec=SMALL_SPEC)
+        session = make_session(plans, fault_plan=corrupt(0, 1, 2))
+        result = scheduler.execute(
+            [RoundTask(session, 128, retry=self.POLICY)]
+        )
+        assert result.round_results == [None]
+        assert isinstance(result.failures[0], DeviceFault)
+        assert result.n_faults == 3
+        assert result.n_retries == 2
+        assert result.fault_ms == pytest.approx(
+            3 * self.OVERHEAD
+            + self.POLICY.backoff_for(0) + self.POLICY.backoff_for(1)
+        )
+        assert result.fault_kinds == ["corruption"] * 3
+        assert session.n_rounds == 0
+        self.assert_batch_ms(scheduler, result)
+
+    def test_hedged_task_rides_out_a_failed_primary(self, plans):
+        scheduler = BatchScheduler(spec=SMALL_SPEC)
+        session = make_session(plans, fault_plan=corrupt(0))
+        result = scheduler.execute(
+            [RoundTask(session, 128, hedge_delay_ms=0.01)]
+        )
+        assert result.failures == [None]
+        assert result.n_faults == 1
+        assert result.n_retries == 0
+        assert result.fault_ms == 0.0  # overlapped by the hedge
+        assert result.fault_kinds == ["corruption"]
+        assert result.n_hedges == 1 and result.n_hedge_wins == 1
+        assert result.hedge_extra_ms == pytest.approx(0.01)
+        self.assert_batch_ms(scheduler, result)
+
+    def test_mixed_batch_sums_every_bill(self, plans):
+        scheduler = BatchScheduler(spec=SMALL_SPEC)
+        tasks = [
+            RoundTask(make_session(plans, 0, seed=0), 128, payload="healthy"),
+            RoundTask(make_session(plans, 1, fault_plan=corrupt(0)), 128,
+                      payload="fail-fast"),
+            RoundTask(make_session(plans, 2, fault_plan=corrupt(0)), 128,
+                      payload="retried", retry=self.POLICY),
+            RoundTask(make_session(plans, 0, seed=3, fault_plan=corrupt(0)),
+                      128, payload="hedged", hedge_delay_ms=0.01),
+        ]
+        result = scheduler.execute(tasks)
+        ok = [r is not None for r in result.round_results]
+        assert ok == [True, False, True, True]
+        assert [f is not None for f in result.failures] == [
+            False, True, False, False
+        ]
+        assert result.n_faults == 3
+        assert result.n_retries == 1
+        assert result.fault_ms == pytest.approx(
+            2 * self.OVERHEAD + self.POLICY.backoff_for(0)
+        )
+        assert result.fault_kinds == ["corruption"] * 3
+        assert result.n_hedges == 1 and result.n_hedge_wins == 1
+        assert result.n_samples == sum(
+            r.n_samples for r in result.round_results if r is not None
+        )
+        self.assert_batch_ms(scheduler, result)

@@ -117,7 +117,9 @@ class TestShardingEquivalence:
             config = EngineConfig.gsword().with_shards(n_shards)
             with GSWORDEngine(WanderJoinEstimator(), config=config) as engine:
                 session = engine.session(cg, order, rng=77)
-                per_round = [session.run_round(300).estimate for _ in range(3)]
+                per_round = [
+                    session.run_round(300).result.estimate for _ in range(3)
+                ]
                 result = session.result()
                 outcomes[n_shards] = (
                     per_round, result.estimate, result.n_samples,
@@ -165,14 +167,15 @@ class TestShardCrash:
             AlleyEstimator(), config=config, injector=FaultInjector(fault_plan)
         ) as engine:
             session = engine.session(cg, order, rng=9)
-            first = session.run_round(256)  # 2 warps: really sharded
+            first = session.run_round(256).result  # 2 warps: really sharded
             assert first.estimate >= 0.0
             with pytest.raises(ShardFailure) as info:
-                session.run_round_resilient(256, RetryPolicy(max_retries=3))
+                session.run_round(256, retry=RetryPolicy(max_retries=3))
             assert info.value.retryable is False
             assert info.value.kind == "shard"
-            assert session.n_retries == 0  # non-retryable: no burned retries
-            healed = session.run_round(256)  # pool respawned the worker
+            # Non-retryable: no burned retries.
+            assert session.last_round.n_retries == 0
+            healed = session.run_round(256).result  # pool respawned the worker
             assert healed.estimate >= 0.0
 
     def test_crash_schedule_leaves_classic_kinds_untouched(self):
