@@ -59,6 +59,7 @@ from repro.bench.serving import (
     build_request_pool,
     run_serving_benchmark,
 )
+from repro.core.config import EngineConfig
 from repro.errors import ReproError
 from repro.graph.datasets import DATASET_ORDER, load_dataset
 from repro.obs import (
@@ -283,10 +284,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         graph, args.k, rng=args.seed, query_type=args.query_type,
         name=f"{args.dataset}-q{args.k}-{args.query_type}-{args.seed}",
     )
-    config = ServiceConfig(
-        n_shards=args.shards, trace=args.trace_out is not None
-    )
-    service = EstimationService(config)
+    engine_config = EngineConfig.gsword()
+    if args.shards is not None:
+        engine_config = engine_config.with_shards(args.shards)
+    if args.trace_out is not None:
+        engine_config = engine_config.with_trace()
+    service = EstimationService(ServiceConfig(engine_config=engine_config))
     try:
         response = service.estimate(
             EstimateRequest(

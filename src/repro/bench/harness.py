@@ -51,7 +51,7 @@ ENGINE_CONFIGS: Dict[str, EngineConfig] = {
     "O1": EngineConfig.inheritance_only(),
     "O2": EngineConfig.gsword(),
     "sample-sync": EngineConfig.sample_sync_baseline(),
-    "iteration-sync": EngineConfig.iteration_sync_baseline(),
+    "iteration-sync": EngineConfig.gpu_baseline(),
 }
 
 

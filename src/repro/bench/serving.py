@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.config import EngineConfig
 from repro.graph.datasets import load_dataset
 from repro.query.extract import extract_query
 from repro.serve.controller import BudgetPolicy
@@ -119,7 +120,7 @@ def run_serving_benchmark(
         cache_bytes=(64 << 20) if cache else 0,
         max_batch_requests=1 if serial else 64,
         policy=policy or BudgetPolicy(),
-        n_shards=shards,
+        engine_config=EngineConfig.gsword(n_shards=shards),
     )
     service = EstimationService(config)
     stream = request_stream(pool, n_requests)

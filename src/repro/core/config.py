@@ -203,11 +203,6 @@ class EngineConfig:
         """Full gSWORD (Figure 12's O2)."""
         return cls(inheritance=True, streaming=True, **overrides)
 
-    @classmethod
-    def iteration_sync_baseline(cls, **overrides) -> "EngineConfig":
-        """Alias of :meth:`gpu_baseline` under its §3.2 name."""
-        return cls.gpu_baseline(**overrides)
-
     def with_max_depth(self, max_depth: Optional[int]) -> "EngineConfig":
         return replace(self, max_depth=max_depth)
 

@@ -193,20 +193,24 @@ class GSWORDEngine:
     def __init__(
         self,
         estimator: RSVEstimator,
-        config: EngineConfig = EngineConfig(),
+        config: Optional[EngineConfig] = None,
         spec: GPUSpec = DEFAULT_GPU,
         device: Optional["DeviceModel"] = None,
         injector: Optional[object] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
-        """``device`` carries the optional memory budget / watchdog guard
-        rails (defaults to a plain :class:`DeviceModel` over ``spec``);
+        """``config=None`` builds a default :class:`EngineConfig` now, so
+        its env-driven defaults are read at construction time; ``device``
+        carries the optional memory budget / watchdog guard rails
+        (defaults to a plain :class:`DeviceModel` over ``spec``);
         ``injector`` is a :class:`~repro.faults.injector.FaultInjector`
         consulted at every session-round launch (``None`` = healthy
         device); ``recorder`` is a shared
         :class:`~repro.obs.trace.TraceRecorder` (``None`` = the engine
         owns one when ``config.trace`` asks for tracing, else the no-op
         singleton)."""
+        if config is None:
+            config = EngineConfig()
         self.estimator = estimator
         self.config = config
         if device is not None and device.spec != spec:

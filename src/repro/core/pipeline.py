@@ -12,16 +12,13 @@ each of the ``cpu_threads`` virtual workers receives an enumeration budget
 proportional to the simulated GPU batch duration
 (``enum_nodes_per_ms × gpu_batch_ms`` search-tree nodes — node throughput is
 the CPU-side cost unit of :mod:`repro.enumeration`), and tasks are placed
-greedily on the worker with the most remaining budget.  A real
-``ThreadPoolExecutor`` backend with wall-clock deadlines is available via
-``backend="threads"`` for end-to-end runs; the simulated backend is the
-default because it is deterministic under a fixed seed.
+greedily on the worker with the most remaining budget.  An enumeration that
+exhausts its worker's budget is the cut-off: it is discarded, never counted
+partially.  The whole run is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -50,19 +47,15 @@ class PipelineConfig:
             (the paper sets ``t`` to the GPU core count; scaled down here
             with the sample counts).
         enum_nodes_per_ms: virtual CPU enumeration throughput per worker,
-            in search-tree nodes per millisecond of GPU-batch budget.
-        backend: ``"simulated"`` (deterministic) or ``"threads"`` (real
-            ``ThreadPoolExecutor`` with wall-clock deadlines).
-        wallclock_budget_scale: real-seconds budget per simulated GPU
-            millisecond, threads backend only.
+            in search-tree nodes per millisecond of GPU-batch budget.  The
+            per-batch budget is this times the batch's simulated GPU ms.
+        engine_config: configuration of the GPU-side sampling engine.
     """
 
     n_batches: int = 6
     cpu_threads: int = 12
     trawls_per_batch: int = 64
     enum_nodes_per_ms: float = 20000.0
-    backend: str = "simulated"
-    wallclock_budget_scale: float = 0.005
     engine_config: EngineConfig = field(default_factory=EngineConfig.gsword)
 
     def __post_init__(self) -> None:
@@ -72,8 +65,6 @@ class PipelineConfig:
             raise ConfigError("cpu_threads must be positive")
         if self.trawls_per_batch < 0:
             raise ConfigError("trawls_per_batch must be non-negative")
-        if self.backend not in ("simulated", "threads"):
-            raise ConfigError(f"unknown backend {self.backend!r}")
 
 
 @dataclass
@@ -159,9 +150,13 @@ class CoProcessingPipeline:
     def __init__(
         self,
         estimator: RSVEstimator,
-        config: PipelineConfig = PipelineConfig(),
+        config: Optional[PipelineConfig] = None,
         spec: GPUSpec = DEFAULT_GPU,
     ) -> None:
+        """``config=None`` builds a default :class:`PipelineConfig` now,
+        so its env-driven engine defaults are read at construction time."""
+        if config is None:
+            config = PipelineConfig()
         self.estimator = estimator
         self.config = config
         self.spec = spec
@@ -267,22 +262,10 @@ class CoProcessingPipeline:
         gpu_ms: float,
         trawl_acc: HTAccumulator,
     ) -> BatchReport:
-        t = self.config.trawls_per_batch
-        tasks: List[Optional[TrawlTask]] = []
-        for _ in range(t):
-            tasks.append(self.trawler.sample_task(cg, order, rng))
-        if self.config.backend == "threads":
-            return self._enumerate_with_threads(cg, order, tasks, gpu_ms, trawl_acc)
-        return self._enumerate_simulated(cg, order, tasks, gpu_ms, trawl_acc)
-
-    def _enumerate_simulated(
-        self,
-        cg: CandidateGraph,
-        order: MatchingOrder,
-        tasks: List[Optional[TrawlTask]],
-        gpu_ms: float,
-        trawl_acc: HTAccumulator,
-    ) -> BatchReport:
+        tasks: List[Optional[TrawlTask]] = [
+            self.trawler.sample_task(cg, order, rng)
+            for _ in range(self.config.trawls_per_batch)
+        ]
         budget = self.config.enum_nodes_per_ms * gpu_ms
         workers = [budget] * self.config.cpu_threads
         completed = 0
@@ -329,59 +312,3 @@ class CoProcessingPipeline:
             partial_extensions=partial,
         )
 
-    def _enumerate_with_threads(
-        self,
-        cg: CandidateGraph,
-        order: MatchingOrder,
-        tasks: List[Optional[TrawlTask]],
-        gpu_ms: float,
-        trawl_acc: HTAccumulator,
-    ) -> BatchReport:
-        deadline_s = gpu_ms * self.config.wallclock_budget_scale
-        start = time.perf_counter()
-        completed = 0
-        discarded = 0
-        truncated = 0
-        partial = 0
-        real_tasks = []
-        for task in tasks:
-            if task is None:
-                trawl_acc.add(0.0)
-            else:
-                real_tasks.append(task)
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.config.cpu_threads
-        ) as pool:
-            futures = [
-                pool.submit(
-                    self.trawler.enumerate_task,
-                    cg,
-                    order,
-                    task,
-                    None,
-                    deadline_s,
-                    True,  # strict: deadline overruns raise with partials
-                )
-                for task in real_tasks
-            ]
-            for future in futures:
-                try:
-                    task = future.result()
-                except EnumerationBudgetExceeded as error:
-                    discarded += 1
-                    truncated += 1
-                    partial += error.partial_count
-                    continue
-                completed += 1
-                trawl_acc.add(task.estimate_value)
-        cpu_ms = (time.perf_counter() - start) * 1000.0
-        return BatchReport(
-            gpu_ms=gpu_ms,
-            cpu_ms=cpu_ms,
-            n_samples=0,
-            n_trawls=len(tasks),
-            n_trawls_completed=completed,
-            n_trawls_discarded=discarded,
-            n_trawls_truncated=truncated,
-            partial_extensions=partial,
-        )

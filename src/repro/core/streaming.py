@@ -172,36 +172,3 @@ def streaming_schedule(
         collaborative_candidates=served,
     )
 
-
-def streaming_schedule_arrays(
-    candidate_lengths: np.ndarray,
-    warp_size: int = 32,
-    threshold: Optional[int] = None,
-) -> Tuple[int, np.ndarray, int]:
-    """Closed form of :func:`streaming_schedule` over a length array.
-
-    Returns ``(collaborative_rounds, remainders, collaborative_candidates)``
-    with ``remainders`` as an int64 array.  Exactly equivalent to the loop
-    (property-tested), but O(1) per lane: the drain loop removes
-    ``warp_size`` candidates per round while at least ``threshold`` remain,
-    plus one partial round when the tail still clears the threshold.
-    """
-    limit = warp_size if threshold is None else threshold
-    lengths = np.asarray(candidate_lengths, dtype=np.int64)
-    if np.any(lengths < 0):
-        raise ValueError("candidate lengths must be non-negative")
-    if limit <= warp_size:
-        full = lengths // warp_size
-        tail = lengths % warp_size
-        partial = tail >= limit
-        rounds_per_lane = full + partial
-        remainders = np.where(partial, 0, tail)
-    else:
-        eligible = lengths >= limit
-        rounds_per_lane = np.where(
-            eligible, (lengths - limit) // warp_size + 1, 0
-        )
-        remainders = lengths - rounds_per_lane * warp_size
-    rounds = int(rounds_per_lane.sum())
-    served = int((lengths - remainders).sum())
-    return rounds, remainders, served

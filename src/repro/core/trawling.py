@@ -127,22 +127,19 @@ class TrawlingEstimator:
         order: MatchingOrder,
         task: TrawlTask,
         max_nodes: Optional[int] = None,
-        deadline_s: Optional[float] = None,
         strict: bool = False,
     ) -> TrawlTask:
         """Run Alg. 4's ``Enumeration(cg, s)`` for one task, in place.
 
-        With ``strict=True`` a budget- or deadline-truncated enumeration
-        raises :class:`EnumerationBudgetExceeded` carrying the partial
-        count; the task is still updated in place first, so the caller can
-        inspect ``enum_nodes`` / ``extension_count`` while handling the
-        error.  The default lenient mode just leaves ``completed=False``
-        (the paper's discard rule applies either way — a partial count
-        must never enter the HT estimate)."""
+        With ``strict=True`` a budget-truncated enumeration raises
+        :class:`EnumerationBudgetExceeded` carrying the partial count; the
+        task is still updated in place first, so the caller can inspect
+        ``enum_nodes`` / ``extension_count`` while handling the error.
+        The default lenient mode just leaves ``completed=False`` (the
+        paper's discard rule applies either way — a partial count must
+        never enter the HT estimate)."""
         budget = max_nodes if max_nodes is not None else self.max_enum_nodes
-        result = count_extensions(
-            cg, order, task.prefix, max_nodes=budget, deadline_s=deadline_s
-        )
+        result = count_extensions(cg, order, task.prefix, max_nodes=budget)
         task.extension_count = result.count
         task.enum_nodes = result.nodes_visited
         task.completed = result.complete

@@ -190,12 +190,9 @@ def count_extensions(
     order: MatchingOrder,
     partial: Sequence[int],
     max_nodes: Optional[int] = None,
-    deadline_s: Optional[float] = None,
 ) -> EnumerationResult:
     """Alg. 4's ``Enumeration(cg, s)``: full embeddings extending ``partial``."""
-    return count_embeddings(
-        cg, order, partial=partial, max_nodes=max_nodes, deadline_s=deadline_s
-    )
+    return count_embeddings(cg, order, partial=partial, max_nodes=max_nodes)
 
 
 def enumerate_embeddings(

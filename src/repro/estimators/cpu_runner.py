@@ -7,14 +7,15 @@ achieves high performance on CPUs because RW estimators are embarrassingly
 parallel").
 
 The runner shares the estimator kernels with the GPU engine, so CPU and GPU
-estimates for the same seed policy are statistically identical — only the
-time model differs.  Like the engine, it has two backends: the scalar
-per-sample loop (the reference) and a batch mode (``backend="fused"``)
-built on the :mod:`repro.estimators.fused` kernels.  Batch mode advances a
-block of samples depth-by-depth and therefore consumes the random stream
-in a different order than the scalar loop — its estimates are equal in
-distribution (and deterministic per seed), not bit-identical.  Simulated
-cycles, which are draw-independent, agree exactly between the backends.
+estimates are equal in distribution — only the time model differs.  It has
+two backends: batch mode (``backend="fused"``, the default) built on the
+:mod:`repro.estimators.fused` kernels, and the scalar per-sample loop (the
+reference).  Batch mode advances a block of samples depth-by-depth and
+therefore consumes the caller's numpy stream in a different order than the
+scalar loop — its estimates are deterministic per seed but only equal in
+distribution, not bit-identical.  Simulated cycles, which are
+draw-independent, agree exactly between the backends.  The engine's
+``REPRO_BACKEND`` / ``REPRO_RNG_MODE`` environment variables do not apply.
 """
 
 from __future__ import annotations
@@ -25,19 +26,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.candidate.candidate_graph import CandidateGraph
-from repro.core.config import (
-    BACKENDS,
-    RNG_MODES,
-    default_backend,
-    default_rng_mode,
-)
+from repro.core.config import BACKENDS
 from repro.errors import ConfigError
 from repro.estimators.base import RSVEstimator, SampleState, StepContext
 from repro.estimators.ht import HTAccumulator
 from repro.gpu.costmodel import CPUSpec, DEFAULT_CPU
 from repro.query.matching_order import MatchingOrder
-from repro.utils.lanerng import LaneRNG, lane_key
-from repro.utils.rng import RandomSource, as_generator, spawn_generator_states
+from repro.utils.rng import RandomSource, as_generator
 
 #: Samples advanced together in batch mode.  Bounds the arrays the step
 #: kernels build while keeping per-step numpy overhead amortised over
@@ -70,29 +65,29 @@ class CPURunResult:
 
 
 class CPUSamplingRunner:
-    """Scalar RSV execution with per-operation cycle accounting."""
+    """RSV execution with per-operation cycle accounting (the CPU baseline).
+
+    ``threads`` is the simulated worker count (``0`` = ``spec.threads``);
+    ``backend`` is ``"fused"`` (batch mode, the default) or ``"scalar"``
+    (the per-sample reference loop).  Estimators without a fused kernel
+    run the scalar loop under either backend.
+    """
 
     def __init__(
         self,
         estimator: RSVEstimator,
         spec: CPUSpec = DEFAULT_CPU,
         threads: int = 0,
-        backend: Optional[str] = None,
-        rng_mode: Optional[str] = None,
+        backend: str = "fused",
     ) -> None:
         self.estimator = estimator
         self.spec = spec
         self.threads = threads or spec.threads
-        self.backend = default_backend() if backend is None else backend
-        if self.backend not in BACKENDS:
+        if backend not in BACKENDS:
             raise ConfigError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+                f"backend must be one of {BACKENDS}, got {backend!r}"
             )
-        self.rng_mode = default_rng_mode() if rng_mode is None else rng_mode
-        if self.rng_mode not in RNG_MODES:
-            raise ConfigError(
-                f"rng_mode must be one of {RNG_MODES}, got {self.rng_mode!r}"
-            )
+        self.backend = backend
 
     def _iteration_cycles(self, clen: int, probes: int, backs: int) -> float:
         """Cycle cost of one RSV iteration on the CPU model."""
@@ -124,12 +119,6 @@ class CPUSamplingRunner:
         trawling-style partial sampling.
         """
         gen = as_generator(rng)
-        if self.rng_mode == "counter":
-            # One counter stream per run, keyed from a spawned child of the
-            # caller's root — the scalar loop and batch mode then share the
-            # usual CPU-runner contract (equal in distribution per seed;
-            # batch mode consumes the stream in a different order).
-            gen = LaneRNG(lane_key(spawn_generator_states(gen, 1)[0]))
         acc = HTAccumulator()
         total_cycles = 0.0
         checkpoints: Dict[int, Tuple[float, float]] = {}

@@ -128,46 +128,6 @@ def _expand_ranges(firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
     return flat + within
 
 
-def warp_union_counts(
-    spec: GPUSpec,
-    scan_array_ids: np.ndarray,
-    scan_regions: np.ndarray,
-    scan_starts: np.ndarray,
-    scan_lengths: np.ndarray,
-    touch_array_ids: np.ndarray,
-    touch_regions: np.ndarray,
-    touch_positions: np.ndarray,
-) -> Tuple[int, int]:
-    """One warp instruction's ``(segments, extra_regions)`` from flat arrays.
-
-    Array-level equivalent of filling a :class:`WarpMemoryTracker` with the
-    given ``contiguous`` scans and single-element ``touch`` accesses and
-    reading the union sizes before commit.  Scans with non-positive length
-    must be filtered out by the caller (as ``contiguous`` ignores them).
-    """
-    seg = spec.segment_elements
-    scan_firsts = scan_starts // seg
-    scan_lasts = (scan_starts + scan_lengths - 1) // seg
-    # Distinct (array, segment) pairs; array ids are tiny so a shifted key
-    # cannot collide with realistic array offsets.
-    seg_keys = np.concatenate(
-        [
-            np.repeat(scan_array_ids << 48, scan_lasts - scan_firsts + 1)
-            + _expand_ranges(scan_firsts, scan_lasts),
-            (touch_array_ids << 48) + touch_positions // seg,
-        ]
-    )
-    region_keys = np.concatenate(
-        [
-            (scan_array_ids << 48) + scan_regions + 1,
-            (touch_array_ids << 48) + touch_regions + 1,
-        ]
-    )
-    segments = len(np.unique(seg_keys))
-    regions = len(np.unique(region_keys))
-    return segments, max(0, regions - 1)
-
-
 #: Key packing for the batched union: ``row * 2^48 + array_id * 2^45 + tail``
 #: where ``tail`` is a segment index or shifted region id.  Array ids are
 #: < 8 and candidate arrays are far below 2^45 elements, so keys are

@@ -10,8 +10,7 @@ Four halves, all importable from here:
   counters/gauges/histograms with label sets, JSON snapshot and
   Prometheus text exposition (with a parser for round-trip validation).
   It is the one metrics store: the serving layer records straight into
-  registry families (`EstimationService.registry()` returns them live),
-  and `registry_from_run` exports a one-shot engine run.
+  registry families (`EstimationService.registry()` returns them live).
 * :mod:`repro.obs.flight` — the always-on :class:`FlightRecorder` ring,
   the :class:`FlightMonitor` trigger taxonomy, and self-contained
   postmortem bundles that :func:`replay_bundle` re-executes
@@ -47,7 +46,6 @@ from repro.obs.registry import (
     escape_label_value,
     parse_prometheus_text,
     quantile,
-    registry_from_run,
     unescape_label_value,
 )
 from repro.obs.report import (
@@ -80,7 +78,6 @@ __all__ = [
     "escape_label_value",
     "parse_prometheus_text",
     "quantile",
-    "registry_from_run",
     "unescape_label_value",
     "count_instants",
     "load_trace",

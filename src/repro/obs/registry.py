@@ -3,9 +3,8 @@
 :class:`MetricsRegistry` is the repository's one metrics store.  The
 serving layer records straight into registry families
 (:class:`~repro.serve.metrics.ServiceMetrics` holds the handles, and
-``EstimationService.registry()`` returns the live registry), and
-:func:`registry_from_run` gives a one-shot engine run the same
-namespace.  Two exports:
+``EstimationService.registry()`` returns the live registry).  Two
+exports:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-safe nested dict, and
 * :meth:`MetricsRegistry.prometheus_text` — the Prometheus text
@@ -34,9 +33,8 @@ caller's thread both touch the same families, and lost updates there
 would silently corrupt the SLO feed.
 
 This module imports nothing from the engine or serving layers (only the
-error hierarchy); :func:`registry_from_run` is duck-typed over a run
-result's attributes, so ``repro.obs`` sits below every other package in
-the import graph.
+error hierarchy), so ``repro.obs`` sits below every other package in the
+import graph.
 """
 
 from __future__ import annotations
@@ -586,7 +584,7 @@ prometheus_text` emits only well-formed, declared series.
 
 
 # ----------------------------------------------------------------------
-# One-shot exports of engine telemetry
+# Engine telemetry
 # ----------------------------------------------------------------------
 def add_stall_summary(
     registry: MetricsRegistry, stall: Mapping[str, Any]
@@ -598,42 +596,3 @@ def add_stall_summary(
     )
     for metric, value in stall.items():
         family.labels(metric=metric).set(float(value))
-
-
-def registry_from_run(
-    result: Any, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Absorb a single ``GPURunResult`` (duck-typed: attributes only).
-
-    Gives a one-shot engine run the same namespace the serving layer's
-    live registry (``EstimationService.registry()``) uses.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    reg.gauge("estimate", "HT estimate of the subgraph count").set(
-        float(result.estimate)
-    )
-    samples = reg.counter(
-        "samples_total", "Samples drawn / valid", labels=("kind",)
-    )
-    samples.labels(kind="drawn").inc(float(result.n_samples))
-    samples.labels(kind="valid").inc(float(result.n_valid))
-    reg.gauge("simulated_ms", "Single-device simulated kernel time").set(
-        float(result.simulated_ms())
-    )
-    multidev = getattr(result, "multidev_ms", None)
-    if callable(multidev):
-        reg.gauge(
-            "multidev_ms", "Multi-device makespan (simulated ms)"
-        ).set(float(multidev()))
-    profile = getattr(result, "profile", None)
-    if profile is not None:
-        add_stall_summary(reg, profile.stall_summary())
-        breakdown = getattr(profile, "cycle_breakdown", None)
-        if callable(breakdown):
-            cycles = reg.gauge(
-                "kernel_cycles", "Kernel cycles by category",
-                labels=("category",),
-            )
-            for category, value in breakdown().items():
-                cycles.labels(category=category).set(float(value))
-    return reg

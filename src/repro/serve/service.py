@@ -95,7 +95,13 @@ class ServiceConfig:
     Attributes:
         spec: the shared simulated device all requests co-reside on.
         engine_config: engine preset used for every session (gSWORD O2 by
-            default).
+            default).  The one home of the engine knobs the service
+            honours: ``n_shards`` (worker processes each engine
+            partitions its rounds across; values > 1 also scale the
+            scheduler's warp-admission cap, so batches fill all shards'
+            resident-warp slots) and ``trace`` (record spans for every
+            batch, round and kernel launch on one service-owned recorder
+            shared by all engines; off by default, the zero-cost path).
         cache_bytes: plan-cache budget; 0 disables the cache entirely
             (every request rebuilds its candidate graph).
         max_batch_requests / warp_overcommit: scheduler knobs, see
@@ -111,18 +117,10 @@ class ServiceConfig:
         retry: in-round retry policy for transient device faults (``None``
             disables retries — each fault immediately fails the round).
         breaker: per-estimator circuit-breaker parameters.
-        cpu_fallback: degrade failed requests to the scalar
-            :class:`CPUSamplingRunner` (``degraded=True`` responses)
+        cpu_fallback: degrade failed requests to the
+            :class:`CPUSamplingRunner` CPU baseline over all
+            ``CPUSpec.threads`` workers (``degraded=True`` responses)
             instead of erroring their tickets.
-        fallback_threads: simulated CPU worker threads the fallback uses.
-        n_shards: worker processes each engine partitions its rounds
-            across (``None`` = whatever ``engine_config`` says).  Values
-            > 1 also scale the scheduler's warp-admission cap, so batches
-            fill all shards' resident-warp slots.
-        trace: record spans (:mod:`repro.obs`) for every batch, round, and
-            kernel launch on one service-owned recorder shared by all
-            engines.  Also enabled when ``engine_config.trace`` asks for
-            tracing; off by default (the zero-cost path).
         admission: bounded-admission policy (queue bound, per-tenant token
             buckets, deadline-infeasibility shedding); ``None`` keeps the
             legacy unbounded front door.  With a policy set, ``submit``
@@ -143,7 +141,7 @@ class ServiceConfig:
             watchdog kills, shed spikes, q-error drift, and hedge storms.
             On by default — the ring caps memory and the per-event cost
             lives inside the existing <2% tracing budget.  ``None``
-            disables it (full ``trace`` mode also supersedes the ring:
+            disables it (``engine_config.trace`` also supersedes the ring:
             triggers still fire, with unbounded history behind them).
         slo: declarative SLOs with multi-window burn-rate alerting
             (:mod:`repro.obs.slo`), fed from admission decisions and
@@ -152,7 +150,6 @@ class ServiceConfig:
 
     spec: GPUSpec = DEFAULT_GPU
     engine_config: EngineConfig = field(default_factory=EngineConfig.gsword)
-    n_shards: Optional[int] = None
     cache_bytes: int = 64 << 20
     max_batch_requests: int = 64
     warp_overcommit: float = 1.0
@@ -164,8 +161,6 @@ class ServiceConfig:
     retry: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     cpu_fallback: bool = True
-    fallback_threads: int = 0
-    trace: bool = False
     admission: Optional[AdmissionPolicy] = None
     hedge: Optional[HedgePolicy] = None
     propagate_deadline: bool = False
@@ -263,24 +258,19 @@ class _Pending:
 class EstimationService:
     """Synchronous-facade concurrent estimation service (module docstring)."""
 
-    def __init__(self, config: ServiceConfig = ServiceConfig()) -> None:
+    def __init__(self, config: Optional[ServiceConfig] = None) -> None:
+        """``config=None`` builds a default :class:`ServiceConfig` now, so
+        its env-driven engine defaults are read at construction time."""
+        if config is None:
+            config = ServiceConfig()
         self.config = config
-        n_shards = (
-            config.n_shards
-            if config.n_shards is not None
-            else config.engine_config.n_shards
-        )
-        self.engine_config = (
-            config.engine_config
-            if n_shards == config.engine_config.n_shards
-            else config.engine_config.with_shards(n_shards)
-        )
-        self.n_shards = n_shards
+        self.engine_config = config.engine_config
+        self.n_shards = config.engine_config.n_shards
         self.scheduler = BatchScheduler(
             spec=config.spec,
             max_batch_requests=config.max_batch_requests,
             warp_overcommit=config.warp_overcommit,
-            n_shards=n_shards,
+            n_shards=self.n_shards,
         )
         self.cache: Optional[PlanCache] = (
             PlanCache(max_bytes=config.cache_bytes) if config.cache_bytes > 0
@@ -295,7 +285,7 @@ class EstimationService:
         self.injector: Optional[FaultInjector] = maybe_injector(config.faults)
         # Recorder ladder: full tracing wins (unbounded history), else the
         # always-on flight ring, else the zero-cost disabled singleton.
-        if config.trace or config.engine_config.trace:
+        if config.engine_config.trace:
             self.recorder: TraceRecorder = TraceRecorder(
                 process_name="repro.serve"
             )
@@ -522,33 +512,38 @@ class EstimationService:
         return True
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """Service + cache metrics as one plain dict (bench/CLI surface)."""
-        snap = self.metrics.snapshot()
-        snap["queue_depth"] = self.queue_depth()
-        snap["clock_ms"] = self._clock_ms
-        snap["cache"] = self.cache.stats() if self.cache else {"enabled": False}
-        snap["breakers"] = {
-            name: breaker.snapshot(self._clock_ms)
-            for name, breaker in self._breakers.items()
-        }
-        snap["faults_injected"] = self._injector_stats()
-        snap["admission_state"] = (
-            self._admission.snapshot()
-            if self._admission is not None
-            else {"enabled": False}
-        )
-        if self._hedge_tracker is not None:
-            snap["hedge_delay_ms"] = self._hedge_tracker.hedge_delay_ms()
-            snap["hedge_rounds_observed"] = self._hedge_tracker.n_observed
-        # Device-side kernel telemetry folded across every committed round:
-        # the Figure-5 stall summary and the cumulative multi-device time.
-        snap["stall"] = self._kernel_profile.stall_summary()
-        snap["multidev_ms"] = self._multidev_ms
-        if self.flight is not None:
-            snap["flight"] = self.flight.snapshot()
-        if self.slo is not None:
-            snap["slo"] = self.slo.snapshot(self._clock_ms)
-        return snap
+        """Service + cache metrics as one plain dict (bench/CLI surface).
+
+        Taken under the service lock: the SLO windows, flight monitor,
+        breakers, kernel profile and cache it reads are all mutated by the
+        worker, so it is safe to call from any thread while serving."""
+        with self._lock:
+            snap = self.metrics.snapshot()
+            snap["queue_depth"] = self._live_depth_locked()
+            snap["clock_ms"] = self._clock_ms
+            snap["cache"] = self.cache.stats() if self.cache else {"enabled": False}
+            snap["breakers"] = {
+                name: breaker.snapshot(self._clock_ms)
+                for name, breaker in self._breakers.items()
+            }
+            snap["faults_injected"] = self._injector_stats()
+            snap["admission_state"] = (
+                self._admission.snapshot()
+                if self._admission is not None
+                else {"enabled": False}
+            )
+            if self._hedge_tracker is not None:
+                snap["hedge_delay_ms"] = self._hedge_tracker.hedge_delay_ms()
+                snap["hedge_rounds_observed"] = self._hedge_tracker.n_observed
+            # Device-side kernel telemetry folded across every committed round:
+            # the Figure-5 stall summary and the cumulative multi-device time.
+            snap["stall"] = self._kernel_profile.stall_summary()
+            snap["multidev_ms"] = self._multidev_ms
+            if self.flight is not None:
+                snap["flight"] = self.flight.snapshot()
+            if self.slo is not None:
+                snap["slo"] = self.slo.snapshot(self._clock_ms)
+            return snap
 
     def registry(self) -> MetricsRegistry:
         """The live :class:`~repro.obs.registry.MetricsRegistry` the service
@@ -1060,9 +1055,7 @@ class EstimationService:
         name = estimator_name(pending.request.estimator)
         runner = self._fallback_runners.get(name)
         if runner is None:
-            runner = CPUSamplingRunner(
-                pending.estimator, threads=self.config.fallback_threads
-            )
+            runner = CPUSamplingRunner(pending.estimator)
             self._fallback_runners[name] = runner
         return runner
 

@@ -21,6 +21,7 @@ from repro.core.config import (
     default_rng_mode,
 )
 from repro.core.engine import GSWORDEngine, RetryPolicy
+from repro.core.pipeline import CoProcessingPipeline
 from repro.errors import ConfigError, DeviceFault
 from repro.estimators.alley import AlleyEstimator
 from repro.estimators.cpu_runner import CPUSamplingRunner
@@ -30,6 +31,7 @@ from repro.graph.datasets import load_dataset
 from repro.graph.generators import power_law_cluster_graph, random_labels
 from repro.query.extract import extract_query
 from repro.query.matching_order import quicksi_order
+from repro.serve import EstimationService
 
 _PROFILE_FIELDS = (
     "compute_cycles", "mem_cycles", "sync_cycles", "stall_long",
@@ -225,26 +227,23 @@ class TestRngModeEquivalence:
             )
             assert_identical(a, b)
 
-    def test_counter_mode_cpu_runner_deterministic(self, plc_plan):
+    def test_counter_mode_cpu_runner_deterministic(self, monkeypatch, plc_plan):
+        """The CPU baseline has one stream: selecting the warp backend's
+        counter mode (or the scalar backend) through the environment
+        leaves its estimates and cycles exactly as they are."""
         cg, order = plc_plan
-        runner = CPUSamplingRunner(
-            AlleyEstimator(), backend="scalar", rng_mode="counter"
-        )
-        a = runner.run(cg, order, 128, rng=11)
-        b = runner.run(cg, order, 128, rng=11)
-        assert a.estimate == b.estimate
-        assert a.n_valid == b.n_valid
-        # Batch mode consumes the counter stream in a different order, so
-        # it is equal in distribution, not bit-identical — but per seed it
-        # is exactly reproducible too.
-        c1 = CPUSamplingRunner(
-            AlleyEstimator(), backend="fused", rng_mode="counter"
-        ).run(cg, order, 128, rng=11)
-        c2 = CPUSamplingRunner(
-            AlleyEstimator(), backend="fused", rng_mode="counter"
-        ).run(cg, order, 128, rng=11)
-        assert c1.estimate == c2.estimate
-        assert c1.total_cycles == c2.total_cycles
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_RNG_MODE", raising=False)
+        base = CPUSamplingRunner(AlleyEstimator()).run(cg, order, 128, rng=11)
+        monkeypatch.setenv("REPRO_BACKEND", "scalar")
+        monkeypatch.setenv("REPRO_RNG_MODE", "counter")
+        for _ in range(2):
+            run = CPUSamplingRunner(AlleyEstimator()).run(
+                cg, order, 128, rng=11
+            )
+            assert run.estimate == base.estimate
+            assert run.n_valid == base.n_valid
+            assert run.total_cycles == base.total_cycles
 
 
 class TestCPURunnerEquivalence:
@@ -361,11 +360,11 @@ class TestBackendConfig:
         assert "vectorized" not in BACKENDS
         with pytest.raises(ConfigError):
             EngineConfig(backend="vectorized")
+        with pytest.raises(ConfigError):
+            CPUSamplingRunner(WanderJoinEstimator(), backend="vectorized")
         monkeypatch.setenv("REPRO_BACKEND", "vectorized")
         with pytest.raises(ConfigError):
             EngineConfig()
-        with pytest.raises(ConfigError):
-            CPUSamplingRunner(WanderJoinEstimator())
 
     def test_default_backend_env_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -373,12 +372,18 @@ class TestBackendConfig:
         monkeypatch.setenv("REPRO_BACKEND", "scalar")
         assert default_backend() == "scalar"
         assert EngineConfig.gsword().backend == "scalar"
+        # Default configs are built at construction, not frozen at import.
+        assert EngineConfig().backend == "scalar"
+        assert GSWORDEngine(WanderJoinEstimator()).config.backend == "scalar"
+        assert EstimationService().engine_config.backend == "scalar"
+        pipeline = CoProcessingPipeline(AlleyEstimator())
+        assert pipeline.config.engine_config.backend == "scalar"
+        # The CPU baseline does not read the engine's env vars.
+        assert CPUSamplingRunner(WanderJoinEstimator()).backend == "fused"
 
     def test_rejects_unknown_rng_mode(self):
         with pytest.raises(ConfigError):
             EngineConfig(rng_mode="philox128")
-        with pytest.raises(ConfigError):
-            CPUSamplingRunner(WanderJoinEstimator(), rng_mode="philox128")
 
     def test_with_rng_mode(self):
         config = EngineConfig.gsword().with_rng_mode("counter")

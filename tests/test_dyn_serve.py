@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.core.config import EngineConfig
 from repro.dyn.mutable import EdgeBatch, MutableGraph
 from repro.dyn.serving import DynamicEstimationSession
 from repro.dyn.stream import UniformChurnStream
@@ -200,7 +201,7 @@ class TestObservability:
 
     def test_trace_instants_recorded(self, tmp_path):
         graph = make_graph()
-        config = ServiceConfig(trace=True)
+        config = ServiceConfig(engine_config=EngineConfig.gsword(trace=True))
         with DynamicEstimationSession(graph, config=config) as session:
             query = make_query(graph)
             session.register_query(query)

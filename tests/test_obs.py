@@ -21,7 +21,6 @@ from repro.obs import (
     TraceRecorder,
     load_trace,
     quantile,
-    registry_from_run,
     render_report,
     span_breakdown,
     validate_chrome_trace,
@@ -462,19 +461,6 @@ class TestEngineTracing:
         assert traced.estimate == base.estimate
         assert traced.simulated_ms() == base.simulated_ms()
         assert traced.n_valid == base.n_valid
-
-    def test_registry_from_run(self, workload):
-        cg, order = workload
-        engine = GSWORDEngine(AlleyEstimator(), EngineConfig.gsword())
-        result = engine.run(cg, order, 256, rng=5)
-        snap = registry_from_run(result).snapshot()
-        assert snap["estimate"]["series"][0]["value"] == result.estimate
-        assert snap["simulated_ms"]["series"][0]["value"] == pytest.approx(
-            result.simulated_ms()
-        )
-        cycles = {e["labels"]["category"]
-                  for e in snap["kernel_cycles"]["series"]}
-        assert "compute" in cycles and "memory" in cycles
 
 
 class TestTraceReport:

@@ -418,7 +418,9 @@ class TestServiceFlight:
         assert isinstance(service.recorder, FlightRecorder)
         assert service.flight is not None
         # ...full tracing wins over it...
-        traced = EstimationService(ServiceConfig(trace=True))
+        traced = EstimationService(
+            ServiceConfig(engine_config=EngineConfig.gsword(trace=True))
+        )
         assert type(traced.recorder) is TraceRecorder
         # ...and flight=None disables both ring and monitor.
         off = EstimationService(ServiceConfig(flight=None))

@@ -1,7 +1,7 @@
 """Tests for repro.obs.registry hardening: thread-safety under
 concurrent updates, Prometheus label-value escaping round-trips, and
-parser-level validation of the service's live registry and the
-``registry_from_run`` export (exact family names and label sets)."""
+parser-level validation of the service's live registry (exact family
+names and label sets)."""
 
 import json
 import sys
@@ -9,23 +9,17 @@ import threading
 
 import pytest
 
-from repro.core.config import EngineConfig
-from repro.core.engine import GSWORDEngine
-from repro.candidate.candidate_graph import build_candidate_graph
 from repro.errors import ObservabilityError, Overloaded
-from repro.estimators.alley import AlleyEstimator
 from repro.faults import FaultKind, FaultPlan
 from repro.graph.datasets import load_dataset
 from repro.obs.registry import (
     MetricsRegistry,
     escape_label_value,
     parse_prometheus_text,
-    registry_from_run,
     unescape_label_value,
 )
 from repro.obs.slo import default_slo_policy
 from repro.query.extract import extract_query
-from repro.query.matching_order import quicksi_order
 from repro.serve import EstimateRequest, EstimationService, ServiceConfig
 from repro.serve.admission import AdmissionPolicy, HedgePolicy
 from repro.serve.controller import BudgetPolicy
@@ -278,30 +272,6 @@ class TestServiceBridgeNames:
 
 
 class TestRunBridgeNames:
-    def test_exact_names_and_exposition(self):
-        graph = load_dataset("yeast")
-        query = extract_query(graph, 4, rng=8)
-        cg = build_candidate_graph(graph, query)
-        order = quicksi_order(query, graph)
-        result = GSWORDEngine(AlleyEstimator(), EngineConfig()).run(
-            cg, order, 256, rng=5
-        )
-        reg = registry_from_run(result)
-        names = {f.name for f in reg.families()}
-        assert {"estimate", "samples_total", "simulated_ms",
-                "kernel_cycles", "kernel_stall"} <= names
-        by_name = {f.name: f for f in reg.families()}
-        assert by_name["kernel_cycles"].label_names == ("category",)
-        assert by_name["kernel_stall"].label_names == ("metric",)
-        assert by_name["samples_total"].label_names == ("kind",)
-        parsed = parse_prometheus_text(reg.prometheus_text())
-        assert parsed["repro_estimate"]["samples"][0]["value"] == float(
-            result.estimate
-        )
-        kinds = {s["labels"]["kind"]
-                 for s in parsed["repro_samples_total"]["samples"]}
-        assert kinds == {"drawn", "valid"}
-
     def test_snapshot_bridge_declares_everything(self):
         # Shed, cancellation and hedging records land in their families
         # and the whole exposition parses cleanly.
@@ -537,3 +507,31 @@ def test_concurrent_registry_exports_while_serving():
     assert _series(out, "plan_cache_events_total", "event") == {
         key: snap["cache"][key] for key in ("hits", "misses", "evictions")
     }
+
+
+def test_metrics_snapshot_excludes_writers(monkeypatch):
+    # A writer that appends to the SLO windows (report_q_error takes the
+    # service lock) must wait while metrics_snapshot reads them; otherwise
+    # the read races the worker and can see a deque mutate mid-iteration.
+    service = EstimationService(ServiceConfig(slo=default_slo_policy()))
+    read_snapshot = service.slo.snapshot
+    writers = []
+
+    def snapshot_with_writer(now_ms):
+        writer = threading.Thread(
+            target=service.report_q_error, args=(100.0, 100.0)
+        )
+        writer.start()
+        writer.join(timeout=0.2)
+        writers.append((writer, writer.is_alive()))
+        return read_snapshot(now_ms)
+
+    monkeypatch.setattr(service.slo, "snapshot", snapshot_with_writer)
+    try:
+        service.metrics_snapshot()
+    finally:
+        service.close()
+    ((writer, was_blocked),) = writers
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert was_blocked

@@ -19,7 +19,6 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = PipelineConfig()
         assert cfg.n_batches == 6  # the paper's tuned default (§6.5)
-        assert cfg.backend == "simulated"
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -28,8 +27,6 @@ class TestConfig:
             PipelineConfig(cpu_threads=0)
         with pytest.raises(ConfigError):
             PipelineConfig(trawls_per_batch=-1)
-        with pytest.raises(ConfigError):
-            PipelineConfig(backend="quantum")
 
 
 class TestPipelineRun:
@@ -114,17 +111,24 @@ class TestPipelineRun:
         with pytest.raises(ConfigError):
             pipe.run(w.cg, w.order, 4, rng=0)
 
-    def test_threads_backend_runs(self, wordnet_workload):
+    def test_tight_budget_discards_not_errors(self, wordnet_workload):
+        """§5's cut-off rule: enumerations the GPU window cannot fit are
+        discarded, not errors, and never enter the trawling estimate."""
         w = wordnet_workload
         cfg = PipelineConfig(
-            n_batches=2, trawls_per_batch=8, backend="threads",
-            wallclock_budget_scale=2.0,
+            n_batches=2, trawls_per_batch=8, enum_nodes_per_ms=200
         )
         result = CoProcessingPipeline(AlleyEstimator(), cfg).run(
             w.cg, w.order, 1024, rng=11
         )
         assert len(result.batches) == 2
         assert result.n_samples >= 1024
+        assert result.truncated
+        assert result.n_truncated > 0
+        assert result.trawling_accumulator.n == sum(
+            b.n_trawls - b.n_trawls_discarded for b in result.batches
+        )
+        assert result.final_estimate >= 0
 
     def test_engine_config_respected(self, wordnet_workload):
         w = wordnet_workload
