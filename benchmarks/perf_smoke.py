@@ -22,14 +22,6 @@ against the checked-in baselines in ``benchmarks/baselines.json``:
   (default 4.5×) on Alley and by the WanderJoin floor (3.0×; WJ spends a
   hard floor of its wall inside per-warp ``Generator.integers`` calls both
   backends must replay identically, which caps its ratio below Alley's).
-* **counter-mode saturating gate** — the same workload runs with
-  ``rng_mode="counter"`` (:mod:`repro.utils.lanerng`), where draws are
-  pure functions of (lane key, counter) batched in one Philox pass per
-  wave — no replay floor — so BOTH estimators must clear 4.5× over the
-  scalar reference (timed with sequential draws, its faster mode).  Its
-  deterministic values pin a separate ``fused_counter`` baseline section;
-  refresh it alone (sequential entries byte-identical) with
-  ``--update-counter-baselines``.
 
 * **small-wave gate** — single interactive-size rounds (256 samples at
   128 tasks per warp, i.e. 2-warp waves) on hprd k=4/k=8 and orkut k=12,
@@ -94,7 +86,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 from repro.bench.dynamic import build_scenario
 from repro.bench.workloads import build_workload
@@ -131,13 +122,6 @@ FUSED_WALL_REPEATS = 3
 FUSED_DATASET = "dblp"
 FUSED_K = 6
 FUSED_WJ_MIN_SPEEDUP = 3.0
-# Counter mode lifts the Generator.integers replay floor (draws become
-# pure functions of (lane key, counter), batched in one Philox pass per
-# wave), so WanderJoin clears the same 4.5x bar as Alley there.  The
-# counter gate runs the identical workload with rng_mode="counter" and
-# pins its own baseline section ("fused_counter"), refreshed via
-# --update-counter-baselines without touching the sequential entries.
-FUSED_COUNTER_MIN_SPEEDUP = 4.5
 
 # Small-wave gate: the shape of an interactive request's round.
 SMALL_WAVE_CASES = [
@@ -253,14 +237,11 @@ def measure() -> dict:
     return {"format": 1, "seed": SEED, "n_samples": N_SAMPLES, "entries": entries}
 
 
-def _run_fused_gate_case(estimator_cls, backend: str, rng_mode: str = "sequential"):
+def _run_fused_gate_case(estimator_cls, backend: str):
     workload = build_workload(FUSED_DATASET, FUSED_K, "dense", 0)
     engine = GSWORDEngine(
         estimator_cls(),
-        EngineConfig.gsword(
-            backend=backend, tasks_per_warp=FUSED_TASKS_PER_WARP,
-            rng_mode=rng_mode,
-        ),
+        EngineConfig.gsword(backend=backend, tasks_per_warp=FUSED_TASKS_PER_WARP),
     )
     # Warmup compiles the plan / builds kernel tables outside the timing.
     engine.run(workload.cg, workload.order, 2048, rng=1)
@@ -276,47 +257,32 @@ def _run_fused_gate_case(estimator_cls, backend: str, rng_mode: str = "sequentia
     return result, best_wall * 1000.0
 
 
-def measure_fused(
-    rng_mode: str = "sequential", scalar_walls: Optional[dict] = None
-) -> dict:
+def measure_fused() -> dict:
     """Run the saturating gate workload on the scalar and fused backends.
-
-    The scalar reference always replays sequential draws: in counter mode
-    it draws lane by lane through Python Philox calls, an order of
-    magnitude slower, which would time the draw path instead of the
-    engine.  So a counter-mode call gates against the (faster) sequential
-    reference — ``scalar_walls`` (label -> ms) reuses the timings of an
-    earlier sequential call — and its values are pinned by the exact
-    ``fused_counter`` baseline fields instead of a scalar comparison.
 
     Aborts outright when fused output diverges from scalar or when the
     engine silently fell back to the scalar rung — both void the gate.
     """
-    tag = "fused" if rng_mode == "sequential" else "fused_counter"
     out = {
         "dataset": FUSED_DATASET,
         "k": FUSED_K,
         "n_samples": FUSED_N_SAMPLES,
         "tasks_per_warp": FUSED_TASKS_PER_WARP,
-        "rng_mode": rng_mode,
     }
     for label, estimator_cls in (
         ("alley", AlleyEstimator), ("wj", WanderJoinEstimator)
     ):
-        if scalar_walls is None:
-            sca, sca_wall = _run_fused_gate_case(estimator_cls, "scalar")
-        else:
-            sca, sca_wall = None, scalar_walls[label]
-        fus, fus_wall = _run_fused_gate_case(estimator_cls, "fused", rng_mode)
-        if rng_mode == "sequential" and _diverged(fus, sca):
+        sca, sca_wall = _run_fused_gate_case(estimator_cls, "scalar")
+        fus, fus_wall = _run_fused_gate_case(estimator_cls, "fused")
+        if _diverged(fus, sca):
             raise SystemExit(
-                f"{tag}[{label}]: backends disagree (estimate {fus.estimate} "
+                f"fused[{label}]: backends disagree (estimate {fus.estimate} "
                 f"vs {sca.estimate}, simulated {fus.simulated_ms()} vs "
                 f"{sca.simulated_ms()}) — equivalence broken"
             )
         if fus.backend != "fused":
             raise SystemExit(
-                f"{tag}[{label}]: gate run fell back to {fus.backend!r} "
+                f"fused[{label}]: gate run fell back to {fus.backend!r} "
                 f"({fus.backend_label}) — cannot gate the compiled plan"
             )
         out[f"estimate_{label}"] = fus.estimate
@@ -352,31 +318,6 @@ def compare_fused(cur: dict, base: dict, min_fused_speedup: float) -> list:
             f"{cur['fused_speedup_wj']:.2f}x faster than scalar "
             f"(floor: {FUSED_WJ_MIN_SPEEDUP:.2f}x)"
         )
-    return failures
-
-
-def compare_fused_counter(cur: dict, base: dict) -> list:
-    """Counter mode holds BOTH estimators to the full compiled-plan bar:
-    with no ``Generator.integers`` replay floor, WanderJoin has no excuse."""
-    failures = []
-    if not base:
-        return [
-            "fused_counter: no baseline section "
-            "(run --update-counter-baselines)"
-        ]
-    for label in ("alley", "wj"):
-        for key in (f"estimate_{label}", f"simulated_ms_{label}"):
-            if cur[key] != base.get(key):
-                failures.append(
-                    f"fused_counter: {key} {cur[key]} != baseline "
-                    f"{base.get(key)} (deterministic — must match exactly)"
-                )
-        if cur[f"fused_speedup_{label}"] < FUSED_COUNTER_MIN_SPEEDUP:
-            failures.append(
-                f"fused_counter: {label} compiled plan only "
-                f"{cur[f'fused_speedup_{label}']:.2f}x faster than "
-                f"scalar (gate: {FUSED_COUNTER_MIN_SPEEDUP:.2f}x)"
-            )
     return failures
 
 
@@ -896,12 +837,6 @@ def main(argv=None) -> int:
         help="write current measurements to benchmarks/baselines.json",
     )
     parser.add_argument(
-        "--update-counter-baselines", action="store_true",
-        help="merge ONLY the counter-mode fused-gate section into "
-        "benchmarks/baselines.json, leaving every sequential entry "
-        "untouched (no re-measurement churn on unrelated baselines)",
-    )
-    parser.add_argument(
         "--update-candidate-build-baselines", action="store_true",
         help="merge ONLY the candidate-build section into "
         "benchmarks/baselines.json, leaving every other entry untouched",
@@ -925,22 +860,6 @@ def main(argv=None) -> int:
         "this JSON file (uploaded as a CI artifact)",
     )
     args = parser.parse_args(argv)
-
-    if args.update_counter_baselines:
-        if not BASELINE_PATH.is_file():
-            print("no baselines.json — run with --update-baselines first")
-            return 1
-        fused_counter = measure_fused(rng_mode="counter")
-        baseline = json.loads(BASELINE_PATH.read_text())
-        baseline["fused_counter"] = fused_counter
-        BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
-        print(
-            f"{'fused_counter_gate':<20} "
-            f"alley={fused_counter['fused_speedup_alley']:.2f}x "
-            f"wj={fused_counter['fused_speedup_wj']:.2f}x"
-        )
-        print(f"counter baselines merged into {BASELINE_PATH}")
-        return 0
 
     if args.update_candidate_build_baselines:
         if not BASELINE_PATH.is_file():
@@ -973,22 +892,6 @@ def main(argv=None) -> int:
         f"{fused['wall_ms_scalar_wj']:.0f}ms, fused "
         f"{fused['wall_ms_fused_alley']:.0f}/"
         f"{fused['wall_ms_fused_wj']:.0f}ms)"
-    )
-    fused_counter = measure_fused(
-        rng_mode="counter",
-        scalar_walls={
-            label: fused[f"wall_ms_scalar_{label}"] for label in ("alley", "wj")
-        },
-    )
-    current["fused_counter"] = fused_counter
-    print(
-        f"{'fused_counter_gate':<20} "
-        f"alley={fused_counter['fused_speedup_alley']:.2f}x "
-        f"wj={fused_counter['fused_speedup_wj']:.2f}x "
-        f"(scalar {fused_counter['wall_ms_scalar_alley']:.0f}/"
-        f"{fused_counter['wall_ms_scalar_wj']:.0f}ms, fused "
-        f"{fused_counter['wall_ms_fused_alley']:.0f}/"
-        f"{fused_counter['wall_ms_fused_wj']:.0f}ms)"
     )
     small_waves = measure_small_waves()
     current["small_waves"] = small_waves
@@ -1060,9 +963,6 @@ def main(argv=None) -> int:
     )
     failures += compare_fused(
         fused, baseline.get("fused", {}), args.min_fused_speedup
-    )
-    failures += compare_fused_counter(
-        fused_counter, baseline.get("fused_counter", {})
     )
     failures += compare_small_waves(
         small_waves, baseline.get("small_waves", {}), args.wall_tolerance

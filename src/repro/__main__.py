@@ -599,8 +599,6 @@ def _cmd_flight_replay(args: argparse.Namespace) -> int:
           f"simulated_ms={report['expected']['simulated_ms']!r}")
     print(f"replayed: estimate={report['replayed']['estimate']!r} "
           f"simulated_ms={report['replayed']['simulated_ms']!r}")
-    if report.get("lane_keys_match") is not None:
-        print(f"lane keys match: {report['lane_keys_match']}")
     verdict = "BIT-IDENTICAL" if report["match"] else "MISMATCH"
     print(f"replay: {verdict}")
     return 0 if report["match"] else 1

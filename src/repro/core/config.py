@@ -59,20 +59,6 @@ def default_shards() -> int:
         raise ConfigError(f"REPRO_SHARDS must be an integer, got {raw!r}")
 
 
-#: Valid values of :attr:`EngineConfig.rng_mode`.
-RNG_MODES = ("sequential", "counter")
-
-
-def default_rng_mode() -> str:
-    """Session default for :attr:`EngineConfig.rng_mode`.
-
-    ``sequential`` (the PCG64 replay streams every baseline was pinned
-    against) unless the ``REPRO_RNG_MODE`` environment variable says
-    otherwise — the same opt-in pattern as ``REPRO_BACKEND``.
-    """
-    return os.environ.get("REPRO_RNG_MODE", "sequential")
-
-
 def default_trace() -> bool:
     """Session default for :attr:`EngineConfig.trace`.
 
@@ -114,16 +100,6 @@ class EngineConfig:
             for any shard count; only wall-clock and the multi-device
             makespan telemetry change.  Requires the ``"fused"``
             backend, under either sync mode.
-        rng_mode: per-warp randomness source.  ``"sequential"`` (the
-            default, overridable via ``REPRO_RNG_MODE``) replays numpy
-            ``Generator.integers`` calls warp-at-a-time from spawned PCG64
-            substreams; ``"counter"`` derives a Philox lane key per warp
-            from the *same* spawned ``SeedSequence`` children and computes
-            each draw as a pure function of ``(key, draw_index)``, letting
-            the fused backend produce a whole wave's draws in one numpy
-            pass (:mod:`repro.utils.lanerng`).  Estimates differ *between*
-            modes (different streams) but all backends and shard counts
-            stay bit-identical *within* a mode.
         trace: enable span tracing (:mod:`repro.obs`).  ``False`` by
             default (overridable via ``REPRO_TRACE``): the engine then
             holds the shared no-op recorder and instrumentation costs one
@@ -140,7 +116,6 @@ class EngineConfig:
     streaming_threshold: int = 32
     backend: str = field(default_factory=default_backend)
     n_shards: int = field(default_factory=default_shards)
-    rng_mode: str = field(default_factory=default_rng_mode)
     trace: bool = field(default_factory=default_trace)
 
     def __post_init__(self) -> None:
@@ -149,10 +124,6 @@ class EngineConfig:
         if self.backend not in BACKENDS:
             raise ConfigError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.rng_mode not in RNG_MODES:
-            raise ConfigError(
-                f"rng_mode must be one of {RNG_MODES}, got {self.rng_mode!r}"
             )
         if self.inheritance and self.sync_mode is SyncMode.ITERATION:
             raise ConfigError(
@@ -211,9 +182,6 @@ class EngineConfig:
 
     def with_shards(self, n_shards: int) -> "EngineConfig":
         return replace(self, n_shards=n_shards)
-
-    def with_rng_mode(self, rng_mode: str) -> "EngineConfig":
-        return replace(self, rng_mode=rng_mode)
 
     def with_trace(self, trace: bool = True) -> "EngineConfig":
         return replace(self, trace=trace)

@@ -38,7 +38,6 @@ from repro.errors import (
     SimulationError,
 )
 from repro.estimators.base import (
-    DrawSource,
     RSVEstimator,
     SampleOutcome,
     SampleState,
@@ -56,7 +55,6 @@ from repro.gpu.memory import (
 from repro.gpu.profiler import KernelProfile, WarpProfile
 from repro.obs.trace import NO_TRACE, TraceRecorder
 from repro.query.matching_order import MatchingOrder
-from repro.utils.lanerng import spawn_lane_rngs
 from repro.utils.rng import (
     GeneratorState,
     RandomSource,
@@ -284,15 +282,7 @@ class GSWORDEngine:
         provider, exec_backend = self._warp_provider(
             cg, order, n_samples, rng, collect_states, shard_offset
         )
-        if provider is not None:
-            warp_rngs = []
-        elif self.config.rng_mode == "counter":
-            # Counter mode: same spawned children, but each warp draws from
-            # a pure (key, draw_index) Philox stream instead of a mutating
-            # PCG64 generator — the scalar reference for the batch paths.
-            warp_rngs = spawn_lane_rngs(spawn_generator_states(rng, max_warps))
-        else:
-            warp_rngs = spawn_generators(rng, max_warps)
+        warp_rngs = [] if provider is not None else spawn_generators(rng, max_warps)
         kernel = KernelProfile()
         acc = HTAccumulator()
         collected: List[Tuple[Tuple[int, ...], float]] = []
@@ -539,7 +529,7 @@ class GSWORDEngine:
         cg: CandidateGraph,
         order: MatchingOrder,
         pool: int,
-        rng: DrawSource,
+        rng: np.random.Generator,
         collect_states: bool,
     ):
         if self.config.sync_mode is SyncMode.SAMPLE:
@@ -551,7 +541,7 @@ class GSWORDEngine:
         cg: CandidateGraph,
         order: MatchingOrder,
         pool: int,
-        rng: DrawSource,
+        rng: np.random.Generator,
         collect_states: bool,
     ):
         W = self.spec.warp_size
@@ -633,7 +623,7 @@ class GSWORDEngine:
         cg: CandidateGraph,
         order: MatchingOrder,
         pool: int,
-        rng: DrawSource,
+        rng: np.random.Generator,
         collect_states: bool,
     ):
         W = self.spec.warp_size

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,17 +72,12 @@ from repro.gpu.memory import (
 )
 from repro.gpu.profiler import WarpProfile
 from repro.query.matching_order import MatchingOrder
-from repro.utils.lanerng import LaneKey, lane_key, philox_bounded, warp_keys
 from repro.utils.rng import (
     GeneratorState,
     RandomSource,
     generator_from_state,
     spawn_generator_states,
 )
-
-#: What a warp's replayable identity can be: a spawned generator state
-#: (sequential mode) or a derived Philox :class:`LaneKey` (counter mode).
-WarpState = Union[GeneratorState, LaneKey]
 
 #: One warp-result tuple: ``(acc, profile, n_valid, collected, count)`` —
 #: the same shape ``GSWORDEngine._run_warp`` returns.
@@ -112,10 +107,6 @@ class WaveParams:
     warp_size: int
     spec: GPUSpec
     collect_states: bool
-    #: Per-warp randomness source ("sequential" or "counter").  Part of the
-    #: frozen params on purpose: shard workers key their cached plan on
-    #: ``(kernel, params)``, so switching modes invalidates the plan.
-    rng_mode: str = "sequential"
 
 
 #: Warps processed per wave.  The dense SoA state is small (a few hundred
@@ -291,56 +282,27 @@ class _ProfileSoA:
         )
 
 
-def _warp_streams(states: Sequence[WarpState], rng_mode: str, arena: FusedArena):
-    """Per-warp draw sources for one wave, as :func:`_draw_rows` takes them.
-
-    Sequential mode: each warp's bound ``Generator.integers`` (the draw
-    loop calls one per warp per step, and attribute lookup on Generator is
-    measurable at scale).  Counter mode: a ``(K, 2)`` key table plus one
-    running draw index per warp replaces K generator objects — the whole
-    wave's draws become a single Philox pass per super-step.
-    """
-    if rng_mode == "counter":
-        keys = warp_keys(states)
-        return (
-            keys[:, 0].astype(np.uint64),
-            keys[:, 1].astype(np.uint64),
-            arena.zeros("dcount", (len(states),), np.int64),
-        )
+def _warp_streams(states: Sequence[GeneratorState]):
+    """Per-warp draw sources for one wave, as :func:`_draw_rows` takes them:
+    each warp's bound ``Generator.integers`` (the draw loop calls one per
+    warp per step, and attribute lookup on Generator is measurable at
+    scale)."""
     return [generator_from_state(s).integers for s in states]
 
 
-def _draw_rows(
-    rng_mode: str, rows: np.ndarray, rlen: np.ndarray, igs
-) -> np.ndarray:
+def _draw_rows(rows: np.ndarray, rlen: np.ndarray, igs) -> np.ndarray:
     """Per-warp draws for the ``(rows, lanes)`` bound matrix ``rlen``,
     lanes in ascending order within each warp ``rows[i]``.
 
-    Sequential mode: each warp's own generator consumes the identical
-    bound array the scalar path feeds it.  The drawable bounds of all
-    rows are gathered once (row-major, so each row's slice is its
-    positive bounds in ascending lane order — the scalar
-    ``bounds[drawable]``) and each warp's pre-bound
-    ``Generator.integers`` draws from a contiguous view; per-row numpy
-    work is one slice and one ``integers`` call.
-
-    Counter mode: the entire group is one Philox pass — lane ``j`` of
-    warp ``r`` draws counter ``dcount[r] + (rank of j among r's
-    drawable lanes)``, the same accounting the scalar ``LaneRNG`` uses,
-    so both stay bit-identical.
+    Each warp's own generator consumes the identical bound array the
+    scalar path feeds it.  The drawable bounds of all rows are gathered
+    once (row-major, so each row's slice is its positive bounds in
+    ascending lane order — the scalar ``bounds[drawable]``) and each
+    warp's pre-bound ``Generator.integers`` draws from a contiguous view;
+    per-row numpy work is one slice and one ``integers`` call.
     """
     idx = np.full(rlen.shape, -1, dtype=np.int64)
     mask = rlen > 0
-    if rng_mode == "counter":
-        k0, k1, dcount = igs
-        ri, _ = np.nonzero(mask)
-        if len(ri):
-            pos = (np.cumsum(mask, axis=1) - 1)[mask]
-            g = rows[ri]
-            ctr = dcount[g].astype(np.uint64) + pos.astype(np.uint64)
-            idx[mask] = philox_bounded(k0[g], k1[g], ctr, rlen[mask])
-            dcount[rows] += mask.sum(axis=1)
-        return idx
     counts = mask.sum(axis=1).tolist()
     flat_bounds = rlen[mask]
     off = 0
@@ -494,7 +456,7 @@ class FusedRunner:
         self.plan: FusedPlan = kernel.compile_plan(params.target)
 
     def run_warps(
-        self, states: Sequence[WarpState], quotas: Sequence[int]
+        self, states: Sequence[GeneratorState], quotas: Sequence[int]
     ) -> List[WarpResult]:
         results: List[WarpResult] = []
         for lo in range(0, len(states), _FUSED_WAVE_CHUNK):
@@ -506,13 +468,13 @@ class FusedRunner:
     # Wave loop
     # ------------------------------------------------------------------
     def _wave(
-        self, states: Sequence[WarpState], quotas: Sequence[int]
+        self, states: Sequence[GeneratorState], quotas: Sequence[int]
     ) -> List[WarpResult]:
         p = self.p
         K = len(states)
         W, target, n_q = p.warp_size, p.target, p.n_q
         ar = self.arena
-        igs = _warp_streams(states, p.rng_mode, ar)
+        igs = _warp_streams(states)
         inst = ar.take("inst", (K, W, n_q), np.int64)
         prob = ar.take("prob", (K, W), np.float64)
         active = ar.take("active", (K, W), np.bool_)
@@ -618,7 +580,7 @@ class FusedRunner:
         present = running if full else running[rows]
         inst3 = inst if full else inst[rows]
         prep = self.kernel.fused_prepare(lv, inst3, present)
-        idx = _draw_rows(self.p.rng_mode, rows, prep.rlen, igs)
+        idx = _draw_rows(rows, prep.rlen, igs)
         res = self.kernel.fused_finish(lv, prep, idx, inst3)
         vr, vc = np.nonzero(res.valid)
         if len(vr):
@@ -957,7 +919,6 @@ def wave_params_for(engine, order: MatchingOrder, collect_states: bool) -> WaveP
         warp_size=engine.spec.warp_size,
         spec=engine.spec,
         collect_states=collect_states,
-        rng_mode=config.rng_mode,
     )
 
 
@@ -989,14 +950,9 @@ class WarpProvider:
         self.runner = runner
         tpw = engine.config.tasks_per_warp
         self.max_warps = math.ceil(n_samples / tpw)
-        self.states: List[WarpState] = list(
+        self.states: List[GeneratorState] = list(
             spawn_generator_states(rng, self.max_warps)
         )
-        if runner.p.rng_mode == "counter":
-            # Ship derived lane keys instead of SeedSequence objects: a
-            # key is a pure function of its spawned child, tiny on the
-            # shard pipes, and replays with no state to clone.
-            self.states = [lane_key(s) for s in self.states]
         self.guesses = [
             min(tpw, n_samples - w * tpw) for w in range(self.max_warps)
         ]

@@ -11,7 +11,7 @@ sample-synchronised :class:`~repro.core.fused.FusedRunner` executes:
    are gathered into one dense row and run through the kernel's
    ``fused_prepare`` — a level's pass costs its own lanes, not the wave;
 2. every warp draws its lanes' indices in lane order, the scalar path's
-   sequential draw order in both RNG modes;
+   sequential draw order;
 3. ``fused_finish`` validates each level and the winners are pushed;
 4. every stepping warp is charged from per-lane columns, the
    ``GSWORDEngine._charge_iteration`` sequence under per-lane depths —
@@ -41,7 +41,6 @@ from repro.core.fused import (
     FusedArena,
     FusedRunner,
     WarpResult,
-    WarpState,
     WaveParams,
     _collect_rows,
     _draw_rows,
@@ -52,6 +51,7 @@ from repro.core.fused import (
     _warp_streams,
 )
 from repro.estimators.fused import FusedKernel
+from repro.utils.rng import GeneratorState
 
 
 class WaveRunner:
@@ -93,7 +93,7 @@ class WaveRunner:
         }
 
     def run_warps(
-        self, states: Sequence[WarpState], quotas: Sequence[int]
+        self, states: Sequence[GeneratorState], quotas: Sequence[int]
     ) -> List[WarpResult]:
         results: List[WarpResult] = []
         for lo in range(0, len(states), _FUSED_WAVE_CHUNK):
@@ -105,13 +105,13 @@ class WaveRunner:
     # Wave loop
     # ------------------------------------------------------------------
     def _wave(
-        self, states: Sequence[WarpState], quotas: Sequence[int]
+        self, states: Sequence[GeneratorState], quotas: Sequence[int]
     ) -> List[WarpResult]:
         p = self.p
         K = len(states)
         W, target, n_q = p.warp_size, p.target, p.n_q
         ar = self.arena
-        igs = _warp_streams(states, p.rng_mode, ar)
+        igs = _warp_streams(states)
 
         inst = ar.take("inst", (K, W, n_q), np.int64)
         inst.fill(-1)
@@ -209,7 +209,7 @@ class WaveRunner:
             )
             rlen[sr, sl] = prep.rlen[0]
             groups.append((d, sr, sl, inst3, prep))
-        idx = _draw_rows(self.p.rng_mode, rows, rlen, igs)
+        idx = _draw_rows(rows, rlen, igs)
 
         # Per-lane columns: clen, probes, span_lo, span_hi, edge_id, v.
         cols = np.zeros((6, R, W), dtype=np.int64)

@@ -19,24 +19,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.candidate.candidate_graph import CandidateGraph
 from repro.query.matching_order import MatchingOrder
-
-
-class DrawSource(Protocol):
-    """The RNG surface the RSV loop consumes: bounded integer draws.
-
-    Satisfied by ``np.random.Generator`` (sequential mode) and by
-    :class:`repro.utils.lanerng.LaneRNG` (counter mode) — the warp path
-    never calls any other generator method, which is what lets counter
-    mode swap in a pure ``(key, draw_index)`` stream.
-    """
-
-    def integers(self, low: int, high: Any = None) -> Any: ...
 
 
 @dataclass
@@ -170,7 +158,7 @@ class RSVEstimator(ABC):
 
     def sample(
         self,
-        rng: DrawSource,
+        rng: np.random.Generator,
         refined: np.ndarray,
     ) -> Tuple[int, float]:
         """Uniformly draw a vertex; returns ``(vertex, prob_factor)`` or
@@ -199,7 +187,7 @@ class RSVEstimator(ABC):
         self,
         ctx: StepContext,
         state: SampleState,
-        rng: DrawSource,
+        rng: np.random.Generator,
     ) -> SampleOutcome:
         """One full RSV iteration (lines 8–11 of Alg. 1)."""
         cand, edge_id, span, others = get_min_candidate(ctx, state)
@@ -225,7 +213,7 @@ class RSVEstimator(ABC):
         self,
         cg: CandidateGraph,
         order: MatchingOrder,
-        rng: DrawSource,
+        rng: np.random.Generator,
         max_depth: Optional[int] = None,
     ) -> Tuple[SampleState, bool]:
         """Execute one complete sample (the inner while of Alg. 1).

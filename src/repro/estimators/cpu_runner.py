@@ -15,7 +15,7 @@ therefore consumes the caller's numpy stream in a different order than the
 scalar loop — its estimates are deterministic per seed but only equal in
 distribution, not bit-identical.  Simulated cycles, which are
 draw-independent, agree exactly between the backends.  The engine's
-``REPRO_BACKEND`` / ``REPRO_RNG_MODE`` environment variables do not apply.
+``REPRO_BACKEND`` environment variable does not apply.
 """
 
 from __future__ import annotations

@@ -24,11 +24,12 @@ import itertools
 import multiprocessing as mp
 from typing import List, Optional, Sequence
 
-from repro.core.fused import WarpResult, WarpState, WaveParams
+from repro.core.fused import WarpResult, WaveParams
 from repro.errors import ConfigError, ShardFailure
 from repro.estimators.fused import FusedKernel, kernel_tables
 from repro.multidev.shm import SharedArrayPack
 from repro.multidev.worker import worker_loop
+from repro.utils.rng import GeneratorState
 
 
 def shard_of(warp_index: int, n_shards: int, offset: int = 0) -> int:
@@ -192,7 +193,7 @@ class ShardedVectorExecutor:
         self,
         kernel: FusedKernel,
         params: WaveParams,
-        states: Sequence[WarpState],
+        states: Sequence[GeneratorState],
         quotas: Sequence[int],
         shard_offset: int = 0,
     ) -> List[WarpResult]:

@@ -19,10 +19,11 @@ from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.fused import WarpResult, WarpState, WaveParams
+from repro.core.fused import WarpResult, WaveParams
 from repro.core.vectorized import runner_for
 from repro.estimators.fused import kernel_from_tables
 from repro.multidev.shm import PackManifest, attach_pack
+from repro.utils.rng import GeneratorState
 
 
 class ShardRuntime:
@@ -40,7 +41,7 @@ class ShardRuntime:
         self.runner = runner_for(self.kernel, params)
 
     def run(
-        self, states: Sequence[WarpState], quotas: Sequence[int]
+        self, states: Sequence[GeneratorState], quotas: Sequence[int]
     ) -> List[WarpResult]:
         return self.runner.run_warps(states, quotas)
 

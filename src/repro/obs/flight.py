@@ -14,12 +14,11 @@ snapshots everything needed to *re-execute* the offending round into a
 self-contained JSON **postmortem bundle**: the ring, the metrics
 registry, the :class:`EngineConfig` and :class:`GPUSpec`, the versioned
 graph identity (``name@v<version>#<fp>``), the (graph, query, order)
-plan, and the round's RNG substream state plus (in counter mode) its
-Philox :class:`LaneKey`\\ s.  Because every clock in the repository is
-simulated and every round's stream is a replayable ``SeedSequence``
-child, ``repro flight-replay <bundle>`` reproduces the original round's
-estimate and simulated milliseconds **bit-identically** on any machine —
-an anomaly report you can run, not just read.
+plan, and the round's RNG substream state.  Because every clock in the
+repository is simulated and every round's stream is a replayable
+``SeedSequence`` child, ``repro flight-replay <bundle>`` reproduces the
+original round's estimate and simulated milliseconds **bit-identically**
+on any machine — an anomaly report you can run, not just read.
 
 Trigger taxonomy (the ``trigger.kind`` field of every bundle):
 
@@ -56,16 +55,14 @@ import numpy as np
 
 from repro.errors import ObservabilityError
 from repro.obs.trace import TRACE_PID, TraceRecorder
-from repro.utils.lanerng import lane_key
 from repro.utils.rng import (
     GeneratorState,
     clone_state,
     generator_from_state,
-    spawn_generator_states,
 )
 
 #: Bundle schema tag; bumped on incompatible layout changes.
-FLIGHT_SCHEMA = "repro.flight/1"
+FLIGHT_SCHEMA = "repro.flight/2"
 
 #: The trigger taxonomy (every bundle's ``trigger.kind`` is one of these).
 TRIGGER_KINDS: Tuple[str, ...] = (
@@ -75,11 +72,6 @@ TRIGGER_KINDS: Tuple[str, ...] = (
     "qerror_drift",
     "hedge_storm",
 )
-
-#: How many of the round's per-warp Philox lane keys a bundle records
-#: (counter mode); enough to fingerprint the substream fan-out without
-#: bloating the bundle for large rounds.
-LANE_KEY_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -267,27 +259,6 @@ def deserialize_rng_state(payload: Mapping[str, Any]) -> GeneratorState:
     raise ObservabilityError(f"unknown rng_state kind {kind!r}")
 
 
-def round_lane_keys(
-    rng_state: GeneratorState,
-    n_samples: int,
-    tasks_per_warp: int,
-    limit: int = LANE_KEY_LIMIT,
-) -> List[List[int]]:
-    """The first warps' Philox lane keys for a captured round.
-
-    Mirrors the engine's counter-mode derivation: the round generator's
-    seed sequence spawns one child per warp and :func:`lane_key` hashes
-    each child into its ``(k0, k1)`` Philox key — a pure function of the
-    round state, so replay recomputes identical keys.
-    """
-    max_warps = max(1, math.ceil(n_samples / max(1, tasks_per_warp)))
-    states = spawn_generator_states(
-        generator_from_state(clone_state(rng_state)),
-        min(limit, max_warps),
-    )
-    return [[int(k0), int(k1)] for k0, k1 in (lane_key(s) for s in states)]
-
-
 def graph_identity(
     graph: Any,
     graph_id: Optional[str] = None,
@@ -338,15 +309,10 @@ def serialize_plan(
     }
 
 
-def serialize_round(
-    launch: Mapping[str, Any],
-    tasks_per_warp: int,
-    rng_mode: str,
-) -> Dict[str, Any]:
+def serialize_round(launch: Mapping[str, Any]) -> Dict[str, Any]:
     """Encode a :attr:`RoundReport.launch` capture for a bundle."""
-    state = launch["rng_state"]
-    out: Dict[str, Any] = {
-        "rng_state": serialize_rng_state(state),
+    return {
+        "rng_state": serialize_rng_state(launch["rng_state"]),
         "n_samples": int(launch["n_samples"]),
         "shard_offset": int(launch["shard_offset"]),
         "stall_factor": float(launch["stall_factor"]),
@@ -358,13 +324,7 @@ def serialize_round(
         "n_warps": int(launch.get("n_warps", 0)),
         "round": int(launch.get("round", 0)),
         "launch_index": launch.get("launch_index"),
-        "rng_mode": rng_mode,
     }
-    if rng_mode == "counter":
-        out["lane_keys"] = round_lane_keys(
-            state, out["n_samples"], tasks_per_warp
-        )
-    return out
 
 
 def serialize_engine_config(config: Any) -> Dict[str, Any]:
@@ -378,7 +338,6 @@ def serialize_engine_config(config: Any) -> Dict[str, Any]:
         "streaming_threshold": int(config.streaming_threshold),
         "backend": config.backend,
         "n_shards": int(config.n_shards),
-        "rng_mode": config.rng_mode,
         "trace": bool(config.trace),
     }
 
@@ -631,8 +590,7 @@ def replay_bundle(bundle: Mapping[str, Any]) -> Dict[str, Any]:
     replay never needs worker processes); materialises the round's RNG
     substream from its serialized state; runs one round; re-applies the
     captured stall factor; and compares estimate and simulated ms with
-    exact ``==``.  In counter mode the per-warp lane keys are recomputed
-    and compared too.
+    exact ``==``.
 
     Returns a report dict with ``match`` (overall), the expected and
     replayed values, and the rebuilt configuration labels.
@@ -711,28 +669,10 @@ def replay_bundle(bundle: Mapping[str, Any]) -> Dict[str, Any]:
     estimate_match = replayed_estimate == float(expected["estimate"])
     ms_match = replayed_ms == float(expected["simulated_ms"])
 
-    lane_keys_match: Optional[bool] = None
-    replayed_keys: Optional[List[List[int]]] = None
-    if round_capture.get("rng_mode") == "counter" and round_capture.get(
-        "lane_keys"
-    ):
-        replayed_keys = round_lane_keys(
-            state, n_samples, config.tasks_per_warp,
-            limit=len(round_capture["lane_keys"]),
-        )
-        lane_keys_match = replayed_keys == [
-            [int(a), int(b)] for a, b in round_capture["lane_keys"]
-        ]
-
     return {
-        "match": bool(
-            estimate_match
-            and ms_match
-            and (lane_keys_match is not False)
-        ),
+        "match": bool(estimate_match and ms_match),
         "estimate_match": estimate_match,
         "simulated_ms_match": ms_match,
-        "lane_keys_match": lane_keys_match,
         "expected": {
             "estimate": float(expected["estimate"]),
             "simulated_ms": float(expected["simulated_ms"]),
@@ -752,7 +692,6 @@ def replay_bundle(bundle: Mapping[str, Any]) -> Dict[str, Any]:
 __all__ = (
     "FLIGHT_SCHEMA",
     "TRIGGER_KINDS",
-    "LANE_KEY_LIMIT",
     "FlightPolicy",
     "FlightRecorder",
     "FlightMonitor",
@@ -761,7 +700,6 @@ __all__ = (
     "load_bundle",
     "replay_bundle",
     "graph_identity",
-    "round_lane_keys",
     "serialize_engine_config",
     "serialize_gpu_spec",
     "serialize_plan",

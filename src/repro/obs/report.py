@@ -18,6 +18,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ObservabilityError
+from repro.obs.flight import FLIGHT_SCHEMA
 from repro.obs.trace import MICROS_PER_MS, validate_chrome_trace
 
 #: Instant-name prefixes that indicate something went wrong (rendered in
@@ -38,7 +39,7 @@ def load_trace(path: str) -> Dict[str, Any]:
     """Load + validate a Chrome-trace JSON file; returns the payload.
 
     Flight postmortem bundles are accepted transparently: when the file
-    is a ``repro.flight/1`` bundle, its embedded ring payload is
+    is a :data:`~repro.obs.flight.FLIGHT_SCHEMA` bundle, its embedded ring payload is
     validated and returned, with the bundle's trigger stashed under
     ``otherData.flight_trigger`` so :func:`render_report` can show it.
     """
@@ -49,7 +50,7 @@ def load_trace(path: str) -> Dict[str, Any]:
         raise ObservabilityError(f"cannot read trace {path!r}: {exc}") from exc
     if isinstance(payload, dict) and "traceEvents" not in payload:
         ring = payload.get("ring")
-        if payload.get("schema") == "repro.flight/1" and isinstance(
+        if payload.get("schema") == FLIGHT_SCHEMA and isinstance(
             ring, dict
         ):
             ring = dict(ring)

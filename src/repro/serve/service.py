@@ -707,11 +707,7 @@ class EstimationService:
                 lc["estimator"],
                 self.config.order_method,
             )
-            ctx["round"] = serialize_round(
-                lc["launch"],
-                self.engine_config.tasks_per_warp,
-                self.engine_config.rng_mode,
-            )
+            ctx["round"] = serialize_round(lc["launch"])
         elif self._graph_hint is not None:
             ctx["graph_identity"] = self._graph_hint
         return ctx

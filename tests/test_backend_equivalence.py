@@ -5,7 +5,7 @@ runs, never *what* it computes: for a fixed seed the two backends must
 produce bit-identical HT estimates, per-kernel cycle counters (hence
 simulated milliseconds), collected partial instances, and fault-injection
 behaviour.  These tests pin that contract across estimators, sync modes,
-optimisation presets, RNG modes, seeds, and query sizes.
+optimisation presets, seeds, and query sizes.
 """
 
 from dataclasses import replace
@@ -13,13 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.candidate.candidate_graph import build_candidate_graph
-from repro.core.config import (
-    BACKENDS,
-    RNG_MODES,
-    EngineConfig,
-    default_backend,
-    default_rng_mode,
-)
+from repro.core.config import BACKENDS, EngineConfig, default_backend
 from repro.core.engine import GSWORDEngine, RetryPolicy
 from repro.core.pipeline import CoProcessingPipeline
 from repro.errors import ConfigError, DeviceFault
@@ -64,7 +58,7 @@ def plans():
 def plc_plan():
     """A draw-sensitive workload: candidate sets wide enough that the
     estimate depends on the sampled stream (the yeast queries above are
-    near-deterministic, which would let rng-mode bugs slip through)."""
+    near-deterministic, which would let draw-order bugs slip through)."""
     labels = random_labels(300, 3, rng=1)
     graph = power_law_cluster_graph(300, 3, 0.5, rng=2, labels=labels, name="plc")
     query = extract_query(graph, 4, rng=4, name="plc-q4")
@@ -133,9 +127,25 @@ class TestEngineEquivalence:
             )
             assert_identical(a, b)
 
+    @pytest.mark.parametrize("preset", sorted(_PRESETS))
     @pytest.mark.parametrize("estimator_cls", [WanderJoinEstimator, AlleyEstimator])
-    @pytest.mark.parametrize("rng_mode", sorted(RNG_MODES))
-    def test_iteration_sync_edge_cases(self, plc_plan, estimator_cls, rng_mode):
+    def test_draw_sensitive_bit_identical(self, plc_plan, estimator_cls, preset):
+        """Scalar and fused consume each warp's stream draw-for-draw, under
+        every preset and so under both sync modes, on a workload whose
+        estimate depends on the draws."""
+        cg, order = plc_plan
+        runs = {
+            backend: run_backend(
+                backend, estimator_cls(), cg, order, 96, 20240613,
+                preset=preset,
+            )
+            for backend in ("scalar", "fused")
+        }
+        assert runs["fused"].backend == "fused"
+        assert_identical(runs["scalar"], runs["fused"])
+
+    @pytest.mark.parametrize("estimator_cls", [WanderJoinEstimator, AlleyEstimator])
+    def test_iteration_sync_edge_cases(self, plc_plan, estimator_cls):
         """Iteration sync (lanes at mixed depths, restarting from the
         warp's pool) on the compiled plan: odd quotas, partial warps,
         truncated samples and streaming all match the scalar engine,
@@ -152,7 +162,7 @@ class TestEngineEquivalence:
             runs = []
             for backend in ("scalar", "fused"):
                 config = replace(
-                    EngineConfig.gpu_baseline(backend=backend, rng_mode=rng_mode),
+                    EngineConfig.gpu_baseline(backend=backend),
                     **overrides,
                 )
                 engine = GSWORDEngine(estimator_cls(), config=config)
@@ -173,77 +183,6 @@ class TestEngineEquivalence:
         assert result.backend == "scalar"
         reference = run_backend("scalar", WanderJoinEstimator(), cg, order, 32, 1)
         assert_identical(result, reference)
-
-
-class TestRngModeEquivalence:
-    """The cross-backend bit-identity contract holds within each rng mode.
-
-    ``sequential`` replays numpy ``Generator.integers`` draw-for-draw;
-    ``counter`` derives every draw as a pure function of the warp's key and
-    a draw index (:mod:`repro.utils.lanerng`).  Either way scalar and fused
-    must agree bit-for-bit, under every preset and so under both sync
-    modes — the mode changes *which* stream a warp consumes, never lets
-    backends disagree about it.
-    """
-
-    @pytest.mark.parametrize("preset", sorted(_PRESETS))
-    @pytest.mark.parametrize("estimator_cls", [WanderJoinEstimator, AlleyEstimator])
-    @pytest.mark.parametrize("rng_mode", sorted(RNG_MODES))
-    def test_backends_bit_identical(self, plc_plan, estimator_cls, rng_mode, preset):
-        cg, order = plc_plan
-        runs = {
-            backend: run_backend(
-                backend, estimator_cls(), cg, order, 96, 20240613,
-                rng_mode=rng_mode, preset=preset,
-            )
-            for backend in ("scalar", "fused")
-        }
-        assert runs["fused"].backend == "fused"
-        assert_identical(runs["scalar"], runs["fused"])
-
-    def test_modes_are_distinct_streams(self, plc_plan):
-        """Sanity: switching the mode actually changes the draws."""
-        cg, order = plc_plan
-        seq = run_backend(
-            "fused", AlleyEstimator(), cg, order, 96, 3,
-            rng_mode="sequential",
-        )
-        ctr = run_backend(
-            "fused", AlleyEstimator(), cg, order, 96, 3,
-            rng_mode="counter",
-        )
-        assert seq.estimate != ctr.estimate
-
-    def test_counter_mode_odd_quota(self, plc_plan):
-        cg, order = plc_plan
-        for n in (1, 31, 41):
-            a = run_backend(
-                "scalar", AlleyEstimator(), cg, order, n, 7,
-                rng_mode="counter", tasks_per_warp=17,
-            )
-            b = run_backend(
-                "fused", AlleyEstimator(), cg, order, n, 7,
-                rng_mode="counter", tasks_per_warp=17,
-            )
-            assert_identical(a, b)
-
-    def test_counter_mode_cpu_runner_deterministic(self, monkeypatch, plc_plan):
-        """The CPU baseline has one stream: selecting the warp backend's
-        counter mode (or the scalar backend) through the environment
-        leaves its estimates and cycles exactly as they are."""
-        cg, order = plc_plan
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_RNG_MODE", raising=False)
-        base = CPUSamplingRunner(AlleyEstimator()).run(cg, order, 128, rng=11)
-        monkeypatch.setenv("REPRO_BACKEND", "scalar")
-        monkeypatch.setenv("REPRO_RNG_MODE", "counter")
-        for _ in range(2):
-            run = CPUSamplingRunner(AlleyEstimator()).run(
-                cg, order, 128, rng=11
-            )
-            assert run.estimate == base.estimate
-            assert run.n_valid == base.n_valid
-            assert run.total_cycles == base.total_cycles
 
 
 class TestCPURunnerEquivalence:
@@ -268,6 +207,22 @@ class TestCPURunnerEquivalence:
         # Same per-checkpoint simulated time (cycle model is shared).
         for n in checkpoints:
             assert a.checkpoints[n][1] == b.checkpoints[n][1]
+
+    def test_cpu_runner_ignores_backend_env(self, monkeypatch, plc_plan):
+        """The CPU baseline has one stream: selecting the warp engine's
+        scalar backend through the environment leaves its estimates and
+        cycles exactly as they are."""
+        cg, order = plc_plan
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        base = CPUSamplingRunner(AlleyEstimator()).run(cg, order, 128, rng=11)
+        monkeypatch.setenv("REPRO_BACKEND", "scalar")
+        for _ in range(2):
+            run = CPUSamplingRunner(AlleyEstimator()).run(
+                cg, order, 128, rng=11
+            )
+            assert run.estimate == base.estimate
+            assert run.n_valid == base.n_valid
+            assert run.total_cycles == base.total_cycles
 
     def test_batch_mode_deterministic_per_seed(self, plans):
         cg, order = plans[4]
@@ -380,19 +335,3 @@ class TestBackendConfig:
         assert pipeline.config.engine_config.backend == "scalar"
         # The CPU baseline does not read the engine's env vars.
         assert CPUSamplingRunner(WanderJoinEstimator()).backend == "fused"
-
-    def test_rejects_unknown_rng_mode(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(rng_mode="philox128")
-
-    def test_with_rng_mode(self):
-        config = EngineConfig.gsword().with_rng_mode("counter")
-        assert config.rng_mode == "counter"
-        assert EngineConfig.gsword().rng_mode == default_rng_mode()
-
-    def test_default_rng_mode_env_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RNG_MODE", raising=False)
-        assert default_rng_mode() == "sequential"
-        monkeypatch.setenv("REPRO_RNG_MODE", "counter")
-        assert default_rng_mode() == "counter"
-        assert EngineConfig.gsword().rng_mode == "counter"

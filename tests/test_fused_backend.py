@@ -44,7 +44,6 @@ from repro.graph.datasets import load_dataset
 from repro.query.extract import extract_query
 from repro.query.matching_order import quicksi_order
 from repro.serve.metrics import ServiceMetrics
-from repro.utils.lanerng import lane_key
 from repro.utils.rng import spawn_generator_states
 
 _PROFILE_FIELDS = (
@@ -322,14 +321,13 @@ class TestKernelsAgainstReference:
             np.testing.assert_array_equal(extra, ref_extra)
 
 
-class TestCounterReplay:
-    """Counter-mode warps replay from bare lane keys.
+class TestIsolatedRerun:
+    """Warps re-run alone from their spawned generator states.
 
     The optimistic-quota path re-runs a single warp in isolation
-    (:meth:`repro.core.fused.WarpProvider.warp`), and in counter mode the
-    warp's state is a pure ``LaneKey`` — nothing to clone, no generator
-    position to restore.  These tests pin that the isolated re-run
-    reproduces the warp's wave results bit-for-bit on the runner of
+    (:meth:`repro.core.fused.WarpProvider.warp`) from the same spawned
+    ``SeedSequence`` child.  This pins that the isolated re-run
+    reproduces the warp's wave result bit-for-bit on the runner of
     either sync mode.
     """
 
@@ -337,39 +335,19 @@ class TestCounterReplay:
     def test_isolated_rerun_matches_wave(self, plan6, iteration):
         cg, order = plan6
         preset = EngineConfig.gpu_baseline if iteration else EngineConfig.gsword
-        engine = GSWORDEngine(
-            WanderJoinEstimator(), config=preset(rng_mode="counter")
-        )
+        engine = GSWORDEngine(WanderJoinEstimator(), config=preset())
         kernel = fused_kernel_for(WanderJoinEstimator())(cg, order)
         params = wave_params_for(engine, order, collect_states=False)
-        assert params.rng_mode == "counter"
         runner = runner_for(kernel, params)
         assert isinstance(runner, WaveRunner if iteration else FusedRunner)
-        keys = [lane_key(s) for s in spawn_generator_states(123, 4)]
+        states = spawn_generator_states(123, 4)
         quotas = [32, 32, 32, 17]
-        wave = runner.run_warps(keys, quotas)
+        wave = runner.run_warps(states, quotas)
         for w in range(4):
-            # Same key, same quota, warp alone in its wave: the per-warp
-            # draw counters make the result independent of wave packing.
-            alone = runner.run_warps([keys[w]], [quotas[w]])[0]
+            # Same state, same quota, warp alone in its wave: each warp
+            # owns its generator, so the result is independent of packing.
+            alone = runner.run_warps([states[w]], [quotas[w]])[0]
             assert alone == wave[w]
-            # And replaying does not consume the key (purity).
-            again = runner.run_warps([keys[w]], [quotas[w]])[0]
+            # And replaying does not consume the state (purity).
+            again = runner.run_warps([states[w]], [quotas[w]])[0]
             assert again == alone
-
-    def test_engine_quota_rerun_counter_mode(self, plan6):
-        """End-to-end: inheritance shrinks optimistic quotas, forcing the
-        provider's isolated re-run path, and the run still matches the
-        scalar reference."""
-        cg, order = plan6
-        a = _run(
-            WanderJoinEstimator(),
-            EngineConfig.gsword(backend="scalar", rng_mode="counter"),
-            cg, order, n=192, seed=7,
-        )
-        b = _run(
-            WanderJoinEstimator(),
-            EngineConfig.gsword(backend="fused", rng_mode="counter"),
-            cg, order, n=192, seed=7,
-        )
-        assert_identical(a, b)

@@ -152,7 +152,6 @@ class TestFusedChargeMatchesScalar:
         # streaming charge's below- and above-warp-size threshold cases.
         streaming_threshold=st.sampled_from([None, 8, 32, 48]),
         estimator_cls=st.sampled_from([AlleyEstimator, WanderJoinEstimator]),
-        rng_mode=st.sampled_from(["sequential", "counter"]),
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(
@@ -162,14 +161,13 @@ class TestFusedChargeMatchesScalar:
     )
     def test_random_graphs_and_configs(
         self, plan, quota, tasks_per_warp, inheritance, streaming,
-        streaming_threshold, estimator_cls, rng_mode, seed,
+        streaming_threshold, estimator_cls, seed,
     ):
         cg, order = plan
         config = dict(
             inheritance=inheritance,
             streaming=streaming,
             tasks_per_warp=tasks_per_warp,
-            rng_mode=rng_mode,
         )
         if streaming_threshold is not None:
             config["streaming_threshold"] = streaming_threshold
@@ -179,8 +177,7 @@ class TestFusedChargeMatchesScalar:
         )
 
     @pytest.mark.parametrize("threshold", [8, 20, 32, 40])
-    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
-    def test_streaming_thresholds(self, dense_plan, threshold, rng_mode):
+    def test_streaming_thresholds(self, dense_plan, threshold):
         """Every streaming-threshold case of the charge (a partial round
         for a tail at or above the threshold, the plain warp-size split,
         and lists that must reach a threshold above the warp size)
@@ -190,7 +187,6 @@ class TestFusedChargeMatchesScalar:
             config = dict(
                 streaming_threshold=threshold,
                 tasks_per_warp=16,
-                rng_mode=rng_mode,
             )
             assert_same(
                 run("fused", AlleyEstimator, cg, order, n, 3, **config),
@@ -198,8 +194,7 @@ class TestFusedChargeMatchesScalar:
             )
 
     @pytest.mark.parametrize("estimator_cls", [AlleyEstimator, WanderJoinEstimator])
-    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
-    def test_every_branch_runs(self, plc_plan, estimator_cls, rng_mode):
+    def test_every_branch_runs(self, plc_plan, estimator_cls):
         """Partial batches (quota 37 on 16-task warps ends in a 5-lane
         batch) take the masked charge, full batches the all-present one;
         a 2-warp round folds through ``HTAccumulator.add``, a 64-warp one
@@ -210,7 +205,7 @@ class TestFusedChargeMatchesScalar:
         region_misses = 0
         with charge_branches() as counts:
             for n, tpw in ((37, 16), (256, 128), (1024, 16)):
-                config = dict(tasks_per_warp=tpw, rng_mode=rng_mode)
+                config = dict(tasks_per_warp=tpw)
                 scalar = run("scalar", estimator_cls, cg, order, n, 5, **config)
                 assert_same(
                     run("fused", estimator_cls, cg, order, n, 5, **config),
@@ -231,7 +226,6 @@ class TestFusedChargeMatchesScalar:
         streaming_threshold=st.sampled_from([None, 8, 32, 48]),
         max_depth=st.sampled_from([None, 1, 2]),
         estimator_cls=st.sampled_from([AlleyEstimator, WanderJoinEstimator]),
-        rng_mode=st.sampled_from(["sequential", "counter"]),
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(
@@ -241,7 +235,7 @@ class TestFusedChargeMatchesScalar:
     )
     def test_iteration_sync_random_graphs(
         self, plan, quota, tasks_per_warp, streaming, streaming_threshold,
-        max_depth, estimator_cls, rng_mode, seed,
+        max_depth, estimator_cls, seed,
     ):
         cg, order = plan
         config = dict(
@@ -250,7 +244,6 @@ class TestFusedChargeMatchesScalar:
             streaming=streaming,
             tasks_per_warp=tasks_per_warp,
             max_depth=max_depth,
-            rng_mode=rng_mode,
         )
         if streaming_threshold is not None:
             config["streaming_threshold"] = streaming_threshold

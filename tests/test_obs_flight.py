@@ -28,7 +28,6 @@ from repro.obs.flight import (
     graph_identity,
     load_bundle,
     replay_bundle,
-    round_lane_keys,
     serialize_engine_config,
     serialize_gpu_spec,
     serialize_plan,
@@ -125,16 +124,7 @@ class TestRngStateSerde:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ObservabilityError):
-            deserialize_rng_state({"kind": "philox-raw", "value": 1})
-
-    def test_lane_keys_pure_function_of_state(self):
-        state = np.random.SeedSequence(derive_seed(9, "lanes"))
-        a = round_lane_keys(state, n_samples=4096, tasks_per_warp=32)
-        b = round_lane_keys(state, n_samples=4096, tasks_per_warp=32)
-        assert a == b and len(a) > 0
-        # Limited by both the cap and the round's actual warp count.
-        assert len(round_lane_keys(state, 32, 32, limit=8)) == 1
-        assert len(round_lane_keys(state, 4096, 32, limit=3)) == 3
+            deserialize_rng_state({"kind": "mt19937-raw", "value": 1})
 
 
 class TestGraphIdentity:
@@ -302,6 +292,17 @@ class TestBundleIO:
             load_bundle(str(wrong))
         with pytest.raises(ObservabilityError):
             load_bundle(str(tmp_path / "missing.json"))
+        # A repro.flight/1 bundle, whose engine_config still carries the
+        # retired RNG-mode field: refused by schema, not by a TypeError
+        # when replay rebuilds its EngineConfig.
+        old = tmp_path / "old.json"
+        old_config = dict(serialize_engine_config(EngineConfig()))
+        old_config["rng_" + "mode"] = "sequential"
+        old.write_text(json.dumps(
+            {"schema": "repro.flight/1", "engine_config": old_config}
+        ))
+        with pytest.raises(ObservabilityError, match="repro.flight/1"):
+            load_bundle(str(old))
 
 
 # ----------------------------------------------------------------------
@@ -341,9 +342,7 @@ def _make_bundle(workload, config, n_samples=512):
         gpu_spec=serialize_gpu_spec(GPUSpec()),
         graph=graph_identity(graph),
         plan=serialize_plan(graph, query, order, "alley", "quicksi"),
-        round_capture=serialize_round(
-            launch, config.tasks_per_warp, config.rng_mode
-        ),
+        round_capture=serialize_round(launch),
     )
 
 
@@ -354,14 +353,7 @@ class TestReplay:
         report = replay_bundle(json.loads(json.dumps(bundle)))
         assert report["match"]
         assert report["estimate_match"] and report["simulated_ms_match"]
-        assert report["lane_keys_match"] is None  # sequential mode
         assert report["replayed"] == report["expected"]
-
-    def test_counter_replay_checks_lane_keys(self, workload):
-        bundle = _make_bundle(workload, EngineConfig(rng_mode="counter"))
-        assert bundle["round"]["lane_keys"]  # captured at serialize time
-        report = replay_bundle(json.loads(json.dumps(bundle)))
-        assert report["match"] and report["lane_keys_match"] is True
 
     def test_tampered_expectation_detected(self, workload):
         bundle = json.loads(json.dumps(_make_bundle(workload, EngineConfig())))

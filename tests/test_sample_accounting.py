@@ -48,24 +48,19 @@ def plan(yeast, noisy_query):
     )
 
 
-def run(backend, estimator_cls, plan, n, rng_mode="sequential"):
+def run(backend, estimator_cls, plan, n):
     cg, order = plan
-    engine = GSWORDEngine(
-        estimator_cls(), EngineConfig(backend=backend, rng_mode=rng_mode)
-    )
+    engine = GSWORDEngine(estimator_cls(), EngineConfig(backend=backend))
     return engine.run(cg, order, n, rng=n + 3)
 
 
 class TestRootSampleLemma:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("estimator_cls", ESTIMATORS)
-    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
-    def test_roots_never_exceed_the_request(
-        self, plan, backend, estimator_cls, rng_mode
-    ):
+    def test_roots_never_exceed_the_request(self, plan, backend, estimator_cls):
         inherited = 0
         for n in (1, 31, 128, 129, 300, 1000):
-            result = run(backend, estimator_cls, plan, n, rng_mode)
+            result = run(backend, estimator_cls, plan, n)
             assert result.n_root_samples <= n
             assert result.n_samples >= n
             inherited += result.n_samples - result.n_root_samples

@@ -381,35 +381,6 @@ class TestHedging:
         assert n_fired > 0  # the stall plan actually exercised hedging
         assert n_won <= n_fired
 
-    def test_hedged_counter_mode_bit_identical(self, plan_parts):
-        """In counter mode both hedge attempts replay the round's lane
-        keys as pure functions of the spawned child — no ``clone_state``
-        needed anywhere on the path — so hedged rounds match unhedged
-        execution bitwise, shard rotation and all."""
-        cg, order = plan_parts
-
-        def make():
-            config = EngineConfig.gsword(n_shards=2, rng_mode="counter")
-            return GSWORDEngine(
-                AlleyEstimator(), config, DEFAULT_GPU,
-                device=DeviceModel(DEFAULT_GPU),
-            )
-
-        plain = make().session(cg, order, rng=7)
-        baseline = [plain.run_round(192).result.estimate for _ in range(8)]
-
-        hedged = make().session(cg, order, rng=7)
-        estimates = []
-        n_fired = 0
-        for _ in range(8):
-            # Zero delay arms the hedge every round, so every round takes
-            # the dual-launch path (rotated shard map included).
-            report = hedged.run_round(192, hedge_delay_ms=0.0)
-            estimates.append(report.result.estimate)
-            n_fired += int(report.hedged)
-        assert estimates == baseline
-        assert n_fired == 8
-
     def test_hedge_accounting_fields(self, plan_parts):
         cg, order = plan_parts
         session = _make_engine().session(cg, order, rng=3)
