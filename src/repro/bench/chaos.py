@@ -26,11 +26,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import EngineConfig
-from repro.core.engine import GSWORDEngine, RetryPolicy
+from repro.core.engine import GSWORDEngine
 from repro.faults import FaultKind, FaultPlan
 from repro.metrics.qerror import q_error
 from repro.obs.flight import replay_bundle
-from repro.serve.breaker import BreakerPolicy
 from repro.serve.cache import build_plan
 from repro.serve.controller import BudgetPolicy
 from repro.serve.request import EstimateRequest, resolve_estimator
@@ -79,8 +78,6 @@ def run_chaos_run(
     clients: int = 8,
     seed: int = CHAOS_SEED,
     watchdog_ms: float = 5.0,
-    retry: Optional[RetryPolicy] = None,
-    breaker: Optional[BreakerPolicy] = None,
     policy: Optional[BudgetPolicy] = None,
 ) -> Dict[str, object]:
     """One service run at ``fault_rate``; returns a flat result record.
@@ -98,8 +95,6 @@ def run_chaos_run(
         ),
         memory_budget_bytes=MEMORY_BUDGET_BYTES,
         watchdog_ms=watchdog_ms,
-        retry=retry if retry is not None else RetryPolicy(),
-        breaker=breaker if breaker is not None else BreakerPolicy(),
         cpu_fallback=True,
     )
     service = EstimationService(config)
@@ -185,7 +180,7 @@ def run_postmortem_capture(
         ),
         memory_budget_bytes=MEMORY_BUDGET_BYTES,
         watchdog_ms=watchdog_ms,
-        retry=None,
+        retry=False,
         cpu_fallback=True,
     )
     service = EstimationService(config)

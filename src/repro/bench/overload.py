@@ -55,7 +55,7 @@ from repro.faults import OVERLOAD, ArrivalPlan, FaultKind, FaultPlan, maybe_inje
 from repro.gpu.costmodel import DEFAULT_GPU
 from repro.obs.registry import quantile
 from repro.obs.slo import default_slo_policy
-from repro.serve.admission import AdmissionPolicy, HedgePolicy, TenantQuota
+from repro.serve.admission import AdmissionPolicy, TenantQuota
 from repro.serve.cache import build_plan
 from repro.serve.request import EstimateRequest
 from repro.serve.service import EstimationService, ServiceConfig, Ticket

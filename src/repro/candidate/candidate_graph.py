@@ -181,11 +181,6 @@ class CandidateGraph:
     def total_local_entries(self) -> int:
         return int(len(self.local_vertices))
 
-    def max_global_candidates(self) -> int:
-        if not self.global_candidates:
-            return 0
-        return max(len(c) for c in self.global_candidates)
-
     def is_empty(self) -> bool:
         """True when some query vertex has no candidates (count is zero)."""
         return any(len(c) == 0 for c in self.global_candidates)

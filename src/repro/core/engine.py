@@ -834,31 +834,20 @@ class GSWORDEngine:
         return max_chain * spec.mem_latency_cycles + total_loads * spec.issue_cycles
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Round-retry parameters for :meth:`EngineSession.run_round`.
+#: Relaunches :meth:`EngineSession.run_round` allows a failed round when
+#: ``retry=True``.
+MAX_RETRIES = 3
+#: Backoff before the first retry (simulated ms, charged to the caller's
+#: clock, not slept); each later retry waits ``RETRY_BACKOFF_FACTOR``
+#: times longer.
+RETRY_BACKOFF_MS = 0.5
+RETRY_BACKOFF_FACTOR = 2.0
 
-    Backoff is *simulated* milliseconds (charged to the caller's clock, not
-    slept): ``backoff_ms · backoff_factor^attempt`` before retry
-    ``attempt`` (0-based), the usual exponential schedule that spaces
-    retries out under sustained faults.
-    """
 
-    max_retries: int = 3
-    backoff_ms: float = 0.5
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be non-negative")
-        if self.backoff_ms < 0:
-            raise ConfigError("backoff_ms must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("backoff_factor must be >= 1.0")
-
-    def backoff_for(self, attempt: int) -> float:
-        """Simulated-ms backoff before retry ``attempt`` (0-based)."""
-        return self.backoff_ms * self.backoff_factor ** attempt
+def retry_backoff_ms(attempt: int) -> float:
+    """Simulated-ms backoff before retry ``attempt`` (0-based): the usual
+    exponential schedule that spaces retries out under sustained faults."""
+    return RETRY_BACKOFF_MS * RETRY_BACKOFF_FACTOR ** attempt
 
 
 #: Errors a retried round may recover from.  ``SimulationError`` is the
@@ -973,7 +962,7 @@ class EngineSession:
         self,
         n_samples: int,
         *,
-        retry: Optional[RetryPolicy] = None,
+        retry: bool = False,
         hedge_delay_ms: Optional[float] = None,
         watchdog_ms: Optional[float] = None,
         collect_states: bool = False,
@@ -984,9 +973,10 @@ class EngineSession:
         a batch scheduler co-schedules); read :meth:`result` for the
         cumulative view.  Attempt 0 is one launch, or the hedged pair when
         ``hedge_delay_ms`` is set; each failed attempt with a recoverable,
-        retryable error is followed by up to ``retry.max_retries`` single
-        relaunches (``retry=None`` fails fast), each after
-        ``retry.backoff_for(i)`` simulated ms and on a fresh substream.
+        retryable error is followed, when ``retry`` is set, by up to
+        :data:`MAX_RETRIES` single relaunches (otherwise it fails fast),
+        each after ``retry_backoff_ms(i)`` simulated ms and on a fresh
+        substream.
         Once the budget is spent the round's error is raised; failed
         attempts never touch the session's cumulative state.
         ``watchdog_ms`` tightens the device watchdog for this round only
@@ -1005,7 +995,7 @@ class EngineSession:
         """
         if hedge_delay_ms is not None and hedge_delay_ms < 0:
             raise ConfigError("hedge_delay_ms must be non-negative")
-        max_retries = retry.max_retries if retry is not None else 0
+        max_retries = MAX_RETRIES if retry else 0
         report = RoundReport()
         self.last_round = report
         rec = self.engine.recorder
@@ -1037,7 +1027,7 @@ class EngineSession:
                     error, "retryable", True
                 ):
                     raise error
-                backoff = retry.backoff_for(report.n_retries)
+                backoff = retry_backoff_ms(report.n_retries)
                 report.fault_ms += backoff
                 report.n_retries += 1
                 if round_span is not None:

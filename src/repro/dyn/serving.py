@@ -32,7 +32,7 @@ from repro.graph.csr import CSRGraph
 from repro.query.query_graph import QueryGraph
 from repro.serve.cache import _ORDER_BUILDERS, CachedPlan
 from repro.serve.request import EstimateRequest, EstimateResponse
-from repro.serve.service import EstimationService, ServiceConfig
+from repro.serve.service import ORDER_METHOD, EstimationService, ServiceConfig
 
 
 class DynamicEstimationSession:
@@ -88,13 +88,13 @@ class DynamicEstimationSession:
     ) -> None:
         graph_id = self.graph.graph_id
         snap = maintainer.cg.graph
-        order_builder = _ORDER_BUILDERS[self.service.config.order_method]
+        order_builder = _ORDER_BUILDERS[ORDER_METHOD]
         cg = maintainer.cg
         plan = CachedPlan(
             key=plan_key(
                 snap,
                 query,
-                order_method=self.service.config.order_method,
+                order_method=ORDER_METHOD,
                 graph_id=graph_id,
             ),
             cg=cg,

@@ -63,12 +63,6 @@ class GPUSpec:
         """Warps the device can keep in flight concurrently."""
         return self.sm_count * self.resident_warps_per_sm
 
-    @property
-    def gpu_core_count(self) -> int:
-        """CUDA-core count; the paper sets the trawling transfer budget
-        ``t`` to this value (§5)."""
-        return self.sm_count * 64
-
     def cycles_to_ms(self, cycles: float) -> float:
         return cycles / (self.clock_ghz * 1e6)
 

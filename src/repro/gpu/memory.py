@@ -96,10 +96,6 @@ class WarpMemoryTracker:
     def pending_segments(self) -> int:
         return len(self._segments)
 
-    @property
-    def pending_regions(self) -> int:
-        return len(self._regions)
-
     def commit(self, profile: WarpProfile) -> float:
         """Convert collected accesses into cycles, charge, and reset.
 

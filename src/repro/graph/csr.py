@@ -177,12 +177,6 @@ class CSRGraph:
             return np.zeros(0, dtype=np.int64)
         return np.bincount(self.labels, minlength=self.n_labels).astype(np.int64)
 
-    def degree_skew(self) -> float:
-        """Ratio max degree / mean degree; 1.0 for regular graphs."""
-        if self.n_vertices == 0 or self.avg_degree == 0:
-            return 1.0
-        return self.max_degree / self.avg_degree
-
     def subgraph_induced(self, vertex_ids: Sequence[VertexId]) -> "CSRGraph":
         """Induced subgraph on ``vertex_ids`` with vertices renumbered 0..k-1."""
         idmap = {int(v): i for i, v in enumerate(vertex_ids)}

@@ -29,7 +29,6 @@ from repro.obs.flight import (
     FLIGHT_SCHEMA,
     TRIGGER_KINDS,
     FlightMonitor,
-    FlightPolicy,
     FlightRecorder,
     graph_identity,
     load_bundle,
@@ -91,7 +90,6 @@ __all__ = [
     "FLIGHT_SCHEMA",
     "TRIGGER_KINDS",
     "FlightMonitor",
-    "FlightPolicy",
     "FlightRecorder",
     "graph_identity",
     "load_bundle",

@@ -23,17 +23,18 @@ on any machine — an anomaly report you can run, not just read.
 Trigger taxonomy (the ``trigger.kind`` field of every bundle):
 
 * ``breaker_open`` — a circuit breaker tripped to OPEN (consecutive
-  round failures crossed the policy threshold).
+  round failures crossed the breaker's threshold).
 * ``kernel_timeout`` — the device watchdog killed a launch
   (:class:`~repro.errors.KernelTimeout`); the bundle carries that very
   launch, captured just before the watchdog verdict.
-* ``shed_spike`` — the admission layer's recent shed rate crossed the
-  policy threshold (sliding window on the simulated clock).
-* ``qerror_drift`` — a reported estimate drifted beyond the policy
-  q-error bound versus its reference (fed by benches / canaries).
+* ``shed_spike`` — the admission layer's recent shed rate crossed
+  :data:`SHED_RATE_THRESHOLD` (sliding window on the simulated clock).
+* ``qerror_drift`` — a reported estimate drifted beyond the
+  :data:`QERROR_THRESHOLD` bound versus its reference (fed by benches /
+  canaries).
 * ``hedge_storm`` — the fraction of recent rounds that armed-and-fired
-  hedges crossed the policy threshold (tail latency is systemic, not a
-  straggler).
+  hedges crossed :data:`HEDGE_RATE_THRESHOLD` (tail latency is systemic,
+  not a straggler).
 
 Per-kind cooldowns (simulated ms) stop a persistent failure from
 producing a bundle storm; suppressed triggers are counted.
@@ -48,7 +49,6 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -74,56 +74,9 @@ TRIGGER_KINDS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class FlightPolicy:
-    """Knobs of the always-on flight recorder and its trigger monitor.
-
-    Attributes:
-        capacity: ring slots (events); the recorder keeps the most recent
-            ``capacity`` spans/instants.
-        cooldown_ms: per-trigger-kind minimum simulated ms between
-            bundles (suppressed firings are counted, not recorded).
-        max_bundles: bundles retained in memory per monitor (oldest
-            dropped first).
-        shed_window_ms: sliding window for the shed-rate trigger.
-        shed_rate_threshold: shed fraction in the window that fires
-            ``shed_spike``.
-        shed_min_events: minimum admission decisions in the window before
-            the shed rate is meaningful.
-        hedge_window: recent rounds considered by the hedge-storm
-            trigger.
-        hedge_rate_threshold: hedged fraction of that window that fires
-            ``hedge_storm``.
-        qerror_threshold: q-error bound for ``qerror_drift``.
-    """
-
-    capacity: int = 512
-    cooldown_ms: float = 50.0
-    max_bundles: int = 4
-    shed_window_ms: float = 50.0
-    shed_rate_threshold: float = 0.5
-    shed_min_events: int = 8
-    hedge_window: int = 32
-    hedge_rate_threshold: float = 0.5
-    qerror_threshold: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ObservabilityError("flight ring capacity must be >= 1")
-        if self.cooldown_ms < 0:
-            raise ObservabilityError("cooldown_ms must be non-negative")
-        if self.max_bundles < 1:
-            raise ObservabilityError("max_bundles must be >= 1")
-        if not (0.0 < self.shed_rate_threshold <= 1.0):
-            raise ObservabilityError(
-                "shed_rate_threshold must be in (0, 1]"
-            )
-        if not (0.0 < self.hedge_rate_threshold <= 1.0):
-            raise ObservabilityError(
-                "hedge_rate_threshold must be in (0, 1]"
-            )
-        if self.qerror_threshold < 1.0:
-            raise ObservabilityError("qerror_threshold must be >= 1")
+#: Ring slots (events) of the serving layer's flight recorder: the most
+#: recent ``RING_CAPACITY`` spans/instants survive.
+RING_CAPACITY = 512
 
 
 class _Ring(deque):
@@ -150,7 +103,7 @@ class FlightRecorder(TraceRecorder):
 
     def __init__(
         self,
-        capacity: int = 512,
+        capacity: int = RING_CAPACITY,
         process_name: str = "repro.flight",
         warp_sample_every: int = 8,
     ) -> None:
@@ -420,6 +373,26 @@ def load_bundle(path: str) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # The trigger monitor
 # ----------------------------------------------------------------------
+#: Per-trigger-kind minimum simulated ms between bundles (suppressed
+#: firings are counted, not recorded).
+TRIGGER_COOLDOWN_MS = 50.0
+#: Bundles a monitor retains in memory (oldest dropped first).
+MAX_BUNDLES = 4
+#: ``shed_spike``: the sliding window on the simulated clock, the shed
+#: fraction in it that fires, and the admission decisions it must hold
+#: before the rate is meaningful.
+SHED_WINDOW_MS = 50.0
+SHED_RATE_THRESHOLD = 0.5
+SHED_MIN_EVENTS = 8
+#: ``hedge_storm``: the recent rounds considered and the hedged fraction
+#: of them that fires.
+HEDGE_WINDOW = 32
+HEDGE_RATE_THRESHOLD = 0.5
+#: q-error bound of ``qerror_drift`` (and of the serving layer's
+#: ``q_error`` SLO events).
+QERROR_THRESHOLD = 2.0
+
+
 class FlightMonitor:
     """Evaluates triggers, applies cooldowns, and snapshots bundles.
 
@@ -430,18 +403,13 @@ class FlightMonitor:
     same run produces the same bundles every time.
     """
 
-    def __init__(
-        self,
-        policy: FlightPolicy,
-        recorder: TraceRecorder,
-    ) -> None:
-        self.policy = policy
+    def __init__(self, recorder: TraceRecorder) -> None:
         self.recorder = recorder
         self.bundles: List[Dict[str, Any]] = []
         self.n_triggers = 0
         self.n_suppressed = 0
         self._last_fire_ms: Dict[str, float] = {}
-        self._hedge_rounds: Deque[bool] = deque(maxlen=policy.hedge_window)
+        self._hedge_rounds: Deque[bool] = deque(maxlen=HEDGE_WINDOW)
 
     # -- trigger-specific evaluators -----------------------------------
     def check_shed(
@@ -453,12 +421,12 @@ class FlightMonitor:
         details: Optional[Mapping[str, Any]] = None,
     ) -> Optional[Dict[str, Any]]:
         if (
-            n_events < self.policy.shed_min_events
-            or shed_rate < self.policy.shed_rate_threshold
+            n_events < SHED_MIN_EVENTS
+            or shed_rate < SHED_RATE_THRESHOLD
         ):
             return None
         merged = {"shed_rate": shed_rate, "n_events": n_events,
-                  "window_ms": self.policy.shed_window_ms}
+                  "window_ms": SHED_WINDOW_MS}
         merged.update(details or {})
         return self.consider("shed_spike", now_ms, merged, context)
 
@@ -476,7 +444,7 @@ class FlightMonitor:
         if len(window) < window.maxlen:  # type: ignore[operator]
             return None
         rate = sum(window) / len(window)
-        if rate < self.policy.hedge_rate_threshold:
+        if rate < HEDGE_RATE_THRESHOLD:
             return None
         return self.consider(
             "hedge_storm", now_ms,
@@ -495,7 +463,7 @@ class FlightMonitor:
             q = math.inf
         else:
             q = max(estimate / reference, reference / estimate)
-        if q < self.policy.qerror_threshold:
+        if q < QERROR_THRESHOLD:
             return None
         return self.consider(
             "qerror_drift", now_ms,
@@ -532,7 +500,7 @@ class FlightMonitor:
                 f"unknown trigger kind {kind!r}; known: {TRIGGER_KINDS}"
             )
         last = self._last_fire_ms.get(kind)
-        if last is not None and now_ms - last < self.policy.cooldown_ms:
+        if last is not None and now_ms - last < TRIGGER_COOLDOWN_MS:
             self.n_suppressed += 1
             return None
         self._last_fire_ms[kind] = now_ms
@@ -564,7 +532,7 @@ class FlightMonitor:
             faults=context.get("faults"),
         )
         self.bundles.append(bundle)
-        if len(self.bundles) > self.policy.max_bundles:
+        if len(self.bundles) > MAX_BUNDLES:
             del self.bundles[0]
         return bundle
 
@@ -692,7 +660,6 @@ def replay_bundle(bundle: Mapping[str, Any]) -> Dict[str, Any]:
 __all__ = (
     "FLIGHT_SCHEMA",
     "TRIGGER_KINDS",
-    "FlightPolicy",
     "FlightRecorder",
     "FlightMonitor",
     "build_bundle",

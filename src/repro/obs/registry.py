@@ -39,6 +39,7 @@ import graph.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -168,10 +169,6 @@ class Gauge:
         with self._lock:
             self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
-
 
 class Histogram:
     """Reservoir-sampled distribution with exact count/sum/max.
@@ -221,6 +218,16 @@ def escape_label_value(value: str) -> str:
         .replace('"', '\\"')
         .replace("\n", "\\n")
     )
+
+
+def _sample_value(value: float) -> str:
+    """A sample value in shortest round-trip form: integral values as
+    integers (``2``, ``1234567``), others as ``repr`` (``123.456789``), so
+    :func:`parse_prometheus_text` reads back exactly the exported float."""
+    v = float(value)
+    if not math.isfinite(v):
+        return f"{v:g}"
+    return str(int(v)) if v.is_integer() else repr(v)
 
 
 def unescape_label_value(value: str) -> str:
@@ -424,14 +431,19 @@ class MetricsRegistry:
                             labels, ("quantile", f"{q:g}")
                         )
                         lines.append(
-                            f"{full}{label_str} {res.quantile(q):g}"
+                            f"{full}{label_str} "
+                            f"{_sample_value(res.quantile(q))}"
                         )
                     base = self._label_str(labels)
-                    lines.append(f"{full}_sum{base} {res.total:g}")
+                    lines.append(
+                        f"{full}_sum{base} {_sample_value(res.total)}"
+                    )
                     lines.append(f"{full}_count{base} {res.count}")
                 else:
                     label_str = self._label_str(labels)
-                    lines.append(f"{full}{label_str} {child.value:g}")
+                    lines.append(
+                        f"{full}{label_str} {_sample_value(child.value)}"
+                    )
         return "\n".join(lines) + "\n"
 
 

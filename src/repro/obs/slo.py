@@ -14,10 +14,11 @@ Model: an :class:`SLOObjective` declares a target *good fraction* (e.g.
 ``1 - target``; the **burn rate** over a window is the window's bad
 fraction divided by that budget (burn 1.0 = exactly consuming budget at
 the sustainable pace; burn 10 = ten times too fast).  An alert fires
-when **both** a short and a long sliding window exceed the policy
-threshold — the long window proves the problem is real, the short window
-proves it is *still happening* — and clears when the short window drops
-back below, which gives fast reset after recovery without flapping.
+when **both** a short and a long sliding window reach
+:data:`BURN_THRESHOLD` — the long window proves the problem is real, the
+short window proves it is *still happening* — and clears when the short
+window drops back below, which gives fast reset after recovery without
+flapping.
 
 Events are ``(sim_ms, good)`` pairs fed by the serving layer (admission
 outcomes, completion latencies, degraded flags) or by benches (q-error
@@ -73,27 +74,18 @@ class SLOObjective:
 
 @dataclass(frozen=True)
 class SLOPolicy:
-    """Objectives plus the multi-window burn-rate alert rule.
+    """Objectives plus the two windows of the burn-rate alert rule.
 
     Attributes:
         objectives: the declared objectives.
         short_window_ms: the fast window (still-happening check).
         long_window_ms: the slow window (really-happening check); must
             exceed the short window.
-        fire_threshold: burn-rate multiple both windows must exceed to
-            fire.
-        clear_threshold: short-window burn below which an active alert
-            clears (defaults to ``fire_threshold``).
-        min_events: minimum events in a window for its burn rate to be
-            trusted (an empty window burns 0).
     """
 
     objectives: Tuple[SLOObjective, ...]
     short_window_ms: float = 25.0
     long_window_ms: float = 100.0
-    fire_threshold: float = 2.0
-    clear_threshold: Optional[float] = None
-    min_events: int = 4
 
     def __post_init__(self) -> None:
         if not self.objectives:
@@ -107,18 +99,6 @@ class SLOPolicy:
             raise ObservabilityError(
                 "long_window_ms must exceed short_window_ms"
             )
-        if self.fire_threshold <= 0:
-            raise ObservabilityError("fire_threshold must be positive")
-        if self.min_events < 1:
-            raise ObservabilityError("min_events must be >= 1")
-
-    @property
-    def effective_clear_threshold(self) -> float:
-        return (
-            self.clear_threshold
-            if self.clear_threshold is not None
-            else self.fire_threshold
-        )
 
 
 def default_slo_policy(
@@ -156,6 +136,14 @@ def default_slo_policy(
         ),
     )
     return SLOPolicy(objectives=objectives, **overrides)
+
+
+#: Burn-rate multiple both windows must reach to fire an alert; an active
+#: alert clears once the short window burns below it again.
+BURN_THRESHOLD = 2.0
+#: Events a window must hold for its burn rate to be trusted (a sparser
+#: window burns 0).
+MIN_WINDOW_EVENTS = 4
 
 
 class SLOEngine:
@@ -216,7 +204,7 @@ class SLOEngine:
         """(burn rate, event count) for ``name`` over the trailing window.
 
         Windows are half-open ``(now - window, now]``; fewer than
-        ``min_events`` events burn 0 (not enough signal to alert on).
+        :data:`MIN_WINDOW_EVENTS` events burn 0 (not enough signal to alert on).
         """
         objective = self._objectives.get(name)
         if objective is None:
@@ -228,7 +216,7 @@ class SLOEngine:
                 n += 1
                 if not good:
                     bad += 1
-        if n < self.policy.min_events:
+        if n < MIN_WINDOW_EVENTS:
             return 0.0, n
         return (bad / n) / objective.budget, n
 
@@ -258,8 +246,8 @@ class SLOEngine:
             active = self._active[name]
             if (
                 not active
-                and short >= self.policy.fire_threshold
-                and long_ >= self.policy.fire_threshold
+                and short >= BURN_THRESHOLD
+                and long_ >= BURN_THRESHOLD
             ):
                 self._active[name] = True
                 transitions.append(
@@ -271,7 +259,7 @@ class SLOEngine:
                         "long_burn": long_,
                     }
                 )
-            elif active and short < self.policy.effective_clear_threshold:
+            elif active and short < BURN_THRESHOLD:
                 self._active[name] = False
                 transitions.append(
                     {

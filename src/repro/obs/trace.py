@@ -344,11 +344,6 @@ class TraceRecorder:
             if e["ph"] == "X" and (name is None or e["name"] == name)
         ]
 
-    def track_id(self, track: str) -> Optional[int]:
-        """The tid assigned to ``track`` (None if it never recorded)."""
-        with self._lock:
-            return self._tids.get(track)
-
     def chrome_trace(self) -> Dict[str, Any]:
         """The Chrome Trace Event JSON object (``traceEvents`` container).
 

@@ -36,12 +36,11 @@ from repro.serve.admission import (
     AdmissionController,
     AdmissionPolicy,
     HedgeDelayTracker,
-    HedgePolicy,
     ShedDecision,
     TenantQuota,
     TokenBucket,
 )
-from repro.serve.breaker import BreakerPolicy, BreakerState, CircuitBreaker
+from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.cache import (
     CachedPlan,
     PlanCache,
@@ -88,7 +87,6 @@ __all__ = [
     "ServiceMetrics",
     "resolve_estimator",
     "estimator_name",
-    "BreakerPolicy",
     "BreakerState",
     "CircuitBreaker",
     "REASON_FALLBACK",
@@ -97,7 +95,6 @@ __all__ = [
     "TenantQuota",
     "TokenBucket",
     "ShedDecision",
-    "HedgePolicy",
     "HedgeDelayTracker",
     "FairQueue",
     "Overloaded",

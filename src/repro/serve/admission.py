@@ -1,4 +1,4 @@
-"""Bounded admission: token-bucket quotas, load shedding, hedge policy.
+"""Bounded admission: token-bucket quotas, load shedding, hedge delay.
 
 The pre-overload service admitted every submission into an unbounded
 pending set — under open-loop arrivals (clients that do not wait for
@@ -31,10 +31,9 @@ decisions are deterministic for a fixed workload and replay bit-identically
 under a fixed seed — the soak benchmark's shed counts are pinned in
 ``benchmarks/baselines.json`` exactly because of this.
 
-:class:`HedgePolicy` lives here too: it parameterises straggler hedging
-(see :meth:`repro.core.engine.EngineSession.run_round`) — the hedge
-delay is a quantile of observed round durations, so only genuine tail
-rounds pay the hedge.
+The hedge parameters live here too: they set straggler hedging's delay
+(see :meth:`repro.core.engine.EngineSession.run_round`) to a quantile of
+observed round durations, so only genuine tail rounds pay the hedge.
 """
 
 from __future__ import annotations
@@ -74,6 +73,11 @@ class TenantQuota:
             raise ConfigError("weight must be positive")
 
 
+#: Quota of tenants without an explicit entry in
+#: :attr:`AdmissionPolicy.quotas`: no rate limit (quotas are opt-in).
+DEFAULT_QUOTA = TenantQuota()
+
+
 @dataclass(frozen=True)
 class AdmissionPolicy:
     """Admission-layer configuration (``None`` on the service = legacy
@@ -82,73 +86,22 @@ class AdmissionPolicy:
     Attributes:
         max_pending: bound on live (queued or in-flight, not yet terminal)
             requests; ``None`` disables the queue bound.
-        default_quota: quota applied to tenants without an explicit entry
-            in ``quotas``.  The default has no rate limit — quotas are
-            opt-in per deployment.
-        quotas: per-tenant overrides (``tenant name -> TenantQuota``).
+        quotas: per-tenant overrides (``tenant name -> TenantQuota``);
+            other tenants get :data:`DEFAULT_QUOTA`.
         shed_on_deadline: shed requests whose deadline the EWMA backlog
             prediction already rules out.
-        ewma_alpha: smoothing factor of the per-request service-time EWMA
-            (higher = reacts faster to load shifts).
-        min_retry_after_ms: floor on every ``retry_after_ms`` hint, so a
-            rejection never tells the client "retry immediately".
     """
 
     max_pending: Optional[int] = 256
-    default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: Mapping[str, TenantQuota] = field(default_factory=dict)
     shed_on_deadline: bool = True
-    ewma_alpha: float = 0.3
-    min_retry_after_ms: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_pending is not None and self.max_pending < 1:
             raise ConfigError("max_pending must be >= 1 when set")
-        if not (0.0 < self.ewma_alpha <= 1.0):
-            raise ConfigError("ewma_alpha must be in (0, 1]")
-        if self.min_retry_after_ms <= 0:
-            raise ConfigError("min_retry_after_ms must be positive")
 
     def quota_for(self, tenant: str) -> TenantQuota:
-        return self.quotas.get(tenant, self.default_quota)
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """Straggler-hedging parameters (``None`` on the service = no hedging).
-
-    A round becomes a hedge candidate when its simulated duration exceeds
-    the ``quantile`` (default p99) of the durations observed so far — the
-    classic tail-at-scale delay trigger.  The hedge replays the round's
-    exact RNG substream on a rotated shard assignment, so the winning
-    estimate is bit-identical to unhedged execution; only the timing (and
-    fault exposure) differs.
-
-    Attributes:
-        quantile: duration quantile that sets the hedge delay (0.99 = fire
-            only past the observed p99).
-        min_observations: rounds to observe before hedging arms (a cold
-            service has no tail estimate yet).
-        delay_floor_ms: lower bound on the hedge delay, so launch-overhead
-            noise on tiny rounds cannot arm hedges for every round.
-        max_hedges_per_request: cap on hedges any one request may fire
-            across its rounds (runaway-hedge backstop).
-    """
-
-    quantile: float = 0.99
-    min_observations: int = 32
-    delay_floor_ms: float = 0.05
-    max_hedges_per_request: int = 4
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.quantile < 1.0):
-            raise ConfigError("quantile must be in (0, 1)")
-        if self.min_observations < 1:
-            raise ConfigError("min_observations must be >= 1")
-        if self.delay_floor_ms <= 0:
-            raise ConfigError("delay_floor_ms must be positive")
-        if self.max_hedges_per_request < 0:
-            raise ConfigError("max_hedges_per_request must be >= 0")
+        return self.quotas.get(tenant, DEFAULT_QUOTA)
 
 
 class TokenBucket:
@@ -200,6 +153,14 @@ class ShedDecision:
     tenant: str
 
 
+#: Smoothing factor of the per-request service-time EWMA (higher reacts
+#: faster to load shifts).
+EWMA_ALPHA = 0.3
+#: Floor on every ``retry_after_ms`` hint, so a rejection never tells the
+#: client "retry immediately".
+MIN_RETRY_AFTER_MS = 0.05
+
+
 class AdmissionController:
     """Stateful admission front door (service-lock-serialized access).
 
@@ -229,12 +190,11 @@ class AdmissionController:
         if n_requests <= 0 or batch_ms <= 0:
             return
         per = batch_ms / n_requests
-        alpha = self.policy.ewma_alpha
         if self._ewma_request_ms == 0.0:
             self._ewma_request_ms = per
         else:
             self._ewma_request_ms = (
-                (1.0 - alpha) * self._ewma_request_ms + alpha * per
+                (1.0 - EWMA_ALPHA) * self._ewma_request_ms + EWMA_ALPHA * per
             )
 
     def _bucket(self, tenant: str, now_ms: float) -> TokenBucket:
@@ -269,15 +229,14 @@ class AdmissionController:
         drawn from once the queue bound has passed.
         """
         pol = self.policy
-        floor = pol.min_retry_after_ms
         if pol.max_pending is not None and live_depth >= pol.max_pending:
             overflow = live_depth - pol.max_pending + 1
-            hint = max(floor, overflow * self._ewma_request_ms)
+            hint = max(MIN_RETRY_AFTER_MS, overflow * self._ewma_request_ms)
             return ShedDecision("queue_full", hint, tenant)
 
         bucket = self._bucket(tenant, now_ms)
         if not bucket.try_take(now_ms):
-            hint = max(floor, bucket.time_to_token_ms(now_ms))
+            hint = max(MIN_RETRY_AFTER_MS, bucket.time_to_token_ms(now_ms))
             return ShedDecision("quota", hint, tenant)
 
         if (
@@ -289,7 +248,7 @@ class AdmissionController:
             if predicted_wait > deadline_ms:
                 # Retrying once the backlog has drained to where the
                 # deadline fits is the earliest useful resubmission.
-                hint = max(floor, predicted_wait - deadline_ms)
+                hint = max(MIN_RETRY_AFTER_MS, predicted_wait - deadline_ms)
                 return ShedDecision("deadline", hint, tenant)
         return None
 
@@ -331,17 +290,32 @@ class AdmissionController:
         }
 
 
+#: Hedging parameters (straggler mitigation, on with
+#: ``ServiceConfig(hedge=True)``).  A round becomes a hedge candidate when
+#: its simulated duration exceeds the ``HEDGE_QUANTILE`` (p99) of the
+#: durations observed so far — the classic tail-at-scale delay trigger.
+#: The hedge replays the round's exact RNG substream on a rotated shard
+#: assignment, so the winning estimate is bit-identical to unhedged
+#: execution; only the timing (and fault exposure) differs.  Hedging arms
+#: after ``HEDGE_MIN_OBSERVATIONS`` rounds (a cold service has no tail
+#: estimate yet), and the delay never drops below
+#: ``HEDGE_DELAY_FLOOR_MS``, so launch-overhead noise on tiny rounds
+#: cannot arm hedges for every round.
+HEDGE_QUANTILE = 0.99
+HEDGE_MIN_OBSERVATIONS = 32
+HEDGE_DELAY_FLOOR_MS = 0.05
+
+
 class HedgeDelayTracker:
     """Observed round-duration quantile → hedge delay (p99-based trigger).
 
     Durations live in the same deterministic seeded :class:`Reservoir` the
     latency histograms use, so the delay estimate is bounded-memory and
-    replayable.  Until ``min_observations`` rounds have been seen the
-    tracker returns ``None`` and no hedges fire.
+    replayable.  Until :data:`HEDGE_MIN_OBSERVATIONS` rounds have been
+    seen the tracker returns ``None`` and no hedges fire.
     """
 
-    def __init__(self, policy: HedgePolicy) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self._durations = Reservoir(max_samples=2048, seed=0x4ED6E)
 
     def observe(self, round_ms: float) -> None:
@@ -349,11 +323,11 @@ class HedgeDelayTracker:
             self._durations.add(round_ms)
 
     def hedge_delay_ms(self) -> Optional[float]:
-        if self._durations.count < self.policy.min_observations:
+        if self._durations.count < HEDGE_MIN_OBSERVATIONS:
             return None
         return max(
-            self.policy.delay_floor_ms,
-            self._durations.quantile(self.policy.quantile),
+            HEDGE_DELAY_FLOOR_MS,
+            self._durations.quantile(HEDGE_QUANTILE),
         )
 
     @property
@@ -364,7 +338,6 @@ class HedgeDelayTracker:
 __all__: Tuple[str, ...] = (
     "TenantQuota",
     "AdmissionPolicy",
-    "HedgePolicy",
     "TokenBucket",
     "ShedDecision",
     "AdmissionController",

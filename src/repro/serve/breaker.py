@@ -4,12 +4,12 @@ Under sustained device faults, blindly re-launching rounds wastes the
 device (every launch burns watchdog/abort time) and inflates tail
 latencies.  The classic remedy is a circuit breaker:
 
-* **CLOSED** — healthy; rounds go to the device.  ``K`` *consecutive*
-  round failures (post-retry, so each already survived its own backoff
-  budget) trip the breaker.
+* **CLOSED** — healthy; rounds go to the device.
+  :data:`FAILURE_THRESHOLD` *consecutive* round failures (post-retry, so
+  each already survived its own backoff budget) trip the breaker.
 * **OPEN** — the device is presumed sick; rounds bypass it entirely
-  (the service degrades to the CPU fallback) until ``cooldown_ms`` of
-  simulated time has passed.
+  (the service degrades to the CPU fallback) until :data:`COOLDOWN_MS`
+  of simulated time has passed.
 * **HALF_OPEN** — after the cooldown, one probe round is allowed
   through.  Success closes the breaker (full recovery); failure re-opens
   it for another cooldown.
@@ -22,10 +22,7 @@ exact trip/recover sequences.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, Optional
-
-from repro.errors import ServiceError
 
 
 class BreakerState(str, enum.Enum):
@@ -37,32 +34,17 @@ class BreakerState(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Trip/recover parameters.
-
-    Attributes:
-        failure_threshold: consecutive round failures that trip the
-            breaker (the ISSUE's ``K``).
-        cooldown_ms: simulated ms an OPEN breaker blocks the device before
-            allowing a half-open probe.
-    """
-
-    failure_threshold: int = 3
-    cooldown_ms: float = 25.0
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold <= 0:
-            raise ServiceError("failure_threshold must be positive")
-        if self.cooldown_ms < 0:
-            raise ServiceError("cooldown_ms must be non-negative")
+#: Consecutive post-retry round failures that trip a CLOSED breaker.
+FAILURE_THRESHOLD = 3
+#: Simulated ms an OPEN breaker blocks the device before it allows a
+#: half-open probe.
+COOLDOWN_MS = 25.0
 
 
 class CircuitBreaker:
     """One breaker instance (the service keeps one per estimator)."""
 
-    def __init__(self, policy: BreakerPolicy = BreakerPolicy()) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at_ms: Optional[float] = None
@@ -78,7 +60,7 @@ class CircuitBreaker:
         if (
             self._state is BreakerState.OPEN
             and self._opened_at_ms is not None
-            and now_ms - self._opened_at_ms >= self.policy.cooldown_ms
+            and now_ms - self._opened_at_ms >= COOLDOWN_MS
         ):
             self._state = BreakerState.HALF_OPEN
             self._probe_outstanding = False
@@ -133,7 +115,7 @@ class CircuitBreaker:
             return True
         if (
             state is BreakerState.CLOSED
-            and self._consecutive_failures >= self.policy.failure_threshold
+            and self._consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._trip(now_ms)
             return True

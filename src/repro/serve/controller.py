@@ -48,33 +48,31 @@ class BudgetPolicy:
         max_round_samples: ceiling of any round — the fairness knob: a
             converging-slowly request yields the device after at most this
             many samples per round.
-        growth: round growth factor while the CI gives no signal yet
-            (estimate still zero).
-        z: normal quantile for the confidence interval (1.96 = 95%).
     """
 
     min_round_samples: int = 256
     max_round_samples: int = 8192
-    growth: float = 2.0
-    z: float = 1.96
 
     def __post_init__(self) -> None:
         if self.min_round_samples <= 0:
             raise ServiceError("min_round_samples must be positive")
         if self.max_round_samples < self.min_round_samples:
             raise ServiceError("max_round_samples must be >= min_round_samples")
-        if self.growth < 1.0:
-            raise ServiceError("growth must be >= 1.0")
-        if self.z <= 0:
-            raise ServiceError("z must be positive")
 
 
-def relative_ci(acc: HTAccumulator, z: float = 1.96) -> float:
-    """Relative CI half-width ``z·stderr/estimate``; ``inf`` while the
+#: Normal quantile of the reported confidence interval (1.96 = 95%).
+CI_Z = 1.96
+#: Round growth factor while the CI gives no signal yet (estimate still
+#: zero).
+ROUND_GROWTH = 2.0
+
+
+def relative_ci(acc: HTAccumulator) -> float:
+    """Relative CI half-width ``CI_Z·stderr/estimate``; ``inf`` while the
     estimate is zero (no valid sample yet ⇒ no convergence signal)."""
     if acc.n < 2 or acc.estimate <= 0:
         return math.inf
-    return z * acc.std_error / acc.estimate
+    return CI_Z * acc.std_error / acc.estimate
 
 
 class AdaptiveBudgetController:
@@ -184,7 +182,7 @@ class AdaptiveBudgetController:
             gap = int(math.ceil(needed)) - self.n_samples
         else:
             # No signal yet: grow geometrically to find valid samples.
-            gap = int(self._last_round * pol.growth)
+            gap = int(self._last_round * ROUND_GROWTH)
         return max(pol.min_round_samples, min(pol.max_round_samples, gap))
 
     # ------------------------------------------------------------------
@@ -195,7 +193,7 @@ class AdaptiveBudgetController:
         self.n_rounds += 1
         self.n_samples += round_samples
         self._last_round = round_samples
-        self.rel_ci = relative_ci(acc, self.policy.z)
+        self.rel_ci = relative_ci(acc)
         if round_ms > 0:
             # EWMA so early (launch-overhead-heavy) rounds fade out.
             per = round_ms / round_samples
@@ -217,5 +215,5 @@ class AdaptiveBudgetController:
         response's estimate is based on.
         """
         self.n_samples += n_samples
-        self.rel_ci = relative_ci(acc, self.policy.z)
+        self.rel_ci = relative_ci(acc)
         self._stop_reason = REASON_FALLBACK

@@ -3,11 +3,11 @@
 C-SAW's central observation is that GPU sampling throughput comes from
 batching many independent sampling tasks into one launch.  The scheduler
 applies it across *queries*: each scheduling tick pulls queued round-tasks
-FIFO and fuses them into one device batch of co-resident warp groups.  A
-batch admits tasks until their combined warp count fills the device's
-``GPUSpec.resident_warps`` slots (times a configurable overcommit factor)
-— so small rounds from many queries share one launch instead of each
-leaving most of the device idle.
+from a :class:`FairQueue` (FIFO with one tenant) and fuses them into one
+device batch of co-resident warp groups.  A batch admits tasks until their
+combined warp count fills the device's ``GPUSpec.resident_warps`` slots —
+so small rounds from many queries share one launch instead of each leaving
+most of the device idle.
 
 Batch duration is *derived*, not asserted: each member round runs on the
 ordinary engine and produces its :class:`KernelProfile`;
@@ -30,14 +30,9 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.engine import (
-    RECOVERABLE_ERRORS,
-    EngineSession,
-    GPURunResult,
-    RetryPolicy,
-)
+from repro.core.engine import RECOVERABLE_ERRORS, EngineSession, GPURunResult
 from repro.errors import ServiceError
 from repro.faults import fault_kind
 from repro.gpu.costmodel import DEFAULT_GPU, GPUSpec
@@ -52,7 +47,7 @@ class RoundTask:
     request record there).  ``retry``, ``hedge_delay_ms`` and
     ``watchdog_ms`` are passed straight to
     :meth:`~repro.core.engine.EngineSession.run_round`: ``retry`` allows
-    relaunches after a transient device fault (``None`` = fail fast),
+    relaunches after a transient device fault (``False`` = fail fast),
     ``hedge_delay_ms`` makes attempt 0 a hedged pair (straggler
     mitigation), and ``watchdog_ms`` tightens the round's launch watchdog
     (deadline propagation).  ``tenant``/``weight`` drive weighted-fair
@@ -61,7 +56,7 @@ class RoundTask:
     session: EngineSession
     n_samples: int
     payload: object = None
-    retry: Optional[RetryPolicy] = None
+    retry: bool = False
     tenant: str = "default"
     weight: float = 1.0
     watchdog_ms: Optional[float] = None
@@ -93,11 +88,8 @@ class FairQueue:
     queue's virtual time (``max`` of its old pass and the last-served
     pass), so sleeping never banks credit.
 
-    The surface is deque-compatible — ``q[0]`` (peek, consistent with the
-    next ``popleft``), ``popleft()``, ``len``, truthiness, iteration — so
-    :meth:`BatchScheduler.form_batch` consumes either interchangeably.
-    With a single tenant the pass values cancel out and the order is exact
-    FIFO (bit-compatible with the plain deque it replaces).
+    ``q[0]`` peeks the task the next ``popleft()`` returns.  With a single
+    tenant the pass values cancel out and the order is exact FIFO.
     """
 
     def __init__(self) -> None:
@@ -162,10 +154,6 @@ class FairQueue:
             lane.clear()
 
 
-#: What the scheduler can drain: the plain FIFO deque or the WFQ.
-TaskQueue = Union[Deque[RoundTask], FairQueue]
-
-
 @dataclass
 class BatchResult:
     """One executed batch: per-task round results plus fused accounting.
@@ -200,14 +188,15 @@ class BatchResult:
             self.failures = [None] * len(self.tasks)
 
     @property
-    def n_failed_rounds(self) -> int:
-        return sum(1 for f in self.failures if f is not None)
-
-    @property
     def samples_per_second(self) -> float:
         if self.batch_ms <= 0:
             return 0.0
         return self.n_samples / self.batch_ms * 1000.0
+
+
+#: Batch admission stops once a batch's warps exceed ``resident_warps ×
+#: WARP_OVERCOMMIT`` per shard: 1.0 fills the device exactly.
+WARP_OVERCOMMIT = 1.0
 
 
 @dataclass
@@ -218,9 +207,6 @@ class BatchScheduler:
         spec: the shared simulated device.
         max_batch_requests: cap on rounds fused per batch (bounds the
             latency of the batch's earliest admitted request).
-        warp_overcommit: admission stops once the batch's warps exceed
-            ``resident_warps × warp_overcommit``.  1.0 fills the device
-            exactly; values >1 trade per-batch latency for fewer launches.
         n_shards: shard workers each engine partitions its rounds across.
             The admission cap scales with it — N shards expose N devices'
             worth of resident-warp slots, so batches should fill all of
@@ -229,28 +215,24 @@ class BatchScheduler:
 
     spec: GPUSpec = DEFAULT_GPU
     max_batch_requests: int = 64
-    warp_overcommit: float = 1.0
     n_shards: int = 1
     device: DeviceModel = field(init=False)
 
     def __post_init__(self) -> None:
         if self.max_batch_requests <= 0:
             raise ServiceError("max_batch_requests must be positive")
-        if self.warp_overcommit <= 0:
-            raise ServiceError("warp_overcommit must be positive")
         if self.n_shards < 1:
             raise ServiceError("n_shards must be >= 1")
         self.device = DeviceModel(self.spec)
 
     # ------------------------------------------------------------------
-    def form_batch(self, queue: TaskQueue) -> List[RoundTask]:
-        """Pop a prefix of ``queue`` that fills the device(s).
-
-        ``queue`` is FIFO when a plain deque, weighted-fair when a
-        :class:`FairQueue`.  Always admits at least one task (a single
-        round larger than the device simply runs as a saturating launch)."""
+    def form_batch(self, queue: FairQueue) -> List[RoundTask]:
+        """Pop the head of ``queue`` until the batch fills the device(s):
+        its warps may not exceed ``resident_warps × WARP_OVERCOMMIT`` per
+        shard.  Always admits at least one task (a single round larger
+        than the device simply runs as a saturating launch)."""
         warp_cap = int(
-            self.spec.resident_warps * self.warp_overcommit * self.n_shards
+            self.spec.resident_warps * WARP_OVERCOMMIT * self.n_shards
         )
         batch: List[RoundTask] = []
         warps = 0
@@ -340,11 +322,3 @@ class BatchScheduler:
             hedge_extra_ms=hedge_extra_ms,
             hedge_wasted_ms=hedge_wasted_ms,
         )
-
-    def run_tick(self, queue: TaskQueue) -> Optional[BatchResult]:
-        """One scheduling tick: form a batch from ``queue`` and execute it.
-        Returns ``None`` when the queue is empty."""
-        batch = self.form_batch(queue)
-        if not batch:
-            return None
-        return self.execute(batch)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import EngineConfig
-from repro.core.engine import GSWORDEngine, RetryPolicy
+from repro.core.engine import GSWORDEngine
 from repro.errors import (
     KernelTimeout,
     Overloaded,
@@ -52,8 +52,9 @@ from repro.gpu.costmodel import DEFAULT_GPU, GPUSpec
 from repro.gpu.device import DeviceModel
 from repro.gpu.profiler import KernelProfile
 from repro.obs.flight import (
+    QERROR_THRESHOLD,
+    SHED_WINDOW_MS,
     FlightMonitor,
-    FlightPolicy,
     FlightRecorder,
     graph_identity,
     serialize_plan,
@@ -67,9 +68,8 @@ from repro.serve.admission import (
     AdmissionController,
     AdmissionPolicy,
     HedgeDelayTracker,
-    HedgePolicy,
 )
-from repro.serve.breaker import BreakerPolicy, CircuitBreaker
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import (
     CachedPlan,
     PlanCache,
@@ -87,10 +87,21 @@ from repro.serve.request import (
 from repro.serve.scheduler import BatchScheduler, FairQueue, RoundTask
 from repro.utils.rng import derive_seed
 
+#: Matching-order heuristic of every plan the service builds.
+ORDER_METHOD = "quicksi"
+#: Cap on the rounds any one request may arm with a hedge (runaway-hedge
+#: backstop).
+MAX_HEDGES_PER_REQUEST = 4
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Service-level configuration.
+
+    Only values some caller sets are fields; the fixed tuning behind them
+    (retry backoff, breaker threshold and cooldown, hedge delay, flight
+    triggers, :data:`ORDER_METHOD`) is module constants next to the code
+    that reads it.
 
     Attributes:
         spec: the shared simulated device all requests co-reside on.
@@ -104,19 +115,20 @@ class ServiceConfig:
             shared by all engines; off by default, the zero-cost path).
         cache_bytes: plan-cache budget; 0 disables the cache entirely
             (every request rebuilds its candidate graph).
-        max_batch_requests / warp_overcommit: scheduler knobs, see
+        max_batch_requests: scheduler knob, see
             :class:`~repro.serve.scheduler.BatchScheduler`.
         policy: adaptive-budget defaults, see :class:`BudgetPolicy`.
-        order_method: matching-order heuristic for built plans.
         faults: optional deterministic fault schedule injected into every
             engine launch (chaos testing; ``None`` = healthy device).
         memory_budget_bytes: simulated device memory capacity; candidate
             graphs that do not fit fail admission with ``DeviceOOM``.
         watchdog_ms: per-launch simulated-ms ceiling; overruns abort the
             round with ``KernelTimeout`` instead of hanging the service.
-        retry: in-round retry policy for transient device faults (``None``
-            disables retries — each fault immediately fails the round).
-        breaker: per-estimator circuit-breaker parameters.
+        retry: retry a round that hit a transient device fault, up to
+            :data:`~repro.core.engine.MAX_RETRIES` times with exponential
+            backoff (``False``: each fault immediately fails the round).
+            Every estimator has a
+            :class:`~repro.serve.breaker.CircuitBreaker` either way.
         cpu_fallback: degrade failed requests to the
             :class:`CPUSamplingRunner` CPU baseline over all
             ``CPUSpec.threads`` workers (``degraded=True`` responses)
@@ -127,9 +139,11 @@ class ServiceConfig:
             may raise :class:`~repro.errors.Overloaded` with a computed
             ``retry_after_ms`` hint, and queued rounds are drained
             weighted-fair across tenants instead of global FIFO.
-        hedge: straggler-hedging policy; ``None`` disables hedging.  When
-            set, rounds are hedged onto a rotated shard assignment after a
-            p99-based delay — bit-identical estimates, shorter tails.
+        hedge: straggler hedging (off by default).  When on, rounds are
+            hedged onto a rotated shard assignment after a p99-based delay
+            (:mod:`repro.serve.admission` holds its parameters), at most
+            :data:`MAX_HEDGES_PER_REQUEST` times per request —
+            bit-identical estimates, shorter tails.
         propagate_deadline: thread each request's remaining deadline into
             its rounds as a per-launch watchdog ceiling, so a round that
             cannot finish in time aborts (and degrades) instead of burning
@@ -140,7 +154,7 @@ class ServiceConfig:
             monitor that snapshots postmortem bundles on breaker trips,
             watchdog kills, shed spikes, q-error drift, and hedge storms.
             On by default — the ring caps memory and the per-event cost
-            lives inside the existing <2% tracing budget.  ``None``
+            lives inside the existing <2% tracing budget.  ``False``
             disables it (``engine_config.trace`` also supersedes the ring:
             triggers still fire, with unbounded history behind them).
         slo: declarative SLOs with multi-window burn-rate alerting
@@ -152,19 +166,16 @@ class ServiceConfig:
     engine_config: EngineConfig = field(default_factory=EngineConfig.gsword)
     cache_bytes: int = 64 << 20
     max_batch_requests: int = 64
-    warp_overcommit: float = 1.0
     policy: BudgetPolicy = field(default_factory=BudgetPolicy)
-    order_method: str = "quicksi"
     faults: Optional[FaultPlan] = None
     memory_budget_bytes: Optional[int] = None
     watchdog_ms: Optional[float] = None
-    retry: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
+    retry: bool = True
     cpu_fallback: bool = True
     admission: Optional[AdmissionPolicy] = None
-    hedge: Optional[HedgePolicy] = None
+    hedge: bool = False
     propagate_deadline: bool = False
-    flight: Optional[FlightPolicy] = field(default_factory=FlightPolicy)
+    flight: bool = True
     slo: Optional[SLOPolicy] = None
 
 
@@ -269,7 +280,6 @@ class EstimationService:
         self.scheduler = BatchScheduler(
             spec=config.spec,
             max_batch_requests=config.max_batch_requests,
-            warp_overcommit=config.warp_overcommit,
             n_shards=self.n_shards,
         )
         self.cache: Optional[PlanCache] = (
@@ -289,17 +299,12 @@ class EstimationService:
             self.recorder: TraceRecorder = TraceRecorder(
                 process_name="repro.serve"
             )
-        elif config.flight is not None:
-            self.recorder = FlightRecorder(
-                capacity=config.flight.capacity,
-                process_name="repro.serve",
-            )
+        elif config.flight:
+            self.recorder = FlightRecorder(process_name="repro.serve")
         else:
             self.recorder = NO_TRACE
         self.flight: Optional[FlightMonitor] = (
-            FlightMonitor(config.flight, self.recorder)
-            if config.flight is not None
-            else None
+            FlightMonitor(self.recorder) if config.flight else None
         )
         self.slo: Optional[SLOEngine] = (
             SLOEngine(config.slo) if config.slo is not None else None
@@ -317,8 +322,7 @@ class EstimationService:
         # multi-device round time, for the unified metrics namespace.
         self._kernel_profile = KernelProfile()
         self._multidev_ms = 0.0
-        # Weighted-fair across tenants; exact FIFO with a single tenant
-        # (bit-compatible with the plain deque it replaced).
+        # Weighted-fair across tenants; exact FIFO with a single tenant.
         self._queue: FairQueue = FairQueue()
         self._arrivals: Deque[_Pending] = deque()
         # Re-entrant so queue_depth() can lock both from client threads and
@@ -349,9 +353,7 @@ class EstimationService:
             else None
         )
         self._hedge_tracker: Optional[HedgeDelayTracker] = (
-            HedgeDelayTracker(config.hedge)
-            if config.hedge is not None
-            else None
+            HedgeDelayTracker() if config.hedge else None
         )
 
     # ------------------------------------------------------------------
@@ -638,21 +640,17 @@ class EstimationService:
 
         ``reference`` is a trusted count (exact enumeration or a
         high-sample baseline).  Records a ``q_error`` SLO event and — when
-        the q-error crosses the flight policy bound — fires the
-        ``qerror_drift`` trigger, returning its bundle (else ``None``)."""
+        the q-error reaches :data:`~repro.obs.flight.QERROR_THRESHOLD` —
+        fires the ``qerror_drift`` trigger, returning its bundle (else
+        ``None``)."""
         with self._lock:
             now = self._clock_ms
-            threshold = (
-                self.flight.policy.qerror_threshold
-                if self.flight is not None
-                else 2.0
-            )
             if reference <= 0 or estimate <= 0:
                 q = float("inf")
             else:
                 q = max(estimate / reference, reference / estimate)
             if self.slo is not None:
-                self.slo.record("q_error", now, good=q < threshold)
+                self.slo.record("q_error", now, good=q < QERROR_THRESHOLD)
                 self._slo_evaluate(now)
             if self.flight is not None:
                 return self.flight.check_q_error(
@@ -705,7 +703,7 @@ class EstimationService:
                 lc["query"],
                 lc["order"],
                 lc["estimator"],
-                self.config.order_method,
+                ORDER_METHOD,
             )
             ctx["round"] = serialize_round(lc["launch"])
         elif self._graph_hint is not None:
@@ -737,9 +735,7 @@ class EstimationService:
             self.slo.record("shed_rate", now, good=False)
             self._slo_evaluate(now)
         if self.flight is not None and self._admission is not None:
-            rate, n = self._admission.recent_shed_rate(
-                now, self.flight.policy.shed_window_ms
-            )
+            rate, n = self._admission.recent_shed_rate(now, SHED_WINDOW_MS)
             self.flight.check_shed(
                 now, rate, n, self._flight_context,
                 details={"reason": reason},
@@ -1043,7 +1039,7 @@ class EstimationService:
     def _breaker_for_name(self, name: str) -> CircuitBreaker:
         breaker = self._breakers.get(name)
         if breaker is None:
-            breaker = CircuitBreaker(self.config.breaker)
+            breaker = CircuitBreaker()
             self._breakers[name] = breaker
         return breaker
 
@@ -1084,7 +1080,7 @@ class EstimationService:
             plan, hit = self.cache.get_or_build(
                 request.graph,
                 request.query,
-                order_method=self.config.order_method,
+                order_method=ORDER_METHOD,
                 graph_id=request.graph_id,
             )
             pending.cache_hit = hit
@@ -1093,7 +1089,7 @@ class EstimationService:
             plan = build_plan(
                 request.graph,
                 request.query,
-                order_method=self.config.order_method,
+                order_method=ORDER_METHOD,
                 graph_id=request.graph_id,
             )
             pending.build_ms = plan.build_ms
@@ -1160,8 +1156,7 @@ class EstimationService:
         hedge_delay_ms: Optional[float] = None
         if (
             self._hedge_tracker is not None
-            and self.config.hedge is not None
-            and pending.n_hedges_armed < self.config.hedge.max_hedges_per_request
+            and pending.n_hedges_armed < MAX_HEDGES_PER_REQUEST
         ):
             hedge_delay_ms = self._hedge_tracker.hedge_delay_ms()
             if hedge_delay_ms is not None:

@@ -14,8 +14,10 @@ from repro.faults import OVERLOAD, POISSON, ArrivalPlan
 from repro.serve.admission import (
     AdmissionController,
     AdmissionPolicy,
+    HEDGE_DELAY_FLOOR_MS,
+    HEDGE_MIN_OBSERVATIONS,
+    MIN_RETRY_AFTER_MS,
     HedgeDelayTracker,
-    HedgePolicy,
     TenantQuota,
     TokenBucket,
 )
@@ -139,20 +141,18 @@ class TestAdmissionController:
         assert ctrl.decide("a", 1.0, 50, 0.0) is None
 
     def test_retry_after_floor(self):
-        ctrl = AdmissionController(
-            AdmissionPolicy(max_pending=1, min_retry_after_ms=0.5)
-        )
+        ctrl = AdmissionController(AdmissionPolicy(max_pending=1))
         decision = ctrl.decide("a", None, 1, 0.0)  # no EWMA yet
-        assert decision.retry_after_ms == pytest.approx(0.5)
+        assert decision.retry_after_ms == MIN_RETRY_AFTER_MS
 
     def test_ewma_converges(self):
-        ctrl = AdmissionController(AdmissionPolicy(ewma_alpha=0.5))
+        ctrl = AdmissionController(AdmissionPolicy())
         ctrl.observe_batch(2, 8.0)   # 4 ms/request seeds the EWMA
-        ctrl.observe_batch(1, 8.0)   # 0.5*4 + 0.5*8
-        assert ctrl.ewma_request_ms == pytest.approx(6.0)
+        ctrl.observe_batch(1, 8.0)   # 0.7*4 + 0.3*8
+        assert ctrl.ewma_request_ms == pytest.approx(5.2)
         ctrl.observe_batch(0, 5.0)   # ignored
         ctrl.observe_batch(3, 0.0)   # ignored
-        assert ctrl.ewma_request_ms == pytest.approx(6.0)
+        assert ctrl.ewma_request_ms == pytest.approx(5.2)
 
     def test_snapshot_shape(self):
         ctrl = AdmissionController(AdmissionPolicy())
@@ -164,10 +164,6 @@ class TestAdmissionController:
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
             AdmissionPolicy(max_pending=0)
-        with pytest.raises(ConfigError):
-            AdmissionPolicy(ewma_alpha=0.0)
-        with pytest.raises(ConfigError):
-            AdmissionPolicy(min_retry_after_ms=0.0)
         with pytest.raises(ConfigError):
             TenantQuota(rate_per_s=0.0)
         with pytest.raises(ConfigError):
@@ -181,35 +177,22 @@ class TestAdmissionController:
 # ---------------------------------------------------------------------------
 class TestHedgeDelayTracker:
     def test_unarmed_until_min_observations(self):
-        tracker = HedgeDelayTracker(HedgePolicy(min_observations=4))
-        for _ in range(3):
+        tracker = HedgeDelayTracker()
+        for _ in range(HEDGE_MIN_OBSERVATIONS - 1):
             tracker.observe(1.0)
         assert tracker.hedge_delay_ms() is None
         tracker.observe(1.0)
         assert tracker.hedge_delay_ms() is not None
 
     def test_delay_is_tail_quantile_with_floor(self):
-        tracker = HedgeDelayTracker(
-            HedgePolicy(quantile=0.5, min_observations=1, delay_floor_ms=0.01)
-        )
-        for v in (1.0, 2.0, 3.0, 4.0, 100.0):
-            tracker.observe(v)
-        assert tracker.hedge_delay_ms() == pytest.approx(3.0)
-        floor = HedgeDelayTracker(
-            HedgePolicy(quantile=0.9, min_observations=1, delay_floor_ms=5.0)
-        )
-        floor.observe(0.001)
-        assert floor.hedge_delay_ms() == pytest.approx(5.0)
-
-    def test_policy_validation(self):
-        with pytest.raises(ConfigError):
-            HedgePolicy(quantile=1.0)
-        with pytest.raises(ConfigError):
-            HedgePolicy(min_observations=0)
-        with pytest.raises(ConfigError):
-            HedgePolicy(delay_floor_ms=0.0)
-        with pytest.raises(ConfigError):
-            HedgePolicy(max_hedges_per_request=-1)
+        tracker = HedgeDelayTracker()
+        for v in range(1, 102):  # p99 of 1..101 is 100
+            tracker.observe(float(v))
+        assert tracker.hedge_delay_ms() == pytest.approx(100.0)
+        floor = HedgeDelayTracker()
+        for _ in range(HEDGE_MIN_OBSERVATIONS):
+            floor.observe(0.001)
+        assert floor.hedge_delay_ms() == HEDGE_DELAY_FLOOR_MS
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +397,7 @@ class TestCloneState:
 
     def test_math_isfinite_guard(self):
         # Sanity: quantile-based hints in the soak are finite numbers.
-        tracker = HedgeDelayTracker(HedgePolicy(min_observations=1))
-        tracker.observe(1.0)
+        tracker = HedgeDelayTracker()
+        for _ in range(HEDGE_MIN_OBSERVATIONS):
+            tracker.observe(1.0)
         assert math.isfinite(tracker.hedge_delay_ms())

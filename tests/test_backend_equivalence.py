@@ -14,7 +14,7 @@ import pytest
 
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import BACKENDS, EngineConfig, default_backend
-from repro.core.engine import GSWORDEngine, RetryPolicy
+from repro.core.engine import GSWORDEngine
 from repro.core.pipeline import CoProcessingPipeline
 from repro.errors import ConfigError, DeviceFault
 from repro.estimators.alley import AlleyEstimator
@@ -271,7 +271,7 @@ class TestFaultEquivalence:
             log = []
             for _ in range(6):
                 try:
-                    session.run_round(40, retry=RetryPolicy(max_retries=2))
+                    session.run_round(40, retry=True)
                 except DeviceFault:
                     pass
                 report = session.last_round

@@ -1,44 +1,50 @@
 """Circuit-breaker state machine tests (repro/serve/breaker.py)."""
 
-import pytest
+from repro.serve.breaker import (
+    COOLDOWN_MS,
+    FAILURE_THRESHOLD,
+    BreakerState,
+    CircuitBreaker,
+)
 
-from repro.errors import ServiceError
-from repro.serve.breaker import BreakerPolicy, BreakerState, CircuitBreaker
 
-
-def make_breaker(threshold=3, cooldown=10.0):
-    return CircuitBreaker(
-        BreakerPolicy(failure_threshold=threshold, cooldown_ms=cooldown)
-    )
+def tripped_breaker(at_ms=0.0):
+    """A breaker tripped OPEN at ``at_ms`` by consecutive failures."""
+    breaker = CircuitBreaker()
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure(at_ms)
+    assert breaker.state(at_ms) is BreakerState.OPEN
+    return breaker
 
 
 class TestClosedState:
     def test_starts_closed_and_allows(self):
-        breaker = make_breaker()
+        breaker = CircuitBreaker()
         assert breaker.state(0.0) is BreakerState.CLOSED
         assert breaker.allow(0.0)
 
     def test_below_threshold_stays_closed(self):
-        breaker = make_breaker(threshold=3)
-        assert not breaker.record_failure(0.0)
-        assert not breaker.record_failure(1.0)
-        assert breaker.state(2.0) is BreakerState.CLOSED
-        assert breaker.allow(2.0)
+        breaker = CircuitBreaker()
+        for t in range(FAILURE_THRESHOLD - 1):
+            assert not breaker.record_failure(float(t))
+        assert breaker.state(5.0) is BreakerState.CLOSED
+        assert breaker.allow(5.0)
 
     def test_success_resets_failure_streak(self):
-        breaker = make_breaker(threshold=3)
-        breaker.record_failure(0.0)
-        breaker.record_failure(1.0)
-        breaker.record_success(2.0)
+        breaker = CircuitBreaker()
+        for t in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure(float(t))
+        breaker.record_success(5.0)
         assert breaker.consecutive_failures == 0
-        breaker.record_failure(3.0)
-        breaker.record_failure(4.0)
-        assert breaker.state(5.0) is BreakerState.CLOSED  # streak restarted
+        for t in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure(6.0 + t)
+        assert breaker.state(10.0) is BreakerState.CLOSED  # streak restarted
 
 
 class TestTripping:
     def test_k_consecutive_failures_trip(self):
-        breaker = make_breaker(threshold=3)
+        assert FAILURE_THRESHOLD == 3
+        breaker = CircuitBreaker()
         breaker.record_failure(0.0)
         breaker.record_failure(1.0)
         assert breaker.record_failure(2.0)  # the tripping failure
@@ -49,65 +55,54 @@ class TestTripping:
     def test_straggler_success_while_open_is_ignored(self):
         # A round launched before the trip may still report success while
         # the breaker is OPEN; only the cooldown may reopen the path.
-        breaker = make_breaker(threshold=1, cooldown=10.0)
-        breaker.record_failure(0.0)
+        breaker = tripped_breaker()
         breaker.record_success(1.0)
         assert breaker.state(1.0) is BreakerState.OPEN
         assert breaker.n_recoveries == 0
-        assert breaker.state(10.0) is BreakerState.HALF_OPEN
+        assert breaker.state(COOLDOWN_MS) is BreakerState.HALF_OPEN
 
     def test_open_blocks_until_cooldown(self):
-        breaker = make_breaker(threshold=1, cooldown=10.0)
-        breaker.record_failure(0.0)
-        assert not breaker.allow(5.0)
-        assert breaker.state(9.999) is BreakerState.OPEN
+        breaker = tripped_breaker()
+        assert not breaker.allow(COOLDOWN_MS / 2)
+        assert breaker.state(COOLDOWN_MS - 0.001) is BreakerState.OPEN
 
 
 class TestHalfOpen:
     def test_cooldown_elapses_to_half_open(self):
-        breaker = make_breaker(threshold=1, cooldown=10.0)
-        breaker.record_failure(0.0)
-        assert breaker.state(10.0) is BreakerState.HALF_OPEN
+        assert COOLDOWN_MS == 25.0
+        breaker = tripped_breaker()
+        assert breaker.state(25.0) is BreakerState.HALF_OPEN
 
     def test_single_probe_allowed(self):
-        breaker = make_breaker(threshold=1, cooldown=10.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(10.0)  # the probe
-        assert not breaker.allow(10.0)  # probe outstanding: no second
+        breaker = tripped_breaker()
+        assert breaker.allow(COOLDOWN_MS)  # the probe
+        assert not breaker.allow(COOLDOWN_MS)  # probe outstanding: no second
         assert breaker.n_probes == 1
 
     def test_probe_success_closes(self):
-        breaker = make_breaker(threshold=1, cooldown=10.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(10.0)
-        breaker.record_success(11.0)
-        assert breaker.state(11.0) is BreakerState.CLOSED
+        breaker = tripped_breaker()
+        assert breaker.allow(COOLDOWN_MS)
+        breaker.record_success(COOLDOWN_MS + 1.0)
+        assert breaker.state(COOLDOWN_MS + 1.0) is BreakerState.CLOSED
         assert breaker.n_recoveries == 1
-        assert breaker.allow(11.0)
+        assert breaker.allow(COOLDOWN_MS + 1.0)
 
     def test_probe_failure_reopens(self):
-        breaker = make_breaker(threshold=1, cooldown=10.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(10.0)
-        assert breaker.record_failure(11.0)  # failed probe = a trip
-        assert breaker.state(11.0) is BreakerState.OPEN
+        breaker = tripped_breaker()
+        assert breaker.allow(COOLDOWN_MS)
+        retrip = COOLDOWN_MS + 1.0
+        assert breaker.record_failure(retrip)  # failed probe = a trip
+        assert breaker.state(retrip) is BreakerState.OPEN
         assert breaker.n_trips == 2
         # A fresh cooldown starts from the re-trip.
-        assert breaker.state(20.999) is BreakerState.OPEN
-        assert breaker.state(21.0) is BreakerState.HALF_OPEN
+        assert breaker.state(retrip + COOLDOWN_MS - 0.001) is BreakerState.OPEN
+        assert breaker.state(retrip + COOLDOWN_MS) is BreakerState.HALF_OPEN
 
 
 class TestSnapshotAndValidation:
     def test_snapshot_fields(self):
-        breaker = make_breaker(threshold=1)
-        breaker.record_failure(0.0)
+        breaker = tripped_breaker()
         snap = breaker.snapshot(0.0)
         assert snap["state"] == "open"
         assert snap["n_trips"] == 1
-        assert snap["consecutive_failures"] == 1
-
-    def test_policy_validation(self):
-        with pytest.raises(ServiceError):
-            BreakerPolicy(failure_threshold=0)
-        with pytest.raises(ServiceError):
-            BreakerPolicy(cooldown_ms=-1.0)
+        assert snap["consecutive_failures"] == FAILURE_THRESHOLD

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig
-from repro.core.engine import GSWORDEngine, RetryPolicy
+from repro.core.engine import MAX_RETRIES, GSWORDEngine, retry_backoff_ms
 from repro.errors import (
     ConfigError,
     DeviceFault,
@@ -148,15 +148,14 @@ class TestResilientRetry:
             })
         )
         session = engine.session(cg, order, rng=0)
-        report = session.run_round(128, retry=RetryPolicy(max_retries=3))
+        report = session.run_round(128, retry=True)
         assert report.n_faults == 2
         assert report.n_retries == 2
         assert len(report.errors) == 2
         # 2 abort charges + backoff(0) + backoff(1)
-        policy = RetryPolicy()
         expected = (
             2 * engine.spec.launch_overhead_ms
-            + policy.backoff_for(0) + policy.backoff_for(1)
+            + retry_backoff_ms(0) + retry_backoff_ms(1)
         )
         assert report.fault_ms == pytest.approx(expected)
         assert session.n_rounds == 1
@@ -167,12 +166,12 @@ class TestResilientRetry:
         engine = make_engine(FaultPlan(rates={FaultKind.CORRUPTION: 1.0}))
         session = engine.session(cg, order, rng=0)
         with pytest.raises(DeviceFault):
-            session.run_round(128, retry=RetryPolicy(max_retries=2))
+            session.run_round(128, retry=True)
         report = session.last_round
-        assert report.n_faults == 3  # initial attempt + 2 retries
-        assert report.n_retries == 2
+        assert report.n_faults == 1 + MAX_RETRIES  # initial attempt + retries
+        assert report.n_retries == MAX_RETRIES
         assert session.n_rounds == 0
-        assert len(report.errors) == 3
+        assert len(report.errors) == 1 + MAX_RETRIES
         assert report.result is None
 
     def test_timeout_abort_charges_watchdog(self, plan_parts):
@@ -180,15 +179,13 @@ class TestResilientRetry:
         plan = FaultPlan(overrides={0: (FaultKind.STALL,)}, stall_factor=1e6)
         engine = make_engine(plan, watchdog_ms=7.5)
         session = engine.session(cg, order, rng=0)
-        report = session.run_round(128, retry=RetryPolicy(backoff_ms=0.0))
+        report = session.run_round(128, retry=True)
         assert isinstance(report.errors[0], KernelTimeout)
-        assert report.fault_ms == pytest.approx(7.5)
+        # The aborted launch is charged the watchdog ceiling, then backoff.
+        assert report.fault_ms == pytest.approx(7.5 + retry_backoff_ms(0))
 
-    def test_retry_policy_validation(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ConfigError):
-            RetryPolicy(backoff_factor=0.5)
+    def test_backoff_schedule_is_exponential(self):
+        assert [retry_backoff_ms(i) for i in range(3)] == [0.5, 1.0, 2.0]
 
 
 class TestRetryUnbiasedness:
@@ -209,7 +206,7 @@ class TestRetryUnbiasedness:
             FaultPlan(overrides={0: (FaultKind.CORRUPTION,)})
         )
         faulted = faulted_engine.session(cg, order, rng=seed)
-        report = faulted.run_round(64, retry=RetryPolicy())
+        report = faulted.run_round(64, retry=True)
         assert report.n_retries == 1
         assert faulted.result().estimate == healthy.result().estimate
 
@@ -234,9 +231,7 @@ class TestRetryUnbiasedness:
                 ),
                 watchdog_ms=5.0,
             ).session(cg, order, rng=seed)
-            report = f.run_round(
-                n_samples, retry=RetryPolicy(max_retries=2)
-            )
+            report = f.run_round(n_samples, retry=True)
             assert report.n_retries >= 1  # the fault actually fired
             faulted_estimates.append(f.result().estimate)
 
@@ -252,7 +247,7 @@ class TestRetryUnbiasedness:
 class TestHedgedRetry:
     """A hedged round's pair of launches is attempt 0 of the retry loop."""
 
-    @pytest.mark.parametrize("max_retries", [0, 1, 2])
+    @pytest.mark.parametrize("max_retries", [0, MAX_RETRIES])
     def test_failed_pair_spends_exactly_the_retry_budget(
         self, plan_parts, max_retries
     ):
@@ -266,8 +261,7 @@ class TestHedgedRetry:
         sentinel = rec.begin("sentinel", track="engine")
         with pytest.raises(DeviceFault):
             session.run_round(
-                128, retry=RetryPolicy(max_retries=max_retries),
-                hedge_delay_ms=0.0,
+                128, retry=max_retries > 0, hedge_delay_ms=0.0,
             )
         rec.end(sentinel)  # the round left no span open on the track
         report = session.last_round
@@ -286,14 +280,13 @@ class TestHedgedRetry:
             0: (FaultKind.CORRUPTION,), 1: (FaultKind.CORRUPTION,),
         }))
         session = engine.session(cg, order, rng=0)
-        policy = RetryPolicy(max_retries=2)
-        report = session.run_round(128, retry=policy, hedge_delay_ms=0.0)
+        report = session.run_round(128, retry=True, hedge_delay_ms=0.0)
         overhead = engine.spec.launch_overhead_ms
         assert report.result is not None
         assert report.n_faults == 2 and report.n_retries == 1
         # Both launches died at launch: the pair burned one overhead after
         # the hedge delay, then the single retry waited backoff(0).
-        assert report.fault_ms == pytest.approx(overhead + policy.backoff_for(0))
+        assert report.fault_ms == pytest.approx(overhead + retry_backoff_ms(0))
         assert engine.injector.n_launches == 3
 
 

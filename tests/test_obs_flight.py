@@ -19,9 +19,11 @@ from repro.graph.datasets import load_dataset
 from repro.obs import NO_TRACE, TraceRecorder
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
+    HEDGE_WINDOW,
+    MAX_BUNDLES,
+    TRIGGER_COOLDOWN_MS,
     TRIGGER_KINDS,
     FlightMonitor,
-    FlightPolicy,
     FlightRecorder,
     build_bundle,
     deserialize_rng_state,
@@ -87,8 +89,6 @@ class TestFlightRecorderRing:
     def test_capacity_validated(self):
         with pytest.raises(ObservabilityError):
             FlightRecorder(capacity=0)
-        with pytest.raises(ObservabilityError):
-            FlightPolicy(capacity=0)
 
     def test_flight_recording_is_bit_identical(self, workload):
         _, _, cg, order = workload
@@ -141,30 +141,13 @@ class TestGraphIdentity:
 
 
 # ----------------------------------------------------------------------
-# Policy validation + the trigger monitor
+# The trigger monitor
 # ----------------------------------------------------------------------
-class TestFlightPolicyValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"cooldown_ms": -1.0},
-            {"max_bundles": 0},
-            {"shed_rate_threshold": 0.0},
-            {"shed_rate_threshold": 1.5},
-            {"hedge_rate_threshold": 0.0},
-            {"qerror_threshold": 0.5},
-        ],
-    )
-    def test_invalid_policy_rejected(self, kwargs):
-        with pytest.raises(ObservabilityError):
-            FlightPolicy(**kwargs)
-
-
 class TestFlightMonitor:
     def test_consider_builds_bundle(self):
         rec = FlightRecorder(capacity=16)
         rec.instant("warmup", track="engine")
-        monitor = FlightMonitor(FlightPolicy(), rec)
+        monitor = FlightMonitor(rec)
         bundle = monitor.consider(
             "breaker_open", 3.0, {"estimator": "alley"}, _context()
         )
@@ -182,7 +165,7 @@ class TestFlightMonitor:
         json.dumps(bundle)  # self-contained and JSON-safe
 
     def test_unknown_kind_rejected(self):
-        monitor = FlightMonitor(FlightPolicy(), NO_TRACE)
+        monitor = FlightMonitor(NO_TRACE)
         with pytest.raises(ObservabilityError):
             monitor.consider("disk_full", 0.0, {}, _context())
         with pytest.raises(ObservabilityError):
@@ -195,9 +178,8 @@ class TestFlightMonitor:
             )
 
     def test_cooldown_suppresses_per_kind(self):
-        monitor = FlightMonitor(
-            FlightPolicy(cooldown_ms=50.0), FlightRecorder(capacity=8)
-        )
+        assert TRIGGER_COOLDOWN_MS == 50.0
+        monitor = FlightMonitor(FlightRecorder(capacity=8))
         ctx = _context()
         assert monitor.consider("breaker_open", 0.0, {}, ctx) is not None
         assert monitor.consider("breaker_open", 10.0, {}, ctx) is None
@@ -211,20 +193,19 @@ class TestFlightMonitor:
         ]
 
     def test_max_bundles_drops_oldest(self):
-        monitor = FlightMonitor(
-            FlightPolicy(cooldown_ms=0.0, max_bundles=2),
-            FlightRecorder(capacity=8),
-        )
+        monitor = FlightMonitor(FlightRecorder(capacity=8))
         ctx = _context()
-        for i in range(3):
-            monitor.consider("qerror_drift", float(i), {"i": i}, ctx)
-        assert len(monitor.bundles) == 2
-        assert [b["trigger"]["details"]["i"] for b in monitor.bundles] == [1, 2]
+        for i in range(MAX_BUNDLES + 1):  # each past the previous cooldown
+            monitor.consider(
+                "qerror_drift", i * TRIGGER_COOLDOWN_MS, {"i": i}, ctx
+            )
+        assert len(monitor.bundles) == MAX_BUNDLES
+        assert [b["trigger"]["details"]["i"] for b in monitor.bundles] == list(
+            range(1, MAX_BUNDLES + 1)
+        )
 
     def test_lazy_context_evaluated_only_on_fire(self):
-        monitor = FlightMonitor(
-            FlightPolicy(cooldown_ms=50.0), FlightRecorder(capacity=8)
-        )
+        monitor = FlightMonitor(FlightRecorder(capacity=8))
         calls = []
 
         def context():
@@ -237,8 +218,8 @@ class TestFlightMonitor:
         assert len(calls) == 1
 
     def test_check_shed_gates(self):
-        policy = FlightPolicy(shed_rate_threshold=0.5, shed_min_events=8)
-        monitor = FlightMonitor(policy, FlightRecorder(capacity=8))
+        # Fires at a shed rate >= 0.5 over >= 8 admission decisions.
+        monitor = FlightMonitor(FlightRecorder(capacity=8))
         ctx = _context()
         assert monitor.check_shed(0.0, 1.0, 4, ctx) is None  # too few events
         assert monitor.check_shed(0.0, 0.4, 16, ctx) is None  # below rate
@@ -248,25 +229,24 @@ class TestFlightMonitor:
         assert bundle["trigger"]["details"]["reason"] == "q"
 
     def test_check_hedges_needs_full_window(self):
-        policy = FlightPolicy(hedge_window=8, hedge_rate_threshold=0.5)
-        monitor = FlightMonitor(policy, FlightRecorder(capacity=8))
+        monitor = FlightMonitor(FlightRecorder(capacity=8))
         ctx = _context()
-        assert monitor.check_hedges(0.0, 4, 4, ctx) is None  # window not full
-        bundle = monitor.check_hedges(1.0, 4, 2, ctx)  # 6/8 hedged
+        half = HEDGE_WINDOW // 2
+        # All hedged, but the window is not full yet.
+        assert monitor.check_hedges(0.0, half, half, ctx) is None
+        bundle = monitor.check_hedges(1.0, half, half // 2, ctx)  # 3/4
         assert bundle is not None
         assert bundle["trigger"]["details"]["hedge_rate"] == 0.75
 
     def test_check_q_error(self):
-        monitor = FlightMonitor(
-            FlightPolicy(qerror_threshold=2.0), FlightRecorder(capacity=8)
-        )
+        monitor = FlightMonitor(FlightRecorder(capacity=8))  # bound 2.0
         ctx = _context()
         assert monitor.check_q_error(0.0, 110.0, 100.0, ctx) is None
         bundle = monitor.check_q_error(0.0, 10.0, 100.0, ctx)
         assert bundle is not None
         assert bundle["trigger"]["details"]["q_error"] == 10.0
         # A zero reference is an infinite q-error, not a crash.
-        monitor2 = FlightMonitor(FlightPolicy(), FlightRecorder(capacity=8))
+        monitor2 = FlightMonitor(FlightRecorder(capacity=8))
         assert monitor2.check_q_error(0.0, 5.0, 0.0, ctx) is not None
 
 
@@ -275,7 +255,7 @@ class TestFlightMonitor:
 # ----------------------------------------------------------------------
 class TestBundleIO:
     def test_write_load_round_trip(self, tmp_path):
-        monitor = FlightMonitor(FlightPolicy(), FlightRecorder(capacity=8))
+        monitor = FlightMonitor(FlightRecorder(capacity=8))
         bundle = monitor.consider("hedge_storm", 2.0, {}, _context())
         path = str(tmp_path / "bundle.json")
         write_bundle(bundle, path)
@@ -386,7 +366,7 @@ def _storm_service(seed=99):
             stall_factor=64.0,
         ),
         watchdog_ms=0.05,
-        retry=None,
+        retry=False,
         cpu_fallback=True,
     ))
 
@@ -414,8 +394,8 @@ class TestServiceFlight:
             ServiceConfig(engine_config=EngineConfig.gsword(trace=True))
         )
         assert type(traced.recorder) is TraceRecorder
-        # ...and flight=None disables both ring and monitor.
-        off = EstimationService(ServiceConfig(flight=None))
+        # ...and flight=False disables both ring and monitor.
+        off = EstimationService(ServiceConfig(flight=False))
         assert off.recorder is NO_TRACE
         assert off.flight is None
         with pytest.raises(ServiceError):
@@ -520,7 +500,7 @@ class TestTraceReportExtensions:
         from repro.obs.report import load_trace, render_report
 
         rec = self._recorder_with_spans()
-        monitor = FlightMonitor(FlightPolicy(), rec)
+        monitor = FlightMonitor(rec)
         bundle = monitor.consider(
             "breaker_open", 6.0, {"estimator": "alley"},
             {**_context(), "graph_identity": "yeast@v0#deadbeef"},

@@ -21,7 +21,8 @@ from repro.obs.registry import (
 from repro.obs.slo import default_slo_policy
 from repro.query.extract import extract_query
 from repro.serve import EstimateRequest, EstimationService, ServiceConfig
-from repro.serve.admission import AdmissionPolicy, HedgePolicy
+from repro.serve import admission
+from repro.serve.admission import AdmissionPolicy
 from repro.serve.controller import BudgetPolicy
 from repro.serve.metrics import ServiceMetrics
 
@@ -180,6 +181,32 @@ class TestExpositionParser:
         assert names == {"lat", "lat_sum", "lat_count"}
 
 
+class TestExactValues:
+    """The exposition writes each value in shortest round-trip form, so
+    the parser reads back exactly the float the registry holds."""
+
+    def test_values_parse_back_exactly(self):
+        reg = MetricsRegistry(namespace="repro")
+        reg.counter("samples_total", "drawn samples").inc(1_234_567)
+        reg.gauge("ratio", "a 9-digit gauge").set(123.456789)
+        hist = reg.histogram("lat_ms", "latency")
+        for v in (0.1, 0.2, 1234.5678901):
+            hist.observe(v)
+        parsed = parse_prometheus_text(reg.prometheus_text())
+
+        def value(family, sample):
+            (s,) = [s for s in parsed[family]["samples"]
+                    if s["name"] == sample]
+            return s["value"]
+
+        assert value("repro_samples_total", "repro_samples_total") == 1234567
+        assert value("repro_ratio", "repro_ratio") == 123.456789
+        assert value("repro_lat_ms", "repro_lat_ms_sum") == (
+            0.1 + 0.2 + 1234.5678901
+        )
+        assert value("repro_lat_ms", "repro_lat_ms_count") == 3
+
+
 @pytest.fixture(scope="module")
 def served_registry():
     """The live registry of a real (small) service run with SLOs on."""
@@ -321,9 +348,7 @@ class TestLiveServiceRegistry:
         service = EstimationService(ServiceConfig(
             slo=policy,
             admission=AdmissionPolicy(max_pending=2),
-            hedge=HedgePolicy(
-                quantile=0.5, min_observations=1, delay_floor_ms=1e-6
-            ),
+            hedge=True,
             faults=FaultPlan(
                 seed=3,
                 rates={FaultKind.STALL: 0.5, FaultKind.CORRUPTION: 0.2},
@@ -331,15 +356,21 @@ class TestLiveServiceRegistry:
             ),
             policy=BudgetPolicy(min_round_samples=64, max_round_samples=256),
         ))
-        for _ in range(4):
-            try:
-                service.submit(EstimateRequest(
-                    graph=graph, query=query, target_rel_ci=0.01,
-                    max_samples=2048,
-                ))
-            except Overloaded:
-                pass
-        service.drain()
+        # Two short requests are far too few rounds to arm p99 hedging
+        # after 32 observations: arm it after one, at the median.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(admission, "HEDGE_QUANTILE", 0.5)
+            mp.setattr(admission, "HEDGE_MIN_OBSERVATIONS", 1)
+            mp.setattr(admission, "HEDGE_DELAY_FLOOR_MS", 1e-6)
+            for _ in range(4):
+                try:
+                    service.submit(EstimateRequest(
+                        graph=graph, query=query, target_rel_ci=0.01,
+                        max_samples=2048,
+                    ))
+                except Overloaded:
+                    pass
+            service.drain()
         service.invalidate_plans("yeast")
         for _ in range(6):
             service.report_q_error(1000.0, 100.0)  # q = 10: all bad
@@ -371,14 +402,11 @@ class TestLiveServiceRegistry:
                     by_name = {s["name"]: s["value"] for s in samples
                                if "quantile" not in s["labels"]}
                     assert by_name[f"repro_{name}_count"] == series["count"]
-                    assert by_name[f"repro_{name}_sum"] == pytest.approx(
-                        series["sum"], rel=1e-5
-                    )
+                    assert by_name[f"repro_{name}_sum"] == series["sum"]
                 continue
             assert entry["type"] == family["type"]
             assert [(s["labels"], s["value"]) for s in samples] == [
-                (e["labels"], pytest.approx(e["value"], rel=1e-5))
-                for e in family["series"]
+                (e["labels"], e["value"]) for e in family["series"]
             ]
 
     def test_repeated_export_is_idempotent(self, service):

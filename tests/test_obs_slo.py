@@ -10,6 +10,8 @@ import pytest
 from repro.errors import ObservabilityError
 from repro.obs.registry import parse_prometheus_text
 from repro.obs.slo import (
+    BURN_THRESHOLD,
+    MIN_WINDOW_EVENTS,
     SLOEngine,
     SLOObjective,
     SLOPolicy,
@@ -25,8 +27,6 @@ def one_objective_policy(**overrides):
         objectives=(SLOObjective("avail", target=0.9),),
         short_window_ms=10.0,
         long_window_ms=40.0,
-        fire_threshold=2.0,
-        min_events=2,
     )
     kwargs.update(overrides)
     return SLOPolicy(**kwargs)
@@ -52,17 +52,22 @@ class TestValidation:
         with pytest.raises(ObservabilityError):
             SLOPolicy(objectives=obj, short_window_ms=50.0,
                       long_window_ms=50.0)  # long must exceed short
-        with pytest.raises(ObservabilityError):
-            SLOPolicy(objectives=obj, fire_threshold=0.0)
-        with pytest.raises(ObservabilityError):
-            SLOPolicy(objectives=obj, min_events=0)
 
     def test_clear_threshold_defaults_to_fire(self):
-        policy = one_objective_policy()
-        assert policy.effective_clear_threshold == policy.fire_threshold
-        assert one_objective_policy(
-            clear_threshold=0.5
-        ).effective_clear_threshold == 0.5
+        # One burn threshold both fires and clears: an active alert holds
+        # while the short window burns at or above it, clears below it.
+        assert BURN_THRESHOLD == 2.0
+        engine = SLOEngine(one_objective_policy())
+        for t in range(10):  # all bad: burn 10x
+            engine.record("avail", float(t), good=False)
+        assert [e["state"] for e in engine.evaluate(9.0)] == ["fire"]
+        # 2 bad of 10 in the short window burns exactly 2.0: still firing.
+        for t in range(10, 18):
+            engine.record("avail", float(t), good=True)
+        assert engine.burn_rate("avail", 17.0, 10.0)[0] == pytest.approx(2.0)
+        assert engine.evaluate(17.0) == []
+        engine.record("avail", 18.0, good=True)  # 1 bad of 10: below
+        assert [e["state"] for e in engine.evaluate(18.0)] == ["clear"]
 
     def test_default_policy_objectives(self):
         policy = default_slo_policy(latency_threshold_ms=3.5)
@@ -85,14 +90,15 @@ class TestBurnRate:
         assert burn == pytest.approx(5.0) and n == 4
 
     def test_min_events_gate(self):
-        engine = SLOEngine(one_objective_policy(min_events=4))
-        for t in (1.0, 2.0, 3.0):
-            engine.record("avail", t, good=False)
+        engine = SLOEngine(one_objective_policy())
+        for t in range(MIN_WINDOW_EVENTS - 1):
+            engine.record("avail", float(t), good=False)
         burn, n = engine.burn_rate("avail", 4.0, 10.0)
-        assert burn == 0.0 and n == 3  # not enough signal to alert on
+        # not enough signal to alert on
+        assert burn == 0.0 and n == MIN_WINDOW_EVENTS - 1
 
     def test_window_is_half_open(self):
-        engine = SLOEngine(one_objective_policy(min_events=1))
+        engine = SLOEngine(one_objective_policy())
         engine.record("avail", 0.0, good=False)  # exactly at now - window
         engine.record("avail", 10.0, good=False)  # exactly at now
         _, n = engine.burn_rate("avail", 10.0, 10.0)
@@ -108,7 +114,7 @@ class TestBurnRate:
         assert engine.n_events == 0
 
     def test_events_trimmed_past_long_window(self):
-        engine = SLOEngine(one_objective_policy(min_events=1))
+        engine = SLOEngine(one_objective_policy())
         engine.record("avail", 0.0, good=False)
         engine.record("avail", 100.0, good=True)
         _, n = engine.burn_rate("avail", 100.0, 40.0)
@@ -150,7 +156,7 @@ class TestFireClear:
         # A short burst of bad events after healthy traffic: the short
         # window spikes past the threshold but the long window — which
         # requires *sustained* badness — stays diluted, so no alert.
-        engine = SLOEngine(one_objective_policy(min_events=4))
+        engine = SLOEngine(one_objective_policy())
         for t in range(20):
             engine.record("avail", float(t), good=True)
             engine.evaluate(float(t))
@@ -253,7 +259,7 @@ class TestSnapshotAndRegistry:
 class TestServiceSLOFeed:
     def test_q_error_feed_fires_and_clears(self):
         policy = default_slo_policy()
-        service = EstimationService(ServiceConfig(slo=policy, flight=None))
+        service = EstimationService(ServiceConfig(slo=policy, flight=False))
         for _ in range(6):
             service.report_q_error(1000.0, 100.0)  # q = 10, all bad
         snap = service.metrics_snapshot()["slo"]
@@ -298,6 +304,6 @@ class TestServiceSLOFeed:
         parse_prometheus_text(text)  # the whole exposition is well-formed
 
     def test_slo_disabled_by_default(self):
-        service = EstimationService(ServiceConfig(flight=None))
+        service = EstimationService(ServiceConfig(flight=False))
         assert service.slo is None
         assert "slo" not in service.metrics_snapshot()

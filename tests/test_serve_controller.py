@@ -50,10 +50,6 @@ class TestBudgetPolicy:
             BudgetPolicy(min_round_samples=0)
         with pytest.raises(ServiceError):
             BudgetPolicy(min_round_samples=100, max_round_samples=50)
-        with pytest.raises(ServiceError):
-            BudgetPolicy(growth=0.5)
-        with pytest.raises(ServiceError):
-            BudgetPolicy(z=0)
 
 
 class TestRelativeCI:

@@ -5,17 +5,12 @@ import time
 
 import pytest
 
-from repro.core.engine import RetryPolicy
 from repro.errors import DeviceFault, ServiceError, ServiceTimeout
 from repro.faults import FaultKind, FaultPlan
 from repro.graph.datasets import load_dataset
 from repro.query.extract import extract_query
-from repro.serve import (
-    BreakerPolicy,
-    EstimateRequest,
-    EstimationService,
-    ServiceConfig,
-)
+from repro.serve import EstimateRequest, EstimationService, ServiceConfig
+from repro.serve.breaker import COOLDOWN_MS, FAILURE_THRESHOLD
 from repro.serve.controller import REASON_FALLBACK, BudgetPolicy
 from repro.utils.rng import derive_seed
 
@@ -57,7 +52,6 @@ class TestFaultSurvival:
             faults=FaultPlan.uniform(seed=7, rate=0.25),
             watchdog_ms=5.0,
             memory_budget_bytes=8 << 30,
-            retry=RetryPolicy(max_retries=3),
         )
         responses = service.estimate_many(make_requests(12))
         assert len(responses) == 12
@@ -69,7 +63,6 @@ class TestFaultSurvival:
     def test_fault_metrics_recorded(self, make_requests):
         service = make_service(
             faults=FaultPlan.from_rates(seed=3, corruption=0.5),
-            retry=RetryPolicy(max_retries=4),
         )
         service.estimate_many(make_requests(8))
         res = service.metrics_snapshot()["resilience"]
@@ -98,7 +91,6 @@ class TestCPUFallback:
     def test_always_failing_device_degrades_to_cpu(self, make_requests):
         service = make_service(
             faults=FaultPlan(rates={FaultKind.CORRUPTION: 1.0}),
-            retry=RetryPolicy(max_retries=1),
         )
         responses = service.estimate_many(make_requests(4))
         for r in responses:
@@ -112,7 +104,7 @@ class TestCPUFallback:
     def test_fallback_disabled_fails_tickets(self, make_requests):
         service = make_service(
             faults=FaultPlan(rates={FaultKind.CORRUPTION: 1.0}),
-            retry=None,
+            retry=False,
             cpu_fallback=False,
         )
         ticket = service.submit(make_requests(1)[0])
@@ -129,7 +121,7 @@ class TestCPUFallback:
             rates={FaultKind.CORRUPTION: 1.0},
             overrides={0: ()},
         )
-        service = make_service(faults=plan, retry=None)
+        service = make_service(faults=plan, retry=False)
         [response] = service.estimate_many(
             make_requests(1, max_samples=65_536, target_rel_ci=0.01)
         )
@@ -139,16 +131,14 @@ class TestCPUFallback:
 
 class TestCircuitBreaker:
     def test_consecutive_failures_trip_breaker(self, make_requests):
-        # Launches 0 and 1 corrupt (tripping the breaker mid-batch); the
-        # surviving requests need further rounds, which the now-open
-        # breaker rejects pre-enqueue — they degrade to the CPU fallback.
-        plan = FaultPlan(overrides={0: (FaultKind.CORRUPTION,),
-                                    1: (FaultKind.CORRUPTION,)})
-        service = make_service(
-            faults=plan,
-            retry=None,
-            breaker=BreakerPolicy(failure_threshold=2, cooldown_ms=1e9),
-        )
+        # The first FAILURE_THRESHOLD launches corrupt (tripping the
+        # breaker mid-batch); the surviving requests need further rounds,
+        # which the now-open breaker rejects pre-enqueue — they degrade to
+        # the CPU fallback.
+        plan = FaultPlan(overrides={
+            i: (FaultKind.CORRUPTION,) for i in range(FAILURE_THRESHOLD)
+        })
+        service = make_service(faults=plan, retry=False)
         service.estimate_many(
             make_requests(6, max_samples=65_536, target_rel_ci=0.01)
         )
@@ -160,18 +150,23 @@ class TestCircuitBreaker:
         assert snap["n_completed"] == 6  # all still answered via fallback
 
     def test_breaker_recovers_after_cooldown(self, make_requests):
-        # Wave 1 trips the breaker (launch 0 corrupts, threshold 1);
-        # with a zero cooldown the breaker is HALF_OPEN by wave 2, whose
-        # first round is the probe — it succeeds and closes the breaker.
-        plan = FaultPlan(overrides={0: (FaultKind.CORRUPTION,)})
-        service = make_service(
-            faults=plan,
-            retry=None,
-            breaker=BreakerPolicy(failure_threshold=1, cooldown_ms=0.0),
+        # Wave 1 trips the breaker (its first FAILURE_THRESHOLD launches
+        # corrupt); once the clock passes the cooldown the breaker is
+        # HALF_OPEN, and wave 2's first round is the probe — it succeeds
+        # and closes the breaker.
+        plan = FaultPlan(overrides={
+            i: (FaultKind.CORRUPTION,) for i in range(FAILURE_THRESHOLD)
+        })
+        service = make_service(faults=plan, retry=False)
+        requests = make_requests(FAILURE_THRESHOLD + 1)
+        # fails -> trip + fallback
+        service.estimate_many(requests[:FAILURE_THRESHOLD])
+        assert service.metrics_snapshot()["breakers"]["alley"]["state"] == (
+            "open"
         )
-        requests = make_requests(2)
-        service.estimate_many(requests[:1])  # fails -> trip + fallback
-        service.estimate_many(requests[1:])  # half-open probe succeeds
+        service.advance_clock(service.clock_ms + COOLDOWN_MS)
+        # half-open probe succeeds
+        service.estimate_many(requests[FAILURE_THRESHOLD:])
         breaker = service.metrics_snapshot()["breakers"]["alley"]
         assert breaker["n_trips"] >= 1
         assert breaker["n_recoveries"] >= 1
@@ -241,7 +236,6 @@ class TestDeterministicChaos:
             service = make_service(
                 faults=FaultPlan.uniform(seed=13, rate=0.3),
                 watchdog_ms=5.0,
-                retry=RetryPolicy(max_retries=2),
             )
             responses = service.estimate_many(make_requests(8))
             res = service.metrics_snapshot()["resilience"]

@@ -27,7 +27,6 @@ from repro.serve import (
     AdmissionPolicy,
     EstimateRequest,
     EstimationService,
-    HedgePolicy,
     ServiceConfig,
     TenantQuota,
 )
@@ -396,9 +395,7 @@ class TestHedging:
                 rates={FaultKind.STALL: 0.4},
                 stall_factor=50.0,
             ),
-            hedge=HedgePolicy(
-                quantile=0.5, min_observations=4, delay_floor_ms=1e-6
-            ),
+            hedge=True,
         )
         # A high-variance query with a tight CI target forces multi-round
         # requests: only continuation rounds can arm hedges (the tracker

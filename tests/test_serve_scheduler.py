@@ -1,12 +1,10 @@
 """Tests for dynamic batching of rounds (repro/serve/scheduler.py)."""
 
-from collections import deque
-
 import pytest
 
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig
-from repro.core.engine import GSWORDEngine, RetryPolicy
+from repro.core.engine import MAX_RETRIES, GSWORDEngine, retry_backoff_ms
 from repro.errors import DeviceFault, ServiceError
 from repro.estimators.alley import AlleyEstimator
 from repro.faults import FaultInjector, FaultKind, FaultPlan
@@ -14,7 +12,7 @@ from repro.gpu.costmodel import GPUSpec
 from repro.graph.datasets import load_dataset
 from repro.query.extract import extract_query
 from repro.query.matching_order import quicksi_order
-from repro.serve.scheduler import BatchScheduler, RoundTask
+from repro.serve.scheduler import BatchScheduler, FairQueue, RoundTask
 
 #: A small device so batching/warp-cap effects show at test scale.
 SMALL_SPEC = GPUSpec(sm_count=2, resident_warps_per_sm=4)  # 8 resident warps
@@ -30,6 +28,14 @@ def plans():
         cg = build_candidate_graph(graph, query)
         out.append((cg, quicksi_order(query, graph)))
     return out
+
+
+def fifo(tasks=()):
+    """A single-tenant :class:`FairQueue`: exact FIFO over ``tasks``."""
+    queue = FairQueue()
+    for task in tasks:
+        queue.append(task)
+    return queue
 
 
 def make_session(plans, i=0, spec=SMALL_SPEC, seed=0, fault_plan=None):
@@ -56,7 +62,7 @@ class TestFormBatch:
     def test_fills_device_then_stops(self, plans):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
         # 256 samples = 2 warps each; 8 resident warps -> 4 tasks per batch.
-        queue = deque(
+        queue = fifo(
             RoundTask(make_session(plans, i), 256, payload=i) for i in range(6)
         )
         batch = scheduler.form_batch(queue)
@@ -73,7 +79,7 @@ class TestFormBatch:
             RoundTask(make_session(plans, i + 1), 256, payload=f"s{i}")
             for i in range(3)
         ]
-        queue = deque([small[0], big, small[1], small[2]])
+        queue = fifo([small[0], big, small[1], small[2]])
         first = scheduler.form_batch(queue)
         # small0 (2 warps) + big (8 warps) would exceed 8: batch stops at big?
         # No: big is admitted only if it fits; 2+8 > 8 so the batch is just
@@ -86,19 +92,18 @@ class TestFormBatch:
 
     def test_oversized_task_still_admitted_alone(self, plans):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
-        queue = deque([RoundTask(make_session(plans), 10_000)])  # ≫ device
+        queue = fifo([RoundTask(make_session(plans), 10_000)])  # ≫ device
         batch = scheduler.form_batch(queue)
         assert len(batch) == 1 and not queue
 
     def test_max_batch_requests_cap(self, plans):
         scheduler = BatchScheduler(spec=SMALL_SPEC, max_batch_requests=2)
-        queue = deque(RoundTask(make_session(plans, i), 128) for i in range(4))
+        queue = fifo(RoundTask(make_session(plans, i), 128) for i in range(4))
         assert len(scheduler.form_batch(queue)) == 2
 
     def test_empty_queue(self, plans):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
-        assert scheduler.form_batch(deque()) == []
-        assert scheduler.run_tick(deque()) is None
+        assert scheduler.form_batch(fifo()) == []
 
 
 class TestExecute:
@@ -145,7 +150,7 @@ class TestExecute:
         with pytest.raises(ServiceError):
             BatchScheduler(max_batch_requests=0)
         with pytest.raises(ServiceError):
-            BatchScheduler(warp_overcommit=0)
+            BatchScheduler(n_shards=0)
 
 
 #: Corruption on the listed launches of one engine (pre-draw faults: the
@@ -159,7 +164,6 @@ class TestFaultAccounting:
     retry-exhausted and hedged rounds, alone and mixed in one batch."""
 
     OVERHEAD = SMALL_SPEC.launch_overhead_ms
-    POLICY = RetryPolicy(max_retries=2)
 
     def coresident_ms(self, scheduler, result):
         ok = [r for r in result.round_results if r is not None]
@@ -178,7 +182,7 @@ class TestFaultAccounting:
     def test_fail_fast_task_bills_one_abort(self, plans):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
         session = make_session(plans, fault_plan=corrupt(0))
-        result = scheduler.execute([RoundTask(session, 128, retry=None)])
+        result = scheduler.execute([RoundTask(session, 128)])
         assert result.round_results == [None]
         assert isinstance(result.failures[0], DeviceFault)
         assert result.n_faults == 1
@@ -191,16 +195,13 @@ class TestFaultAccounting:
     def test_task_recovers_after_retries(self, plans):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
         session = make_session(plans, fault_plan=corrupt(0, 1))
-        result = scheduler.execute(
-            [RoundTask(session, 128, retry=self.POLICY)]
-        )
+        result = scheduler.execute([RoundTask(session, 128, retry=True)])
         assert result.failures == [None]
         assert result.round_results[0] is not None
         assert result.n_faults == 2
         assert result.n_retries == 2
         assert result.fault_ms == pytest.approx(
-            2 * self.OVERHEAD
-            + self.POLICY.backoff_for(0) + self.POLICY.backoff_for(1)
+            2 * self.OVERHEAD + retry_backoff_ms(0) + retry_backoff_ms(1)
         )
         assert result.fault_kinds == ["corruption", "corruption"]
         assert session.n_rounds == 1
@@ -208,19 +209,18 @@ class TestFaultAccounting:
 
     def test_task_exhausts_retries(self, plans):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
-        session = make_session(plans, fault_plan=corrupt(0, 1, 2))
-        result = scheduler.execute(
-            [RoundTask(session, 128, retry=self.POLICY)]
-        )
+        launches = 1 + MAX_RETRIES
+        session = make_session(plans, fault_plan=corrupt(*range(launches)))
+        result = scheduler.execute([RoundTask(session, 128, retry=True)])
         assert result.round_results == [None]
         assert isinstance(result.failures[0], DeviceFault)
-        assert result.n_faults == 3
-        assert result.n_retries == 2
+        assert result.n_faults == launches
+        assert result.n_retries == MAX_RETRIES
         assert result.fault_ms == pytest.approx(
-            3 * self.OVERHEAD
-            + self.POLICY.backoff_for(0) + self.POLICY.backoff_for(1)
+            launches * self.OVERHEAD
+            + sum(retry_backoff_ms(i) for i in range(MAX_RETRIES))
         )
-        assert result.fault_kinds == ["corruption"] * 3
+        assert result.fault_kinds == ["corruption"] * launches
         assert session.n_rounds == 0
         self.assert_batch_ms(scheduler, result)
 
@@ -246,7 +246,7 @@ class TestFaultAccounting:
             RoundTask(make_session(plans, 1, fault_plan=corrupt(0)), 128,
                       payload="fail-fast"),
             RoundTask(make_session(plans, 2, fault_plan=corrupt(0)), 128,
-                      payload="retried", retry=self.POLICY),
+                      payload="retried", retry=True),
             RoundTask(make_session(plans, 0, seed=3, fault_plan=corrupt(0)),
                       128, payload="hedged", hedge_delay_ms=0.01),
         ]
@@ -259,7 +259,7 @@ class TestFaultAccounting:
         assert result.n_faults == 3
         assert result.n_retries == 1
         assert result.fault_ms == pytest.approx(
-            2 * self.OVERHEAD + self.POLICY.backoff_for(0)
+            2 * self.OVERHEAD + retry_backoff_ms(0)
         )
         assert result.fault_kinds == ["corruption"] * 3
         assert result.n_hedges == 1 and result.n_hedge_wins == 1

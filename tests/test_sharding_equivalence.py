@@ -18,7 +18,7 @@ import pytest
 
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig, default_shards
-from repro.core.engine import GSWORDEngine, RetryPolicy
+from repro.core.engine import GSWORDEngine
 from repro.core.fused import FusedRunner, wave_params_for
 from repro.core.vectorized import WaveRunner, runner_for
 from repro.errors import ConfigError, ShardFailure
@@ -170,7 +170,7 @@ class TestShardCrash:
             first = session.run_round(256).result  # 2 warps: really sharded
             assert first.estimate >= 0.0
             with pytest.raises(ShardFailure) as info:
-                session.run_round(256, retry=RetryPolicy(max_retries=3))
+                session.run_round(256, retry=True)
             assert info.value.retryable is False
             assert info.value.kind == "shard"
             # Non-retryable: no burned retries.
