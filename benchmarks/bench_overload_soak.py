@@ -16,9 +16,10 @@ violated:
 * hedged rounds are bit-identical to unhedged rounds and do not worsen
   the round-duration p99;
 * the shed *rate* lands inside the band pinned in
-  ``benchmarks/baselines.json`` (``"overload"`` section) — the whole soak
-  is simulated-clock deterministic, so drift means admission semantics
-  changed.
+  ``benchmarks/baselines.json`` (``"overload"`` section, one band per
+  mode) — the whole soak is simulated-clock deterministic, so drift means
+  admission semantics changed.  A mode with no pinned band fails: a gate
+  with nothing to compare against checks nothing.
 
 Refresh the band after an intentional admission change with::
 
@@ -162,9 +163,11 @@ def main(argv=None) -> int:
         if isinstance(value, bool) and key != "passed":
             print(f"  {key}: {value}")
     if band_check["band"] is None:
-        print("  shed_rate_within_band: no pinned band "
-              f"(observed {band_check['observed']:.4f})")
-        band_ok = True
+        print("  shed_rate_within_band: FAIL (no pinned "
+              f"overload.{band_check['mode']} band; observed "
+              f"{band_check['observed']:.4f}; pin it with "
+              "--update-baselines)")
+        band_ok = False
     else:
         band = band_check["band"]
         print(f"  shed_rate_within_band: {band_check['within_band']} "

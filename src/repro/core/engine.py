@@ -196,6 +196,7 @@ class GSWORDEngine:
         device: Optional["DeviceModel"] = None,
         injector: Optional[object] = None,
         recorder: Optional[TraceRecorder] = None,
+        arena: Optional[object] = None,
     ) -> None:
         """``config=None`` builds a default :class:`EngineConfig` now, so
         its env-driven defaults are read at construction time; ``device``
@@ -206,7 +207,9 @@ class GSWORDEngine:
         device); ``recorder`` is a shared
         :class:`~repro.obs.trace.TraceRecorder` (``None`` = the engine
         owns one when ``config.trace`` asks for tracing, else the no-op
-        singleton)."""
+        singleton); ``arena`` is a :class:`~repro.core.fused.FusedArena`
+        for the fused backend's scratch, which engines that never run at
+        the same time may share (``None`` = the engine owns one)."""
         if config is None:
             config = EngineConfig()
         self.estimator = estimator
@@ -223,7 +226,7 @@ class GSWORDEngine:
         # Cross-round caches (fused backend): last-built kernel, reusable
         # scratch arena, and the lazily started shard pool.
         self._kernel_cache: Optional[tuple] = None
-        self._arena = None
+        self._arena = arena
         self._shard_pool = None
 
     def close(self) -> None:
@@ -499,8 +502,8 @@ class GSWORDEngine:
         return kernel
 
     def _fused_arena(self):
-        """The engine-lifetime fused scratch arena (reused across rounds —
-        steady-state fused execution allocates nothing)."""
+        """The fused scratch arena, given or engine-lifetime (reused across
+        rounds — steady-state fused execution allocates nothing)."""
         if self._arena is None:
             from repro.core.fused import FusedArena
 

@@ -19,24 +19,27 @@ warp's depth, so :class:`FusedRunner` steps whole depth groups:
   struct-of-arrays columns — no flat-list rebuild, no per-warp objects;
 * each super-step partitions live warps by depth (usually one group) and
   runs the level's compiled kernel as whole-batch numpy ops;
-* cost-model charges are whole-column arithmetic on the profile SoA,
-  replicating the scalar charge sequence value-for-value (the per-level
-  constants — backward-pair count, candidate spans — are baked into the
-  plan, so there is no per-warp Python charge loop);
+* the cost model is charged deferred: a step only logs each lane's
+  charge inputs, and :class:`_ChargeLog` evaluates the logged rows of
+  every step and depth in one pass — at wave end, or when the log holds
+  ``_CHARGE_LOG_ROWS`` rows — folding them into the profile SoA with a
+  left-to-right cumsum, the scalar charge sequence value-for-value;
 * batch-end Horvitz–Thompson folds run as masked per-lane Welford updates
   across all finishing warps at once, reproducing ``HTAccumulator.add``'s
   float operation order exactly (a few warps fold through
   ``HTAccumulator.add`` itself, which is cheaper than the numpy calls).
 
 An interactive round is one or two warps, so per-step numpy dispatch, not
-array width, is what the runner pays for; the charge path skips every call
-that cannot change a value for the common shapes (see
-:meth:`FusedRunner._charge_rows`).
+array width, is what the runner pays for: a step pays a handful of log
+writes, and the ~100 calls of the charge formulas are paid once per wave.
+Iteration synchronisation (:class:`repro.core.vectorized.WaveRunner`)
+logs into the same evaluator.
 
-All persistent buffers come from a :class:`FusedArena` — named, high-water
-reused across waves *and* rounds, so steady-state execution allocates
-nothing.  Bit-identity with the scalar backend (estimates, inheritance
-decisions, reservoir contents, simulated-ms) is a tested contract.
+All persistent buffers, the charge log's included, come from a
+:class:`FusedArena` — named, high-water reused across waves *and* rounds,
+so steady-state execution allocates nothing.  Bit-identity with the
+scalar backend (estimates, inheritance decisions, reservoir contents,
+simulated-ms) is a tested contract.
 
 Everything a runner needs — the kernel tables, a frozen
 :class:`WaveParams`, per-warp generator states — is picklable or
@@ -143,12 +146,6 @@ def _distinct_rows(keys: np.ndarray) -> np.ndarray:
     return distinct - (s[:, 0] == -1)
 
 
-def _masked(mask: Optional[np.ndarray], x, fill):
-    """``x`` on the lanes ``mask`` keeps, ``fill`` elsewhere; ``None``
-    means every lane is kept."""
-    return x if mask is None else np.where(mask, x, fill)
-
-
 def _union_sweep(
     m: np.ndarray, first: np.ndarray, last: np.ndarray
 ) -> np.ndarray:
@@ -157,10 +154,12 @@ def _union_sweep(
     lane spans sorted by start."""
     fk = np.where(m, first, _KEY_SENTINEL)
     lk = np.where(m, last, np.int64(-1))
+    # Row-wise argsort as flat positions: a flat take is several times
+    # cheaper than a 2-D fancy gather.
     order = np.argsort(fk, axis=1)
-    row = np.arange(len(fk))[:, None]
-    fs = fk[row, order]
-    ls = lk[row, order]
+    order += np.arange(0, fk.size, fk.shape[1])[:, None]
+    fs = fk.take(order)
+    ls = lk.take(order)
     run = np.maximum.accumulate(ls, axis=1)
     pm = np.empty_like(run)
     pm[:, 0] = -2
@@ -370,25 +369,16 @@ def _warp_results(
     return out
 
 
-def _charge_streamed(
-    p: WaveParams,
-    lane_clens: np.ndarray,
-    rate: np.ndarray,
-    mem: np.ndarray,
-    sync: np.ndarray,
-    comp: np.ndarray,
-    segs: np.ndarray,
-):
-    """Alg. 3's streamed candidate probes for one ``(rows, lanes)`` step,
+def _charge_streamed(p: WaveParams, lane_clens: np.ndarray, rate: np.ndarray):
+    """Alg. 3's streamed candidate probes for ``(rows, lanes)`` charge rows,
     value-for-value with the scalar ``streaming_schedule`` charge:
     collaborative rounds over ``lane_clens`` (the refining lanes'
     candidate counts, 0 elsewhere), then each lane's independent leftover
-    scan at its probe ``rate``.  Returns the updated ``(mem, sync, comp,
-    segs)`` columns and the memory charges in order (StallLong mirrors
-    them)."""
+    scan at its probe ``rate``.  Returns the per-row increments
+    ``(probe_cycles, leftover_cycles, sync, comp, segs)``; the two memory
+    charges are returned separately because their order matters."""
     spec = p.spec
     W = p.warp_size
-    op = spec.op_cycles
     limit = p.streaming_threshold
     if limit <= W:
         tail = lane_clens % W
@@ -400,34 +390,290 @@ def _charge_streamed(
         rounds_per_lane = np.where(eligible, (lane_clens - limit) // W + 1, 0)
         remainders = lane_clens - rounds_per_lane * W
     rounds_w = rounds_per_lane.sum(axis=1)
-    ind_max = remainders.max(axis=1)
-    rate_max = rate.max(axis=1)
     leftover = remainders * rate
-    wic_full = warp_instruction_cost(spec, spec.warp_size)
-    probe_loads = rounds_w * rate_max * _PROBE_LOADS
-    probe_cycles = probe_loads * wic_full
-    mem = mem + probe_cycles
-    segs = segs + np.where(
-        probe_cycles > 0,
-        np.rint(probe_loads * spec.warp_size).astype(np.int64),
-        0,
-    )
-    sync = sync + rounds_w * 5 * spec.sync_cycles
-    comp = comp + rounds_w * _CAND_SCAN_OPS * op
-    comp = comp + ind_max * _CAND_SCAN_OPS * op
-    max_leftover = leftover.max(axis=1)
+    probe_loads = rounds_w * rate.max(axis=1) * _PROBE_LOADS
+    probe_cycles = probe_loads * warp_instruction_cost(spec, spec.warp_size)
     # Lane-order fold: cumsum adds left to right, the same float
     # accumulation order as the scalar path's Python sum over the
     # 32-lane list.
-    total_leftover = leftover.cumsum(axis=1)[:, -1]
-    ml = max_leftover * _PROBE_LOADS
-    tl = total_leftover * _PROBE_LOADS
+    tl = leftover.cumsum(axis=1)[:, -1] * _PROBE_LOADS
+    ml = leftover.max(axis=1) * _PROBE_LOADS
     lcost = np.where(
         tl > 0, ml * spec.mem_latency_cycles + tl * spec.issue_cycles, 0.0
     )
-    mem = mem + lcost
-    segs = segs + np.rint(tl).astype(np.int64)
-    return mem, sync, comp, segs, (probe_cycles, lcost)
+    segs = np.where(
+        probe_cycles > 0, np.rint(probe_loads * W).astype(np.int64), 0
+    ) + np.rint(tl).astype(np.int64)
+    # Collaborative and independent scan ops are integer-valued cycles,
+    # so one sum is the scalar's two additions exactly.
+    comp = (rounds_w + remainders.max(axis=1)) * (_CAND_SCAN_OPS * spec.op_cycles)
+    sync = rounds_w * (5 * spec.sync_cycles)
+    return probe_cycles, lcost, sync, comp, segs
+
+
+#: Logged (super-step, warp) rows one deferred charge evaluation covers at
+#: most.  Each row costs ~1.6 KiB of log (six int64 input columns and a
+#: presence mask per lane), and the evaluator's temporaries scale with the
+#: rows it covers, so the cap bounds the charge's memory; a wave wider
+#: than the cap evaluates every super-step.  Flushing earlier or later
+#: never changes a value.
+_CHARGE_LOG_ROWS = 1024
+
+
+class _ChargeLog:
+    """Deferred cost accounting for one wave, either sync mode.
+
+    A super-step only *logs* what ``GSWORDEngine._charge_iteration`` reads
+    — per lane of each stepping warp: the backward-pair count (0 on
+    global levels), candidate count, probes, candidate span and edge id,
+    plus the presence mask — into arena slabs indexed ``(step, warp)``
+    over the warps live when the log window opened, and the vote, ballot
+    and shfl syncs sample-sync inheritance pays after the step.
+    :meth:`flush` evaluates every logged row in one vectorised pass and
+    folds the increments into the profile registers in the scalar
+    order; it runs at wave end and whenever the window holds
+    ``_CHARGE_LOG_ROWS`` rows.  Warps only ever leave a wave, so a row
+    the window holds for a warp that has finished is all zeros.
+    """
+
+    __slots__ = (
+        "p", "arena", "prof", "max_steps", "slot", "win", "cap", "s",
+        "cols", "present", "isync",
+    )
+
+    def __init__(
+        self,
+        p: WaveParams,
+        arena: FusedArena,
+        prof: _ProfileSoA,
+        K: int,
+        max_steps: int,
+    ) -> None:
+        self.p = p
+        self.arena = arena
+        self.prof = prof
+        # Super-steps the wave can take at most: a window never needs more
+        # (a low bound would only flush early).
+        self.max_steps = max_steps
+        # Window column of each wave row.
+        self.slot = arena.take("log_slot", (K,), np.int64)
+        self.s = 0
+
+    def open(self, rows: np.ndarray) -> None:
+        """Start a window over the live warps ``rows``."""
+        n = len(rows)
+        W = self.p.warp_size
+        ar = self.arena
+        self.win = rows
+        self.slot[rows] = np.arange(n)
+        self.cap = max(1, min(_CHARGE_LOG_ROWS // n, self.max_steps))
+        self.cols = ar.take("log_cols", (6, self.cap, n, W), np.int64)
+        self.present = ar.take("log_present", (self.cap, n, W), np.bool_)
+        self.isync = ar.take("log_isync", (self.cap, n), np.int64)
+        self.s = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        """Blank step ``s``: warps that no longer step log nothing, and
+        warps that inherit overwrite their sync count."""
+        self.present[self.s] = False
+        self.isync[self.s] = 0
+
+    def _at(self, rows: np.ndarray):
+        """Window columns of ``rows`` (a subset of the window)."""
+        return slice(None) if len(rows) == len(self.win) else self.slot[rows]
+
+    def step(self, rows: np.ndarray, present: np.ndarray, cols) -> None:
+        """Log one level step of the warps ``rows``: ``cols`` is
+        ``(nb, clen, probes, span_lo, span_hi, edge_id)``, each a
+        ``(rows, lanes)`` matrix or a constant.  Lanes outside ``present``
+        may hold anything."""
+        j = self._at(rows)
+        out = self.cols[:, self.s]
+        for k, c in enumerate(cols):
+            out[k, j] = c
+        self.present[self.s, j] = present
+
+    def inherit(self, rows: np.ndarray, n_sync: np.ndarray) -> None:
+        """Log the warp primitives inheritance ran after this step."""
+        self.isync[self.s, self._at(rows)] = n_sync
+
+    def advance(self, rows: np.ndarray) -> None:
+        """End the super-step; ``rows`` are the warps still live."""
+        self.s += 1
+        if self.s == self.cap:
+            self.flush()
+            if len(rows):
+                self.open(rows)
+        else:
+            self._clear()
+
+    def flush(self) -> None:
+        """Charge every logged row and fold it into the profile SoA."""
+        S = self.s
+        if S == 0:
+            return
+        self.s = 0
+        self._fold(S, *self._evaluate(S))
+
+    def _evaluate(self, S: int):
+        """Per-row increments of the first ``S`` logged steps, value for
+        value with ``GSWORDEngine._charge_iteration``: the memory charges
+        in charge order, then compute, sync, segment, region-miss and
+        busy-lane increments.  Rows are step-major."""
+        p = self.p
+        spec = p.spec
+        W = p.warp_size
+        mem_lat = spec.mem_latency_cycles
+        issue = spec.issue_cycles
+        N = S * len(self.win)
+        pres = self.present[:S].reshape(N, W)
+        nb, clen, probes, span_lo, span_hi, eid = self.cols[:, :S].reshape(
+            6, N, W
+        )
+        width = span_hi - span_lo
+        touched = width > 0
+        if not pres.all():
+            # Absent lanes add nothing: no lookups, probes or touches (the
+            # other columns are only read through these).
+            nb *= pres
+            probes *= pres
+            touched &= pres
+        busy = pres.sum(axis=1)
+        streaming = p.streaming and p.has_refine
+        needs_ref = nb > 0
+
+        # (1) backward-pair lookups, lockstep across the warp
+        tot_lookup = nb.sum(axis=1) * _PROBE_LOADS
+        lookup_cost = np.where(
+            tot_lookup > 0,
+            nb.max(axis=1) * _PROBE_LOADS * mem_lat + tot_lookup * issue,
+            0.0,
+        )
+
+        # (3, computed early) per-iteration compute: the slowest present
+        # lane paces the warp (streamed scans are charged below).
+        base_ops = float(_ITER_BASE_OPS + _SAMPLE_OPS + _VALIDATE_OPS)
+        if p.has_refine and not streaming:
+            scan = np.where(needs_ref, clen, 0) * float(_CAND_SCAN_OPS)
+            ops = ((base_ops + scan) * spec.op_cycles).max(axis=1)
+        else:
+            ops = base_ops * spec.op_cycles
+        comp = np.where(busy > 0, ops, 0.0)
+
+        # (2) candidate probes — streamed (Alg. 3) or lockstep
+        segs = tot_lookup
+        sync = np.zeros(N)
+        if streaming:
+            # (int64 / int64 true-divides in float64)
+            rate = np.divide(
+                probes, clen, out=np.zeros(clen.shape), where=clen > 0
+            )
+            probe_cycles, lcost, sync, scan_comp, probe_segs = _charge_streamed(
+                p, np.where(needs_ref, clen, 0), rate
+            )
+            mem_terms = [lookup_cost, probe_cycles, lcost]
+            segs = segs + probe_segs
+            comp = comp + scan_comp
+        else:
+            tp = probes.sum(axis=1) * _PROBE_LOADS
+            mem_terms = [
+                lookup_cost,
+                np.where(
+                    tp > 0,
+                    probes.max(axis=1) * _PROBE_LOADS * mem_lat + tp * issue,
+                    0.0,
+                ),
+            ]
+            segs = segs + tp
+
+        # (4) coalescing-union memory instruction: refining lanes scan
+        # their whole candidate span, the rest touch its middle slot.
+        seg_el = spec.segment_elements
+        touch = (span_lo + width // 2) // seg_el
+        if p.has_refine:
+            first = np.where(needs_ref, span_lo // seg_el, touch)
+            last = np.where(needs_ref, (span_lo + width - 1) // seg_el, touch)
+            seg_counts, extra_reg = _scan_union_rows(touched, eid, first, last)
+        else:
+            seg_counts, extra_reg = _touch_union_rows(touched, eid, touch)
+        ucost = np.where(
+            seg_counts > 0,
+            mem_lat + seg_counts * issue + extra_reg * spec.region_miss_cycles,
+            0.0,
+        )
+        um = ucost > 0
+        mem_terms.append(ucost)
+        segs = segs + np.where(um, seg_counts, 0)
+        return mem_terms, comp, sync, segs, np.where(um, extra_reg, 0), busy
+
+    def _fold(self, S, mem_terms, comp, sync, segs, regs, busy) -> None:
+        """Add ``S`` steps of per-row increments to the window's warps in
+        the scalar order.
+
+        Per warp, each register's increments are laid out step by step in
+        charge order and folded with one ``np.cumsum`` from the register's
+        value: cumsum adds left to right, exactly the scalar sequence of
+        ``+=``, where a pairwise ``np.sum`` would not be.  Absent terms
+        are ``+0.0``, which leaves a sum unchanged.  Only ``mem``,
+        ``stall_long`` and ``stall_wait`` carry fractions (the streamed
+        probe rate); compute and sync cycles are integer-valued
+        (``GPUSpec``'s cycle costs are ints), so their prefix sums are
+        exact in any order, and the integer counters just sum.
+        """
+        prof = self.prof
+        win = self.win
+        n = len(win)
+        W = self.p.warp_size
+
+        def by_warp(x):
+            return x.reshape(S, n).T
+
+        T = len(mem_terms)
+        # StallLong mirrors every memory charge: same adds, same order,
+        # from its own register.
+        mem = np.empty((2, n, 1 + S * T))
+        mem[0, :, 0] = prof.mem[win]
+        mem[1, :, 0] = prof.slong[win]
+        mem[:, :, 1:] = (
+            np.stack(mem_terms, axis=1).reshape(S, n, T)
+            .transpose(1, 0, 2).reshape(n, S * T)
+        )
+        mem = np.cumsum(mem, axis=2)
+        comp_run = np.cumsum(
+            np.concatenate((prof.comp[win][:, None], by_warp(comp)), axis=1),
+            axis=1,
+        )
+        # Sync: each step's charge, then the inheritance primitives after it.
+        sync_run = np.empty((n, 1 + 2 * S))
+        sync_run[:, 0] = prof.sync[win]
+        sync_run[:, 1::2] = by_warp(sync)
+        sync_run[:, 2::2] = self.isync[:S].T * self.p.spec.sync_cycles
+        sync_run = np.cumsum(sync_run, axis=1)
+        prof.mem[win] = mem[0, :, -1]
+        prof.slong[win] = mem[1, :, -1]
+        prof.comp[win] = comp_run[:, -1]
+        prof.sync[win] = sync_run[:, -1]
+        busy = by_warp(busy)
+        stepped = (busy > 0).sum(axis=1)
+        prof.segs[win] += by_warp(segs).sum(axis=1)
+        prof.regs[win] += by_warp(regs).sum(axis=1)
+        prof.busy[win] += busy.sum(axis=1)
+        prof.ltot[win] += W * stepped
+        prof.iters[win] += stepped
+
+        # (5) sample-sync idle lanes sit through the whole iteration: the
+        # exact pre- and post-charge totals are the prefix sums at each
+        # step boundary (a finished warp's zero rows add exactly 0.0).
+        if self.p.sync_mode is SyncMode.SAMPLE and (busy < W).any():
+            m = mem[0, :, ::T]
+            before = (comp_run[:, :-1] + m[:, :-1]) + sync_run[:, 0:-1:2]
+            after = (comp_run[:, 1:] + m[:, 1:]) + sync_run[:, 1::2]
+            idle = np.where(busy < W, (after - before) * (W - busy), 0.0)
+            prof.swait[win] = np.cumsum(
+                np.concatenate((prof.swait[win][:, None], idle), axis=1),
+                axis=1,
+            )[:, -1]
 
 
 class FusedRunner:
@@ -501,6 +747,10 @@ class FusedRunner:
         lane_iota = np.arange(W, dtype=np.int64)
 
         rows_alive = np.nonzero(alive)[0]
+        # Every batch takes at most ``target`` steps, and takes at least W
+        # tasks unless it is a warp's last.
+        log = _ChargeLog(p, ar, prof, K, -(-int(remaining.max()) // W) * target)
+        log.open(rows_alive)
         while len(rows_alive):
             nb_rows = rows_alive[need_batch[rows_alive]]
             if len(nb_rows):
@@ -522,18 +772,18 @@ class FusedRunner:
             d0 = int(dsub[0])
             if (dsub == d0).all():
                 self._step_level(
-                    d0, rows_alive, inst, prob, running, valid, igs, prof
+                    d0, rows_alive, inst, prob, running, valid, igs, log
                 )
             else:
                 for d in np.unique(dsub):
                     rows = rows_alive[dsub == d]
                     self._step_level(
-                        int(d), rows, inst, prob, running, valid, igs, prof
+                        int(d), rows, inst, prob, running, valid, igs, log
                     )
 
             if p.inheritance:
                 self._inherit_rows(
-                    rows_alive, valid, running, inst, prob, prof, round_inh
+                    rows_alive, valid, running, inst, prob, log, round_inh
                 )
             else:
                 running[rows_alive] &= valid[rows_alive]
@@ -554,7 +804,9 @@ class FusedRunner:
                 need_batch[fin[cont]] = True
                 alive[fin[~cont]] = False
                 rows_alive = np.nonzero(alive)[0]
+            log.advance(rows_alive)
 
+        log.flush()
         return _warp_results(prof, wn, wvalid, wmean, wm2, collected, ncoll)
 
     # ------------------------------------------------------------------
@@ -569,7 +821,7 @@ class FusedRunner:
         running: np.ndarray,
         valid: np.ndarray,
         igs,
-        prof: _ProfileSoA,
+        log: _ChargeLog,
     ) -> None:
         lv = self.plan.levels[d]
         # When the depth group covers the whole wave (the common case) the
@@ -588,9 +840,15 @@ class FusedRunner:
             inst[gr, vc, d] = res.v[vr, vc]
             prob[gr, vc] *= res.prob_factor[vr, vc]
         valid[rows] = res.valid
-        self._charge_rows(
-            lv, slice(None) if full else rows, present, prep, res, prof
-        )
+        if lv.glob:
+            # Every lane scans or touches the level's whole pool slice.
+            cols = (0, lv.g_len, res.probes, 0, lv.g_len, -1)
+        else:
+            cols = (
+                lv.nb, prep.clen, res.probes,
+                prep.span_lo, prep.span_hi, prep.edge_id,
+            )
+        log.step(rows, present, cols)
 
     def _inherit_rows(
         self,
@@ -599,42 +857,31 @@ class FusedRunner:
         running: np.ndarray,
         inst: np.ndarray,
         prob: np.ndarray,
-        prof: _ProfileSoA,
+        log: _ChargeLog,
         round_inh: np.ndarray,
     ) -> None:
         """Alg. 2 inheritance for every stepping warp at once."""
-        sc = self.p.spec.sync_cycles
         run_r = running[rows]
         votes = run_r & valid[rows]
         anyv = votes.any(axis=1)
-        # One vote sync per warp; a warp with a surviving lane pays a
-        # second, a warp without one stops.
-        if not anyv.all():
-            nv = rows[~anyv]
-            prof.sync[nv] += sc
-            running[nv] = False
-            rows = rows[anyv]
-            if len(rows) == 0:
-                return
-            run_r = run_r[anyv]
-            votes = votes[anyv]
-        y = prof.sync[rows] + sc
-        prof.sync[rows] = y + sc
         idle_m = run_r & ~votes
-        if not idle_m.any():
+        idle = idle_m.sum(axis=1)
+        # One vote sync per warp; a warp with a surviving lane pays a
+        # ballot and one shfl-sync per inheriting lane, a warp without
+        # one stops.
+        log.inherit(rows, np.where(anyv, 2 + idle, 1))
+        if not anyv.all():
+            running[rows[~anyv]] = False
+        iw = anyv & (idle > 0)
+        if not iw.any():
             # No lane died this step (the common case at high valid
             # ratios): nothing to inherit.
             return
-        idle = idle_m.sum(axis=1)
-        iw = idle > 0
         wr = rows[iw]
         im = idle_m[iw]
         ic = idle[iw]
         parent = np.argmax(votes[iw], axis=1)
         prob[wr, parent] *= ic + 1
-        # One shfl-sync per inheriting lane, exactly idle times per warp
-        # (``add.at`` adds once per repeated index, in order).
-        np.add.at(prof.sync, np.repeat(wr, ic), sc)
         rr, ll = np.nonzero(im)
         gr = wr[rr]
         par = parent[rr]
@@ -739,170 +986,6 @@ class FusedRunner:
         wvalid[fin] = nv
         wmean[fin] = mean
         wm2[fin] = m2
-
-    # ------------------------------------------------------------------
-    # Cost accounting (value-for-value with GSWORDEngine._charge_iteration)
-    # ------------------------------------------------------------------
-    def _charge_rows(
-        self,
-        lv,
-        ix,
-        present: np.ndarray,
-        prep,
-        res,
-        prof: _ProfileSoA,
-    ) -> None:
-        """Whole-column cost accounting, value-for-value with the scalar
-        charge sequence: each profile field is gathered once, updated with
-        the same additions in the same order, and scattered once.
-
-        ``ix`` selects the stepping warps' profile rows (a slice when the
-        depth group is the whole wave).  Small waves are dominated by the
-        number of numpy calls, not their width, so the common shapes get
-        shortcuts that drop calls without changing a value: when every
-        lane is present the busy count is the constant ``W`` (no lane
-        masks, and the sample-sync idle charge adds exactly ``0.0``), a
-        level with one backward pair has no extra regions, and a global
-        level streams nothing.
-        """
-        p = self.p
-        spec = p.spec
-        W = p.warp_size
-        op = spec.op_cycles
-        mem_lat = spec.mem_latency_cycles
-        issue = spec.issue_cycles
-        nbc = lv.nb
-        has_refine = p.has_refine
-        streaming = p.streaming and has_refine
-        all_present = bool(present.all())
-        mask = None if all_present else present
-        busy = W if all_present else present.sum(axis=1)
-
-        c0 = prof.comp[ix]
-        m0 = prof.mem[ix]
-        y0 = prof.sync[ix]
-        # (``ix`` may be a slice: take the pre-step total before the
-        # scatter below overwrites the viewed columns.)
-        cyc_before = None if all_present else c0 + m0 + y0
-
-        # (1) backward-pair lookups, lockstep across the warp.  When any
-        # lane is busy the per-lane maximum is the constant nb * loads.
-        tot_lookup = busy * (nbc * _PROBE_LOADS)
-        lookup_cost = np.where(
-            tot_lookup > 0,
-            (nbc * _PROBE_LOADS) * mem_lat + tot_lookup * issue,
-            0.0,
-        )
-
-        base_ops = float(_ITER_BASE_OPS + _SAMPLE_OPS + _VALIDATE_OPS)
-        if has_refine and not streaming and nbc > 0:
-            opsv = _masked(
-                mask, (base_ops + prep.clen * float(_CAND_SCAN_OPS)) * op, 0.0
-            )
-            ops_max = opsv.max(axis=1)
-        else:
-            # All present lanes cost the same constant.
-            ops_max = np.where(busy > 0, base_ops * op, 0.0)
-
-        # Tracker unions.  Global levels are analytic: every present lane
-        # touches the same constant pool slot, one segment, no extra
-        # regions.  Backward levels run the row-wise interval sweep; with
-        # one backward pair every lane reads the same edge's array, so
-        # there are no extra regions either.
-        extra_reg = 0
-        if lv.glob:
-            seg_counts = np.where(busy > 0, int(lv.g_len > 0), 0)
-        else:
-            span_lo = _masked(mask, prep.span_lo, 0)
-            span_hi = _masked(mask, prep.span_hi, 0)
-            seg_el = spec.segment_elements
-            if has_refine:
-                # Each lane scans its whole candidate span.
-                length = np.maximum(0, span_hi - span_lo)
-                m = length > 0
-                first = span_lo // seg_el
-                last = (span_lo + length - 1) // seg_el
-            else:
-                # Each lane touches the middle of its span.
-                m = span_hi > span_lo
-                first = (span_lo + (span_hi - span_lo) // 2) // seg_el
-            if mask is not None:
-                m &= mask
-            if nbc > 1:
-                # Lanes read different edges' arrays: segments are keyed
-                # by array id and may cross regions.
-                eid = _masked(mask, prep.edge_id, np.int64(-1))
-                if has_refine:
-                    seg_counts, extra_reg = _scan_union_rows(m, eid, first, last)
-                else:
-                    seg_counts, extra_reg = _touch_union_rows(m, eid, first)
-            elif has_refine:
-                # One pair: every lane reads the same array, so the bare
-                # segment ids are the keys and there is one region.
-                seg_counts = _union_sweep(m, first, last)
-            else:
-                seg_counts = _distinct_rows(np.where(m, first, np.int64(-1)))
-
-        # (2) candidate probes — streamed (Alg. 3) or lockstep
-        seg_add = tot_lookup
-        sync_new = y0
-        comp_new = c0
-        mem_new = m0 + lookup_cost
-        probe_costs: Tuple = ()
-        if streaming and nbc > 0:
-            # (Global levels stream nothing: every term below is +0.)
-            clen_p = _masked(mask, prep.clen, 0)
-            probes_p = _masked(mask, res.probes, 0)
-            # (int64 / int64 true-divides in float64)
-            rate = np.divide(
-                probes_p, clen_p, out=np.zeros(clen_p.shape), where=clen_p > 0
-            )
-            mem_new, sync_new, comp_new, seg_add, probe_costs = _charge_streamed(
-                p, clen_p, rate, mem_new, sync_new, comp_new, seg_add
-            )
-        elif not streaming:
-            probes_p = _masked(mask, res.probes, 0)
-            tp = probes_p.sum(axis=1) * _PROBE_LOADS
-            mp = probes_p.max(axis=1) * _PROBE_LOADS
-            pcost = np.where(tp > 0, mp * mem_lat + tp * issue, 0.0)
-            mem_new = mem_new + pcost
-            seg_add = seg_add + tp
-            probe_costs = (pcost,)
-
-        # (3) per-iteration compute, slowest lane paces the warp
-        comp_new = comp_new + ops_max
-
-        # (4) coalescing-union memory instruction
-        ucost = np.where(
-            seg_counts > 0,
-            mem_lat + seg_counts * issue + extra_reg * spec.region_miss_cycles,
-            0.0,
-        )
-        um = ucost > 0
-        mem_new = mem_new + ucost
-        seg_add = seg_add + np.where(um, seg_counts, 0)
-
-        # StallLong mirrors every memory charge: same adds, same order,
-        # from the stall column's own base.
-        sl = prof.slong[ix] + lookup_cost
-        for cost in probe_costs:
-            sl = sl + cost
-        sl = sl + ucost
-
-        prof.comp[ix] = comp_new
-        prof.mem[ix] = mem_new
-        prof.sync[ix] = sync_new
-        prof.slong[ix] = sl
-        prof.segs[ix] += seg_add
-        prof.regs[ix] += np.where(um, extra_reg, 0)
-
-        # (5) sample-sync idle lanes sit through the whole iteration
-        if not all_present:
-            delta = (comp_new + mem_new + sync_new) - cyc_before
-            prof.swait[ix] += np.where(busy < W, delta * (W - busy), 0.0)
-        prof.busy[ix] += busy
-        prof.ltot[ix] += W
-        prof.iters[ix] += 1
 
 
 def wave_params_for(engine, order: MatchingOrder, collect_states: bool) -> WaveParams:

@@ -13,9 +13,11 @@ sample-synchronised :class:`~repro.core.fused.FusedRunner` executes:
 2. every warp draws its lanes' indices in lane order, the scalar path's
    sequential draw order;
 3. ``fused_finish`` validates each level and the winners are pushed;
-4. every stepping warp is charged from per-lane columns, the
-   ``GSWORDEngine._charge_iteration`` sequence under per-lane depths —
-   with no idle-wait term: a lane idles only once its warp's pool is
+4. every stepping warp logs its lanes' charge inputs (backward-pair
+   count by each lane's own depth) into the deferred charge evaluator
+   :class:`~repro.core.fused._ChargeLog` that sample sync uses, which
+   charges the ``GSWORDEngine._charge_iteration`` sequence once per wave
+   — with no idle-wait term: a lane idles only once its warp's pool is
    exhausted, and then it retires rather than stalls;
 5. finished lanes fold into their warp's HT accumulator in lane order and
    then restart from the warp's pool or retire.
@@ -28,13 +30,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import SyncMode
-from repro.core.engine import (
-    _CAND_SCAN_OPS,
-    _ITER_BASE_OPS,
-    _PROBE_LOADS,
-    _SAMPLE_OPS,
-    _VALIDATE_OPS,
-)
 from repro.core.fused import (
     _FUSED_WAVE_CHUNK,
     Collected,
@@ -42,11 +37,10 @@ from repro.core.fused import (
     FusedRunner,
     WarpResult,
     WaveParams,
+    _ChargeLog,
     _collect_rows,
     _draw_rows,
-    _charge_streamed,
     _ProfileSoA,
-    _scan_union_rows,
     _warp_results,
     _warp_streams,
 )
@@ -83,14 +77,6 @@ class WaveRunner:
         self._nb = np.array(
             [lv.nb for lv in self.plan.levels] + [0], dtype=np.int64
         )
-        # Per-lane charge columns of a global level (clen, probes,
-        # span_lo, span_hi, edge_id, v): every lane scans or touches the
-        # level's whole constant pool slice.
-        self._glob_cols = {
-            lv.d: np.array([[lv.g_len], [0], [0], [lv.g_len], [-1], [0]])
-            for lv in self.plan.levels
-            if lv.glob
-        }
 
     def run_warps(
         self, states: Sequence[GeneratorState], quotas: Sequence[int]
@@ -132,13 +118,21 @@ class WaveRunner:
         )
 
         rows = np.nonzero(active.any(axis=1))[0]
+        # Every step advances each active lane one level; all W lanes are
+        # active until the pool is drained, then in-flight samples finish
+        # within ``target`` steps.
+        log = _ChargeLog(
+            p, ar, prof, K, int(pool.max()) * target // W + target
+        )
+        log.open(rows)
         while len(rows):
             act = active[rows]
-            valid = self._step(rows, act, inst, prob, depth, igs, prof)
+            valid = self._step(rows, act, inst, prob, depth, igs, log)
             completed = valid & (depth[rows] == target)
             done = (act & ~valid) | completed
             fr = np.nonzero(done.any(axis=1))[0]
             if len(fr) == 0:
+                log.advance(rows)
                 continue
             g = rows[fr]
             fin = done[fr]
@@ -177,7 +171,9 @@ class WaveRunner:
             if (n_fin > room).any():
                 active[g] = act[fr] & ~(fin & ~restart)
                 rows = rows[active[rows].any(axis=1)]
+            log.advance(rows)
 
+        log.flush()
         return _warp_results(prof, wn, wvalid, wmean, wm2, collected, fetched)
 
     # ------------------------------------------------------------------
@@ -191,7 +187,7 @@ class WaveRunner:
         prob: np.ndarray,
         depth: np.ndarray,
         igs,
-        prof: _ProfileSoA,
+        log: _ChargeLog,
     ) -> np.ndarray:
         """One super-step for the live warps ``rows``; returns the dense
         ``(rows, lanes)`` validity matrix."""
@@ -211,22 +207,26 @@ class WaveRunner:
             groups.append((d, sr, sl, inst3, prep))
         idx = _draw_rows(rows, rlen, igs)
 
-        # Per-lane columns: clen, probes, span_lo, span_hi, edge_id, v.
-        cols = np.zeros((6, R, W), dtype=np.int64)
+        # Per-lane charge columns: nb, clen, probes, span_lo, span_hi,
+        # edge_id (inactive lanes are masked by the log).
+        cols = np.empty((6, R, W), dtype=np.int64)
+        cols[0] = self._nb[dep]
+        v = np.zeros((R, W), dtype=np.int64)
         factor = np.zeros((R, W))
         valid = np.zeros((R, W), dtype=bool)
         for d, sr, sl, inst3, prep in groups:
             lv = levels[d]
             res = kernel.fused_finish(lv, prep, idx[sr, sl][None], inst3)
             if lv.glob:
-                cols[:, sr, sl] = self._glob_cols[d]
-                cols[1, sr, sl] = res.probes[0]
-                cols[5, sr, sl] = res.v[0]
+                # Every lane scans or touches the level's whole pool slice.
+                cols[1:, sr, sl] = [[lv.g_len], [0], [0], [lv.g_len], [-1]]
+                cols[2, sr, sl] = res.probes[0]
             else:
-                cols[:, sr, sl] = np.stack((
+                cols[1:, sr, sl] = np.stack((
                     prep.clen[0], res.probes[0], prep.span_lo[0],
-                    prep.span_hi[0], prep.edge_id[0], res.v[0],
+                    prep.span_hi[0], prep.edge_id[0],
                 ))
+            v[sr, sl] = res.v[0]
             valid[sr, sl] = res.valid[0]
             factor[sr, sl] = res.prob_factor[0]
 
@@ -234,117 +234,11 @@ class WaveRunner:
         if len(vr):
             gr = rows[vr]
             dv = dep[vr, vc]
-            inst[gr, vc, dv] = cols[5, vr, vc]
+            inst[gr, vc, dv] = v[vr, vc]
             prob[gr, vc] *= factor[vr, vc]
             depth[gr, vc] = dv + 1
-        self._charge_lanes(rows, act, dep, cols, prof)
+        log.step(rows, act, cols)
         return valid
-
-    # ------------------------------------------------------------------
-    # Cost accounting (value-for-value with GSWORDEngine._charge_iteration)
-    # ------------------------------------------------------------------
-    def _charge_lanes(
-        self,
-        rows: np.ndarray,
-        act: np.ndarray,
-        dep: np.ndarray,
-        cols: np.ndarray,
-        prof: _ProfileSoA,
-    ) -> None:
-        """Whole-column cost accounting for the stepping warps ``rows``:
-        each profile field is gathered once, updated with the scalar
-        charge sequence's additions in the same order, and scattered once.
-        Lanes outside ``act`` hold zero columns, so they add nothing to a
-        sum, a maximum or a union."""
-        p = self.p
-        spec = p.spec
-        W = p.warp_size
-        op = spec.op_cycles
-        mem_lat = spec.mem_latency_cycles
-        issue = spec.issue_cycles
-        has_refine = p.has_refine
-        streaming = p.streaming and has_refine
-        clen, probes, span_lo, span_hi, eid = cols[:5]
-        nb = np.where(act, self._nb[dep], 0)
-        needs_ref = nb > 0
-
-        # (1) backward-pair lookups, lockstep across the warp
-        tot_lookup = nb.sum(axis=1) * _PROBE_LOADS
-        lookup_cost = np.where(
-            tot_lookup > 0,
-            nb.max(axis=1) * _PROBE_LOADS * mem_lat + tot_lookup * issue,
-            0.0,
-        )
-
-        # Every live warp has a busy lane, and a busy lane costs at least
-        # the base ops, so idle lanes' base cost never sets the maximum.
-        base_ops = float(_ITER_BASE_OPS + _SAMPLE_OPS + _VALIDATE_OPS)
-        if has_refine and not streaming:
-            scan_ops = np.where(needs_ref, clen, 0) * float(_CAND_SCAN_OPS)
-            ops_max = ((base_ops + scan_ops) * op).max(axis=1)
-        else:
-            ops_max = base_ops * op
-
-        # (2) candidate probes — streamed (Alg. 3) or lockstep
-        seg_add = tot_lookup
-        sync_new = prof.sync[rows]
-        comp_new = prof.comp[rows]
-        mem_new = prof.mem[rows] + lookup_cost
-        if streaming:
-            # (int64 / int64 true-divides in float64)
-            rate = np.divide(probes, clen, out=np.zeros(clen.shape), where=clen > 0)
-            mem_new, sync_new, comp_new, seg_add, probe_costs = _charge_streamed(
-                p, np.where(needs_ref, clen, 0), rate,
-                mem_new, sync_new, comp_new, seg_add,
-            )
-        else:
-            tp = probes.sum(axis=1) * _PROBE_LOADS
-            pcost = np.where(
-                tp > 0, probes.max(axis=1) * _PROBE_LOADS * mem_lat + tp * issue, 0.0
-            )
-            mem_new = mem_new + pcost
-            seg_add = seg_add + tp
-            probe_costs = (pcost,)
-
-        # (3) per-iteration compute, slowest lane paces the warp
-        comp_new = comp_new + ops_max
-
-        # (4) coalescing-union memory instruction: refining lanes scan
-        # their whole candidate span, the rest touch its middle slot.
-        seg_el = spec.segment_elements
-        width = span_hi - span_lo
-        touch = (span_lo + width // 2) // seg_el
-        if has_refine:
-            first = np.where(needs_ref, span_lo // seg_el, touch)
-            last = np.where(needs_ref, (span_lo + width - 1) // seg_el, touch)
-        else:
-            first = last = touch
-        seg_counts, extra_reg = _scan_union_rows(width > 0, eid, first, last)
-        ucost = np.where(
-            seg_counts > 0,
-            mem_lat + seg_counts * issue + extra_reg * spec.region_miss_cycles,
-            0.0,
-        )
-        um = ucost > 0
-        mem_new = mem_new + ucost
-        seg_add = seg_add + np.where(um, seg_counts, 0)
-
-        # StallLong mirrors every memory charge: same adds, same order,
-        # from the stall column's own base.
-        sl = prof.slong[rows] + lookup_cost
-        for cost in probe_costs:
-            sl = sl + cost
-        sl = sl + ucost
-
-        prof.comp[rows] = comp_new
-        prof.mem[rows] = mem_new
-        prof.sync[rows] = sync_new
-        prof.slong[rows] = sl
-        prof.segs[rows] += seg_add
-        prof.regs[rows] += np.where(um, extra_reg, 0)
-        prof.busy[rows] += act.sum(axis=1)
-        prof.ltot[rows] += W
-        prof.iters[rows] += 1
 
 
 def runner_for(

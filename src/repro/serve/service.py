@@ -36,6 +36,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import EngineConfig
 from repro.core.engine import GSWORDEngine
+from repro.core.fused import FusedArena
 from repro.errors import (
     KernelTimeout,
     Overloaded,
@@ -337,6 +338,10 @@ class EstimationService:
         self._clock_ms = 0.0
         self._ids = itertools.count(1)
         self._engines: Dict[int, GSWORDEngine] = {}
+        # One fused scratch arena for all engines: ticks run one at a time,
+        # and an engine per estimator instance (one per request that names
+        # its estimator) would otherwise keep a high-water copy each.
+        self._arena = FusedArena()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._fallback_runners: Dict[str, CPUSamplingRunner] = {}
         self._inflight: List[RoundTask] = []
@@ -1032,6 +1037,7 @@ class EstimationService:
                 device=self.device,
                 injector=self.injector,
                 recorder=self.recorder,
+                arena=self._arena,
             )
             self._engines[key] = engine
         return engine

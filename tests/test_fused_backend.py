@@ -44,6 +44,8 @@ from repro.graph.datasets import load_dataset
 from repro.query.extract import extract_query
 from repro.query.matching_order import quicksi_order
 from repro.serve.metrics import ServiceMetrics
+from repro.serve.request import resolve_estimator
+from repro.serve.service import EstimationService, ServiceConfig
 from repro.utils.rng import spawn_generator_states
 
 _PROFILE_FIELDS = (
@@ -232,20 +234,34 @@ class TestArenaReuse:
         assert arena.n_allocations > 0
         assert arena is engine._fused_arena()
 
+    def test_service_engines_share_one_arena(self):
+        """The service makes one engine per estimator instance (one per
+        request that names its estimator), and they all draw scratch from
+        the service's one arena."""
+        with EstimationService(ServiceConfig()) as service:
+            engines = [
+                service._engine_for(resolve_estimator(name))
+                for name in ("alley", "alley", "wanderjoin")
+            ]
+        assert len({id(e) for e in engines}) == 3
+        assert all(e._fused_arena() is service._arena for e in engines)
+
     def test_allocations_plateau_across_rounds(self, plan6):
         """A wave as large as any before allocates nothing — including
-        after rounds with a different warp count."""
+        after rounds with a different warp count, in both sync modes, and
+        including the deferred charge log's buffers."""
         cg, order = plan6
-        engine = GSWORDEngine(
-            WanderJoinEstimator(),
-            config=EngineConfig.gsword(backend="fused"),
-        )
-        engine.run(cg, order, 512, rng=1)
-        arena = engine._fused_arena()
-        high_water = arena.n_allocations
-        engine.run(cg, order, 96, rng=2)   # fewer warps: reuse slices
-        engine.run(cg, order, 512, rng=3)  # back to the high-water mark
-        assert arena.n_allocations == high_water
+        for config in (EngineConfig.gsword, EngineConfig.gpu_baseline):
+            engine = GSWORDEngine(
+                WanderJoinEstimator(), config=config(backend="fused")
+            )
+            engine.run(cg, order, 512, rng=1)
+            arena = engine._fused_arena()
+            assert {"log_cols", "log_present", "log_isync"} <= set(arena._bufs)
+            high_water = arena.n_allocations
+            engine.run(cg, order, 96, rng=2)   # fewer warps: reuse slices
+            engine.run(cg, order, 512, rng=3)  # back to the high-water mark
+            assert arena.n_allocations == high_water
 
     def test_arena_grows_then_reuses(self):
         arena = FusedArena()

@@ -1,33 +1,44 @@
 """Fused cost charging ≡ the scalar reference, on every charge branch.
 
-``FusedRunner._charge_rows`` takes shortcuts for the common shapes: when
-every lane of the stepping warps is present the lane masks and the
-sample-sync idle charge drop out, levels with one backward pair skip the
-extra-region count, and global levels skip the streaming charge.  The
+Both fused runners only log each step's cost-model inputs; the deferred
+evaluator (``repro.core.fused._ChargeLog``) charges the logged rows in
+bulk — rows with every lane present or some absent (the sample-sync idle
+charge), global levels, levels whose lanes pick among several backward
+pairs (region misses), streamed or lockstep probes — and folds the
+increments into the profile registers with a left-to-right cumsum.  The
 batch-end HT fold likewise runs lane by lane through ``HTAccumulator.add``
-for a few finishing warps and as a vector fold for many.  Each shortcut
-must leave every float operation in place, so this module compares the
-fused backend with the scalar engine on random labelled graphs and
+for a few finishing warps and as a vector fold for many.  All of it must
+reproduce the scalar float operations exactly, so this module compares
+the fused backend with the scalar engine on random labelled graphs and
 queries — estimate and every ``WarpProfile`` field, exactly, across every
-streaming-threshold case — and checks that both sides of each branch
-actually ran.  Iteration synchronisation, whose warps charge lanes at
-mixed depths (``WaveRunner._charge_lanes``), gets the same random
-comparison.
+streaming-threshold case, in both sync modes — checks that every kind of
+row actually ran, and checks that where the log is flushed never changes
+a value.
 """
 
 import contextlib
+import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.candidate.candidate_graph import build_candidate_graph
-from repro.core.config import EngineConfig
+from repro.core import fused
+from repro.core.config import EngineConfig, SyncMode
 from repro.core.engine import GSWORDEngine
-from repro.core.fused import FusedRunner
+from repro.core.fused import (
+    FusedArena,
+    FusedRunner,
+    WaveParams,
+    _ChargeLog,
+    _ProfileSoA,
+)
 from repro.estimators.alley import AlleyEstimator
 from repro.estimators.wanderjoin import WanderJoinEstimator
+from repro.gpu.costmodel import DEFAULT_GPU
 from repro.graph.builder import from_edge_list
 from repro.graph.generators import power_law_cluster_graph, random_labels
 from repro.query.extract import extract_query
@@ -43,24 +54,34 @@ PROFILE_FIELDS = (
 
 @contextlib.contextmanager
 def charge_branches():
-    """Count which ``_charge_rows`` branches (all lanes present or not,
-    one backward pair or several) and batch-end folds the fused steps
+    """Count the kinds of logged rows the deferred charge evaluated (all
+    lanes present or some absent, global level, several backward pairs,
+    streamed or lockstep probes) and the batch-end folds the fused steps
     took."""
     counts: Counter = Counter()
-    charge = FusedRunner._charge_rows
+    flush = _ChargeLog.flush
     fold = FusedRunner._fold_rows
 
-    def counting_charge(self, lv, ix, present, prep, res, prof):
-        counts["all_present" if present.all() else "partial"] += 1
-        counts["multi_pair"] += lv.nb > 1
-        return charge(self, lv, ix, present, prep, res, prof)
+    def counting_flush(self):
+        S = self.s
+        pres = self.present[:S]
+        busy = pres.sum(axis=2)
+        stepped = busy > 0
+        nb = np.where(pres, self.cols[0, :S], 0).max(axis=2)
+        counts["all_present"] += int((busy == pres.shape[2]).sum())
+        counts["partial"] += int((stepped & (busy < pres.shape[2])).sum())
+        counts["global"] += int((stepped & (nb == 0)).sum())
+        counts["multi_pair"] += int((nb > 1).sum())
+        streamed = self.p.streaming and self.p.has_refine
+        counts["streamed" if streamed else "lockstep"] += int(stepped.sum())
+        return flush(self)
 
     def counting_fold(*args):
         counts["vector_fold"] += 1
         return fold(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FusedRunner, "_charge_rows", counting_charge)
+        mp.setattr(_ChargeLog, "flush", counting_flush)
         mp.setattr(FusedRunner, "_fold_rows", staticmethod(counting_fold))
         yield counts
 
@@ -196,16 +217,21 @@ class TestFusedChargeMatchesScalar:
     @pytest.mark.parametrize("estimator_cls", [AlleyEstimator, WanderJoinEstimator])
     def test_every_branch_runs(self, plc_plan, estimator_cls):
         """Partial batches (quota 37 on 16-task warps ends in a 5-lane
-        batch) take the masked charge, full batches the all-present one;
-        a 2-warp round folds through ``HTAccumulator.add``, a 64-warp one
-        through the vector fold; the q8 query has cyclic levels whose
-        lanes pick different backward pairs (region misses).  All of them
-        match the scalar engine."""
+        batch) log rows with absent lanes, full batches all-present rows;
+        depth 0 is a global level; a 2-warp round folds through
+        ``HTAccumulator.add``, a 64-warp one through the vector fold; the
+        q8 query has cyclic levels whose lanes pick different backward
+        pairs (region misses); Alley streams its probes with streaming on
+        and probes in lockstep with it off (WanderJoin has no refine
+        stage, so it always probes in lockstep).  All of them match the
+        scalar engine."""
         cg, order = plc_plan
         region_misses = 0
         with charge_branches() as counts:
-            for n, tpw in ((37, 16), (256, 128), (1024, 16)):
-                config = dict(tasks_per_warp=tpw)
+            for n, tpw, streaming in (
+                (37, 16, True), (256, 128, False), (1024, 16, True),
+            ):
+                config = dict(tasks_per_warp=tpw, streaming=streaming)
                 scalar = run("scalar", estimator_cls, cg, order, n, 5, **config)
                 assert_same(
                     run("fused", estimator_cls, cg, order, n, 5, **config),
@@ -214,7 +240,11 @@ class TestFusedChargeMatchesScalar:
                 region_misses += scalar.profile.warp.region_misses
         assert counts["all_present"] > 0
         assert counts["partial"] > 0
+        assert counts["global"] > 0
         assert counts["multi_pair"] > 0
+        assert counts["lockstep"] > 0
+        if estimator_cls is AlleyEstimator:
+            assert counts["streamed"] > 0
         assert counts["vector_fold"] > 0
         assert region_misses > 0
 
@@ -251,3 +281,130 @@ class TestFusedChargeMatchesScalar:
             run("fused", estimator_cls, cg, order, quota, seed, **config),
             run("scalar", estimator_cls, cg, order, quota, seed, **config),
         )
+
+
+class TestFlushInvariance:
+    """The deferred charge gives the same result wherever the log is
+    flushed: every super-step (a one-row cap) or once per wave (no cap)."""
+
+    @pytest.mark.parametrize("cap", [1, sys.maxsize], ids=["every_step", "per_wave"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(inheritance=True, streaming=True),
+            dict(inheritance=True, streaming=False),
+            dict(inheritance=False, streaming=True),
+            dict(inheritance=False, streaming=False),
+            dict(sync_mode="iteration", inheritance=False, streaming=True),
+            dict(sync_mode="iteration", inheritance=False, streaming=False),
+        ],
+        ids=lambda c: "-".join(
+            f"{k}={v}" for k, v in c.items() if k != "inheritance" or v
+        ),
+    )
+    def test_flush_points_match_scalar(self, plc_plan, monkeypatch, cap, config):
+        """Partial batches (quota 37 on 16-task warps) and full ones
+        (256 on 128-task warps), both estimators."""
+        cg, order = plc_plan
+        monkeypatch.setattr(fused, "_CHARGE_LOG_ROWS", cap)
+        for estimator_cls in (AlleyEstimator, WanderJoinEstimator):
+            for n, tpw in ((37, 16), (256, 128)):
+                cfg = dict(config, tasks_per_warp=tpw)
+                assert_same(
+                    run("fused", estimator_cls, cg, order, n, 7, **cfg),
+                    run("scalar", estimator_cls, cg, order, n, 7, **cfg),
+                )
+
+    @pytest.mark.parametrize("cap", [1, sys.maxsize], ids=["every_step", "per_wave"])
+    @pytest.mark.parametrize("sync_mode", ["sample", "iteration"])
+    def test_two_shards_match_scalar(self, plc_plan, monkeypatch, cap, sync_mode):
+        """Shard workers fork after the patch, so they flush at the same
+        cap as the parent."""
+        cg, order = plc_plan
+        monkeypatch.setattr(fused, "_CHARGE_LOG_ROWS", cap)
+        config = dict(
+            sync_mode=sync_mode,
+            inheritance=sync_mode == "sample",
+            tasks_per_warp=16,
+        )
+        engine = GSWORDEngine(
+            AlleyEstimator(),
+            EngineConfig(backend="fused", n_shards=2, **config),
+        )
+        try:
+            sharded = engine.run(cg, order, 300, rng=9, collect_states=True)
+        finally:
+            engine.close()
+        assert_same(
+            sharded, run("scalar", AlleyEstimator, cg, order, 300, 9, **config)
+        )
+
+
+class TestFoldOrder:
+    def test_fold_adds_in_scalar_order(self):
+        """The fold reproduces the scalar sequence of ``+=`` — memory
+        terms in charge order, step after step, from the register's value
+        — and the sample-sync idle charge from the exact cycle totals
+        around each step, inheritance syncs included.  The memory terms
+        span sixteen orders of magnitude, so a regrouped (pairwise) sum
+        gives a different answer."""
+        rng = np.random.default_rng(5)
+        W, S, n, T = 32, 5, 3, 3
+        spec = DEFAULT_GPU
+        params = WaveParams(
+            sync_mode=SyncMode.SAMPLE, inheritance=True, streaming=True,
+            streaming_threshold=32, has_refine=True, target=S, n_q=S,
+            warp_size=W, spec=spec, collect_states=False,
+        )
+        prof = _ProfileSoA(FusedArena(), n)
+        for reg in (prof.mem, prof.slong, prof.swait):
+            reg[:] = rng.random(n) * 1e8
+        prof.comp[:] = rng.integers(0, 1000, n)
+        prof.sync[:] = rng.integers(0, 1000, n)
+        log = _ChargeLog(params, FusedArena(), prof, n, S)
+        log.open(np.arange(n))
+        isync = rng.integers(1, 6, (S, n))
+        log.isync[:S] = isync
+        # Step-major rows, as the evaluator returns them.
+        mem_terms = [
+            rng.random(S * n) * 10.0 ** rng.integers(-8, 8, S * n)
+            for _ in range(T)
+        ]
+        comp = rng.integers(0, 500, S * n).astype(float)
+        sync = rng.integers(0, 50, S * n).astype(float)
+        busy = rng.integers(1, W + 1, S * n)
+        busy[0] = W
+        before = {
+            name: getattr(prof, name).copy()
+            for name in ("mem", "slong", "swait", "comp", "sync")
+        }
+        log._fold(
+            S, mem_terms, comp, sync, np.zeros(S * n, dtype=np.int64),
+            np.zeros(S * n, dtype=np.int64), busy,
+        )
+
+        regrouped = 0
+        for j in range(n):
+            mem, slong, swait = (
+                float(before[k][j]) for k in ("mem", "slong", "swait")
+            )
+            c, y = float(before["comp"][j]), float(before["sync"][j])
+            for step in range(S):
+                r = step * n + j
+                cycles_before = c + mem + y
+                for t in mem_terms:
+                    mem += float(t[r])
+                    slong += float(t[r])
+                c += float(comp[r])
+                y += float(sync[r])
+                if busy[r] < W:
+                    swait += (c + mem + y - cycles_before) * (W - busy[r])
+                y += float(isync[step, j] * spec.sync_cycles)
+            assert prof.mem[j] == mem
+            assert prof.slong[j] == slong
+            assert prof.swait[j] == swait
+            assert prof.comp[j] == c
+            assert prof.sync[j] == y
+            terms = np.array([t[step * n + j] for step in range(S) for t in mem_terms])
+            regrouped += float(before["mem"][j]) + np.sum(terms) != mem
+        assert regrouped > 0
