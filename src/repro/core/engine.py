@@ -123,9 +123,10 @@ class GPURunResult:
     n_shards: int = 1
     shard_ms: List[float] = field(default_factory=list)
     #: Wasted warp work of the fused backend, which runs every warp at an
-    #: optimistic quota up front: warps re-run alone because inheritance
-    #: made their true quota smaller, and warps the fold never reached.
-    #: Telemetry only — neither changes a result.
+    #: optimistic quota up front: warps re-run alone (resumed from a batch
+    #: checkpoint) because inheritance made their true quota smaller, and
+    #: warps the fold never reached.  Telemetry only — neither changes a
+    #: result.
     n_rerun_warps: int = 0
     n_discarded_warps: int = 0
 
@@ -497,6 +498,10 @@ class GSWORDEngine:
             and cache[2] is kernel_cls
         ):
             return cache[3]
+        # Drop the old kernel before building: the service's engines are
+        # shared by interleaved sessions, so this runs most rounds, and
+        # holding both kernels raises the memory high-water mark.
+        self._kernel_cache = None
         kernel = kernel_cls(cg, order)
         self._kernel_cache = (cg, order, kernel_cls, kernel)
         return kernel

@@ -7,8 +7,9 @@ estimator) pair.  This module holds what both synchronisation modes share
 — the frozen :class:`WaveParams`, the :class:`FusedArena` scratch, the
 per-warp profile and Welford registers as struct-of-arrays columns, the
 per-warp draw, the batch-end fold, and the :class:`WarpProvider` that
-spawns, shards and re-runs warps — plus :class:`FusedRunner`, the
-sample-synchronised runner.  Iteration synchronisation runs on
+spawns and shards warps and resumes the ones whose quota the fold
+corrects — plus :class:`FusedRunner`, the sample-synchronised runner.
+Iteration synchronisation runs on
 :class:`repro.core.vectorized.WaveRunner` over the same plan.
 
 Under sample synchronisation every running lane of a warp sits at the
@@ -27,7 +28,14 @@ warp's depth, so :class:`FusedRunner` steps whole depth groups:
 * batch-end Horvitz–Thompson folds run as masked per-lane Welford updates
   across all finishing warps at once, reproducing ``HTAccumulator.add``'s
   float operation order exactly (a few warps fold through
-  ``HTAccumulator.add`` itself, which is cheaper than the numpy calls).
+  ``HTAccumulator.add`` itself, which is cheaper than the numpy calls);
+* with inheritance, every batch start records a :class:`Checkpoint` of
+  the warp — generator snapshot, Welford registers, collected count,
+  reservoir length, and the profile registers read off the charge fold's
+  running sums — and a wave can start from one: a warp whose optimistic
+  quota was too large resumes from the boundary where the two quotas'
+  batches part (:func:`resume_warp`), so a correction costs at most one
+  batch of level steps.
 
 An interactive round is one or two warps, so per-step numpy dispatch, not
 array width, is what the runner pays for: a step pays a handful of log
@@ -53,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,6 +98,41 @@ WarpResult = Tuple[
 
 #: Per-warp reservoir lists of ``(partial_instance, probability)`` pairs.
 Collected = List[List[Tuple[Tuple[int, ...], float]]]
+
+
+class Checkpoint(NamedTuple):
+    """One warp's registers at a batch boundary: everything the
+    sample-synchronised wave loop carries from one batch into the next.
+
+    ``state`` is the warp's generator — its spawned child state at the
+    all-zero start, a ``bit_generator.state`` snapshot after it; ``ncoll``
+    the samples collected so far; ``n_collected`` the reservoir length;
+    ``welford`` the HT registers ``(n, n_valid, mean, m2)``; ``prof`` the
+    profile registers in :class:`_ProfileSoA` slot order, the exact
+    left-to-right running sums at the boundary.  A wave started from a
+    checkpoint continues bit for bit where the warp's own run went on.
+    """
+
+    state: Union[GeneratorState, Dict[str, Any]]
+    ncoll: int = 0
+    n_collected: int = 0
+    welford: Tuple[int, int, float, float] = (0, 0, 0.0, 0.0)
+    prof: Tuple[float, ...] = (0.0,) * 5 + (0,) * 5
+
+
+#: What a runner returns per warp: the :data:`WarpResult` fields, then the
+#: warp's batch-start checkpoints in order (recorded under sample sync with
+#: inheritance — the only schedule whose warps can over-collect — and empty
+#: otherwise).  A warp started from a checkpoint reports only the reservoir
+#: entries it collected after it.
+WarpRun = Tuple[
+    HTAccumulator,
+    WarpProfile,
+    int,
+    List[Tuple[Tuple[int, ...], float]],
+    int,
+    List[Checkpoint],
+]
 
 
 @dataclass(frozen=True)
@@ -280,6 +323,21 @@ class _ProfileSoA:
             iterations=int(self.iters[i]),
         )
 
+    def load(self, i: int, values: Sequence[float]) -> None:
+        """Set row ``i``'s registers to ``values`` (slot order)."""
+        for name, value in zip(self.__slots__, values):
+            getattr(self, name)[i] = value
+
+
+def _checkpoint_generator(state) -> np.random.Generator:
+    """A warp's generator at a :class:`Checkpoint`: its spawned child state,
+    or a snapshot of the PCG64 ``default_rng`` builds warp streams on."""
+    if isinstance(state, dict):
+        bit_gen = np.random.PCG64()
+        bit_gen.state = state
+        return np.random.Generator(bit_gen)
+    return generator_from_state(state)
+
 
 def _warp_streams(states: Sequence[GeneratorState]):
     """Per-warp draw sources for one wave, as :func:`_draw_rows` takes them:
@@ -350,9 +408,10 @@ def _warp_results(
     wm2: np.ndarray,
     collected: Optional[Collected],
     ncoll: np.ndarray,
-) -> List[WarpResult]:
-    """One :data:`WarpResult` per wave row from the SoA registers."""
-    out: List[WarpResult] = []
+    checkpoints: Optional[List[List[Checkpoint]]] = None,
+) -> List[WarpRun]:
+    """One :data:`WarpRun` per wave row from the SoA registers."""
+    out: List[WarpRun] = []
     for i in range(len(wn)):
         acc = HTAccumulator(n=int(wn[i]), n_valid=int(wvalid[i]))
         acc._mean = float(wmean[i])
@@ -364,6 +423,7 @@ def _warp_results(
                 int(wvalid[i]),
                 collected[i] if collected is not None else [],
                 int(ncoll[i]),
+                checkpoints[i] if checkpoints is not None else [],
             )
         )
     return out
@@ -434,11 +494,17 @@ class _ChargeLog:
     order; it runs at wave end and whenever the window holds
     ``_CHARGE_LOG_ROWS`` rows.  Warps only ever leave a wave, so a row
     the window holds for a warp that has finished is all zeros.
+
+    The fold's running sums hold every register's exact value at every
+    step boundary, so a batch checkpoint's profile registers cost a
+    gather: :meth:`mark` notes which warps start a batch at the current
+    step, and the fold appends their registers there to ``ck_float`` /
+    ``ck_int`` in mark order.
     """
 
     __slots__ = (
         "p", "arena", "prof", "max_steps", "slot", "win", "cap", "s",
-        "cols", "present", "isync",
+        "cols", "present", "isync", "marks", "ck_float", "ck_int",
     )
 
     def __init__(
@@ -458,6 +524,9 @@ class _ChargeLog:
         # Window column of each wave row.
         self.slot = arena.take("log_slot", (K,), np.int64)
         self.s = 0
+        self.marks: List[Tuple[np.ndarray, int]] = []
+        self.ck_float: List[np.ndarray] = []
+        self.ck_int: List[np.ndarray] = []
 
     def open(self, rows: np.ndarray) -> None:
         """Start a window over the live warps ``rows``."""
@@ -493,6 +562,21 @@ class _ChargeLog:
         for k, c in enumerate(cols):
             out[k, j] = c
         self.present[self.s, j] = present
+
+    def mark(self, rows: np.ndarray) -> None:
+        """The warps ``rows`` start a batch before this step."""
+        self.marks.append((rows, self.s))
+
+    def checkpoint_registers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(5, marks)`` float and integer profile registers of every
+        :meth:`mark`-ed warp at its mark, in mark order (call after the
+        final flush)."""
+        if not self.ck_float:
+            return np.zeros((5, 0)), np.zeros((5, 0), dtype=np.int64)
+        return (
+            np.concatenate(self.ck_float, axis=1),
+            np.concatenate(self.ck_int, axis=1),
+        )
 
     def inherit(self, rows: np.ndarray, n_sync: np.ndarray) -> None:
         """Log the warp primitives inheritance ran after this step."""
@@ -619,7 +703,9 @@ class _ChargeLog:
         ``stall_long`` and ``stall_wait`` carry fractions (the streamed
         probe rate); compute and sync cycles are integer-valued
         (``GPUSpec``'s cycle costs are ints), so their prefix sums are
-        exact in any order, and the integer counters just sum.
+        exact in any order, and the integer counters just sum.  Column
+        ``s`` of each running sum is the register after ``s`` steps, which
+        is where pending :meth:`mark` checkpoints read theirs.
         """
         prof = self.prof
         win = self.win
@@ -655,34 +741,63 @@ class _ChargeLog:
         prof.comp[win] = comp_run[:, -1]
         prof.sync[win] = sync_run[:, -1]
         busy = by_warp(busy)
-        stepped = (busy > 0).sum(axis=1)
-        prof.segs[win] += by_warp(segs).sum(axis=1)
-        prof.regs[win] += by_warp(regs).sum(axis=1)
-        prof.busy[win] += busy.sum(axis=1)
-        prof.ltot[win] += W * stepped
-        prof.iters[win] += stepped
+        stepped = busy > 0
+        counters = (prof.segs, prof.regs, prof.busy, prof.ltot, prof.iters)
+        ints = np.empty((len(counters), n, 1 + S), dtype=np.int64)
+        for k, reg in enumerate(counters):
+            ints[k, :, 0] = reg[win]
+        ints[0, :, 1:] = by_warp(segs)
+        ints[1, :, 1:] = by_warp(regs)
+        ints[2, :, 1:] = busy
+        ints[3, :, 1:] = W * stepped
+        ints[4, :, 1:] = stepped
+        np.cumsum(ints, axis=2, out=ints)
+        for k, reg in enumerate(counters):
+            reg[win] = ints[k, :, -1]
 
         # (5) sample-sync idle lanes sit through the whole iteration: the
         # exact pre- and post-charge totals are the prefix sums at each
         # step boundary (a finished warp's zero rows add exactly 0.0).
+        swait = None
         if self.p.sync_mode is SyncMode.SAMPLE and (busy < W).any():
             m = mem[0, :, ::T]
             before = (comp_run[:, :-1] + m[:, :-1]) + sync_run[:, 0:-1:2]
             after = (comp_run[:, 1:] + m[:, 1:]) + sync_run[:, 1::2]
             idle = np.where(busy < W, (after - before) * (W - busy), 0.0)
-            prof.swait[win] = np.cumsum(
+            swait = np.cumsum(
                 np.concatenate((prof.swait[win][:, None], idle), axis=1),
                 axis=1,
-            )[:, -1]
+            )
+            prof.swait[win] = swait[:, -1]
+
+        if self.marks:
+            j = np.concatenate([self.slot[rows] for rows, _ in self.marks])
+            t = np.repeat(
+                [s for _, s in self.marks], [len(r) for r, _ in self.marks]
+            )
+            mem_at = mem[:, j, t * T]
+            self.ck_float.append(np.stack((
+                comp_run[j, t],
+                mem_at[0],
+                sync_run[j, 2 * t],
+                mem_at[1],
+                # (no idle charge in this window: the register stands)
+                swait[j, t] if swait is not None else prof.swait[win[j]],
+            )))
+            self.ck_int.append(ints[:, j, t])
+            self.marks = []
 
 
 class FusedRunner:
     """Executes sample-synchronised warps against a compiled
     :class:`FusedPlan`.
 
-    ``run_warps(states, quotas) -> List[WarpResult]`` gives bit-identical
+    ``run_warps(starts, quotas) -> List[WarpRun]`` gives bit-identical
     results for any wave composition or process placement — which is what
-    lets :mod:`repro.multidev` shard rounds unchanged.
+    lets :mod:`repro.multidev` shard rounds unchanged.  A start is a warp's
+    spawned generator state (a fresh warp: the all-zero
+    :class:`Checkpoint`) or a :class:`Checkpoint` one of its earlier runs
+    recorded; ``quotas`` are the warps' whole task quotas either way.
     """
 
     def __init__(
@@ -702,25 +817,31 @@ class FusedRunner:
         self.plan: FusedPlan = kernel.compile_plan(params.target)
 
     def run_warps(
-        self, states: Sequence[GeneratorState], quotas: Sequence[int]
-    ) -> List[WarpResult]:
-        results: List[WarpResult] = []
-        for lo in range(0, len(states), _FUSED_WAVE_CHUNK):
-            hi = min(lo + _FUSED_WAVE_CHUNK, len(states))
-            results.extend(self._wave(states[lo:hi], quotas[lo:hi]))
+        self,
+        starts: Sequence["GeneratorState | Checkpoint"],
+        quotas: Sequence[int],
+    ) -> List[WarpRun]:
+        starts = [
+            s if isinstance(s, Checkpoint) else Checkpoint(s) for s in starts
+        ]
+        results: List[WarpRun] = []
+        for lo in range(0, len(starts), _FUSED_WAVE_CHUNK):
+            hi = min(lo + _FUSED_WAVE_CHUNK, len(starts))
+            results.extend(self._wave(starts[lo:hi], quotas[lo:hi]))
         return results
 
     # ------------------------------------------------------------------
     # Wave loop
     # ------------------------------------------------------------------
     def _wave(
-        self, states: Sequence[GeneratorState], quotas: Sequence[int]
-    ) -> List[WarpResult]:
+        self, starts: Sequence[Checkpoint], quotas: Sequence[int]
+    ) -> List[WarpRun]:
         p = self.p
-        K = len(states)
+        K = len(starts)
         W, target, n_q = p.warp_size, p.target, p.n_q
         ar = self.arena
-        igs = _warp_streams(states)
+        gens = [_checkpoint_generator(c.state) for c in starts]
+        igs = [g.integers for g in gens]
         inst = ar.take("inst", (K, W, n_q), np.int64)
         prob = ar.take("prob", (K, W), np.float64)
         active = ar.take("active", (K, W), np.bool_)
@@ -731,29 +852,52 @@ class FusedRunner:
         wvalid = ar.zeros("wf_valid", (K,), np.int64)
         wmean = ar.zeros("wf_mean", (K,), np.float64)
         wm2 = ar.zeros("wf_m2", (K,), np.float64)
+        ncoll = ar.zeros("ncoll", (K,), np.int64)
+        for i, c in enumerate(starts):
+            if c.ncoll:
+                ncoll[i] = c.ncoll
+                wn[i], wvalid[i], wmean[i], wm2[i] = c.welford
+                prof.load(i, c.prof)
         remaining = ar.take("remaining", (K,), np.int64)
-        remaining[:] = np.asarray(quotas, dtype=np.int64)
+        np.subtract(np.asarray(quotas, dtype=np.int64), ncoll, out=remaining)
         batch = ar.zeros("batch", (K,), np.int64)
         round_inh = ar.zeros("round_inh", (K,), np.int64)
         dvals = ar.zeros("dvals", (K,), np.int64)
         need_batch = ar.take("need_batch", (K,), np.bool_)
         need_batch.fill(True)
         alive = ar.take("alive", (K,), np.bool_)
-        alive.fill(True)
-        ncoll = ar.zeros("ncoll", (K,), np.int64)
+        np.greater(remaining, 0, out=alive)
         collected: Optional[Collected] = (
             [[] for _ in range(K)] if p.collect_states else None
         )
         lane_iota = np.arange(W, dtype=np.int64)
+        # Batch-start checkpoints: each one's warp row, and its fields but
+        # the profile registers, which the log reads off its running sums
+        # when it folds.
+        ck_rows: List[int] = []
+        ck_heads: List[tuple] = []
 
         rows_alive = np.nonzero(alive)[0]
         # Every batch takes at most ``target`` steps, and takes at least W
         # tasks unless it is a warp's last.
         log = _ChargeLog(p, ar, prof, K, -(-int(remaining.max()) // W) * target)
-        log.open(rows_alive)
+        if len(rows_alive):
+            log.open(rows_alive)
         while len(rows_alive):
             nb_rows = rows_alive[need_batch[rows_alive]]
             if len(nb_rows):
+                if p.inheritance:
+                    log.mark(nb_rows)
+                    for r in nb_rows.tolist():
+                        ck_rows.append(r)
+                        ck_heads.append((
+                            gens[r].bit_generator.state,
+                            int(ncoll[r]),
+                            starts[r].n_collected
+                            + (len(collected[r]) if collected is not None else 0),
+                            (int(wn[r]), int(wvalid[r]),
+                             float(wmean[r]), float(wm2[r])),
+                        ))
                 b = np.minimum(W, remaining[nb_rows])
                 batch[nb_rows] = b
                 inst[nb_rows] = -1
@@ -807,7 +951,15 @@ class FusedRunner:
             log.advance(rows_alive)
 
         log.flush()
-        return _warp_results(prof, wn, wvalid, wmean, wm2, collected, ncoll)
+        checkpoints: List[List[Checkpoint]] = [[] for _ in range(K)]
+        prof_float, prof_int = log.checkpoint_registers()
+        for r, head, fl, it in zip(
+            ck_rows, ck_heads, prof_float.T.tolist(), prof_int.T.tolist()
+        ):
+            checkpoints[r].append(Checkpoint(*head, (*fl, *it)))
+        return _warp_results(
+            prof, wn, wvalid, wmean, wm2, collected, ncoll, checkpoints
+        )
 
     # ------------------------------------------------------------------
     # Step pieces
@@ -1005,6 +1157,29 @@ def wave_params_for(engine, order: MatchingOrder, collect_states: bool) -> WaveP
     )
 
 
+def resume_warp(runner: FusedRunner, run: WarpRun, quota: int) -> WarpResult:
+    """``run``'s warp at the smaller task ``quota``, resumed from the last
+    of its batch checkpoints the smaller quota still agrees with.
+
+    A batch takes ``min(W, quota - ncoll)`` tasks, so the warp's batches at
+    ``quota`` and at the larger quota ``run`` had are the same up to the
+    first boundary whose ``quota - ncoll`` is below ``W``.  From there one
+    short batch remains — or none, once inheritance has already collected
+    ``quota`` — and the resumed wave runs just that.  When no boundary
+    qualifies, the smaller quota's run is ``run`` itself.  (``run`` holds
+    checkpoints whenever its quota can be too large: only inheritance
+    over-collects.)
+    """
+    W = runner.p.warp_size
+    for ck in run[5]:
+        if quota - ck.ncoll < W:
+            acc, prof, n_valid, tail, count, _ = runner.run_warps(
+                [ck], [quota]
+            )[0]
+            return acc, prof, n_valid, run[3][: ck.n_collected] + tail, count
+    return run[:5]
+
+
 class WarpProvider:
     """Runs all of a run's warps up front; hands results to the fold loop.
 
@@ -1012,14 +1187,16 @@ class WarpProvider:
     n - w·tpw)`` — in-process when ``n_shards == 1``, or partitioned
     round-robin by warp index across the engine's shard pool otherwise
     (bit-identical either way, because each warp's result depends only on
-    its own spawned generator state).  The scalar loop sizes warp ``w``'s
-    quota from the live remaining count, which only differs from the
-    guess when inheritance over-collects: :meth:`warp` returns the cached
-    result when the fold confirms the quota, or re-runs that single warp
-    locally (from the same spawned child state, so the random stream is
-    identical) when the true quota is smaller.  ``n_reruns`` counts those
-    re-runs; warps past the last one the fold reaches are computed and
-    discarded.
+    its own spawned generator state; shard workers return each warp's
+    batch checkpoints with its result).  The scalar loop sizes warp
+    ``w``'s quota from the live remaining count, which only differs from
+    the guess when inheritance over-collects: :meth:`warp` returns the
+    cached result when the fold confirms the quota, and otherwise resumes
+    that single warp locally from its last batch checkpoint the true
+    quota agrees with (:func:`resume_warp`) — at most one batch of level
+    steps, not a replay from the spawned state.  ``n_reruns`` counts those
+    quota corrections; warps past the last one the fold reaches are
+    computed and discarded.
     """
 
     def __init__(
@@ -1056,7 +1233,8 @@ class WarpProvider:
         return (w + self.shard_offset) % self.n_shards
 
     def warp(self, w: int, quota: int) -> WarpResult:
+        run = self.results[w]
         if quota == self.guesses[w]:
-            return self.results[w]
+            return run[:5]
         self.n_reruns += 1
-        return self.runner.run_warps([self.states[w]], [quota])[0]
+        return resume_warp(self.runner, run, quota)

@@ -35,7 +35,7 @@ from repro.core.fused import (
     Collected,
     FusedArena,
     FusedRunner,
-    WarpResult,
+    WarpRun,
     WaveParams,
     _ChargeLog,
     _collect_rows,
@@ -51,10 +51,12 @@ from repro.utils.rng import GeneratorState
 class WaveRunner:
     """Executes iteration-synchronised warps against a compiled plan.
 
-    Same ``run_warps(states, quotas) -> List[WarpResult]`` contract as
+    Same ``run_warps(states, quotas) -> List[WarpRun]`` contract as
     :class:`FusedRunner`: bit-identical results for any wave composition
     or process placement, which is what lets :mod:`repro.multidev` shard
-    iteration-sync rounds.
+    iteration-sync rounds.  A lane refills from its warp's pool the moment
+    it finishes, so a warp collects exactly its quota and is never re-run:
+    it records no batch checkpoints.
     """
 
     def __init__(
@@ -80,8 +82,8 @@ class WaveRunner:
 
     def run_warps(
         self, states: Sequence[GeneratorState], quotas: Sequence[int]
-    ) -> List[WarpResult]:
-        results: List[WarpResult] = []
+    ) -> List[WarpRun]:
+        results: List[WarpRun] = []
         for lo in range(0, len(states), _FUSED_WAVE_CHUNK):
             hi = min(lo + _FUSED_WAVE_CHUNK, len(states))
             results.extend(self._wave(states[lo:hi], quotas[lo:hi]))
@@ -92,7 +94,7 @@ class WaveRunner:
     # ------------------------------------------------------------------
     def _wave(
         self, states: Sequence[GeneratorState], quotas: Sequence[int]
-    ) -> List[WarpResult]:
+    ) -> List[WarpRun]:
         p = self.p
         K = len(states)
         W, target, n_q = p.warp_size, p.target, p.n_q

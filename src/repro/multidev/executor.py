@@ -5,7 +5,8 @@ One :class:`ShardedVectorExecutor` owns N long-lived worker processes.  A
 broadcast once per ``(kernel, params)`` pair and reused across session
 rounds; each round ships only the per-warp generator states and quotas of
 every shard's slice and collects the per-warp result tuples back in warp
-order.
+order — each with the warp's batch checkpoints, so the parent can resume
+a warp whose quota the fold corrects without replaying it.
 
 Failure semantics: a worker that dies mid-round (SIGKILL, injected crash,
 hard exit) is detected by its pipe hitting EOF.  The round raises
@@ -24,7 +25,7 @@ import itertools
 import multiprocessing as mp
 from typing import List, Optional, Sequence
 
-from repro.core.fused import WarpResult, WaveParams
+from repro.core.fused import WarpRun, WaveParams
 from repro.errors import ConfigError, ShardFailure
 from repro.estimators.fused import FusedKernel, kernel_tables
 from repro.multidev.shm import SharedArrayPack
@@ -196,7 +197,7 @@ class ShardedVectorExecutor:
         states: Sequence[GeneratorState],
         quotas: Sequence[int],
         shard_offset: int = 0,
-    ) -> List[WarpResult]:
+    ) -> List[WarpRun]:
         """Run one round's warps across the pool; results in warp order.
 
         ``shard_offset`` rotates the warp->worker assignment (see
@@ -234,7 +235,7 @@ class ShardedVectorExecutor:
             except (OSError, BrokenPipeError):
                 self._reap(s)
 
-        results: List[Optional[WarpResult]] = [None] * len(states)
+        results: List[Optional[WarpRun]] = [None] * len(states)
         failure: Optional[ShardFailure] = None
         for s, warp_ids in enumerate(slices):
             if self._workers[s] is None:

@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.fused import WarpResult, WaveParams
+from repro.core.fused import WarpRun, WaveParams
 from repro.core.vectorized import runner_for
 from repro.estimators.fused import kernel_from_tables
 from repro.multidev.shm import PackManifest, attach_pack
@@ -42,7 +42,7 @@ class ShardRuntime:
 
     def run(
         self, states: Sequence[GeneratorState], quotas: Sequence[int]
-    ) -> List[WarpResult]:
+    ) -> List[WarpRun]:
         return self.runner.run_warps(states, quotas)
 
 

@@ -32,7 +32,7 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.config import EngineConfig
 from repro.core.engine import GSWORDEngine
@@ -337,10 +337,9 @@ class EstimationService:
         self._tick_lock = threading.Lock()
         self._clock_ms = 0.0
         self._ids = itertools.count(1)
-        self._engines: Dict[int, GSWORDEngine] = {}
+        self._engines: Dict[Union[str, int], GSWORDEngine] = {}
         # One fused scratch arena for all engines: ticks run one at a time,
-        # and an engine per estimator instance (one per request that names
-        # its estimator) would otherwise keep a high-water copy each.
+        # and each engine would otherwise keep a high-water copy.
         self._arena = FusedArena()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._fallback_runners: Dict[str, CPUSamplingRunner] = {}
@@ -1024,10 +1023,15 @@ class EstimationService:
     # ------------------------------------------------------------------
     # Internals (all called with self._lock held)
     # ------------------------------------------------------------------
-    def _engine_for(self, estimator: RSVEstimator) -> GSWORDEngine:
-        # One engine per estimator instance; sessions share it so a
-        # request's rounds reuse the same config/spec.
-        key = id(estimator)
+    def _engine_for(
+        self, estimator: RSVEstimator, name: Optional[str] = None
+    ) -> GSWORDEngine:
+        # One engine per estimator; sessions share it so a request's rounds
+        # reuse the same config/spec.  ``resolve_estimator`` builds a fresh
+        # instance for every request that names its estimator, so those
+        # pass the canonical ``name`` and share its engine; a request that
+        # passes an instance gets that instance's.
+        key = name if name is not None else id(estimator)
         engine = self._engines.get(key)
         if engine is None:
             engine = GSWORDEngine(
@@ -1107,7 +1111,11 @@ class EstimationService:
             self._complete(pending)
             return
 
-        engine = self._engine_for(pending.estimator)
+        spec = request.estimator
+        engine = self._engine_for(
+            pending.estimator,
+            estimator_name(spec) if isinstance(spec, str) else None,
+        )
         seed = request.request_id or pending.ticket.request_id
         pending.session = engine.session(
             cg, order, rng=derive_seed(0xC0FFEE, seed, len(order))

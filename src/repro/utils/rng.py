@@ -42,10 +42,10 @@ def spawn_generator_states(source: RandomSource, count: int) -> List[GeneratorSt
     """Derive ``count`` replayable child-stream states.
 
     This is :func:`spawn_generators` minus the final ``default_rng`` call:
-    the fused backend keeps the states so it can re-materialise a
-    warp's stream from scratch (wave execution re-runs a warp when its
-    optimistic task quota turns out too large).  Advances the root exactly
-    as :func:`spawn_generators` does, so the two are interchangeable.
+    the fused backend ships the states, not generators, so each warp's
+    stream is built wherever the warp runs — in-process or in a shard
+    worker.  Advances the root exactly as :func:`spawn_generators` does, so
+    the two are interchangeable.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

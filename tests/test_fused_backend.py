@@ -18,11 +18,13 @@ from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig, SyncMode
 from repro.core.engine import GPURunResult, GSWORDEngine
 from repro.core.fused import (
+    Checkpoint,
     FusedArena,
     FusedRunner,
     WaveParams,
     _scan_union_rows,
     _touch_union_rows,
+    resume_warp,
     wave_params_for,
 )
 from repro.core.vectorized import WaveRunner, runner_for
@@ -337,15 +339,118 @@ class TestKernelsAgainstReference:
             np.testing.assert_array_equal(extra, ref_extra)
 
 
-class TestIsolatedRerun:
-    """Warps re-run alone from their spawned generator states.
+@pytest.fixture(scope="module")
+def plan5():
+    """A yeast q5 whose warps lose lanes, so inheritance over-collects and
+    a warp's batch boundaries fall off multiples of the warp size."""
+    graph = load_dataset("yeast")
+    query = extract_query(graph, 5, rng=3, name="fused-q5")
+    return build_candidate_graph(graph, query), quicksi_order(query, graph)
 
-    The optimistic-quota path re-runs a single warp in isolation
-    (:meth:`repro.core.fused.WarpProvider.warp`) from the same spawned
-    ``SeedSequence`` child.  This pins that the isolated re-run
-    reproduces the warp's wave result bit-for-bit on the runner of
-    either sync mode.
+
+class TestIsolatedRerun:
+    """Warps re-run alone: from their spawned generator states, or resumed
+    from a batch checkpoint.
+
+    The optimistic-quota path corrects a single warp's quota in isolation
+    (:meth:`repro.core.fused.WarpProvider.warp`), resuming it from its
+    last batch checkpoint the true quota agrees with.  This pins that an
+    isolated run reproduces the warp's wave result bit-for-bit on the
+    runner of either sync mode, and that a resumed run equals a fresh run
+    at the smaller quota.
     """
+
+    @staticmethod
+    def _runner(estimator_cls, cg, order, collect_states, streaming=True):
+        engine = GSWORDEngine(
+            estimator_cls(),
+            config=EngineConfig(inheritance=True, streaming=streaming),
+        )
+        kernel = fused_kernel_for(estimator_cls())(cg, order)
+        return runner_for(
+            kernel, wave_params_for(engine, order, collect_states)
+        )
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    @pytest.mark.parametrize("collect_states", [False, True])
+    @pytest.mark.parametrize(
+        "estimator_cls", [AlleyEstimator, WanderJoinEstimator]
+    )
+    def test_resume_matches_fresh_run(
+        self, plan5, estimator_cls, collect_states, streaming
+    ):
+        """Every warp of a multi-batch wave, every quota from 1 to its
+        guess: resuming equals running the warp fresh at that quota."""
+        cg, order = plan5
+        runner = self._runner(
+            estimator_cls, cg, order, collect_states, streaming
+        )
+        W = runner.p.warp_size
+        states = spawn_generator_states(321, 2)
+        guesses = [96, 64]
+        wave = runner.run_warps(states, guesses)
+        for w, guess in enumerate(guesses):
+            checkpoints = wave[w][5]
+            assert len(checkpoints) > 1
+            assert checkpoints[0].ncoll == 0
+            # Inheritance over-collected: boundaries off multiples of W.
+            assert any(ck.ncoll % W for ck in checkpoints)
+            for quota in range(1, guess + 1):
+                fresh = runner.run_warps([states[w]], [quota])[0]
+                assert resume_warp(runner, wave[w], quota) == fresh[:5], quota
+
+    def test_resume_runs_at_most_one_batch(self, plan5, monkeypatch):
+        """A resumed re-run steps at most one batch's levels (``target``
+        super-steps of one warp), and none when its checkpoint has
+        already collected the quota."""
+        cg, order = plan5
+        runner = self._runner(AlleyEstimator, cg, order, False)
+        steps = [0]
+        step_level = FusedRunner._step_level
+
+        def counting(self, *args):
+            steps[0] += 1
+            return step_level(self, *args)
+
+        states = spawn_generator_states(5, 1)
+        wave = runner.run_warps(states, [128])
+        monkeypatch.setattr(FusedRunner, "_step_level", counting)
+        fresh_steps = resumed_steps = stepless = 0
+        for quota in range(1, 128):
+            steps[0] = 0
+            runner.run_warps(states, [quota])
+            fresh_steps += steps[0]
+            steps[0] = 0
+            resume_warp(runner, wave[0], quota)
+            assert steps[0] <= runner.p.target, quota
+            resumed_steps += steps[0]
+            stepless += steps[0] == 0
+        assert resumed_steps * 2 < fresh_steps
+        assert stepless > 0
+
+    def test_resume_from_filled_checkpoint_runs_nothing(self, plan5):
+        """A checkpoint that has collected the whole quota is the answer:
+        the wave it starts takes no step."""
+        cg, order = plan5
+        runner = self._runner(WanderJoinEstimator, cg, order, True)
+        run = runner.run_warps(spawn_generator_states(8, 1), [96])[0]
+        ck = run[5][-1]
+        acc, prof, n_valid, tail, count, cks = runner.run_warps(
+            [ck], [ck.ncoll]
+        )[0]
+        assert (count, n_valid, tail, cks) == (ck.ncoll, ck.welford[1], [], [])
+        assert (acc.n, acc.n_valid, acc._mean, acc._m2) == ck.welford
+        assert tuple(getattr(prof, f) for f in _PROFILE_FIELDS) == ck.prof
+
+    def test_fresh_start_is_the_zero_checkpoint(self, plan5):
+        """A spawned state and the all-zero checkpoint around it start the
+        same warp."""
+        cg, order = plan5
+        runner = self._runner(AlleyEstimator, cg, order, True)
+        (state,) = spawn_generator_states(4, 1)
+        assert runner.run_warps([state], [80]) == runner.run_warps(
+            [Checkpoint(state)], [80]
+        )
 
     @pytest.mark.parametrize("iteration", [False, True])
     def test_isolated_rerun_matches_wave(self, plan6, iteration):

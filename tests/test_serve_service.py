@@ -1,5 +1,6 @@
 """End-to-end tests for the estimation service (repro/serve/service.py)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -108,6 +109,24 @@ class TestConcurrentWave:
         b = make_service().estimate_many(mixed_requests(8))
         assert [r.estimate for r in a] == [r.estimate for r in b]
         assert [r.latency_ms for r in a] == [r.latency_ms for r in b]
+
+
+class TestEngines:
+    def test_alias_requests_share_one_engine_per_estimator(
+        self, mixed_requests
+    ):
+        """Each alias request resolves to a fresh estimator instance;
+        the service still keeps one engine per estimator, not one per
+        request."""
+        service = make_service()
+        aliases = ("alley", "wj", "AL", "wanderjoin")
+        requests = [
+            dataclasses.replace(r, estimator=aliases[i % len(aliases)])
+            for i, r in enumerate(mixed_requests(50))
+        ]
+        responses = service.estimate_many(requests)
+        assert len(responses) == 50
+        assert len(service._engines) <= 2
 
 
 class TestQoS:
