@@ -52,15 +52,6 @@ against the checked-in baselines in ``benchmarks/baselines.json``:
   disabled cost (a few hundred branch checks per run) is far below
   runner noise.
 
-* **dynamic gates** — a seeded 5%-churn batch sequence on a small sparse
-  graph runs through ``DeltaPlanMaintainer.refresh``: every version must
-  be bit-identical to a from-scratch ``build_candidate_graph`` on the
-  same snapshot (correctness, aborts outright) and the delta path must
-  touch under 25% of the CSR3 rows per batch (the self-relative proxy
-  for "refresh is O(delta), not O(graph)" — wall-clock speedup is
-  measured on the weekly benchmark run instead, where the graph is big
-  enough for timing to be stable).
-
 * **candidate-build gates** — ``build_candidate_graph`` with the serving
   defaults (NLF + two refinement sweeps) on fixed orkut k=12 and patents
   k=16 queries, the sizes the cold serving path builds: best-of-N wall
@@ -87,17 +78,13 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.dynamic import build_scenario
 from repro.bench.workloads import build_workload
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig
 from repro.core.engine import GSWORDEngine
-from repro.dyn import DeltaPlanMaintainer, MutableGraph, UniformChurnStream
-from repro.dyn.delta import candidate_graphs_equal
 from repro.estimators.alley import AlleyEstimator
 from repro.estimators.wanderjoin import WanderJoinEstimator
 from repro.obs import NO_TRACE, FlightRecorder, TraceRecorder
-from repro.utils.rng import derive_seed
 
 BASELINE_PATH = Path(__file__).resolve().parent / "baselines.json"
 SEED = 20240613
@@ -162,12 +149,6 @@ TRACE_GUARD_CALLS = 200_000
 #: (the always-on path actually records, so the guard alone is not the
 #: whole story).
 FLIGHT_EVENT_CALLS = 20_000
-
-# Dynamic gate: 5%-churn batches on a small sparse scenario; the delta
-# refresh must stay bit-identical and touch under this row fraction.
-DYN_CHURN_RATE = 0.05
-DYN_N_BATCHES = 5
-DYN_MAX_TOUCHED_FRACTION = 0.25
 
 # Candidate-build gate: the largest cold-path builds (orkut k=12, patents
 # k=16), timed best-of-N with the serving filter defaults.
@@ -674,60 +655,6 @@ def compare_tracing(cur: dict) -> list:
     return failures
 
 
-def measure_dynamic() -> dict:
-    """Run 5%-churn batches through the delta refresh path.
-
-    Aborts outright if any version's refreshed candidate graph is not
-    bit-identical to a from-scratch build on the same snapshot — the delta
-    path is an optimisation, never an approximation.
-    """
-    base, query = build_scenario(n_vertices=1500, n_edges=1500)
-    graph = MutableGraph(base)
-    maintainer = DeltaPlanMaintainer(graph, query, validate_after_refresh=True)
-    half = max(1, int(round(DYN_CHURN_RATE * base.n_edges / 2.0)))
-    stream = UniformChurnStream(
-        half, half, rng=derive_seed(SEED, "perf-smoke-dyn")
-    )
-    fractions = []
-    refresh_ms = 0.0
-    rebuild_ms = 0.0
-    for _ in range(DYN_N_BATCHES):
-        graph.apply(stream.next_batch(graph))
-        start = time.perf_counter()
-        cg_full = build_candidate_graph(graph.snapshot(), query)
-        rebuild_ms += (time.perf_counter() - start) * 1000.0
-        stats = maintainer.refresh()
-        _synthetic_delay()
-        refresh_ms += stats.refresh_ms
-        fractions.append(stats.touched_fraction)
-        if not candidate_graphs_equal(maintainer.cg, cg_full):
-            raise SystemExit(
-                f"dynamic: refresh diverged from rebuild at version "
-                f"{graph.version} — bit-identity broken"
-            )
-    return {
-        "churn_rate": DYN_CHURN_RATE,
-        "n_batches": DYN_N_BATCHES,
-        "mean_touched_fraction": sum(fractions) / len(fractions),
-        "max_touched_fraction": max(fractions),
-        "refresh_ms": refresh_ms,
-        "rebuild_ms": rebuild_ms,
-        "speedup": rebuild_ms / refresh_ms if refresh_ms > 0 else float("inf"),
-    }
-
-
-def compare_dynamic(cur: dict) -> list:
-    """Self-relative gate — no baseline entry needed."""
-    if cur["mean_touched_fraction"] >= DYN_MAX_TOUCHED_FRACTION:
-        return [
-            f"dynamic: refresh touched "
-            f"{cur['mean_touched_fraction']:.1%} of CSR3 rows per "
-            f"{cur['churn_rate']:.0%}-churn batch (gate: "
-            f"<{DYN_MAX_TOUCHED_FRACTION:.0%}) — no longer O(delta)"
-        ]
-    return []
-
-
 def candidate_graph_digest(cg) -> str:
     """SHA-256 over every candidate-graph array: dtype, shape and bytes."""
     digest = hashlib.sha256()
@@ -937,14 +864,6 @@ def main(argv=None) -> int:
         f"{tracing['flight_projected_overhead_pct']:.4f}% "
         f"(gate <{TRACE_OVERHEAD_PCT:.0f}%)"
     )
-    dynamic = measure_dynamic()
-    print(
-        f"{'dynamic':<20} churn={dynamic['churn_rate']:.0%} "
-        f"rows_touched={dynamic['mean_touched_fraction']:.1%} "
-        f"(gate <{DYN_MAX_TOUCHED_FRACTION:.0%}) "
-        f"refresh_speedup={dynamic['speedup']:.2f}x bit-identical"
-    )
-
     build = measure_candidate_build()
     current["candidate_build"] = build
     _print_candidate_build(build)
@@ -970,7 +889,6 @@ def main(argv=None) -> int:
     failures += compare_o0(o0)
     failures += compare_sharding(sharding, baseline.get("sharding", {}))
     failures += compare_tracing(tracing)
-    failures += compare_dynamic(dynamic)
     failures += compare_candidate_build(
         build, baseline.get("candidate_build", {}), args.wall_tolerance
     )

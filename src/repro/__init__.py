@@ -35,12 +35,6 @@ from repro.core import (
     TrawlingEstimator,
     TrawlingResult,
 )
-from repro.dyn import (
-    DeltaPlanMaintainer,
-    DynamicEstimationSession,
-    EdgeBatch,
-    MutableGraph,
-)
 from repro.enumeration import count_embeddings, count_extensions
 from repro.estimators import (
     AlleyEstimator,
@@ -103,9 +97,5 @@ __all__ = [
     "EstimationService",
     "ServiceConfig",
     "PlanCache",
-    "MutableGraph",
-    "EdgeBatch",
-    "DeltaPlanMaintainer",
-    "DynamicEstimationSession",
     "__version__",
 ]

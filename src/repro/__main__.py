@@ -1,6 +1,6 @@
 """``repro`` command-line interface.
 
-Two subcommands make the system runnable without writing scripts:
+These subcommands make the system runnable without writing scripts:
 
 * ``repro estimate`` — one estimation through the serving stack (plan
   build, adaptive sampling, CI/deadline stopping) on a named dataset
@@ -14,10 +14,6 @@ Two subcommands make the system runnable without writing scripts:
   OOM, lane desync), verifying that retries, the watchdog, the circuit
   breaker, and the CPU fallback keep every request answered with bounded
   accuracy loss;
-* ``repro mutate-bench`` — the dynamic-graph benchmark: delta plan
-  refresh vs full rebuild under seeded edge churn, verifying bit-identity
-  at every checked version and measuring q-error, rows touched, and the
-  staleness (version lag) of responses served between deferred refreshes;
 * ``repro soak-bench`` — the open-loop overload soak: seeded OVERLOAD
   arrivals at a multiple of calibrated capacity through the admission
   stack (bounded queue, per-tenant quotas, deadline shedding, hedging)
@@ -47,11 +43,6 @@ import sys
 from typing import List, Optional
 
 from repro.bench.chaos import CHAOS_SEED, run_chaos_benchmark
-from repro.bench.dynamic import (
-    DEFAULT_CHURN_RATES,
-    DYN_SEED,
-    run_dynamic_benchmark,
-)
 from repro.bench.overload import OVERLOAD_ROOT_SEED, run_overload_soak
 from repro.bench.reporting import render_table, save_results
 from repro.bench.serving import (
@@ -185,38 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--flight-bundle-out", default=None, metavar="PATH",
         help="write the captured flight postmortem bundle as JSON "
              "(replayable via 'repro flight-replay PATH')",
-    )
-
-    mut = sub.add_parser(
-        "mutate-bench",
-        help="dynamic-graph benchmark (delta refresh vs rebuild under churn)",
-    )
-    mut.add_argument(
-        "--rates", default=",".join(str(r) for r in DEFAULT_CHURN_RATES),
-        help="comma-separated churn rates (fraction of edges per batch)",
-    )
-    mut.add_argument(
-        "--batches", type=int, default=20, help="update batches per rate"
-    )
-    mut.add_argument(
-        "--refresh-every", type=int, default=4,
-        help="mutations between plan refreshes in the staleness runs",
-    )
-    mut.add_argument(
-        "--n-vertices", type=int, default=6000, help="scenario graph vertices"
-    )
-    mut.add_argument(
-        "--n-edges", type=int, default=6000, help="scenario graph edges"
-    )
-    mut.add_argument(
-        "--labels", type=int, default=2, help="distinct vertex labels"
-    )
-    mut.add_argument("--k", type=int, default=4, help="query vertices")
-    mut.add_argument(
-        "--seed", type=int, default=DYN_SEED, help="root scenario seed"
-    )
-    mut.add_argument(
-        "--no-save", action="store_true", help="do not write results/ JSON"
     )
 
     soak = sub.add_parser(
@@ -484,53 +443,6 @@ def _cmd_chaos_bench(args: argparse.Namespace) -> int:
     return 0 if acceptance.get("passed") else 1
 
 
-def _cmd_mutate_bench(args: argparse.Namespace) -> int:
-    payload = run_dynamic_benchmark(
-        churn_rates=tuple(_parse_rates(args.rates)),
-        n_batches=args.batches,
-        refresh_every=args.refresh_every,
-        n_vertices=args.n_vertices,
-        n_edges=args.n_edges,
-        n_labels=args.labels,
-        k=args.k,
-        seed=args.seed,
-    )
-    rows = []
-    staleness_by_rate = {s["churn_rate"]: s for s in payload["staleness"]}
-    for run in payload["runs"]:
-        stale = staleness_by_rate[run["churn_rate"]]
-        rows.append([
-            run["churn_rate"],
-            run["mean_refresh_ms"],
-            run["mean_rebuild_ms"],
-            f'{run["speedup"]:.2f}x',
-            run["mean_touched_fraction"],
-            "yes" if run["bit_identical"] else "NO",
-            run["q_error"],
-            stale["max_version_lag"],
-            stale["stale_response_fraction"],
-        ])
-    print(render_table(
-        ["churn", "refresh ms", "rebuild ms", "speedup", "rows touched",
-         "bit-id", "q-err", "max lag", "stale frac"],
-        rows,
-        title=f"Dynamic graphs ({args.batches} batches/rate, "
-              f"refresh every {args.refresh_every}, seed {args.seed})",
-    ))
-    acceptance = payload["acceptance"]
-    verdict = "PASS" if acceptance.get("passed") else "FAIL"
-    print(f"\nacceptance @ rate {acceptance.get('evaluated_rate')}: {verdict}")
-    for key in ("swept_three_rates", "bit_identical_all_rates",
-                "speedup_at_gate", "touched_fraction_at_gate",
-                "lag_bounded_by_refresh_every"):
-        print(f"  {key}: {acceptance[key]}")
-    if not args.no_save:
-        path = save_results("dynamic_graph", payload)
-        if path is not None:
-            print(f"\nresults written to {path}")
-    return 0 if acceptance.get("passed") else 1
-
-
 def _cmd_soak_bench(args: argparse.Namespace) -> int:
     payload = run_overload_soak(
         n_requests=args.requests,
@@ -664,8 +576,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_serve_bench(args)
         if args.command == "chaos-bench":
             return _cmd_chaos_bench(args)
-        if args.command == "mutate-bench":
-            return _cmd_mutate_bench(args)
         if args.command == "soak-bench":
             return _cmd_soak_bench(args)
         if args.command == "trace-report":

@@ -272,8 +272,7 @@ def plan_key(
     ``graph_id`` defaults to the graph's name plus its size signature *and*
     a content fingerprint: two distinct graphs that share the default
     ``name="graph"`` (and even the same vertex/edge counts) must not collide
-    in a cross-request plan cache.  Pass an explicit id to override — e.g.
-    the versioned ids :class:`repro.dyn.MutableGraph` mints per mutation.
+    in a cross-request plan cache.  Pass an explicit id to override it.
     """
     if graph_id is None:
         graph_id = (

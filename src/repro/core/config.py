@@ -151,28 +151,26 @@ class EngineConfig:
         GPU-AL).  NextDoor's sample-parallel processing restarts a lane's
         sample immediately when it dies — iteration synchronisation — and
         pays the §3.2 locality penalty for it."""
-        return cls(
-            sync_mode=SyncMode.ITERATION,
-            inheritance=False,
-            streaming=False,
-            **overrides,
+        preset = dict(
+            sync_mode=SyncMode.ITERATION, inheritance=False, streaming=False
         )
+        return cls(**{**preset, **overrides})
 
     @classmethod
     def sample_sync_baseline(cls, **overrides) -> "EngineConfig":
         """Sample synchronisation without inheritance/streaming — the other
         arm of the §3.2 micro-benchmark (Figure 5)."""
-        return cls(inheritance=False, streaming=False, **overrides)
+        return cls(**{"inheritance": False, "streaming": False, **overrides})
 
     @classmethod
     def inheritance_only(cls, **overrides) -> "EngineConfig":
         """Sample inheritance only (Figure 12's O1)."""
-        return cls(inheritance=True, streaming=False, **overrides)
+        return cls(**{"inheritance": True, "streaming": False, **overrides})
 
     @classmethod
     def gsword(cls, **overrides) -> "EngineConfig":
         """Full gSWORD (Figure 12's O2)."""
-        return cls(inheritance=True, streaming=True, **overrides)
+        return cls(**{"inheritance": True, "streaming": True, **overrides})
 
     def with_max_depth(self, max_depth: Optional[int]) -> "EngineConfig":
         return replace(self, max_depth=max_depth)

@@ -12,8 +12,8 @@ the per-event cost inside the existing <2% perf-smoke budget.
 When a trigger fires (see :data:`TRIGGER_KINDS`), :class:`FlightMonitor`
 snapshots everything needed to *re-execute* the offending round into a
 self-contained JSON **postmortem bundle**: the ring, the metrics
-registry, the :class:`EngineConfig` and :class:`GPUSpec`, the versioned
-graph identity (``name@v<version>#<fp>``), the (graph, query, order)
+registry, the :class:`EngineConfig` and :class:`GPUSpec`, the graph
+identity (``name@v0#<fp>``), the (graph, query, order)
 plan, and the round's RNG substream state.  Because every clock in the
 repository is simulated and every round's stream is a replayable
 ``SeedSequence`` child, ``repro flight-replay <bundle>`` reproduces the
@@ -212,24 +212,19 @@ def deserialize_rng_state(payload: Mapping[str, Any]) -> GeneratorState:
     raise ObservabilityError(f"unknown rng_state kind {kind!r}")
 
 
-def graph_identity(
-    graph: Any,
-    graph_id: Optional[str] = None,
-    graph_version: Optional[int] = None,
-) -> str:
-    """The canonical versioned graph identity ``name@v<version>#<fp>``.
+def graph_identity(graph: Any, graph_id: Optional[str] = None) -> str:
+    """The canonical graph identity ``name@v0#<fp>``.
 
     An explicit ``graph_id`` that already carries a fingerprint is kept
     verbatim; otherwise the content fingerprint is appended (or the whole
-    identity composed from the graph's name and version).
+    identity composed from the graph's name).
     """
     if graph_id and "#" in graph_id:
         return graph_id
     fp = graph.content_fingerprint()
     if graph_id:
         return f"{graph_id}#{fp}"
-    version = int(graph_version or 0)
-    return f"{graph.name}@v{version}#{fp}"
+    return f"{graph.name}@v0#{fp}"
 
 
 def serialize_plan(
@@ -487,7 +482,7 @@ class FlightMonitor:
         the healthy path.  Keys (all optional except config/spec):
 
         * ``engine_config`` / ``gpu_spec`` — live objects, serialized here;
-        * ``graph_identity`` — versioned ``name@v<version>#<fp>`` string;
+        * ``graph_identity`` — the ``name@v0#<fp>`` string;
         * ``plan`` — pre-serialized plan section (:func:`serialize_plan`);
         * ``round`` — pre-serialized round (:func:`serialize_round`);
         * ``metrics`` — a metrics-registry snapshot dict;

@@ -45,7 +45,6 @@ from repro.serve.cache import (
     CachedPlan,
     PlanCache,
     build_plan,
-    parse_versioned_graph_id,
 )
 from repro.serve.controller import (
     REASON_FALLBACK,
@@ -80,7 +79,6 @@ __all__ = [
     "PlanCache",
     "CachedPlan",
     "build_plan",
-    "parse_versioned_graph_id",
     "AdaptiveBudgetController",
     "BudgetPolicy",
     "relative_ci",

@@ -17,10 +17,9 @@ larger than the whole budget is built and returned but never admitted.
 
 from __future__ import annotations
 
-import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.candidate.candidate_graph import (
     CandidateGraph,
@@ -37,26 +36,6 @@ _ORDER_BUILDERS = {
     "quicksi": quicksi_order,
     "gcare": gcare_order,
 }
-
-#: Versioned graph-id convention minted by ``repro.dyn.MutableGraph``:
-#: ``<base>@v<version>`` with an optional ``#<fingerprint>`` suffix.  The
-#: cache parses (rather than imports) the convention so the serve layer
-#: stays import-independent of ``repro.dyn``.
-_VERSIONED_ID = re.compile(r"^(?P<base>.+)@v(?P<version>\d+)(?:#[0-9a-f]+)?$")
-
-
-def parse_versioned_graph_id(
-    graph_id: Optional[str],
-) -> Optional[Tuple[str, int]]:
-    """``(base, version)`` when ``graph_id`` follows the versioned
-    convention, else ``None``."""
-    if graph_id is None:
-        return None
-    match = _VERSIONED_ID.match(graph_id)
-    if match is None:
-        return None
-    return match.group("base"), int(match.group("version"))
-
 
 @dataclass
 class CachedPlan:
@@ -110,11 +89,6 @@ class PlanCache:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Why entries left the cache: LRU pressure ("capacity") vs. explicit
-    #: staleness eviction ("version", see :meth:`invalidate`).
-    evictions_by_reason: Dict[str, int] = field(
-        default_factory=lambda: {"capacity": 0, "version": 0}
-    )
 
     def __post_init__(self) -> None:
         if self.max_bytes <= 0:
@@ -160,46 +134,6 @@ class PlanCache:
         self._admit(plan)
         return plan, False
 
-    # ------------------------------------------------------------------
-    def put(self, plan: CachedPlan) -> bool:
-        """Install an externally built plan (e.g. a delta-refreshed one).
-
-        Replaces any entry under the same key, then runs normal budget
-        admission.  Returns True when the plan is resident afterwards.
-        """
-        existing = self._entries.pop(plan.key, None)
-        if existing is not None:
-            self.current_bytes -= existing.nbytes
-        self._admit(plan)
-        return plan.key in self._entries
-
-    def invalidate(
-        self, base_id: str, before_version: Optional[int] = None
-    ) -> int:
-        """Evict plans for stale versions of a mutating graph.
-
-        Removes every entry whose graph id parses as ``base_id@vK`` with
-        ``K < before_version`` (every version of ``base_id`` when
-        ``before_version`` is None).  Counted under the ``"version"``
-        eviction reason; returns how many entries were evicted.
-        """
-        stale: List[tuple] = []
-        for key in self._entries:
-            parsed = parse_versioned_graph_id(str(key[0]))
-            if parsed is None:
-                continue
-            base, version = parsed
-            if base != base_id:
-                continue
-            if before_version is None or version < before_version:
-                stale.append(key)
-        for key in stale:
-            plan = self._entries.pop(key)
-            self.current_bytes -= plan.nbytes
-            self.evictions += 1
-            self.evictions_by_reason["version"] += 1
-        return len(stale)
-
     def _admit(self, plan: CachedPlan) -> None:
         if plan.nbytes > self.max_bytes:
             return  # larger than the whole budget: serve uncached
@@ -207,7 +141,6 @@ class PlanCache:
             _, evicted = self._entries.popitem(last=False)
             self.current_bytes -= evicted.nbytes
             self.evictions += 1
-            self.evictions_by_reason["capacity"] += 1
         self._entries[plan.key] = plan
         self.current_bytes += plan.nbytes
 
@@ -229,6 +162,5 @@ class PlanCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "evictions_by_reason": dict(self.evictions_by_reason),
             "hit_rate": self.hit_rate,
         }

@@ -152,18 +152,6 @@ class ServiceMetrics:
             "hedge_wasted_ms",
             "Overlapped device occupancy of cancelled hedge losers",
         ).labels()
-        # Dynamic-graph plan lifecycle (repro.dyn serving integration):
-        # plans installed after a delta refresh, explicit invalidation
-        # calls, and the total entries those calls evicted.
-        plans = reg.counter(
-            "plan_lifecycle_total",
-            "Dynamic-graph plan lifecycle events (delta refreshes installed, "
-            "invalidation sweeps, entries evicted as stale)",
-            labels=("event",),
-        )
-        self._plan_refreshes = plans.labels(event="refresh")
-        self._plan_invalidations = plans.labels(event="invalidation")
-        self._plans_invalidated = plans.labels(event="invalidated_entry")
 
     # ------------------------------------------------------------------
     def record_submit(self, queue_depth: int) -> None:
@@ -258,16 +246,6 @@ class ServiceMetrics:
         self._hedge_wins.inc(n_wins)
         self._hedge_wasted_ms.inc(wasted_ms)
 
-    # Dynamic-graph plan lifecycle --------------------------------------
-    def record_plan_refresh(self) -> None:
-        """One delta-refreshed plan was installed into the cache."""
-        self._plan_refreshes.inc()
-
-    def record_plan_invalidation(self, n_evicted: int) -> None:
-        """One invalidation sweep ran, evicting ``n_evicted`` entries."""
-        self._plan_invalidations.inc()
-        self._plans_invalidated.inc(n_evicted)
-
     # ------------------------------------------------------------------
     @property
     def samples_per_second(self) -> float:
@@ -307,11 +285,6 @@ class ServiceMetrics:
             ),
             "n_rerun_warps": int(self._rerun_warps.value),
             "n_discarded_warps": int(self._discarded_warps.value),
-            "plans": {
-                "n_refreshes": int(self._plan_refreshes.value),
-                "n_invalidations": int(self._plan_invalidations.value),
-                "n_invalidated_entries": int(self._plans_invalidated.value),
-            },
             "latency_ms": _summary(self._latency),
             "queue_wait_ms": _summary(self._queue_wait),
             "admission": {

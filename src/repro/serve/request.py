@@ -86,11 +86,7 @@ class EstimateRequest:
         estimator: ``"alley"``/``"wanderjoin"`` or an estimator instance.
         graph_id: stable identity of ``graph`` for plan-cache keying;
             defaults to the graph's name + size signature + content
-            fingerprint.  Mutating graphs pass their versioned id
-            (``name@v<version>#<fingerprint>``).
-        graph_version: version of a mutating graph this request targets;
-            when omitted it is parsed from a versioned ``graph_id``.  Echoed
-            on the response so callers can detect stale answers.
+            fingerprint.
         request_id: caller-supplied tag; the service assigns one if empty.
         tenant: admission-control principal the request is billed to.
             Token-bucket quotas and weighted-fair queueing (see
@@ -105,7 +101,6 @@ class EstimateRequest:
     max_samples: int = 131_072
     estimator: Union[str, RSVEstimator] = "alley"
     graph_id: Optional[str] = None
-    graph_version: Optional[int] = None
     request_id: str = ""
     tenant: str = "default"
 
@@ -151,10 +146,6 @@ class EstimateResponse:
     service_ms: float
     cache_hit: bool
     estimator: str
-    #: Graph version the answer was computed against (None for static
-    #: graphs).  Under concurrent mutation this is the caller's staleness
-    #: signal: compare with the mutable graph's current ``version``.
-    graph_version: Optional[int] = None
     extras: dict = field(default_factory=dict)
 
     @property

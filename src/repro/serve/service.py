@@ -71,12 +71,7 @@ from repro.serve.admission import (
     HedgeDelayTracker,
 )
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.cache import (
-    CachedPlan,
-    PlanCache,
-    build_plan,
-    parse_versioned_graph_id,
-)
+from repro.serve.cache import PlanCache, build_plan
 from repro.serve.controller import AdaptiveBudgetController, BudgetPolicy
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.request import (
@@ -260,7 +255,6 @@ class _Pending:
     first_service_ms: Optional[float] = None
     extra_ms: float = 0.0  # simulated time outside device batches (fallback)
     override_acc: Optional[HTAccumulator] = None  # fallback-combined evidence
-    graph_version: Optional[int] = None  # versioned-graph requests only
     extras: Dict[str, object] = field(default_factory=dict)
     tenant: str = "default"
     cancelled: bool = False  # terminal; queued rounds are dropped lazily
@@ -316,7 +310,7 @@ class EstimationService:
         # a trigger actually fires (the healthy path must stay cheap).
         self._launch_context: Optional[Dict[str, object]] = None
         # Fallback graph identity for bundles triggered before any launch
-        # completes (set via note_graph_identity, e.g. by repro.dyn).
+        # completes (set via note_graph_identity).
         self._graph_hint: Optional[str] = None
         # Cumulative device-side kernel counters across all rounds (the
         # serve-layer view of the Figure-5 stall summary) and the total
@@ -585,14 +579,6 @@ class EstimationService:
                     cache_state.labels(stat=stat).set(stats[stat])
                 for event in ("hits", "misses", "evictions"):
                     cache_events.labels(event=event).advance_to(stats[event])
-                evictions = reg.counter(
-                    "plan_cache_evictions_total",
-                    "Plan-cache evictions by reason (capacity vs. version "
-                    "invalidation)",
-                    labels=("reason",),
-                )
-                for reason, count in stats["evictions_by_reason"].items():
-                    evictions.labels(reason=reason).advance_to(count)
             if self.injector is not None:
                 # Per-kind tallies only; the launch counts and the plan's
                 # expected rate stay in the JSON snapshot.
@@ -618,20 +604,14 @@ class EstimationService:
     # Flight recording & SLOs (repro.obs.flight / repro.obs.slo)
     # ------------------------------------------------------------------
     def note_graph_identity(
-        self,
-        graph: object,
-        graph_id: Optional[str] = None,
-        graph_version: Optional[int] = None,
+        self, graph: object, graph_id: Optional[str] = None
     ) -> str:
-        """Record the versioned graph identity for postmortem bundles.
+        """Record the graph identity for postmortem bundles.
 
-        Used by layers that know the graph before any round has run (the
-        dynamic-graph serving facade calls it on install and per estimate)
-        so even a bundle triggered pre-launch names its graph.  Returns
-        the canonical ``name@v<version>#<fp>`` string."""
-        ident = graph_identity(
-            graph, graph_id=graph_id, graph_version=graph_version
-        )
+        Called by code that knows the graph before any round has run, so
+        even a bundle triggered pre-launch names its graph.  Returns the
+        canonical ``name@v0#<fp>`` string."""
+        ident = graph_identity(graph, graph_id=graph_id)
         with self._lock:
             self._graph_hint = ident
         return ident
@@ -698,9 +678,7 @@ class EstimationService:
         lc = self._launch_context
         if lc is not None:
             ctx["graph_identity"] = graph_identity(
-                lc["graph"],
-                graph_id=lc["graph_id"],
-                graph_version=lc["graph_version"],
+                lc["graph"], graph_id=lc["graph_id"]
             )
             ctx["plan"] = serialize_plan(
                 lc["graph"],
@@ -728,7 +706,6 @@ class EstimationService:
             "order": session.order,
             "estimator": estimator_name(request.estimator),
             "graph_id": request.graph_id,
-            "graph_version": pending.graph_version,
             "launch": dict(report.launch),
         }
 
@@ -754,59 +731,6 @@ class EstimationService:
                     "slo.alert", track="serve", sim_ms=now_ms,
                     args=dict(transition),
                 )
-
-    # ------------------------------------------------------------------
-    # Dynamic-graph hooks (repro.dyn serving integration)
-    # ------------------------------------------------------------------
-    def install_plan(self, plan: CachedPlan) -> bool:
-        """Install an externally maintained plan (thread-safe).
-
-        The delta-refresh path builds plans incrementally outside the
-        service; installing them here turns subsequent requests for the
-        same (graph version, query) into cache hits.  Counted as a plan
-        refresh; returns False when the cache is disabled or the plan
-        failed budget admission.
-        """
-        with self._lock:
-            if self.cache is None:
-                return False
-            resident = self.cache.put(plan)
-            self.metrics.record_plan_refresh()
-            if self.recorder.enabled:
-                self.recorder.instant(
-                    "plan.refresh", track="serve", sim_ms=self._clock_ms,
-                    args={
-                        "graph_id": str(plan.key[0]),
-                        "resident": resident,
-                        "nbytes": plan.nbytes,
-                    },
-                )
-            return resident
-
-    def invalidate_plans(
-        self, base_id: str, before_version: Optional[int] = None
-    ) -> int:
-        """Evict cached plans for stale versions of a mutating graph.
-
-        Thread-safe; see :meth:`PlanCache.invalidate` for the matching
-        rule.  Returns the number of entries evicted (0 when the cache is
-        disabled).
-        """
-        with self._lock:
-            if self.cache is None:
-                return 0
-            evicted = self.cache.invalidate(base_id, before_version)
-            self.metrics.record_plan_invalidation(evicted)
-            if self.recorder.enabled:
-                self.recorder.instant(
-                    "plan.invalidate", track="serve", sim_ms=self._clock_ms,
-                    args={
-                        "base_id": base_id,
-                        "before_version": before_version,
-                        "evicted": evicted,
-                    },
-                )
-            return evicted
 
     # ------------------------------------------------------------------
     # Processing loop
@@ -1081,11 +1005,6 @@ class EstimationService:
 
     def _admit(self, pending: _Pending) -> None:
         request = pending.request
-        pending.graph_version = request.graph_version
-        if pending.graph_version is None and request.graph_id is not None:
-            parsed = parse_versioned_graph_id(request.graph_id)
-            if parsed is not None:
-                pending.graph_version = parsed[1]
         if self.cache is not None:
             plan, hit = self.cache.get_or_build(
                 request.graph,
@@ -1344,7 +1263,6 @@ class EstimationService:
             service_ms=max(0.0, service_ms),
             cache_hit=pending.cache_hit,
             estimator=estimator_name(pending.request.estimator),
-            graph_version=pending.graph_version,
             extras=pending.extras,
         )
         self.metrics.record_completion(

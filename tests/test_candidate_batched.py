@@ -25,7 +25,6 @@ from repro.candidate.filters import (
     nlf_filter,
     refine_global_candidates,
 )
-from repro.dyn.delta import candidate_graphs_equal
 from repro.errors import CandidateGraphError
 from repro.graph.builder import from_edge_list
 from repro.graph.csr import CSRGraph
@@ -167,6 +166,31 @@ def validate_error(validate, cg) -> Optional[str]:
     except CandidateGraphError as error:
         return str(error)
     return None
+
+
+def candidate_graphs_equal(a: CandidateGraph, b: CandidateGraph) -> bool:
+    """Array-level equality of two candidate graphs (the bit-identity check).
+
+    Compares every CSR array and every global candidate set; ignores
+    timings and the host-side edge-id dict (derived data).
+    """
+    pairs = (
+        (a.q_offsets, b.q_offsets),
+        (a.q_targets, b.q_targets),
+        (a.ecand_offsets, b.ecand_offsets),
+        (a.ecand_vertices, b.ecand_vertices),
+        (a.local_offsets, b.local_offsets),
+        (a.local_vertices, b.local_vertices),
+    )
+    for x, y in pairs:
+        if x.dtype != y.dtype or not np.array_equal(x, y):
+            return False
+    if len(a.global_candidates) != len(b.global_candidates):
+        return False
+    for x, y in zip(a.global_candidates, b.global_candidates):
+        if not np.array_equal(x, y):
+            return False
+    return True
 
 
 def assert_same_build(batched, reference, context=""):

@@ -156,10 +156,8 @@ class TestCompleteness:
 class TestValidateAdversarial:
     """validate() must reject every class of corruption it claims to check.
 
-    The dynamic subsystem calls validate() after every delta refresh
-    (DeltaPlanMaintainer's validate_after_refresh), so these tests pin down
-    that the audit actually bites — a validate() that silently passes
-    corrupted CSR arrays would void that safety net.
+    These tests pin down that the audit actually bites — a validate() that
+    silently passes corrupted CSR arrays would void it as a safety net.
     """
 
     @pytest.fixture()

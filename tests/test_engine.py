@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.workloads import LIGHT_FILTER, build_workload
+from repro.bench.workloads import build_workload
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig, SyncMode
 from repro.core.engine import GSWORDEngine
@@ -45,6 +45,23 @@ class TestConfig:
         assert o1.inheritance and not o1.streaming
         ss = EngineConfig.sample_sync_baseline()
         assert ss.sync_mode is SyncMode.SAMPLE and not ss.inheritance
+
+    @pytest.mark.parametrize(
+        "preset, name, value",
+        [
+            ("gpu_baseline", "sync_mode", SyncMode.SAMPLE),
+            ("sample_sync_baseline", "streaming", True),
+            ("inheritance_only", "streaming", True),
+            ("gsword", "streaming", False),
+        ],
+    )
+    def test_preset_field_overridable(self, preset, name, value):
+        cfg = getattr(EngineConfig, preset)(**{name: value})
+        assert getattr(cfg, name) == value
+
+    def test_preset_override_still_validated(self):
+        with pytest.raises(ConfigError):
+            EngineConfig.gpu_baseline(inheritance=True)
 
     def test_inheritance_requires_sample_sync(self):
         with pytest.raises(ConfigError):

@@ -162,8 +162,7 @@ class TestSeedDeterminism:
     """Same seed => identical graph, across processes and hash seeds.
 
     Mirrors test_sharding_equivalence.py's property style: determinism is
-    what lets the dynamic subsystem replay a (seed, base graph) pair into
-    an identical mutation history anywhere.
+    what lets a (seed, dataset) pair name the same graph anywhere.
     """
 
     _SNIPPET = (

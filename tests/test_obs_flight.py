@@ -136,7 +136,6 @@ class TestGraphIdentity:
         graph = workload[0]
         fp = graph.content_fingerprint()
         assert graph_identity(graph) == f"yeast@v0#{fp}"
-        assert graph_identity(graph, graph_version=5) == f"yeast@v5#{fp}"
         assert graph_identity(graph, graph_id="yeast@v2") == f"yeast@v2#{fp}"
 
 

@@ -88,6 +88,13 @@ class TestPlanCache:
         _, hit_old = cache.get_or_build(yeast, queries[0])
         assert not hit_old
 
+    def test_capacity_eviction_counted(self, yeast, queries):
+        sizes = [build_plan(yeast, q).nbytes for q in queries[:3]]
+        cache = PlanCache(max_bytes=sum(sizes) - 1)
+        for q in queries[:3]:
+            cache.get_or_build(yeast, q)
+        assert cache.stats()["evictions"] >= 1
+
     def test_lru_order_respects_access(self, yeast, queries):
         sizes = [build_plan(yeast, q).nbytes for q in queries[:3]]
         cache = PlanCache(max_bytes=sum(sizes) - 1)
@@ -150,57 +157,3 @@ class TestPlanKeyContentFingerprint:
         cache.get_or_build(a, q)
         _, hit = cache.get_or_build(b, q)
         assert not hit  # different edges => different plans, no collision
-
-
-class TestVersionedIds:
-    def test_parse_versioned_graph_id(self):
-        from repro.serve.cache import parse_versioned_graph_id
-
-        assert parse_versioned_graph_id("g@v3#0123456789abcdef") == ("g", 3)
-        assert parse_versioned_graph_id("g@v0") == ("g", 0)
-        assert parse_versioned_graph_id("a@v1@v2") == ("a@v1", 2)
-        for bad in ("static", "g@vx", "g@v-1", "g#abc", None):
-            assert parse_versioned_graph_id(bad) is None
-
-    def test_invalidate_evicts_only_older_versions(self, yeast, queries):
-        cache = PlanCache(max_bytes=1 << 30)
-        q = queries[0]
-        cache.get_or_build(yeast, q, graph_id="mut@v0#aa")
-        cache.get_or_build(yeast, q, graph_id="mut@v1#bb")
-        cache.get_or_build(yeast, q, graph_id="other@v0#cc")
-        cache.get_or_build(yeast, q, graph_id="static-graph")
-        assert cache.invalidate("mut", before_version=1) == 1
-        stats = cache.stats()
-        assert stats["entries"] == 3
-        assert stats["evictions_by_reason"]["version"] == 1
-        assert stats["evictions_by_reason"]["capacity"] == 0
-        # v1, the other graph, and the unversioned entry all survive.
-        _, hit = cache.get_or_build(yeast, q, graph_id="mut@v1#bb")
-        assert hit
-        _, hit = cache.get_or_build(yeast, q, graph_id="static-graph")
-        assert hit
-
-    def test_invalidate_all_versions(self, yeast, queries):
-        cache = PlanCache(max_bytes=1 << 30)
-        q = queries[0]
-        cache.get_or_build(yeast, q, graph_id="mut@v0#aa")
-        cache.get_or_build(yeast, q, graph_id="mut@v4#bb")
-        assert cache.invalidate("mut") == 2
-        assert len(cache) == 0
-
-    def test_put_replaces_same_key(self, yeast, queries):
-        cache = PlanCache(max_bytes=1 << 30)
-        q = queries[0]
-        plan, _ = cache.get_or_build(yeast, q, graph_id="mut@v0#aa")
-        assert cache.put(plan)  # idempotent re-install, no byte leak
-        assert cache.stats()["entries"] == 1
-        assert cache.current_bytes == plan.nbytes
-
-    def test_capacity_eviction_labelled(self, yeast, queries):
-        sizes = [build_plan(yeast, q).nbytes for q in queries[:3]]
-        cache = PlanCache(max_bytes=sum(sizes) - 1)
-        for q in queries[:3]:
-            cache.get_or_build(yeast, q)
-        stats = cache.stats()
-        assert stats["evictions_by_reason"]["capacity"] >= 1
-        assert stats["evictions_by_reason"]["version"] == 0
