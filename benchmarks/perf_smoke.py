@@ -19,9 +19,12 @@ against the checked-in baselines in ``benchmarks/baselines.json``:
   samples, 128 tasks/warp: enough warps that whole-batch level kernels
   amortise their dispatch) gates the compiled plan's margin over the
   scalar reference: fused must beat scalar by ``--min-fused-speedup``
-  (default 4.5×) on Alley and by the WanderJoin floor (3.0×; WJ spends a
-  hard floor of its wall inside per-warp ``Generator.integers`` calls both
-  backends must replay identically, which caps its ratio below Alley's).
+  (default 4.5×) on Alley and by the WanderJoin floor (3.0×).  The WJ
+  floor dates from when the fused runners made one ``Generator.integers``
+  call per warp per level step, a cost the scalar reference shares; they
+  now draw every stepping warp's lanes in one
+  :class:`repro.utils.rng.WarpStreams` pass, so the floor is a loose
+  regression bound, not a cap on WJ's ratio.
 
 * **small-wave gate** — single interactive-size rounds (256 samples at
   128 tasks per warp, i.e. 2-warp waves) on hprd k=4/k=8 and orkut k=12,
@@ -101,8 +104,8 @@ CASES = [
 # Saturating gate workload: per-level work must saturate whole-batch numpy
 # ops (big warp fleets, full 32-lane batches) for the compiled plan to show
 # its margin — the same reasoning as the sharding workload below.  Alley
-# carries the 4.5x gate; WanderJoin's ratio is capped by the shared
-# per-warp RNG replay cost, so it gets a lower regression floor.
+# carries the 4.5x gate; WanderJoin keeps the lower regression floor it
+# got when a per-warp RNG call per level step capped its ratio.
 FUSED_N_SAMPLES = int(os.environ.get("PERF_SMOKE_FUSED_SAMPLES", "65536"))
 FUSED_TASKS_PER_WARP = 128
 FUSED_WALL_REPEATS = 3

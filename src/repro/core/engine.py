@@ -56,6 +56,7 @@ from repro.gpu.profiler import KernelProfile, WarpProfile
 from repro.obs.trace import NO_TRACE, TraceRecorder
 from repro.query.matching_order import MatchingOrder
 from repro.utils.rng import (
+    MAX_U32_BOUND,
     GeneratorState,
     RandomSource,
     as_generator,
@@ -461,10 +462,12 @@ class GSWORDEngine:
         """``(provider, backend)`` via the fallback ladder.
 
         ``fused`` needs a registered fused kernel (the exact built-in
-        estimator types) and runs either sync mode on the compiled plan;
-        the scalar interpreter (``provider=None``) covers everything.  Both
-        rungs are bit-identical, so the ladder only changes speed, never
-        results.
+        estimator types) and a compiled plan whose candidate counts stay
+        on numpy's 32-bit draw path (the one
+        :class:`~repro.utils.rng.WarpStreams` replays); it runs either
+        sync mode.  The scalar interpreter (``provider=None``) covers
+        everything.  Both rungs are bit-identical, so the ladder only
+        changes speed, never results.
         """
         if self.config.backend == "fused":
             from repro.estimators.fused import fused_kernel_for
@@ -474,15 +477,17 @@ class GSWORDEngine:
                 from repro.core.fused import WarpProvider, wave_params_for
                 from repro.core.vectorized import runner_for
 
-                runner = runner_for(
-                    self._fused_kernel(kernel_cls, cg, order),
-                    wave_params_for(self, order, collect_states),
-                    self._fused_arena(),
-                )
-                return (
-                    WarpProvider(self, runner, n_samples, rng, shard_offset),
-                    "fused",
-                )
+                kernel = self._fused_kernel(kernel_cls, cg, order)
+                params = wave_params_for(self, order, collect_states)
+                plan = kernel.compile_plan(params.target)
+                if plan.max_candidates <= MAX_U32_BOUND:
+                    runner = runner_for(kernel, params, self._fused_arena())
+                    return (
+                        WarpProvider(
+                            self, runner, n_samples, rng, shard_offset
+                        ),
+                        "fused",
+                    )
         return None, "scalar"
 
     def _fused_kernel(self, kernel_cls, cg: CandidateGraph, order: MatchingOrder):

@@ -6,9 +6,10 @@ the :class:`repro.estimators.fused.FusedPlan` compiled once per (query,
 estimator) pair.  This module holds what both synchronisation modes share
 — the frozen :class:`WaveParams`, the :class:`FusedArena` scratch, the
 per-warp profile and Welford registers as struct-of-arrays columns, the
-per-warp draw, the batch-end fold, and the :class:`WarpProvider` that
-spawns and shards warps and resumes the ones whose quota the fold
-corrects — plus :class:`FusedRunner`, the sample-synchronised runner.
+batch-end fold, and the :class:`WarpProvider` that spawns and shards
+warps and resumes the ones whose quota the fold corrects — plus
+:class:`FusedRunner`, the sample-synchronised runner.  Both runners draw
+lane indices through :class:`repro.utils.rng.WarpStreams`.
 Iteration synchronisation runs on
 :class:`repro.core.vectorized.WaveRunner` over the same plan.
 
@@ -20,6 +21,11 @@ warp's depth, so :class:`FusedRunner` steps whole depth groups:
   struct-of-arrays columns — no flat-list rebuild, no per-warp objects;
 * each super-step partitions live warps by depth (usually one group) and
   runs the level's compiled kernel as whole-batch numpy ops;
+* every stepping warp's lanes draw in one pass: :class:`WarpStreams`
+  keeps each warp's PCG64 words prefetched and replays numpy's bounded
+  draw (Lemire's method over 32-bit half-words) for all rows at once —
+  the values ``Generator.integers`` would give each warp, with no
+  per-warp call;
 * the cost model is charged deferred: a step only logs each lane's
   charge inputs, and :class:`_ChargeLog` evaluates the logged rows of
   every step and depth in one pass — at wave end, or when the log holds
@@ -30,12 +36,12 @@ warp's depth, so :class:`FusedRunner` steps whole depth groups:
   float operation order exactly (a few warps fold through
   ``HTAccumulator.add`` itself, which is cheaper than the numpy calls);
 * with inheritance, every batch start records a :class:`Checkpoint` of
-  the warp — generator snapshot, Welford registers, collected count,
-  reservoir length, and the profile registers read off the charge fold's
-  running sums — and a wave can start from one: a warp whose optimistic
-  quota was too large resumes from the boundary where the two quotas'
-  batches part (:func:`resume_warp`), so a correction costs at most one
-  batch of level steps.
+  the warp — its stream position as a draw count, Welford registers,
+  collected count, reservoir length, and the profile registers read off
+  the charge fold's running sums — and a wave can start from one: a warp
+  whose optimistic quota was too large resumes from the boundary where
+  the two quotas' batches part (:func:`resume_warp`), so a correction
+  costs at most one batch of level steps.
 
 An interactive round is one or two warps, so per-step numpy dispatch, not
 array width, is what the runner pays for: a step pays a handful of log
@@ -61,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,7 +92,7 @@ from repro.query.matching_order import MatchingOrder
 from repro.utils.rng import (
     GeneratorState,
     RandomSource,
-    generator_from_state,
+    WarpStreams,
     spawn_generator_states,
 )
 
@@ -104,16 +110,17 @@ class Checkpoint(NamedTuple):
     """One warp's registers at a batch boundary: everything the
     sample-synchronised wave loop carries from one batch into the next.
 
-    ``state`` is the warp's generator — its spawned child state at the
-    all-zero start, a ``bit_generator.state`` snapshot after it; ``ncoll``
-    the samples collected so far; ``n_collected`` the reservoir length;
-    ``welford`` the HT registers ``(n, n_valid, mean, m2)``; ``prof`` the
-    profile registers in :class:`_ProfileSoA` slot order, the exact
-    left-to-right running sums at the boundary.  A wave started from a
+    ``state`` is the warp's spawned generator state and ``drawn`` the
+    32-bit draws its stream has consumed (the :class:`WarpStreams`
+    position); ``ncoll`` the samples collected so far; ``n_collected`` the
+    reservoir length; ``welford`` the HT registers ``(n, n_valid, mean,
+    m2)``; ``prof`` the profile registers in :class:`_ProfileSoA` slot
+    order, the exact left-to-right running sums at the boundary.  A wave started from a
     checkpoint continues bit for bit where the warp's own run went on.
     """
 
-    state: Union[GeneratorState, Dict[str, Any]]
+    state: GeneratorState
+    drawn: int = 0
     ncoll: int = 0
     n_collected: int = 0
     welford: Tuple[int, int, float, float] = (0, 0, 0.0, 0.0)
@@ -327,53 +334,6 @@ class _ProfileSoA:
         """Set row ``i``'s registers to ``values`` (slot order)."""
         for name, value in zip(self.__slots__, values):
             getattr(self, name)[i] = value
-
-
-def _checkpoint_generator(state) -> np.random.Generator:
-    """A warp's generator at a :class:`Checkpoint`: its spawned child state,
-    or a snapshot of the PCG64 ``default_rng`` builds warp streams on."""
-    if isinstance(state, dict):
-        bit_gen = np.random.PCG64()
-        bit_gen.state = state
-        return np.random.Generator(bit_gen)
-    return generator_from_state(state)
-
-
-def _warp_streams(states: Sequence[GeneratorState]):
-    """Per-warp draw sources for one wave, as :func:`_draw_rows` takes them:
-    each warp's bound ``Generator.integers`` (the draw loop calls one per
-    warp per step, and attribute lookup on Generator is measurable at
-    scale)."""
-    return [generator_from_state(s).integers for s in states]
-
-
-def _draw_rows(rows: np.ndarray, rlen: np.ndarray, igs) -> np.ndarray:
-    """Per-warp draws for the ``(rows, lanes)`` bound matrix ``rlen``,
-    lanes in ascending order within each warp ``rows[i]``.
-
-    Each warp's own generator consumes the identical bound array the
-    scalar path feeds it.  The drawable bounds of all rows are gathered
-    once (row-major, so each row's slice is its positive bounds in
-    ascending lane order — the scalar ``bounds[drawable]``) and each
-    warp's pre-bound ``Generator.integers`` draws from a contiguous view;
-    per-row numpy work is one slice and one ``integers`` call.
-    """
-    idx = np.full(rlen.shape, -1, dtype=np.int64)
-    mask = rlen > 0
-    counts = mask.sum(axis=1).tolist()
-    flat_bounds = rlen[mask]
-    off = 0
-    parts: List[np.ndarray] = []
-    ap = parts.append
-    row_ids = rows.tolist()
-    for i, c in enumerate(counts):
-        if c:
-            end = off + c
-            ap(igs[row_ids[i]](0, flat_bounds[off:end]))
-            off = end
-    if parts:
-        idx[mask] = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return idx
 
 
 def _collect_rows(
@@ -840,8 +800,6 @@ class FusedRunner:
         K = len(starts)
         W, target, n_q = p.warp_size, p.target, p.n_q
         ar = self.arena
-        gens = [_checkpoint_generator(c.state) for c in starts]
-        igs = [g.integers for g in gens]
         inst = ar.take("inst", (K, W, n_q), np.int64)
         prob = ar.take("prob", (K, W), np.float64)
         active = ar.take("active", (K, W), np.bool_)
@@ -880,7 +838,12 @@ class FusedRunner:
         rows_alive = np.nonzero(alive)[0]
         # Every batch takes at most ``target`` steps, and takes at least W
         # tasks unless it is a warp's last.
-        log = _ChargeLog(p, ar, prof, K, -(-int(remaining.max()) // W) * target)
+        max_steps = -(-int(remaining.max()) // W) * target
+        log = _ChargeLog(p, ar, prof, K, max_steps)
+        streams = WarpStreams(
+            [c.state for c in starts], [c.drawn for c in starts],
+            ar.take, W, max_steps * W,
+        )
         if len(rows_alive):
             log.open(rows_alive)
         while len(rows_alive):
@@ -888,10 +851,12 @@ class FusedRunner:
             if len(nb_rows):
                 if p.inheritance:
                     log.mark(nb_rows)
-                    for r in nb_rows.tolist():
+                    drawn = streams.drawn(nb_rows).tolist()
+                    for r, h in zip(nb_rows.tolist(), drawn):
                         ck_rows.append(r)
                         ck_heads.append((
-                            gens[r].bit_generator.state,
+                            starts[r].state,
+                            h,
                             int(ncoll[r]),
                             starts[r].n_collected
                             + (len(collected[r]) if collected is not None else 0),
@@ -916,13 +881,13 @@ class FusedRunner:
             d0 = int(dsub[0])
             if (dsub == d0).all():
                 self._step_level(
-                    d0, rows_alive, inst, prob, running, valid, igs, log
+                    d0, rows_alive, inst, prob, running, valid, streams, log
                 )
             else:
                 for d in np.unique(dsub):
                     rows = rows_alive[dsub == d]
                     self._step_level(
-                        int(d), rows, inst, prob, running, valid, igs, log
+                        int(d), rows, inst, prob, running, valid, streams, log
                     )
 
             if p.inheritance:
@@ -972,7 +937,7 @@ class FusedRunner:
         prob: np.ndarray,
         running: np.ndarray,
         valid: np.ndarray,
-        igs,
+        streams: WarpStreams,
         log: _ChargeLog,
     ) -> None:
         lv = self.plan.levels[d]
@@ -984,7 +949,7 @@ class FusedRunner:
         present = running if full else running[rows]
         inst3 = inst if full else inst[rows]
         prep = self.kernel.fused_prepare(lv, inst3, present)
-        idx = _draw_rows(rows, prep.rlen, igs)
+        idx = streams.draw(rows, prep.rlen)
         res = self.kernel.fused_finish(lv, prep, idx, inst3)
         vr, vc = np.nonzero(res.valid)
         if len(vr):

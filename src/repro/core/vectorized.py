@@ -11,7 +11,8 @@ sample-synchronised :class:`~repro.core.fused.FusedRunner` executes:
    are gathered into one dense row and run through the kernel's
    ``fused_prepare`` — a level's pass costs its own lanes, not the wave;
 2. every warp draws its lanes' indices in lane order, the scalar path's
-   sequential draw order;
+   sequential draw order — all warps in one
+   :class:`~repro.utils.rng.WarpStreams` pass;
 3. ``fused_finish`` validates each level and the winners are pushed;
 4. every stepping warp logs its lanes' charge inputs (backward-pair
    count by each lane's own depth) into the deferred charge evaluator
@@ -39,13 +40,11 @@ from repro.core.fused import (
     WaveParams,
     _ChargeLog,
     _collect_rows,
-    _draw_rows,
     _ProfileSoA,
     _warp_results,
-    _warp_streams,
 )
 from repro.estimators.fused import FusedKernel
-from repro.utils.rng import GeneratorState
+from repro.utils.rng import GeneratorState, WarpStreams
 
 
 class WaveRunner:
@@ -99,7 +98,6 @@ class WaveRunner:
         K = len(states)
         W, target, n_q = p.warp_size, p.target, p.n_q
         ar = self.arena
-        igs = _warp_streams(states)
 
         inst = ar.take("inst", (K, W, n_q), np.int64)
         inst.fill(-1)
@@ -123,13 +121,13 @@ class WaveRunner:
         # Every step advances each active lane one level; all W lanes are
         # active until the pool is drained, then in-flight samples finish
         # within ``target`` steps.
-        log = _ChargeLog(
-            p, ar, prof, K, int(pool.max()) * target // W + target
-        )
+        max_steps = int(pool.max()) * target // W + target
+        log = _ChargeLog(p, ar, prof, K, max_steps)
+        streams = WarpStreams(states, None, ar.take, W, max_steps * W)
         log.open(rows)
         while len(rows):
             act = active[rows]
-            valid = self._step(rows, act, inst, prob, depth, igs, log)
+            valid = self._step(rows, act, inst, prob, depth, streams, log)
             completed = valid & (depth[rows] == target)
             done = (act & ~valid) | completed
             fr = np.nonzero(done.any(axis=1))[0]
@@ -188,7 +186,7 @@ class WaveRunner:
         inst: np.ndarray,
         prob: np.ndarray,
         depth: np.ndarray,
-        igs,
+        streams: WarpStreams,
         log: _ChargeLog,
     ) -> np.ndarray:
         """One super-step for the live warps ``rows``; returns the dense
@@ -207,7 +205,7 @@ class WaveRunner:
             )
             rlen[sr, sl] = prep.rlen[0]
             groups.append((d, sr, sl, inst3, prep))
-        idx = _draw_rows(rows, rlen, igs)
+        idx = streams.draw(rows, rlen)
 
         # Per-lane charge columns: nb, clen, probes, span_lo, span_hi,
         # edge_id (inactive lanes are masked by the log).

@@ -126,13 +126,18 @@ class LevelPlan:
 
 @dataclass(frozen=True)
 class FusedPlan:
-    """The flattened per-level schedule for one ``(kernel, target)`` pair."""
+    """The flattened per-level schedule for one ``(kernel, target)`` pair.
+
+    ``max_candidates`` bounds every lane's draw bound on the plan: the
+    largest global pool or local candidate list any level can sample
+    from."""
 
     kernel_name: str
     n_q: int
     target: int
     direct: bool
     levels: Tuple[LevelPlan, ...]
+    max_candidates: int
 
     def to_ir(self) -> Dict[str, object]:
         """JSON-serializable plan IR (the CI ``plan.json`` artifact)."""
@@ -262,11 +267,13 @@ class FusedKernel:
     def _compile(self, target: int) -> FusedPlan:
         levels = []
         empty = np.zeros(0, dtype=np.int64)
+        max_candidates = 0
         for d in range(target):
             nb = int(self.nbacks[d])
             glob = d == 0 or nb == 0
             qlab = int(self.qlab[d]) if self.direct else -1
             if glob:
+                max_candidates = max(max_candidates, int(self.g_len[d]))
                 levels.append(
                     LevelPlan(
                         d=d, glob=True, nb=0,
@@ -278,6 +285,10 @@ class FusedKernel:
                 )
                 continue
             sl = slice(int(self.b_off[d]), int(self.b_off[d + 1]))
+            for lo, hi in zip(self.b_lo[sl].tolist(), self.b_hi[sl].tolist()):
+                if hi > lo:
+                    lists = np.diff(self.local_off[lo:hi + 1])
+                    max_candidates = max(max_candidates, int(lists.max()))
             levels.append(
                 LevelPlan(
                     d=d, glob=False, nb=nb, g_len=0, pool_base=0,
@@ -294,6 +305,7 @@ class FusedKernel:
             target=target,
             direct=self.direct,
             levels=tuple(levels),
+            max_candidates=max_candidates,
         )
 
     # ------------------------------------------------------------------

@@ -9,11 +9,17 @@ derives independent child streams per (dataset, query, method) triple.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 RandomSource = Union[int, np.random.Generator, None]
+
+#: Largest bound numpy draws on its 32-bit Lemire path: ``integers(0, n)``
+#: for ``n <= 2**32`` consumes 32-bit half-words, larger bounds take a
+#: 64-bit path that :func:`lemire_u32` and :class:`WarpStreams` do not
+#: replay.
+MAX_U32_BOUND = 1 << 32
 
 
 def as_generator(source: RandomSource) -> np.random.Generator:
@@ -98,6 +104,21 @@ def spawn_generators(source: RandomSource, count: int) -> List[np.random.Generat
         generator_from_state(state)
         for state in spawn_generator_states(source, count)
     ]
+
+
+def lemire_u32(next_u32: Callable[[], int], bound: int) -> int:
+    """One draw from ``[0, bound)`` for ``1 < bound <= 2**32``: numpy's
+    bounded-integer path, Lemire's multiply-shift over the bit generator's
+    32-bit draws ``next_u32()`` with the exact rejection threshold
+    ``2**32 mod bound`` (evaluated only when the low word falls below the
+    bound).  ``bound == 2**32`` never rejects and returns the draw itself,
+    numpy's full-range special case."""
+    m = next_u32() * bound
+    if (m & 0xFFFFFFFF) < bound:
+        threshold = (MAX_U32_BOUND - bound) % bound
+        while (m & 0xFFFFFFFF) < threshold:
+            m = next_u32() * bound
+    return m >> 32
 
 
 class DrawLedger:
@@ -192,24 +213,14 @@ class DrawLedger:
         """One draw from ``[low, high)`` — numpy's bounded-integer path."""
         if not self._active:
             return int(self._gen.integers(low, high))
-        rng = high - 1 - low
-        if rng < 0:
+        bound = high - low
+        if bound <= 0:
             raise ValueError("high must exceed low")
-        if rng > 0xFFFFFFFF:
+        if bound > MAX_U32_BOUND:
             raise ValueError("DrawLedger only supports ranges <= 2**32")
-        if rng == 0:
+        if bound == 1:
             return low
-        if rng == 0xFFFFFFFF:
-            return self._u32() + low
-        rng_excl = rng + 1
-        m = self._u32() * rng_excl
-        leftover = m & 0xFFFFFFFF
-        if leftover < rng_excl:
-            threshold = (2**32 - rng_excl) % rng_excl
-            while leftover < threshold:
-                m = self._u32() * rng_excl
-                leftover = m & 0xFFFFFFFF
-        return (m >> 32) + low
+        return lemire_u32(self._u32, bound) + low
 
     def close(self) -> None:
         """Realign the bit generator to the draws actually consumed."""
@@ -223,6 +234,190 @@ class DrawLedger:
         st["uinteger"] = int(self._buf32)
         self._bg.state = st
         self._active = False
+
+
+#: ``take(name, shape, dtype)``: where :class:`WarpStreams` gets its
+#: buffers (``FusedArena.take`` in the fused runners).
+BufferSource = Callable[[str, Tuple[int, ...], type], np.ndarray]
+
+_U32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_TWO32 = np.uint64(MAX_U32_BOUND)
+
+#: Half-words a wave's stream buffer holds at most, unless every row's
+#: minimum (``16 * width``) needs more: 8 MiB of prefetched words.
+_STREAM_BUDGET = 1 << 20
+
+
+def _empty(name: str, shape: Tuple[int, ...], dtype: type) -> np.ndarray:
+    return np.empty(shape, dtype=dtype)
+
+
+_RANKS: Dict[int, np.ndarray] = {}
+
+
+def _lane_ranks(width: int) -> np.ndarray:
+    """Upper-triangular ones: ``drawing @ _lane_ranks(W)`` counts, per
+    lane, the drawing lanes up to and including it."""
+    tri = _RANKS.get(width)
+    if tri is None:
+        tri = _RANKS[width] = np.triu(np.ones((width, width)))
+    return tri
+
+
+class WarpStreams:
+    """The lane draws of a wave of warps, one vectorised pass per step.
+
+    Row ``k`` is warp ``k``'s PCG64, built from its spawned state, and
+    :meth:`draw` yields exactly what ``Generator.integers(0,
+    bounds[bounds > 0])`` on that generator would, lanes in order, for
+    every stepping row at once.  numpy draws a bound ``n <= 2**32`` by
+    Lemire's method over 32-bit half-words — the low half of each raw
+    64-bit word first, the high half next — and a bound of 1 consumes
+    nothing.  So each row prefetches raw words as a buffer of half-words,
+    and a step gathers each drawing lane's half-word by its rank among the
+    row's drawing lanes, multiplies once and runs the acceptance test on
+    all lanes together.  The exact threshold is only computed when some
+    low word falls below its bound, and a row that really rejects
+    (probability below ``bound / 2**32`` per lane) is replayed lane by
+    lane through :func:`lemire_u32`.
+
+    ``span``, when given, is how many draws a row may take over the
+    stream's life: a row's buffer holds that many when the wave's budget
+    allows, so it never refills but for rejections.  Otherwise a row
+    refills when a step could drain it.
+
+    A row's position is :meth:`drawn`, the 32-bit draws it has consumed:
+    a stream started at ``drawn = h`` advances its PCG64 by ``h // 2``
+    words and skips one half when ``h`` is odd, which continues exactly
+    like a stream that consumed ``h`` draws.
+    """
+
+    __slots__ = (
+        "_bgs", "_width", "_cap", "_tri", "_flat", "_row0", "_last", "_lim",
+        "_end", "_base",
+    )
+
+    def __init__(
+        self,
+        states: Sequence[GeneratorState],
+        drawn: Optional[Sequence[int]] = None,
+        take: BufferSource = _empty,
+        width: int = 32,
+        span: Optional[int] = None,
+    ) -> None:
+        K = len(states)
+        self._width = W = int(width)
+        self._tri = _lane_ranks(W)
+        cap = 16 * W
+        if span is not None:
+            cap = min(max(cap, _STREAM_BUDGET // max(K, 1)), span + 2)
+        self._cap = cap = max(cap + cap % 2, 2 * W + 2)
+        self._flat = take("rng_halves", (K, cap), np.uint64).reshape(-1)
+        # Per-row registers, as flat buffer indices: ``_row0`` the row's
+        # first slot, ``_last`` the last half-word consumed, ``_end`` past
+        # the last one fetched, ``_lim`` the last ``_last`` that still has
+        # room for a full step; ``_base`` counts the draws before the
+        # row's first slot.
+        regs = take("rng_rows", (5, K), np.int64)
+        self._row0, self._last, self._lim, self._end, self._base = regs
+        np.multiply(np.arange(K), cap, out=self._row0)
+        np.add(self._row0, cap, out=self._end)
+        np.subtract(self._end, W + 1, out=self._lim)
+        np.subtract(self._row0, 1, out=self._last)
+        self._base.fill(0)
+        self._bgs = []
+        for k, state in enumerate(states):
+            bg = generator_from_state(state).bit_generator
+            h = int(drawn[k]) if drawn is not None else 0
+            if h:
+                bg.advance(h // 2)
+                self._base[k] = h - h % 2
+                self._last[k] += h % 2
+            self._bgs.append(bg)
+            words = bg.random_raw(cap // 2).astype("<u8", copy=False)
+            self._flat[k * cap:(k + 1) * cap] = words.view("<u4")
+
+    def _refill(self, k: int) -> None:
+        """Keep row ``k``'s unread half-words and top the row up."""
+        r0 = int(self._row0[k])
+        p, e = int(self._last[k]) + 1, int(self._end[k])
+        left = e - p
+        if left:
+            self._flat[r0:r0 + left] = self._flat[p:e]
+        n = (self._cap - left) // 2
+        words = self._bgs[k].random_raw(n)
+        e = r0 + left + 2 * n
+        self._flat[r0 + left:e] = words.astype("<u8", copy=False).view("<u4")
+        self._base[k] += p - r0
+        self._last[k] = r0 - 1
+        self._end[k] = e
+        self._lim[k] = e - 1 - self._width
+
+    def drawn(self, rows: np.ndarray) -> np.ndarray:
+        """32-bit draws each of ``rows`` has consumed since its spawn."""
+        return self._base[rows] + self._last[rows] + 1 - self._row0[rows]
+
+    def draw(self, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """Lane indices for the ``(rows, lanes)`` int64 bound matrix: a
+        draw from ``[0, bound)`` for bounds above 1, 0 for bound 1 and -1
+        for bound 0.  Raises ``ValueError`` on a bound above ``2**32``."""
+        drawing = bounds > 1
+        L = bounds.shape[1]
+        rank = drawing @ (self._tri if L == self._width else self._tri[:L, :L])
+        last = self._last[rows]
+        short = last > self._lim[rows]
+        if short.any():
+            for k in rows[short].tolist():
+                self._refill(k)
+            last = self._last[rows]
+        # Each drawing lane's half-word: its row's next, offset by its rank
+        # among the row's drawing lanes (other lanes read a neighbour), so
+        # the last lane's index is the row's new position.
+        at = rank.astype(np.intp)
+        at += last[:, None]
+        self._last[rows] = at[:, -1]
+        m = self._flat.take(at, mode="clip")
+        b = bounds.view(np.uint64)
+        m *= b
+        suspect = (m & _U32) < b
+        if suspect.any():
+            suspect &= drawing
+            if suspect.any():
+                self._reject(rows, bounds, drawing, m, suspect, last)
+        m >>= _SHIFT32
+        # A bound of 1 yields 0 and a bound of 0 yields -1 (their products
+        # shift to 0); every drawn value is below its bound.
+        return np.minimum(m.view(np.int64), bounds - 1)
+
+    def _reject(self, rows, bounds, drawing, m, suspect, last) -> None:
+        """Lemire's exact acceptance test on the ``suspect`` lanes; each
+        row with a rejected lane is replayed lane by lane from ``last``
+        into ``m`` (as products, so the caller's shift applies)."""
+        sb = bounds[suspect]
+        if int(sb.max()) > MAX_U32_BOUND:
+            raise ValueError(
+                "WarpStreams replays numpy's 32-bit draw: bounds must be "
+                "<= 2**32"
+            )
+        sr = np.nonzero(suspect)[0]
+        ub = sb.view(np.uint64)
+        rejected = (m[suspect] & _U32) < (_TWO32 - ub) % ub
+        flat = self._flat
+        for i in np.unique(sr[rejected]).tolist():
+            k = int(rows[i])
+            self._last[k] = last[i]
+
+            def next_u32() -> int:
+                p = int(self._last[k]) + 1
+                if p == self._end[k]:
+                    self._refill(k)
+                    p = int(self._last[k]) + 1
+                self._last[k] = p
+                return int(flat[p])
+
+            for lane in np.nonzero(drawing[i])[0].tolist():
+                m[i, lane] = lemire_u32(next_u32, int(bounds[i, lane])) << 32
 
 
 def derive_seed(source: RandomSource, *tokens: object) -> int:

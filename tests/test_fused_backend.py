@@ -162,6 +162,58 @@ class TestFallbackLadder:
         assert res.backend_label == "fused"
         assert_identical(res, ref)
 
+    @pytest.mark.parametrize(
+        "preset", [EngineConfig.gsword, EngineConfig.gpu_baseline]
+    )
+    def test_plan_beyond_32_bit_draws_falls_back_to_scalar(
+        self, plan6, preset, monkeypatch
+    ):
+        """numpy draws bounds above 2**32 on a 64-bit path the warp
+        streams do not replay: a plan that could sample from such a list
+        runs on the scalar rung, labelled as a fallback."""
+        import dataclasses
+
+        from repro.estimators.fused import FusedKernel
+        from repro.utils.rng import MAX_U32_BOUND
+
+        cg, order = plan6
+        ref = _run(AlleyEstimator(), preset(backend="scalar"), cg, order)
+        compile_plan = FusedKernel.compile_plan
+
+        def huge(self, target):
+            plan = compile_plan(self, target)
+            return dataclasses.replace(
+                plan, max_candidates=MAX_U32_BOUND + 1
+            )
+
+        monkeypatch.setattr(FusedKernel, "compile_plan", huge)
+        res = _run(AlleyEstimator(), preset(backend="fused"), cg, order)
+        assert res.backend_label == "fused_fallback_scalar"
+        assert_identical(res, ref)
+
+    @pytest.mark.parametrize("kernel_cls", [FusedAlleyKernel, FusedWanderJoinKernel])
+    def test_plan_max_candidates_bounds_every_draw(
+        self, plan6, kernel_cls, monkeypatch
+    ):
+        """The per-plan guard is sound: no lane ever draws from more
+        candidates than the plan's ``max_candidates``."""
+        from repro.utils.rng import WarpStreams
+
+        cg, order = plan6
+        kernel = kernel_cls(cg, order)
+        plan = kernel.compile_plan(len(order))
+        seen = [0]
+        draw = WarpStreams.draw
+
+        def record(self, rows, bounds):
+            seen[0] = max(seen[0], int(bounds.max()))
+            return draw(self, rows, bounds)
+
+        monkeypatch.setattr(WarpStreams, "draw", record)
+        runner = runner_for(kernel, _params(len(order), SyncMode.SAMPLE))
+        runner.run_warps(spawn_generator_states(5, 4), [64] * 4)
+        assert 0 < seen[0] <= plan.max_candidates
+
     def test_runner_for_kernel_matches_sync_mode(self, plan6):
         cg, order = plan6
         kernel = FusedAlleyKernel(cg, order)
@@ -260,10 +312,14 @@ class TestArenaReuse:
             engine.run(cg, order, 512, rng=1)
             arena = engine._fused_arena()
             assert {"log_cols", "log_present", "log_isync"} <= set(arena._bufs)
+            # The warp streams' prefetched half-words and positions.
+            assert {"rng_halves", "rng_rows"} <= set(arena._bufs)
+            halves = arena._bufs["rng_halves"]
             high_water = arena.n_allocations
             engine.run(cg, order, 96, rng=2)   # fewer warps: reuse slices
             engine.run(cg, order, 512, rng=3)  # back to the high-water mark
             assert arena.n_allocations == high_water
+            assert arena._bufs["rng_halves"] is halves
 
     def test_arena_grows_then_reuses(self):
         arena = FusedArena()

@@ -7,7 +7,9 @@ import pytest
 
 from repro import errors
 from repro.utils.rng import (
+    MAX_U32_BOUND,
     DrawLedger,
+    WarpStreams,
     as_generator,
     clone_state,
     derive_seed,
@@ -182,6 +184,101 @@ class TestDrawLedger:
         want = [int(twin.integers(0, 50)) for _ in range(20)]
         want.append(float(twin.random()))
         assert got == want
+
+
+def _numpy_draws(gens, rows, bounds):
+    """The reference: each row's generator draws ``integers(0, b[b > 0])``
+    (0 for a bound of 1, -1 where the bound is 0)."""
+    out = np.full(bounds.shape, -1, dtype=np.int64)
+    for i, r in enumerate(rows.tolist()):
+        m = bounds[i] > 0
+        if m.any():
+            out[i, m] = gens[r].integers(0, bounds[i][m])
+    return out
+
+
+class TestWarpStreams:
+    """The wave-wide lane draw replays ``Generator.integers`` exactly."""
+
+    K, W = 9, 32
+
+    def _pair(self, seed, K=None):
+        states = spawn_generator_states(seed, K or self.K)
+        gens = [generator_from_state(s) for s in states]
+        return states, gens
+
+    def test_matches_generator_integers(self):
+        """Random row subsets per step; bounds 0 and 1 mixed with small
+        bounds and bounds near 3e9 (which reject ~30% of draws); enough
+        steps that every row refills several times; odd draw counts so
+        the half-word carry crosses steps."""
+        states, gens = self._pair(11)
+        streams = WarpStreams(states)
+        pick = np.random.default_rng(3)
+        drawn = np.zeros(self.K, dtype=np.int64)
+        for step in range(300):
+            n = int(pick.integers(1, self.K + 1))
+            rows = np.sort(pick.choice(self.K, size=n, replace=False))
+            bounds = pick.integers(0, 40, size=(n, self.W))
+            big = pick.random((n, self.W)) < 0.2
+            bounds[big] = pick.integers(
+                2_900_000_000, MAX_U32_BOUND + 1, size=int(big.sum())
+            )
+            bounds[pick.random((n, self.W)) < 0.3] = pick.integers(0, 2)
+            if step % 3 == 0:
+                # A single drawing lane: an odd count per step.
+                bounds[:, 1:] = 0
+                bounds[:, 0] = 7
+            got = streams.draw(rows, bounds)
+            assert np.array_equal(got, _numpy_draws(gens, rows, bounds)), step
+            drawn[rows] += (bounds > 1).sum(axis=1)
+        consumed = streams.drawn(np.arange(self.K))
+        # Rejections consumed extra draws, and rows crossed refills.
+        assert (consumed > drawn).any()
+        assert consumed.min() > 16 * self.W
+        assert (consumed % 2).any()
+
+    def test_degenerate_bounds_consume_nothing(self):
+        states, gens = self._pair(2, K=2)
+        streams = WarpStreams(states)
+        rows = np.array([0, 1])
+        bounds = np.array([[0, 1, 0, 1], [1, 1, 0, 0]], dtype=np.int64)
+        got = streams.draw(rows, bounds)
+        assert got.tolist() == [[-1, 0, -1, 0], [0, 0, -1, -1]]
+        assert streams.drawn(rows).tolist() == [0, 0]
+        bounds = np.array([[5, 1, 0, 9], [2**32, 3, 1, 0]], dtype=np.int64)
+        got = streams.draw(rows, bounds)
+        assert np.array_equal(got, _numpy_draws(gens, rows, bounds))
+        assert streams.drawn(rows).tolist() == [2, 2]
+
+    @pytest.mark.parametrize("h", [0, 1, 2, 37, 600, 1025])
+    def test_start_at_drawn_continues_the_stream(self, h):
+        """A stream started at ``drawn = h`` continues exactly like one
+        that consumed ``h`` draws (odd ``h`` skips a buffered half)."""
+        (state,) = spawn_generator_states(17, 1)
+        ref = WarpStreams([state])
+        rows = np.array([0])
+        while int(ref.drawn(rows)[0]) < h:
+            left = h - int(ref.drawn(rows)[0])
+            bounds = np.zeros((1, self.W), dtype=np.int64)
+            bounds[0, : min(left, self.W)] = 1000
+            ref.draw(rows, bounds)
+        assert int(ref.drawn(rows)[0]) == h
+        resumed = WarpStreams([state], [h])
+        assert int(resumed.drawn(rows)[0]) == h
+        pick = np.random.default_rng(h)
+        for _ in range(40):
+            bounds = pick.integers(0, 3_000_000_000, size=(1, self.W))
+            assert np.array_equal(
+                resumed.draw(rows, bounds), ref.draw(rows, bounds)
+            )
+        assert resumed.drawn(rows).tolist() == ref.drawn(rows).tolist()
+
+    def test_bound_above_32_bits_raises(self):
+        streams = WarpStreams(spawn_generator_states(1, 2))
+        bounds = np.array([[3, MAX_U32_BOUND + 1], [2, 2]], dtype=np.int64)
+        with pytest.raises(ValueError):
+            streams.draw(np.array([0, 1]), bounds)
 
 
 class TestTiming:
