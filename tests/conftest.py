@@ -11,6 +11,20 @@ from repro.graph.builder import from_edge_list
 from repro.query.matching_order import MatchingOrder, quicksi_order
 from repro.query.query_graph import QueryGraph
 
+#: Progress characters per line in quiet runs.  ``pytest -q`` on top of the
+#: ``-q`` in ``addopts`` prints no summary line, so the progress characters
+#: are the run's only record of its results; at the default 80 columns the
+#: suite spans 13+ lines and a log tail loses the first ones.  One long line
+#: per ~1000 tests keeps the whole record in a short tail.
+QUIET_PROGRESS_WIDTH = 1000
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_configure(config):
+    reporter = config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None and config.get_verbosity() < 0:
+        reporter._screen_width = max(reporter._screen_width, QUIET_PROGRESS_WIDTH)
+
 
 @pytest.fixture
 def triangle_graph():
