@@ -2,9 +2,8 @@
 
 Drives the open-loop overload soak (:mod:`repro.bench.overload`): seeded
 OVERLOAD-mode arrivals at 2x the calibrated service capacity through the
-admission stack and through the legacy unbounded front door, plus the
-stall-storm hedging check.  Fails (exit 1) when any acceptance gate is
-violated:
+admission stack and through the legacy unbounded front door.  Fails
+(exit 1) when any acceptance gate is violated:
 
 * zero stranded tickets in both configurations (every ticket reaches a
   terminal state);
@@ -13,8 +12,6 @@ violated:
   ``P99_DEADLINE_SLACK`` x the request deadline);
 * goodput (deadline-met completions per simulated second) with shedding
   is at least the no-shedding baseline's;
-* hedged rounds are bit-identical to unhedged rounds and do not worsen
-  the round-duration p99;
 * the shed *rate* lands inside the band pinned in
   ``benchmarks/baselines.json`` (``"overload"`` section, one band per
   mode) — the whole soak is simulated-clock deterministic, so drift means
@@ -120,20 +117,13 @@ def _print_report(payload: dict) -> None:
         tenant_rows,
         title="Per-tenant admission (shed config)",
     ))
-    hedge = payload["hedge"]
-    print()
-    print(f"hedging:  {hedge['n_hedges_fired']} fired / "
-          f"{hedge['n_hedge_wins']} won over {hedge['n_rounds']} rounds, "
-          f"bit-identical={hedge['estimates_bit_identical']}, "
-          f"p99 {hedge['p99_unhedged_ms']:.4f} -> "
-          f"{hedge['p99_hedged_ms']:.4f} ms")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI scale: 400 arrivals and a shorter hedge phase",
+        help="CI scale: 400 arrivals",
     )
     parser.add_argument("--requests", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=OVERLOAD_ROOT_SEED)

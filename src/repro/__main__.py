@@ -16,7 +16,7 @@ These subcommands make the system runnable without writing scripts:
   accuracy loss;
 * ``repro soak-bench`` — the open-loop overload soak: seeded OVERLOAD
   arrivals at a multiple of calibrated capacity through the admission
-  stack (bounded queue, per-tenant quotas, deadline shedding, hedging)
+  stack (bounded queue, per-tenant quotas, deadline shedding)
   vs the unbounded baseline, gating zero stranded tickets, bounded
   admitted p99, and goodput at least the baseline's;
 * ``repro trace-report`` — per-span time breakdown of a Chrome-trace JSON
@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     soak = sub.add_parser(
         "soak-bench",
-        help="open-loop overload soak (admission, shedding, hedging)",
+        help="open-loop overload soak (admission, shedding)",
     )
     soak.add_argument(
         "--requests", type=int, default=2000,
@@ -192,11 +192,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument(
         "--seed", type=int, default=OVERLOAD_ROOT_SEED,
-        help="root seed (arrivals, tenants, faults)",
+        help="root seed (arrivals, tenants)",
     )
     soak.add_argument(
         "--quick", action="store_true",
-        help="CI scale: 400 arrivals and a shorter hedge phase",
+        help="CI scale: 400 arrivals",
     )
     soak.add_argument(
         "--no-save", action="store_true", help="do not write results/ JSON"
@@ -473,12 +473,6 @@ def _cmd_soak_bench(args: argparse.Namespace) -> int:
             f"{soak['overload_factor']:.1f}x capacity, seed {payload['seed']})"
         ),
     ))
-    hedge = payload["hedge"]
-    print(f"\nhedging: {hedge['n_hedges_fired']} fired / "
-          f"{hedge['n_hedge_wins']} won over {hedge['n_rounds']} rounds, "
-          f"bit-identical={hedge['estimates_bit_identical']}, "
-          f"p99 {hedge['p99_unhedged_ms']:.4f} -> "
-          f"{hedge['p99_hedged_ms']:.4f} ms")
     acceptance = payload["acceptance"]
     verdict = "PASS" if acceptance.get("passed") else "FAIL"
     print(f"\nacceptance: {verdict}")

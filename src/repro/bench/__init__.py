@@ -12,7 +12,6 @@ from repro.bench.harness import (
     run_method,
 )
 from repro.bench.overload import (
-    run_hedge_check,
     run_open_loop,
     run_overload_comparison,
     run_overload_soak,
@@ -53,5 +52,4 @@ __all__ = [
     "run_overload_soak",
     "run_overload_comparison",
     "run_open_loop",
-    "run_hedge_check",
 ]

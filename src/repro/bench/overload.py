@@ -29,14 +29,10 @@ through exactly that regime and measures what the admission layer
    baseline's.  The shed configuration also runs the default SLO set
    (:mod:`repro.obs.slo`): the overload storm must *fire* a burn-rate
    alert and the post-storm drain must *clear* it — both at exact,
-   seed-reproducible simulated instants.  A separate hedge phase checks straggler hedging is free
-   of estimate drift: hedged rounds must be bit-identical to unhedged
-   rounds under a stall-fault storm while improving (or matching) the
-   tail.
+   seed-reproducible simulated instants.
 
 Everything is simulated-clock deterministic: the arrival schedule, the
-tenant assignment, the per-round RNG streams, and the fault draws all
-key off seeds, so shed counts replay bit-identically and the shed *rate*
+tenant assignment and the per-round RNG streams all key off seeds, so shed counts replay bit-identically and the shed *rate*
 can be pinned as a band in ``benchmarks/baselines.json`` (the
 ``soak-smoke`` CI job).
 """
@@ -47,16 +43,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import EngineConfig
-from repro.core.engine import GSWORDEngine
 from repro.errors import ConfigError, Overloaded
-from repro.estimators.alley import AlleyEstimator
-from repro.faults import OVERLOAD, ArrivalPlan, FaultKind, FaultPlan, maybe_injector
-from repro.gpu.costmodel import DEFAULT_GPU
+from repro.faults import OVERLOAD, ArrivalPlan
 from repro.obs.registry import quantile
 from repro.obs.slo import default_slo_policy
 from repro.serve.admission import AdmissionPolicy, TenantQuota
-from repro.serve.cache import build_plan
 from repro.serve.request import EstimateRequest
 from repro.serve.service import EstimationService, ServiceConfig, Ticket
 from repro.utils.rng import derive_seed
@@ -354,80 +345,6 @@ def run_overload_comparison(
     }
 
 
-def run_hedge_check(
-    n_rounds: int = 64,
-    n_samples: int = 192,
-    stall_rate: float = 0.15,
-    seed: int = OVERLOAD_ROOT_SEED,
-) -> Dict[str, object]:
-    """Hedge phase: bit-identical estimates, equal-or-better tail.
-
-    Two engines share one stall-fault schedule shape (stalls scale a
-    round's duration 24x but never its samples).  The unhedged session's
-    per-round durations set the hedge delay; the hedged session must then
-    reproduce the *exact* per-round estimates while its effective round
-    durations (winner time + hedge delay when the hedge won) show an
-    equal or better p99.
-    """
-    template = build_soak_pool(distinct=1, seed=seed)[0]
-    plan = build_plan(template.graph, template.query)
-    fault_plan = FaultPlan(
-        seed=derive_seed(seed, "hedge-faults"),
-        rates={FaultKind.STALL: stall_rate},
-        stall_factor=24.0,
-    )
-    session_seed = derive_seed(seed, "hedge-session")
-
-    def make_session():
-        engine = GSWORDEngine(
-            AlleyEstimator(),
-            EngineConfig.gsword(),
-            DEFAULT_GPU,
-            injector=maybe_injector(fault_plan),
-        )
-        return engine.session(plan.cg, plan.order, rng=session_seed)
-
-    unhedged = make_session()
-    estimates_u: List[float] = []
-    durations_u: List[float] = []
-    for _ in range(n_rounds):
-        result = unhedged.run_round(n_samples).result
-        estimates_u.append(result.estimate)
-        durations_u.append(result.simulated_ms())
-
-    # Fire past ordinary rounds but well before a 24x stall completes.
-    delay_ms = max(0.05, 1.5 * quantile(durations_u, 0.5))
-    hedged = make_session()
-    estimates_h: List[float] = []
-    durations_h: List[float] = []
-    n_fired = 0
-    n_won = 0
-    wasted_ms = 0.0
-    for _ in range(n_rounds):
-        report = hedged.run_round(n_samples, hedge_delay_ms=delay_ms)
-        estimates_h.append(report.result.estimate)
-        durations_h.append(report.result.simulated_ms() + report.extra_ms)
-        n_fired += int(report.hedged)
-        n_won += int(report.hedge_won)
-        wasted_ms += report.wasted_ms
-
-    return {
-        "n_rounds": n_rounds,
-        "stall_rate": stall_rate,
-        "hedge_delay_ms": delay_ms,
-        "estimates_bit_identical": estimates_u == estimates_h,
-        "cumulative_estimate_unhedged": unhedged.result().estimate,
-        "cumulative_estimate_hedged": hedged.result().estimate,
-        "n_hedges_fired": n_fired,
-        "n_hedge_wins": n_won,
-        "hedge_wasted_ms": wasted_ms,
-        "p50_unhedged_ms": quantile(durations_u, 0.5),
-        "p50_hedged_ms": quantile(durations_h, 0.5),
-        "p99_unhedged_ms": quantile(durations_u, 0.99),
-        "p99_hedged_ms": quantile(durations_h, 0.99),
-    }
-
-
 def _slo_state_reached(run: Dict[str, object], state: str) -> bool:
     """Did the run's SLO alert log record at least one ``state`` entry?"""
     slo = run.get("slo") or {}
@@ -441,7 +358,6 @@ def evaluate_gates(payload: Dict[str, object]) -> Dict[str, object]:
     soak = payload["soak"]
     shed = soak["shed"]
     baseline = soak["baseline"]
-    hedge = payload["hedge"]
     p99_bound_ms = P99_DEADLINE_SLACK * float(soak["deadline_ms"])
     gates = {
         "zero_stranded": (
@@ -455,10 +371,6 @@ def evaluate_gates(payload: Dict[str, object]) -> Dict[str, object]:
         ),
         "goodput_not_worse_than_baseline": (
             float(shed["goodput_per_s"]) >= float(baseline["goodput_per_s"])
-        ),
-        "hedge_bit_identical": bool(hedge["estimates_bit_identical"]),
-        "hedge_tail_not_worse": (
-            float(hedge["p99_hedged_ms"]) <= float(hedge["p99_unhedged_ms"])
         ),
         "slo_alert_fired": _slo_state_reached(shed, "fire"),
         "slo_alert_cleared": _slo_state_reached(shed, "clear"),
@@ -476,7 +388,7 @@ def run_overload_soak(
     seed: int = OVERLOAD_ROOT_SEED,
     quick: bool = False,
 ) -> Dict[str, object]:
-    """The full soak: overload comparison + hedge check + gate verdicts."""
+    """The full soak: overload comparison + gate verdicts."""
     if n_requests < 1:
         raise ConfigError("the soak needs at least one arrival")
     if overload_factor <= 0:
@@ -489,9 +401,6 @@ def run_overload_soak(
         "n_requests": n_requests,
         "soak": run_overload_comparison(
             n_requests, overload_factor=overload_factor, seed=seed
-        ),
-        "hedge": run_hedge_check(
-            n_rounds=32 if quick else 64, seed=seed
         ),
     }
     payload["acceptance"] = evaluate_gates(payload)
@@ -510,7 +419,6 @@ __all__ = [
     "default_admission_policy",
     "run_open_loop",
     "run_overload_comparison",
-    "run_hedge_check",
     "evaluate_gates",
     "run_overload_soak",
 ]

@@ -57,7 +57,6 @@ from repro.obs.trace import NO_TRACE, TraceRecorder
 from repro.query.matching_order import MatchingOrder
 from repro.utils.rng import (
     MAX_U32_BOUND,
-    GeneratorState,
     RandomSource,
     as_generator,
     clone_state,
@@ -267,25 +266,19 @@ class GSWORDEngine:
         n_samples: int,
         rng: RandomSource = None,
         collect_states: bool = False,
-        shard_offset: int = 0,
     ) -> GPURunResult:
         """Execute sampling until ``n_samples`` samples are *collected*.
 
         Collected samples are what the paper's sample budgets count: root
         tasks plus inherited continuations.  Without inheritance the two
         coincide.
-
-        ``shard_offset`` rotates the warp->shard assignment of a sharded
-        run (hedged re-executions land on different workers);
-        every warp owns its spawned RNG state, so the result is
-        bit-identical for any offset.
         """
         if n_samples <= 0:
             raise ConfigError("n_samples must be positive")
         tasks_per_warp = self.config.tasks_per_warp
         max_warps = math.ceil(n_samples / tasks_per_warp)
         provider, exec_backend = self._warp_provider(
-            cg, order, n_samples, rng, collect_states, shard_offset
+            cg, order, n_samples, rng, collect_states
         )
         warp_rngs = [] if provider is not None else spawn_generators(rng, max_warps)
         kernel = KernelProfile()
@@ -302,6 +295,8 @@ class GSWORDEngine:
         shard_profiles: List[KernelProfile] = []
         shard_longest: List[float] = []
         if n_shards > 1:
+            from repro.multidev import shard_of
+
             shard_profiles = [KernelProfile() for _ in range(n_shards)]
             shard_longest = [0.0] * n_shards
         rec = self.recorder
@@ -331,7 +326,7 @@ class GSWORDEngine:
                 kernel.add_warp(warp_profile, samples=warp_count, valid=warp_valid)
                 longest = max(longest, warp_profile.cycles)
                 if n_shards > 1:
-                    s = provider.shard_of(n_warps)
+                    s = shard_of(n_warps, n_shards)
                     shard_profiles[s].add_warp(
                         warp_profile, samples=warp_count, valid=warp_valid
                     )
@@ -355,7 +350,7 @@ class GSWORDEngine:
                             "samples": warp_count,
                             "valid": warp_valid,
                             "shard": (
-                                provider.shard_of(n_warps)
+                                shard_of(n_warps, n_shards)
                                 if n_shards > 1 else 0
                             ),
                         },
@@ -457,7 +452,6 @@ class GSWORDEngine:
         n_samples: int,
         rng: RandomSource,
         collect_states: bool,
-        shard_offset: int = 0,
     ):
         """``(provider, backend)`` via the fallback ladder.
 
@@ -483,9 +477,7 @@ class GSWORDEngine:
                 if plan.max_candidates <= MAX_U32_BOUND:
                     runner = runner_for(kernel, params, self._fused_arena())
                     return (
-                        WarpProvider(
-                            self, runner, n_samples, rng, shard_offset
-                        ),
+                        WarpProvider(self, runner, n_samples, rng),
                         "fused",
                     )
         return None, "scalar"
@@ -877,15 +869,11 @@ class RoundReport:
     Fault bill: ``errors`` holds every failed launch in launch order
     (``n_faults`` is their count), ``n_retries`` the relaunches after
     attempt 0, and ``fault_ms`` the simulated critical-path time lost to
-    aborted attempts and retry backoff.  Hedging bill: ``hedged`` when a backup launch fired,
-    ``hedge_won`` when the backup committed, ``extra_ms`` the time the
-    round took beyond the winner's own kernel (the hedge delay when the
-    backup won; charged to the batch like backoff), and ``wasted_ms`` the
-    loser's occupancy of another replica (telemetry, not critical path).
+    aborted attempts and retry backoff.
     ``launch`` is the replay capture of the committed launch — or, on a
     failed round, of the last launch that executed (``None`` if none did):
-    the RNG substream state, sample count, shard offset, stall factor and
-    the observed estimate / simulated ms.  The flight recorder snapshots it
+    the RNG substream state, sample count, stall factor and the observed
+    estimate / simulated ms.  The flight recorder snapshots it
     into postmortem bundles; ``repro flight-replay`` re-executes it
     bit-identically.
     """
@@ -894,10 +882,6 @@ class RoundReport:
     n_retries: int = 0
     fault_ms: float = 0.0
     errors: List[BaseException] = field(default_factory=list)
-    hedged: bool = False
-    hedge_won: bool = False
-    extra_ms: float = 0.0
-    wasted_ms: float = 0.0
     launch: Optional[Dict[str, Any]] = None
 
     @property
@@ -930,9 +914,7 @@ class EngineSession:
     never a replay of the failed round's stream — and the Horvitz–Thompson
     estimator stays unbiased under any fault/retry pattern (Thm. 1 needs
     i.i.d. samples, not any *particular* samples; see
-    ``tests/test_engine_faults.py`` for the statistical check).  A hedged
-    attempt 0 replays one child on both of its launches, so it too advances
-    the root exactly once.
+    ``tests/test_engine_faults.py`` for the statistical check).
     """
 
     def __init__(
@@ -976,7 +958,6 @@ class EngineSession:
         n_samples: int,
         *,
         retry: bool = False,
-        hedge_delay_ms: Optional[float] = None,
         watchdog_ms: Optional[float] = None,
         collect_states: bool = False,
     ) -> RoundReport:
@@ -984,62 +965,47 @@ class EngineSession:
 
         ``report.result`` is the *round's own* result (its profile is what
         a batch scheduler co-schedules); read :meth:`result` for the
-        cumulative view.  Attempt 0 is one launch, or the hedged pair when
-        ``hedge_delay_ms`` is set; each failed attempt with a recoverable,
-        retryable error is followed, when ``retry`` is set, by up to
-        :data:`MAX_RETRIES` single relaunches (otherwise it fails fast),
+        cumulative view.  Each attempt is one launch; a failed attempt with
+        a recoverable, retryable error is followed, when ``retry`` is set,
+        by up to :data:`MAX_RETRIES` relaunches (otherwise it fails fast),
         each after ``retry_backoff_ms(i)`` simulated ms and on a fresh
         substream.
         Once the budget is spent the round's error is raised; failed
         attempts never touch the session's cumulative state.
         ``watchdog_ms`` tightens the device watchdog for this round only
         (the serving layer propagates a request's remaining deadline here).
-
-        **Hedging** is the straggler mitigation of "The Tail at Scale": if
-        the primary launch has not finished within ``hedge_delay_ms`` (the
-        scheduler passes a p99 of recent round durations), a second launch
-        of the *same* round fires with the warp->shard map rotated by one,
-        and the first completion wins.  Both launches replay one child
-        state spawned from the session root, and a warp's estimate depends
-        only on its own RNG stream — so the committed estimate is
-        bit-identical to the unhedged round no matter which launch wins.
-        Fault injection still draws fresh per *launch*, so the two can fail
-        independently: timing and failure differ, values never do.
         """
-        if hedge_delay_ms is not None and hedge_delay_ms < 0:
-            raise ConfigError("hedge_delay_ms must be non-negative")
         max_retries = MAX_RETRIES if retry else 0
         report = RoundReport()
         self.last_round = report
         rec = self.engine.recorder
         round_span = None
         if rec.enabled:
-            args = {"round": self._rounds, "n_samples": n_samples}
-            if hedge_delay_ms is not None:
-                args["hedge_delay_ms"] = hedge_delay_ms
-            round_span = rec.begin("engine.round", track="engine", args=args)
+            round_span = rec.begin(
+                "engine.round", track="engine",
+                args={"round": self._rounds, "n_samples": n_samples},
+            )
         try:
             while True:
-                if hedge_delay_ms is not None and report.n_retries == 0:
-                    result, error = self._hedged_attempt(
-                        report, n_samples, hedge_delay_ms, watchdog_ms,
-                        collect_states,
+                try:
+                    result = self._attempt_round(
+                        report, n_samples, collect_states,
+                        watchdog_ms=watchdog_ms,
                     )
-                else:
-                    result, error = self._launch(
-                        report, n_samples, watchdog_ms, collect_states
-                    )
-                    if error is not None:
-                        report.fault_ms += self.abort_charge_ms(error)
-                if error is None:
                     break
-                # Non-retryable faults (a shard worker is gone until the
-                # pool heals) surface immediately: relaunching the same
-                # round cannot succeed, so retries would only burn budget.
-                if report.n_retries >= max_retries or not getattr(
-                    error, "retryable", True
-                ):
-                    raise error
+                except RECOVERABLE_ERRORS as error:
+                    report.errors.append(error)
+                    if rec.enabled:
+                        self._trace_abort(error)
+                    report.fault_ms += self.abort_charge_ms(error)
+                    # Non-retryable faults (a shard worker is gone until
+                    # the pool heals) surface immediately: relaunching the
+                    # same round cannot succeed, so retries would only
+                    # burn budget.
+                    if report.n_retries >= max_retries or not getattr(
+                        error, "retryable", True
+                    ):
+                        raise
                 backoff = retry_backoff_ms(report.n_retries)
                 report.fault_ms += backoff
                 report.n_retries += 1
@@ -1064,7 +1030,6 @@ class EngineSession:
             rec.end(round_span, args={
                 "status": "ok", "n_faults": report.n_faults,
                 "n_retries": report.n_retries, "fault_ms": report.fault_ms,
-                "hedged": report.hedged, "hedge_won": report.hedge_won,
             })
         return report
 
@@ -1075,117 +1040,12 @@ class EngineSession:
     # ------------------------------------------------------------------
     # Launch internals
     # ------------------------------------------------------------------
-    def _hedged_attempt(
-        self,
-        report: RoundReport,
-        n_samples: int,
-        hedge_delay_ms: float,
-        watchdog_ms: Optional[float],
-        collect_states: bool,
-    ) -> Tuple[Optional[GPURunResult], Optional[BaseException]]:
-        """Attempt 0 of a hedged round: the primary launch and, unless it
-        finished within ``hedge_delay_ms``, a backup on the same substream.
-
-        The winner's kernel time is the round's duration; ``extra_ms`` (the
-        hedge delay, when the backup wins) extends the critical path; the
-        loser's overlapped occupancy lands in ``wasted_ms``.  When both
-        launches fail, the critical path burned until the slower failure
-        was known (``fault_ms``) and the primary's error is the attempt's.
-        """
-        rec = self.engine.recorder
-        state = spawn_generator_states(self._root, 1)[0]
-        primary, primary_err = self._launch(
-            report, n_samples, watchdog_ms, collect_states, rng_state=state
-        )
-        dur_p = primary.simulated_ms() if primary is not None else math.inf
-        if primary is not None and dur_p <= hedge_delay_ms:
-            # Primary beat the hedge trigger: identical to an unhedged round.
-            return primary, None
-        primary_launch = report.launch
-
-        # Hedge fires: same substream, rotated shard map (a different
-        # replica executes it when the engine is sharded).
-        report.hedged = True
-        shard_offset = 1 if self.engine.config.n_shards > 1 else 0
-        if rec.enabled:
-            rec.instant(
-                "hedge.fire", track="engine",
-                args={
-                    "round": self._rounds,
-                    "delay_ms": hedge_delay_ms,
-                    "shard_offset": shard_offset,
-                },
-            )
-        hedge, hedge_err = self._launch(
-            report, n_samples, watchdog_ms, collect_states,
-            rng_state=state, shard_offset=shard_offset,
-        )
-        # Occupancy of each launch on its replica (failed launches hold
-        # the device for their abort charge).
-        occ_p = dur_p if primary is not None else self.abort_charge_ms(primary_err)
-        occ_h = (
-            hedge.simulated_ms()
-            if hedge is not None
-            else self.abort_charge_ms(hedge_err)
-        )
-        if primary is None and hedge is None:
-            report.fault_ms += max(occ_p, hedge_delay_ms + occ_h)
-            report.wasted_ms = min(occ_p, occ_h)
-            return None, primary_err
-
-        dur_h_total = hedge_delay_ms + occ_h if hedge is not None else math.inf
-        report.hedge_won = dur_h_total < dur_p
-        winner = hedge if report.hedge_won else primary
-        assert winner is not None
-        win_time = dur_h_total if report.hedge_won else dur_p
-        # Loser occupancy until the winner's completion cancels it.
-        if report.hedge_won:
-            report.wasted_ms = min(occ_p, win_time)
-        else:
-            report.wasted_ms = min(occ_h, max(0.0, win_time - hedge_delay_ms))
-            report.launch = primary_launch
-        report.extra_ms = win_time - winner.simulated_ms()
-        if rec.enabled:
-            rec.instant(
-                "hedge.win", track="engine",
-                args={
-                    "winner": "hedge" if report.hedge_won else "primary",
-                    "win_ms": win_time,
-                    "wasted_ms": report.wasted_ms,
-                },
-            )
-        return winner, None
-
-    def _launch(
-        self,
-        report: RoundReport,
-        n_samples: int,
-        watchdog_ms: Optional[float],
-        collect_states: bool,
-        rng_state: Optional[GeneratorState] = None,
-        shard_offset: int = 0,
-    ) -> Tuple[Optional[GPURunResult], Optional[BaseException]]:
-        """:meth:`_attempt_round`, with a recoverable failure logged on
-        ``report`` (and the timeline) and returned instead of raised."""
-        try:
-            return self._attempt_round(
-                report, n_samples, collect_states, watchdog_ms=watchdog_ms,
-                shard_offset=shard_offset, rng_state=rng_state,
-            ), None
-        except RECOVERABLE_ERRORS as error:
-            report.errors.append(error)
-            if self.engine.recorder.enabled:
-                self._trace_abort(error)
-            return None, error
-
     def _attempt_round(
         self,
         report: RoundReport,
         n_samples: int,
         collect_states: bool,
         watchdog_ms: Optional[float] = None,
-        shard_offset: int = 0,
-        rng_state: Optional[GeneratorState] = None,
     ) -> GPURunResult:
         """One kernel launch: injection, admission, execution, watchdog.
 
@@ -1193,11 +1053,8 @@ class EngineSession:
         round result on success.  An executed launch is captured in
         ``report.launch``.
 
-        ``rng_state`` overrides the default fresh-substream draw (the
-        hedged attempt replays one substream across two launches);
         ``watchdog_ms`` tightens the device watchdog for this launch
-        (deadline propagation); ``shard_offset`` rotates the warp->shard
-        map.
+        (deadline propagation).
         """
         engine = self.engine
         device = engine.device
@@ -1230,16 +1087,15 @@ class EngineSession:
             # when this launch's round dispatches to it, exercising the
             # real death-detection path rather than a synthetic raise.
             engine._shard_executor().inject_crash(faults.launch_index)
-        if rng_state is None:
-            # Materialising via the captured state (instead of
-            # spawn_generators) is stream-identical — default_rng never
-            # advances a SeedSequence's child counter — but leaves the
-            # state in hand for postmortem replay.
-            rng_state = spawn_generator_states(self._root, 1)[0]
+        # Materialising via the captured state (instead of
+        # spawn_generators) is stream-identical — default_rng never
+        # advances a SeedSequence's child counter — but leaves the state
+        # in hand for postmortem replay.
+        rng_state = spawn_generator_states(self._root, 1)[0]
         round_rng = generator_from_state(clone_state(rng_state))
         round_result = engine.run(
             self.cg, self.order, n_samples, rng=round_rng,
-            collect_states=collect_states, shard_offset=shard_offset,
+            collect_states=collect_states,
         )
         if faults is not None and faults.stalls:
             # The hang model: the launch burns stall_factor× its cycle
@@ -1273,7 +1129,6 @@ class EngineSession:
         report.launch = {
             "rng_state": clone_state(rng_state),
             "n_samples": int(n_samples),
-            "shard_offset": int(shard_offset),
             "stall_factor": stall_factor,
             "estimate": float(round_result.estimate),
             "simulated_ms": float(round_result.simulated_ms()),

@@ -1170,7 +1170,6 @@ class WarpProvider:
         runner,
         n_samples: int,
         rng: RandomSource,
-        shard_offset: int = 0,
     ) -> None:
         self.runner = runner
         tpw = engine.config.tasks_per_warp
@@ -1183,19 +1182,13 @@ class WarpProvider:
         ]
         self.n_reruns = 0
         self.n_shards = min(engine.config.n_shards, max(1, self.max_warps))
-        self.shard_offset = shard_offset % self.n_shards
         if self.n_shards > 1:
             executor = engine._shard_executor()
             self.results = executor.run_round(
-                runner.kernel, runner.p, self.states, self.guesses,
-                shard_offset=self.shard_offset,
+                runner.kernel, runner.p, self.states, self.guesses
             )
         else:
             self.results = runner.run_warps(self.states, self.guesses)
-
-    def shard_of(self, w: int) -> int:
-        """Shard owning warp ``w`` (round-robin, hedges rotate the map)."""
-        return (w + self.shard_offset) % self.n_shards
 
     def warp(self, w: int, quota: int) -> WarpResult:
         run = self.results[w]

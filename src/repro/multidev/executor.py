@@ -33,18 +33,12 @@ from repro.multidev.worker import worker_loop
 from repro.utils.rng import GeneratorState
 
 
-def shard_of(warp_index: int, n_shards: int, offset: int = 0) -> int:
+def shard_of(warp_index: int, n_shards: int) -> int:
     """Shard owning a warp: round-robin by warp index.  Round-robin keeps
     the tail warps (smaller quotas) spread across shards, and any fixed
-    partition is bit-identical anyway.
-
-    ``offset`` rotates the assignment — the request-hedging path re-runs a
-    straggler round with ``offset=1`` so the replayed warps land on
-    *different* workers (the "hedge on another replica" model).  Because
-    every warp's result depends only on its own spawned generator state,
-    any rotation is bit-identical; only which worker executes it changes.
-    """
-    return (warp_index + offset) % n_shards
+    partition is bit-identical anyway, because every warp's result
+    depends only on its own spawned generator state."""
+    return warp_index % n_shards
 
 
 def _context() -> "tuple[mp.context.BaseContext, str]":
@@ -196,13 +190,9 @@ class ShardedVectorExecutor:
         params: WaveParams,
         states: Sequence[GeneratorState],
         quotas: Sequence[int],
-        shard_offset: int = 0,
     ) -> List[WarpRun]:
-        """Run one round's warps across the pool; results in warp order.
-
-        ``shard_offset`` rotates the warp->worker assignment (see
-        :func:`shard_of`) — bit-identical results on a different worker
-        set, which is what a hedged re-execution models.
+        """Run one round's warps across the pool (warp ``w`` on worker
+        :func:`shard_of` ``(w, n)``); results in warp order.
 
         Raises :class:`ShardFailure` if any worker dies mid-round (after
         draining the survivors, so no stale replies outlive the round).
@@ -216,10 +206,7 @@ class ShardedVectorExecutor:
 
         n = self.n_shards
         token = next(self._tokens)
-        slices = [
-            list(range((s - shard_offset) % n, len(states), n))
-            for s in range(n)
-        ]
+        slices = [list(range(s, len(states), n)) for s in range(n)]
         for s, warp_ids in enumerate(slices):
             worker = self._workers[s]
             assert worker is not None

@@ -32,9 +32,6 @@ Trigger taxonomy (the ``trigger.kind`` field of every bundle):
 * ``qerror_drift`` — a reported estimate drifted beyond the
   :data:`QERROR_THRESHOLD` bound versus its reference (fed by benches /
   canaries).
-* ``hedge_storm`` — the fraction of recent rounds that armed-and-fired
-  hedges crossed :data:`HEDGE_RATE_THRESHOLD` (tail latency is systemic,
-  not a straggler).
 
 Per-kind cooldowns (simulated ms) stop a persistent failure from
 producing a bundle storm; suppressed triggers are counted.
@@ -49,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +67,6 @@ TRIGGER_KINDS: Tuple[str, ...] = (
     "kernel_timeout",
     "shed_spike",
     "qerror_drift",
-    "hedge_storm",
 )
 
 
@@ -262,7 +258,6 @@ def serialize_round(launch: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "rng_state": serialize_rng_state(launch["rng_state"]),
         "n_samples": int(launch["n_samples"]),
-        "shard_offset": int(launch["shard_offset"]),
         "stall_factor": float(launch["stall_factor"]),
         "expected": {
             "estimate": float(launch["estimate"]),
@@ -379,10 +374,6 @@ MAX_BUNDLES = 4
 SHED_WINDOW_MS = 50.0
 SHED_RATE_THRESHOLD = 0.5
 SHED_MIN_EVENTS = 8
-#: ``hedge_storm``: the recent rounds considered and the hedged fraction
-#: of them that fires.
-HEDGE_WINDOW = 32
-HEDGE_RATE_THRESHOLD = 0.5
 #: q-error bound of ``qerror_drift`` (and of the serving layer's
 #: ``q_error`` SLO events).
 QERROR_THRESHOLD = 2.0
@@ -404,7 +395,6 @@ class FlightMonitor:
         self.n_triggers = 0
         self.n_suppressed = 0
         self._last_fire_ms: Dict[str, float] = {}
-        self._hedge_rounds: Deque[bool] = deque(maxlen=HEDGE_WINDOW)
 
     # -- trigger-specific evaluators -----------------------------------
     def check_shed(
@@ -424,28 +414,6 @@ class FlightMonitor:
                   "window_ms": SHED_WINDOW_MS}
         merged.update(details or {})
         return self.consider("shed_spike", now_ms, merged, context)
-
-    def check_hedges(
-        self,
-        now_ms: float,
-        n_rounds: int,
-        n_hedged: int,
-        context: Any,
-    ) -> Optional[Dict[str, Any]]:
-        """Feed a batch's (rounds, hedged rounds) into the storm window."""
-        for i in range(int(n_rounds)):
-            self._hedge_rounds.append(i < n_hedged)
-        window = self._hedge_rounds
-        if len(window) < window.maxlen:  # type: ignore[operator]
-            return None
-        rate = sum(window) / len(window)
-        if rate < HEDGE_RATE_THRESHOLD:
-            return None
-        return self.consider(
-            "hedge_storm", now_ms,
-            {"hedge_rate": rate, "window_rounds": len(window)},
-            context,
-        )
 
     def check_q_error(
         self,

@@ -28,7 +28,6 @@ ANOMALY_PREFIXES = (
     "retry",
     "breaker.",
     "overload.",
-    "hedge.",
     "flight.",
     "slo.",
     "worker.",

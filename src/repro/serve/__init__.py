@@ -35,7 +35,6 @@ from repro.errors import Overloaded, RequestCancelled, ServiceClosed
 from repro.serve.admission import (
     AdmissionController,
     AdmissionPolicy,
-    HedgeDelayTracker,
     ShedDecision,
     TenantQuota,
     TokenBucket,
@@ -93,7 +92,6 @@ __all__ = [
     "TenantQuota",
     "TokenBucket",
     "ShedDecision",
-    "HedgeDelayTracker",
     "FairQueue",
     "Overloaded",
     "RequestCancelled",

@@ -1,4 +1,4 @@
-"""Bounded admission: token-bucket quotas, load shedding, hedge delay.
+"""Bounded admission: token-bucket quotas and load shedding.
 
 The pre-overload service admitted every submission into an unbounded
 pending set — under open-loop arrivals (clients that do not wait for
@@ -30,10 +30,6 @@ All times are simulated milliseconds on the service clock, so admission
 decisions are deterministic for a fixed workload and replay bit-identically
 under a fixed seed — the soak benchmark's shed counts are pinned in
 ``benchmarks/baselines.json`` exactly because of this.
-
-The hedge parameters live here too: they set straggler hedging's delay
-(see :meth:`repro.core.engine.EngineSession.run_round`) to a quantile of
-observed round durations, so only genuine tail rounds pay the hedge.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.obs.registry import Reservoir
 
 
 @dataclass(frozen=True)
@@ -290,56 +285,10 @@ class AdmissionController:
         }
 
 
-#: Hedging parameters (straggler mitigation, on with
-#: ``ServiceConfig(hedge=True)``).  A round becomes a hedge candidate when
-#: its simulated duration exceeds the ``HEDGE_QUANTILE`` (p99) of the
-#: durations observed so far — the classic tail-at-scale delay trigger.
-#: The hedge replays the round's exact RNG substream on a rotated shard
-#: assignment, so the winning estimate is bit-identical to unhedged
-#: execution; only the timing (and fault exposure) differs.  Hedging arms
-#: after ``HEDGE_MIN_OBSERVATIONS`` rounds (a cold service has no tail
-#: estimate yet), and the delay never drops below
-#: ``HEDGE_DELAY_FLOOR_MS``, so launch-overhead noise on tiny rounds
-#: cannot arm hedges for every round.
-HEDGE_QUANTILE = 0.99
-HEDGE_MIN_OBSERVATIONS = 32
-HEDGE_DELAY_FLOOR_MS = 0.05
-
-
-class HedgeDelayTracker:
-    """Observed round-duration quantile → hedge delay (p99-based trigger).
-
-    Durations live in the same deterministic seeded :class:`Reservoir` the
-    latency histograms use, so the delay estimate is bounded-memory and
-    replayable.  Until :data:`HEDGE_MIN_OBSERVATIONS` rounds have been
-    seen the tracker returns ``None`` and no hedges fire.
-    """
-
-    def __init__(self) -> None:
-        self._durations = Reservoir(max_samples=2048, seed=0x4ED6E)
-
-    def observe(self, round_ms: float) -> None:
-        if round_ms > 0:
-            self._durations.add(round_ms)
-
-    def hedge_delay_ms(self) -> Optional[float]:
-        if self._durations.count < HEDGE_MIN_OBSERVATIONS:
-            return None
-        return max(
-            HEDGE_DELAY_FLOOR_MS,
-            self._durations.quantile(HEDGE_QUANTILE),
-        )
-
-    @property
-    def n_observed(self) -> int:
-        return self._durations.count
-
-
 __all__: Tuple[str, ...] = (
     "TenantQuota",
     "AdmissionPolicy",
     "TokenBucket",
     "ShedDecision",
     "AdmissionController",
-    "HedgeDelayTracker",
 )

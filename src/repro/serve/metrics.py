@@ -140,18 +140,6 @@ class ServiceMetrics:
             "retry_after_ms", "Retry-after hints on shed requests "
             "(simulated ms)",
         ).labels()
-        # Hedging: hedges fired, hedges whose backup won, and the losers'
-        # overlapped (wasted) device occupancy.
-        hedges = reg.counter(
-            "hedge_events_total", "Straggler-hedging events",
-            labels=("event",),
-        )
-        self._hedges = hedges.labels(event="fired")
-        self._hedge_wins = hedges.labels(event="won")
-        self._hedge_wasted_ms = reg.gauge(
-            "hedge_wasted_ms",
-            "Overlapped device occupancy of cancelled hedge losers",
-        ).labels()
 
     # ------------------------------------------------------------------
     def record_submit(self, queue_depth: int) -> None:
@@ -238,14 +226,6 @@ class ServiceMetrics:
         """One in-flight request cancelled by its caller."""
         self._cancelled.inc()
 
-    def record_hedges(
-        self, n_hedges: int, n_wins: int, wasted_ms: float
-    ) -> None:
-        """Fold one batch's hedging bill in."""
-        self._hedges.inc(n_hedges)
-        self._hedge_wins.inc(n_wins)
-        self._hedge_wasted_ms.inc(wasted_ms)
-
     # ------------------------------------------------------------------
     @property
     def samples_per_second(self) -> float:
@@ -292,11 +272,6 @@ class ServiceMetrics:
                 "shed_by_reason": _by_label(self._shed),
                 "n_cancelled": int(self._cancelled.value),
                 "retry_after_ms": _summary(self._retry_after),
-            },
-            "hedging": {
-                "n_hedges": int(self._hedges.value),
-                "n_hedge_wins": int(self._hedge_wins.value),
-                "hedge_wasted_ms": self._hedge_wasted_ms.value,
             },
             "resilience": {
                 **{f"n_{e}": n for e, n in events.items()},

@@ -44,12 +44,10 @@ class RoundTask:
     """One schedulable unit: run ``n_samples`` on a request's session.
 
     ``payload`` is opaque to the scheduler (the service stores its pending-
-    request record there).  ``retry``, ``hedge_delay_ms`` and
-    ``watchdog_ms`` are passed straight to
-    :meth:`~repro.core.engine.EngineSession.run_round`: ``retry`` allows
-    relaunches after a transient device fault (``False`` = fail fast),
-    ``hedge_delay_ms`` makes attempt 0 a hedged pair (straggler
-    mitigation), and ``watchdog_ms`` tightens the round's launch watchdog
+    request record there).  ``retry`` and ``watchdog_ms`` are passed
+    straight to :meth:`~repro.core.engine.EngineSession.run_round`:
+    ``retry`` allows relaunches after a transient device fault (``False``
+    = fail fast), and ``watchdog_ms`` tightens the round's launch watchdog
     (deadline propagation).  ``tenant``/``weight`` drive weighted-fair
     queueing in :class:`FairQueue`."""
 
@@ -60,7 +58,6 @@ class RoundTask:
     tenant: str = "default"
     weight: float = 1.0
     watchdog_ms: Optional[float] = None
-    hedge_delay_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_samples <= 0:
@@ -175,13 +172,6 @@ class BatchResult:
     n_faults: int = 0
     n_retries: int = 0
     fault_kinds: List[str] = field(default_factory=list)
-    #: Hedging bill: fired hedges, hedge wins, critical-path delay charged
-    #: into ``batch_ms`` (the hedge delay when the backup won), and the
-    #: losers' overlapped occupancy (telemetry, not critical path).
-    n_hedges: int = 0
-    n_hedge_wins: int = 0
-    hedge_extra_ms: float = 0.0
-    hedge_wasted_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.failures:
@@ -269,16 +259,11 @@ class BatchScheduler:
         n_faults = 0
         n_retries = 0
         fault_kinds: List[str] = []
-        n_hedges = 0
-        n_hedge_wins = 0
-        hedge_extra_ms = 0.0
-        hedge_wasted_ms = 0.0
         for task in tasks:
             try:
                 task.session.run_round(
                     task.n_samples,
                     retry=task.retry,
-                    hedge_delay_ms=task.hedge_delay_ms,
                     watchdog_ms=task.watchdog_ms,
                 )
                 failures.append(None)
@@ -290,13 +275,6 @@ class BatchScheduler:
             n_faults += report.n_faults
             n_retries += report.n_retries
             fault_kinds.extend(fault_kind(e) for e in report.errors)
-            # Hedges are counted over committed rounds: the service's
-            # hedge-storm rate divides them by the completed-round count.
-            if report.hedged and report.result is not None:
-                n_hedges += 1
-                n_hedge_wins += report.hedge_won
-                hedge_extra_ms += report.extra_ms
-                hedge_wasted_ms += report.wasted_ms
         ok = [r for r in results if r is not None]
         batch_ms = (
             self.device.coresident_ms(
@@ -305,7 +283,7 @@ class BatchScheduler:
             )
             if ok
             else self.spec.launch_overhead_ms
-        ) + fault_ms + hedge_extra_ms
+        ) + fault_ms
         return BatchResult(
             tasks=tasks,
             round_results=results,
@@ -317,8 +295,4 @@ class BatchScheduler:
             n_faults=n_faults,
             n_retries=n_retries,
             fault_kinds=fault_kinds,
-            n_hedges=n_hedges,
-            n_hedge_wins=n_hedge_wins,
-            hedge_extra_ms=hedge_extra_ms,
-            hedge_wasted_ms=hedge_wasted_ms,
         )

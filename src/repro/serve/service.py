@@ -65,11 +65,7 @@ from repro.obs.flight import (
 from repro.obs.registry import MetricsRegistry, add_stall_summary
 from repro.obs.slo import SLOEngine, SLOPolicy
 from repro.obs.trace import NO_TRACE, TraceRecorder
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    HedgeDelayTracker,
-)
+from repro.serve.admission import AdmissionController, AdmissionPolicy
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import PlanCache, build_plan
 from repro.serve.controller import AdaptiveBudgetController, BudgetPolicy
@@ -85,9 +81,6 @@ from repro.utils.rng import derive_seed
 
 #: Matching-order heuristic of every plan the service builds.
 ORDER_METHOD = "quicksi"
-#: Cap on the rounds any one request may arm with a hedge (runaway-hedge
-#: backstop).
-MAX_HEDGES_PER_REQUEST = 4
 
 
 @dataclass(frozen=True)
@@ -95,9 +88,9 @@ class ServiceConfig:
     """Service-level configuration.
 
     Only values some caller sets are fields; the fixed tuning behind them
-    (retry backoff, breaker threshold and cooldown, hedge delay, flight
-    triggers, :data:`ORDER_METHOD`) is module constants next to the code
-    that reads it.
+    (retry backoff, breaker threshold and cooldown, flight triggers,
+    :data:`ORDER_METHOD`) is module constants next to the code that reads
+    it.
 
     Attributes:
         spec: the shared simulated device all requests co-reside on.
@@ -135,11 +128,6 @@ class ServiceConfig:
             may raise :class:`~repro.errors.Overloaded` with a computed
             ``retry_after_ms`` hint, and queued rounds are drained
             weighted-fair across tenants instead of global FIFO.
-        hedge: straggler hedging (off by default).  When on, rounds are
-            hedged onto a rotated shard assignment after a p99-based delay
-            (:mod:`repro.serve.admission` holds its parameters), at most
-            :data:`MAX_HEDGES_PER_REQUEST` times per request —
-            bit-identical estimates, shorter tails.
         propagate_deadline: thread each request's remaining deadline into
             its rounds as a per-launch watchdog ceiling, so a round that
             cannot finish in time aborts (and degrades) instead of burning
@@ -148,7 +136,7 @@ class ServiceConfig:
         flight: always-on flight recording (:mod:`repro.obs.flight`): a
             bounded ring of recent spans/instants plus the trigger
             monitor that snapshots postmortem bundles on breaker trips,
-            watchdog kills, shed spikes, q-error drift, and hedge storms.
+            watchdog kills, shed spikes and q-error drift.
             On by default — the ring caps memory and the per-event cost
             lives inside the existing <2% tracing budget.  ``False``
             disables it (``engine_config.trace`` also supersedes the ring:
@@ -169,7 +157,6 @@ class ServiceConfig:
     retry: bool = True
     cpu_fallback: bool = True
     admission: Optional[AdmissionPolicy] = None
-    hedge: bool = False
     propagate_deadline: bool = False
     flight: bool = True
     slo: Optional[SLOPolicy] = None
@@ -258,7 +245,6 @@ class _Pending:
     extras: Dict[str, object] = field(default_factory=dict)
     tenant: str = "default"
     cancelled: bool = False  # terminal; queued rounds are dropped lazily
-    n_hedges_armed: int = 0  # rounds armed with a hedge (per-request cap)
 
 
 class EstimationService:
@@ -309,9 +295,6 @@ class EstimationService:
         # Kept as live object references; serialization happens only when
         # a trigger actually fires (the healthy path must stay cheap).
         self._launch_context: Optional[Dict[str, object]] = None
-        # Fallback graph identity for bundles triggered before any launch
-        # completes (set via note_graph_identity).
-        self._graph_hint: Optional[str] = None
         # Cumulative device-side kernel counters across all rounds (the
         # serve-layer view of the Figure-5 stall summary) and the total
         # multi-device round time, for the unified metrics namespace.
@@ -349,9 +332,6 @@ class EstimationService:
             AdmissionController(config.admission)
             if config.admission is not None
             else None
-        )
-        self._hedge_tracker: Optional[HedgeDelayTracker] = (
-            HedgeDelayTracker() if config.hedge else None
         )
 
     # ------------------------------------------------------------------
@@ -532,9 +512,6 @@ class EstimationService:
                 if self._admission is not None
                 else {"enabled": False}
             )
-            if self._hedge_tracker is not None:
-                snap["hedge_delay_ms"] = self._hedge_tracker.hedge_delay_ms()
-                snap["hedge_rounds_observed"] = self._hedge_tracker.n_observed
             # Device-side kernel telemetry folded across every committed round:
             # the Figure-5 stall summary and the cumulative multi-device time.
             snap["stall"] = self._kernel_profile.stall_summary()
@@ -603,19 +580,6 @@ class EstimationService:
     # ------------------------------------------------------------------
     # Flight recording & SLOs (repro.obs.flight / repro.obs.slo)
     # ------------------------------------------------------------------
-    def note_graph_identity(
-        self, graph: object, graph_id: Optional[str] = None
-    ) -> str:
-        """Record the graph identity for postmortem bundles.
-
-        Called by code that knows the graph before any round has run, so
-        even a bundle triggered pre-launch names its graph.  Returns the
-        canonical ``name@v0#<fp>`` string."""
-        ident = graph_identity(graph, graph_id=graph_id)
-        with self._lock:
-            self._graph_hint = ident
-        return ident
-
     def report_q_error(
         self, estimate: float, reference: float
     ) -> Optional[Dict[str, object]]:
@@ -688,8 +652,6 @@ class EstimationService:
                 ORDER_METHOD,
             )
             ctx["round"] = serialize_round(lc["launch"])
-        elif self._graph_hint is not None:
-            ctx["graph_identity"] = self._graph_hint
         return ctx
 
     def _update_launch_context(self, pending: _Pending) -> None:
@@ -812,27 +774,8 @@ class EstimationService:
                     result.fault_ms,
                     result.fault_kinds,
                 )
-            if result.n_hedges:
-                self.metrics.record_hedges(
-                    result.n_hedges,
-                    result.n_hedge_wins,
-                    result.hedge_wasted_ms,
-                )
             if self._admission is not None:
                 self._admission.observe_batch(len(batch), result.batch_ms)
-            if self.flight is not None and self._hedge_tracker is not None:
-                # Every round feeds the hedge-storm window (hedged or not)
-                # so the rate reflects the true hedged fraction.
-                self.flight.check_hedges(
-                    self._clock_ms,
-                    sum(1 for r in result.round_results if r is not None),
-                    result.n_hedges,
-                    self._flight_context,
-                )
-            if self._hedge_tracker is not None:
-                for r in result.round_results:
-                    if r is not None:
-                        self._hedge_tracker.observe(r.simulated_ms())
             for task, round_result, error in zip(
                 batch, result.round_results, result.failures
             ):
@@ -1086,14 +1029,6 @@ class EstimationService:
             if self.config.propagate_deadline
             else None
         )
-        hedge_delay_ms: Optional[float] = None
-        if (
-            self._hedge_tracker is not None
-            and pending.n_hedges_armed < MAX_HEDGES_PER_REQUEST
-        ):
-            hedge_delay_ms = self._hedge_tracker.hedge_delay_ms()
-            if hedge_delay_ms is not None:
-                pending.n_hedges_armed += 1
         weight = (
             self._admission.weight_for(pending.tenant)
             if self._admission is not None
@@ -1108,7 +1043,6 @@ class EstimationService:
                 tenant=pending.tenant,
                 weight=weight,
                 watchdog_ms=watchdog_ms,
-                hedge_delay_ms=hedge_delay_ms,
             )
         )
 

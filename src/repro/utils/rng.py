@@ -76,9 +76,9 @@ def clone_state(state: GeneratorState) -> GeneratorState:
     that each spawn sub-streams from it gives them *different*
     grandchildren — not a replay.  Cloning rebuilds the sequence from its
     ``(entropy, spawn_key)`` identity with the counter reset, so every
-    consumer of a clone sees the identical unspawned sequence (the hedged
-    round replay in :meth:`repro.core.engine.EngineSession.run_round`
-    depends on this for bit-identical estimates).
+    consumer of a clone sees the identical unspawned sequence.  A round's
+    launch capture and ``repro flight-replay`` depend on this to re-run a
+    captured round bit-identically.
     """
     if isinstance(state, np.random.SeedSequence):
         return np.random.SeedSequence(

@@ -1,9 +1,8 @@
 """Unit tests for the admission layer (repro/serve/admission.py), the
 weighted-fair queue (repro/serve/scheduler.py), the arrival plans
-(repro/faults/arrivals.py), and the replay-safe RNG state cloning the
-hedged-round bit-identity depends on."""
+(repro/faults/arrivals.py), and the replay-safe RNG state cloning that
+launch capture and flight replay depend on."""
 
-import math
 from collections import deque
 
 import numpy as np
@@ -14,10 +13,7 @@ from repro.faults import OVERLOAD, POISSON, ArrivalPlan
 from repro.serve.admission import (
     AdmissionController,
     AdmissionPolicy,
-    HEDGE_DELAY_FLOOR_MS,
-    HEDGE_MIN_OBSERVATIONS,
     MIN_RETRY_AFTER_MS,
-    HedgeDelayTracker,
     TenantQuota,
     TokenBucket,
 )
@@ -170,29 +166,6 @@ class TestAdmissionController:
             TenantQuota(weight=0.0)
         with pytest.raises(ConfigError):
             TenantQuota(burst=0.5)
-
-
-# ---------------------------------------------------------------------------
-# HedgeDelayTracker
-# ---------------------------------------------------------------------------
-class TestHedgeDelayTracker:
-    def test_unarmed_until_min_observations(self):
-        tracker = HedgeDelayTracker()
-        for _ in range(HEDGE_MIN_OBSERVATIONS - 1):
-            tracker.observe(1.0)
-        assert tracker.hedge_delay_ms() is None
-        tracker.observe(1.0)
-        assert tracker.hedge_delay_ms() is not None
-
-    def test_delay_is_tail_quantile_with_floor(self):
-        tracker = HedgeDelayTracker()
-        for v in range(1, 102):  # p99 of 1..101 is 100
-            tracker.observe(float(v))
-        assert tracker.hedge_delay_ms() == pytest.approx(100.0)
-        floor = HedgeDelayTracker()
-        for _ in range(HEDGE_MIN_OBSERVATIONS):
-            floor.observe(0.001)
-        assert floor.hedge_delay_ms() == HEDGE_DELAY_FLOOR_MS
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +336,7 @@ class TestArrivalPlan:
 
 
 # ---------------------------------------------------------------------------
-# clone_state (the hedged-replay primitive)
+# clone_state (the launch-replay primitive)
 # ---------------------------------------------------------------------------
 class TestCloneState:
     def test_clone_replays_direct_draws(self):
@@ -394,10 +367,3 @@ class TestCloneState:
 
     def test_int_states_pass_through(self):
         assert clone_state(42) == 42
-
-    def test_math_isfinite_guard(self):
-        # Sanity: quantile-based hints in the soak are finite numbers.
-        tracker = HedgeDelayTracker()
-        for _ in range(HEDGE_MIN_OBSERVATIONS):
-            tracker.observe(1.0)
-        assert math.isfinite(tracker.hedge_delay_ms())

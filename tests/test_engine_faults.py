@@ -244,11 +244,9 @@ class TestRetryUnbiasedness:
         assert abs(h_mean - f_mean) <= 5.0 * pooled_se + 1e-9
 
 
-class TestHedgedRetry:
-    """A hedged round's pair of launches is attempt 0 of the retry loop."""
-
+class TestFailedRound:
     @pytest.mark.parametrize("max_retries", [0, MAX_RETRIES])
-    def test_failed_pair_spends_exactly_the_retry_budget(
+    def test_failed_round_spends_exactly_the_retry_budget(
         self, plan_parts, max_retries
     ):
         cg, order = plan_parts
@@ -260,58 +258,35 @@ class TestHedgedRetry:
         session = engine.session(cg, order, rng=0)
         sentinel = rec.begin("sentinel", track="engine")
         with pytest.raises(DeviceFault):
-            session.run_round(
-                128, retry=max_retries > 0, hedge_delay_ms=0.0,
-            )
+            session.run_round(128, retry=max_retries > 0)
         rec.end(sentinel)  # the round left no span open on the track
         report = session.last_round
-        assert engine.injector.n_launches == 2 + max_retries
-        assert len(report.errors) == 2 + max_retries
+        assert engine.injector.n_launches == 1 + max_retries
+        assert len(report.errors) == 1 + max_retries
         assert report.n_retries == max_retries
-        assert report.hedged and report.result is None
+        assert report.result is None
         rounds = rec.spans("engine.round")
         assert len(rounds) == 1
         assert rounds[0]["args"]["status"] == "failed"
         assert len(rec.spans("sentinel")) == 1
-
-    def test_failed_pair_then_retry_charges_backoff(self, plan_parts):
-        cg, order = plan_parts
-        engine = make_engine(FaultPlan(overrides={
-            0: (FaultKind.CORRUPTION,), 1: (FaultKind.CORRUPTION,),
-        }))
-        session = engine.session(cg, order, rng=0)
-        report = session.run_round(128, retry=True, hedge_delay_ms=0.0)
-        overhead = engine.spec.launch_overhead_ms
-        assert report.result is not None
-        assert report.n_faults == 2 and report.n_retries == 1
-        # Both launches died at launch: the pair burned one overhead after
-        # the hedge delay, then the single retry waited backoff(0).
-        assert report.fault_ms == pytest.approx(overhead + retry_backoff_ms(0))
-        assert engine.injector.n_launches == 3
+        rec.chrome_trace()  # raises while any span is still open
 
 
 class TestLaunchCapture:
-    def test_capture_is_the_committed_launch(self, plan_parts):
-        """With the hedge armed on every round, the capture must describe
-        whichever launch committed — not the losing (stalled) backup."""
+    def test_capture_after_a_retry_is_the_committed_launch(self, plan_parts):
+        """Attempt 0 is captured before the watchdog kills it; the retry
+        that commits must replace that capture with its own launch."""
         cg, order = plan_parts
-        plan = FaultPlan(seed=5, rates={FaultKind.STALL: 0.5},
-                         stall_factor=24.0)
-        session = make_engine(plan).session(cg, order, rng=0)
-        stalled_losers = 0
-        for r in range(12):
-            report = session.run_round(128, hedge_delay_ms=0.0)
-            launch, result = report.launch, report.result
-            # Each round launches the primary (2r) and the hedge (2r+1).
-            assert launch["launch_index"] == 2 * r + int(report.hedge_won)
-            assert launch["simulated_ms"] == result.simulated_ms()
-            assert launch["estimate"] == result.estimate
-            committed = plan.faults_for(launch["launch_index"])
-            expected = plan.stall_factor if committed.stalls else 1.0
-            assert launch["stall_factor"] == expected
-            if not report.hedge_won and plan.faults_for(2 * r + 1).stalls:
-                stalled_losers += 1
-        assert stalled_losers > 0  # the plan really produced a stalled loser
+        plan = FaultPlan(overrides={0: (FaultKind.STALL,)}, stall_factor=1e6)
+        session = make_engine(plan, watchdog_ms=5.0).session(cg, order, rng=0)
+        report = session.run_round(128, retry=True)
+        assert isinstance(report.errors[0], KernelTimeout)
+        assert report.n_retries == 1
+        launch, result = report.launch, report.result
+        assert launch["launch_index"] == 1
+        assert launch["stall_factor"] == 1.0
+        assert launch["estimate"] == result.estimate
+        assert launch["simulated_ms"] == result.simulated_ms()
 
 
 class TestEngineWiring:

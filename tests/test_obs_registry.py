@@ -21,7 +21,6 @@ from repro.obs.registry import (
 from repro.obs.slo import default_slo_policy
 from repro.query.extract import extract_query
 from repro.serve import EstimateRequest, EstimationService, ServiceConfig
-from repro.serve import admission
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.controller import BudgetPolicy
 from repro.serve.metrics import ServiceMetrics
@@ -300,24 +299,19 @@ class TestServiceBridgeNames:
 
 class TestRunBridgeNames:
     def test_snapshot_bridge_declares_everything(self):
-        # Shed, cancellation and hedging records land in their families
+        # Shed and cancellation records land in their families
         # and the whole exposition parses cleanly.
         metrics = ServiceMetrics()
         for retry_after_ms in (0.5, 0.25, 1.0):
             metrics.record_shed("queue_full", retry_after_ms)
         metrics.record_cancelled()
-        metrics.record_hedges(2, 1, 0.25)
         names = {f.name for f in metrics.registry.families()}
         assert {"admission_shed_total", "requests_cancelled_total",
-                "retry_after_ms", "hedge_events_total",
-                "hedge_wasted_ms"} <= names
+                "retry_after_ms"} <= names
         parsed = parse_prometheus_text(metrics.registry.prometheus_text())
         shed = parsed["repro_admission_shed_total"]["samples"]
         assert shed[0]["labels"] == {"reason": "queue_full"}
         assert shed[0]["value"] == 3.0
-        events = {s["labels"]["event"]: s["value"]
-                  for s in parsed["repro_hedge_events_total"]["samples"]}
-        assert events == {"fired": 2.0, "won": 1.0}
         retry = {s["name"]: s["value"]
                  for s in parsed["repro_retry_after_ms"]["samples"]
                  if "quantile" not in s["labels"]}
@@ -337,7 +331,7 @@ def _value(out, name):
 
 
 class TestLiveServiceRegistry:
-    """A service that sheds, hedges, absorbs injected faults and fires +
+    """A service that sheds, absorbs injected faults and fires +
     clears an SLO alert exports all of it live."""
 
     @pytest.fixture(scope="class")
@@ -348,7 +342,6 @@ class TestLiveServiceRegistry:
         service = EstimationService(ServiceConfig(
             slo=policy,
             admission=AdmissionPolicy(max_pending=2),
-            hedge=True,
             faults=FaultPlan(
                 seed=3,
                 rates={FaultKind.STALL: 0.5, FaultKind.CORRUPTION: 0.2},
@@ -356,21 +349,15 @@ class TestLiveServiceRegistry:
             ),
             policy=BudgetPolicy(min_round_samples=64, max_round_samples=256),
         ))
-        # Two short requests are far too few rounds to arm p99 hedging
-        # after 32 observations: arm it after one, at the median.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(admission, "HEDGE_QUANTILE", 0.5)
-            mp.setattr(admission, "HEDGE_MIN_OBSERVATIONS", 1)
-            mp.setattr(admission, "HEDGE_DELAY_FLOOR_MS", 1e-6)
-            for _ in range(4):
-                try:
-                    service.submit(EstimateRequest(
-                        graph=graph, query=query, target_rel_ci=0.01,
-                        max_samples=2048,
-                    ))
-                except Overloaded:
-                    pass
-            service.drain()
+        for _ in range(4):
+            try:
+                service.submit(EstimateRequest(
+                    graph=graph, query=query, target_rel_ci=0.01,
+                    max_samples=2048,
+                ))
+            except Overloaded:
+                pass
+        service.drain()
         for _ in range(6):
             service.report_q_error(1000.0, 100.0)  # q = 10: all bad
         service.advance_clock(service.clock_ms + policy.long_window_ms + 1.0)
@@ -380,7 +367,6 @@ class TestLiveServiceRegistry:
     def test_scenario_covers_every_event(self, service):
         snap = service.metrics_snapshot()
         assert snap["admission"]["n_shed"] > 0
-        assert snap["hedging"]["n_hedges"] > 0
         assert snap["faults_injected"]["n_faulted_launches"] > 0
         assert snap["resilience"]["n_faults"] > 0
         alerts = snap["slo"]["alerts"]["q_error"]
@@ -435,11 +421,6 @@ class TestLiveServiceRegistry:
         assert _series(out, "admission_shed_total", "reason") == (
             admission["shed_by_reason"]
         )
-        hedging = snap["hedging"]
-        assert _series(out, "hedge_events_total", "event") == {
-            "fired": hedging["n_hedges"], "won": hedging["n_hedge_wins"],
-        }
-        assert _value(out, "hedge_wasted_ms") == hedging["hedge_wasted_ms"]
         resilience = snap["resilience"]
         assert _series(out, "resilience_events_total", "event") == {
             key[2:]: value for key, value in resilience.items()

@@ -1,28 +1,21 @@
 """Service-level overload behaviour: load shedding with retry hints,
 the shutdown race, cancellation releasing admission capacity, thread
-safety under concurrent submitters, hedged-round bit-identity, and
-deadline propagation (repro/serve/service.py + repro/serve/admission.py)."""
+safety under concurrent submitters, and deadline propagation
+(repro/serve/service.py + repro/serve/admission.py)."""
 
 import threading
 
-import numpy as np
 import pytest
 
-from repro.candidate.candidate_graph import build_candidate_graph
-from repro.core.config import EngineConfig
-from repro.core.engine import GSWORDEngine
 from repro.errors import (
     Overloaded,
     RequestCancelled,
     ServiceClosed,
 )
-from repro.estimators.alley import AlleyEstimator
-from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.gpu.costmodel import DEFAULT_GPU
 from repro.gpu.device import DeviceModel
 from repro.graph.datasets import load_dataset
 from repro.query.extract import extract_query
-from repro.query.matching_order import quicksi_order
 from repro.serve import (
     AdmissionPolicy,
     EstimateRequest,
@@ -325,98 +318,6 @@ class TestThreadHammer:
         snap = service.metrics_snapshot()
         assert snap["n_completed"] == len(results)
         assert snap["n_failed"] == 0
-
-
-# ---------------------------------------------------------------------------
-# Hedging
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def plan_parts(yeast, query):
-    cg = build_candidate_graph(yeast, query)
-    order = quicksi_order(query, yeast)
-    assert not cg.is_empty()
-    return cg, order
-
-
-def _make_engine(plan=None, n_shards=2):
-    config = EngineConfig.gsword(n_shards=n_shards)
-    injector = FaultInjector(plan) if plan is not None else None
-    return GSWORDEngine(
-        AlleyEstimator(), config, DEFAULT_GPU,
-        device=DeviceModel(DEFAULT_GPU), injector=injector,
-    )
-
-
-class TestHedging:
-    def test_hedged_rounds_bit_identical_to_unhedged(self, plan_parts):
-        """Under stall faults the hedge fires and sometimes wins — and the
-        committed estimates must still match unhedged execution bitwise."""
-        cg, order = plan_parts
-        stalls = FaultPlan(
-            seed=derive_seed(9, "hedge"),
-            rates={FaultKind.STALL: 0.3},
-            stall_factor=24.0,
-        )
-        plain = _make_engine().session(cg, order, rng=7)
-        durations = []
-        baseline = []
-        for _ in range(24):
-            result = plain.run_round(192).result
-            durations.append(result.simulated_ms())
-            baseline.append(result.estimate)
-        delay = max(0.05, 1.5 * float(np.percentile(durations, 50)))
-
-        hedged = _make_engine(stalls).session(cg, order, rng=7)
-        estimates = []
-        n_fired = n_won = 0
-        for _ in range(24):
-            report = hedged.run_round(192, hedge_delay_ms=delay)
-            estimates.append(report.result.estimate)
-            n_fired += int(report.hedged)
-            n_won += int(report.hedge_won)
-            if report.hedge_won:
-                assert report.extra_ms > 0
-        assert estimates == baseline
-        assert n_fired > 0  # the stall plan actually exercised hedging
-        assert n_won <= n_fired
-
-    def test_hedge_accounting_fields(self, plan_parts):
-        cg, order = plan_parts
-        session = _make_engine().session(cg, order, rng=3)
-        # A huge delay never fires the hedge on a healthy device.
-        report = session.run_round(192, hedge_delay_ms=1e9)
-        assert not report.hedged and not report.hedge_won
-        assert report.extra_ms == 0.0 and report.wasted_ms == 0.0
-
-    def test_service_level_hedging_counters(self, yeast, query):
-        service = make_service(
-            faults=FaultPlan(
-                seed=derive_seed(11, "svc-hedge"),
-                rates={FaultKind.STALL: 0.4},
-                stall_factor=50.0,
-            ),
-            hedge=True,
-        )
-        # A high-variance query with a tight CI target forces multi-round
-        # requests: only continuation rounds can arm hedges (the tracker
-        # needs observed durations first).
-        q8 = extract_query(
-            yeast, 8, rng=derive_seed(55, "overload-q8"), name="ov-q8"
-        )
-        for _ in range(12):
-            service.submit(
-                EstimateRequest(
-                    graph=yeast, query=q8,
-                    target_rel_ci=0.02, max_samples=65536,
-                )
-            )
-        service.drain()
-        assert service.metrics_snapshot()["n_completed"] == 12
-        snap = service.metrics_snapshot()
-        hedging = snap["hedging"]
-        assert hedging["n_hedges"] > 0
-        assert 0 <= hedging["n_hedge_wins"] <= hedging["n_hedges"]
-        assert hedging["hedge_wasted_ms"] >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def corrupt(*launches):
 
 class TestFaultAccounting:
     """The batch's fault bill, per kind of task: fail-fast, retried,
-    retry-exhausted and hedged rounds, alone and mixed in one batch."""
+    and retry-exhausted rounds, alone and mixed in one batch."""
 
     OVERHEAD = SMALL_SPEC.launch_overhead_ms
 
@@ -175,8 +175,7 @@ class TestFaultAccounting:
 
     def assert_batch_ms(self, scheduler, result):
         assert result.batch_ms == pytest.approx(
-            self.coresident_ms(scheduler, result)
-            + result.fault_ms + result.hedge_extra_ms
+            self.coresident_ms(scheduler, result) + result.fault_ms
         )
 
     def test_fail_fast_task_bills_one_abort(self, plans):
@@ -189,7 +188,6 @@ class TestFaultAccounting:
         assert result.n_retries == 0
         assert result.fault_ms == pytest.approx(self.OVERHEAD)
         assert result.fault_kinds == ["corruption"]
-        assert result.n_hedges == 0
         self.assert_batch_ms(scheduler, result)
 
     def test_task_recovers_after_retries(self, plans):
@@ -224,21 +222,6 @@ class TestFaultAccounting:
         assert session.n_rounds == 0
         self.assert_batch_ms(scheduler, result)
 
-    def test_hedged_task_rides_out_a_failed_primary(self, plans):
-        scheduler = BatchScheduler(spec=SMALL_SPEC)
-        session = make_session(plans, fault_plan=corrupt(0))
-        result = scheduler.execute(
-            [RoundTask(session, 128, hedge_delay_ms=0.01)]
-        )
-        assert result.failures == [None]
-        assert result.n_faults == 1
-        assert result.n_retries == 0
-        assert result.fault_ms == 0.0  # overlapped by the hedge
-        assert result.fault_kinds == ["corruption"]
-        assert result.n_hedges == 1 and result.n_hedge_wins == 1
-        assert result.hedge_extra_ms == pytest.approx(0.01)
-        self.assert_batch_ms(scheduler, result)
-
     def test_mixed_batch_sums_every_bill(self, plans):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
         tasks = [
@@ -247,22 +230,19 @@ class TestFaultAccounting:
                       payload="fail-fast"),
             RoundTask(make_session(plans, 2, fault_plan=corrupt(0)), 128,
                       payload="retried", retry=True),
-            RoundTask(make_session(plans, 0, seed=3, fault_plan=corrupt(0)),
-                      128, payload="hedged", hedge_delay_ms=0.01),
         ]
         result = scheduler.execute(tasks)
         ok = [r is not None for r in result.round_results]
-        assert ok == [True, False, True, True]
+        assert ok == [True, False, True]
         assert [f is not None for f in result.failures] == [
-            False, True, False, False
+            False, True, False
         ]
-        assert result.n_faults == 3
+        assert result.n_faults == 2
         assert result.n_retries == 1
         assert result.fault_ms == pytest.approx(
             2 * self.OVERHEAD + retry_backoff_ms(0)
         )
-        assert result.fault_kinds == ["corruption"] * 3
-        assert result.n_hedges == 1 and result.n_hedge_wins == 1
+        assert result.fault_kinds == ["corruption"] * 2
         assert result.n_samples == sum(
             r.n_samples for r in result.round_results if r is not None
         )

@@ -122,7 +122,9 @@ class TestShardingEquivalence:
         for estimator_cls in _ESTIMATORS.values():
             outcomes = {}
             for n_shards in (1, 2, 4):
-                config = EngineConfig.gsword().with_shards(n_shards)
+                config = EngineConfig.gsword(backend="fused").with_shards(
+                    n_shards
+                )
                 with GSWORDEngine(estimator_cls(), config=config) as engine:
                     session = engine.session(cg, order, rng=77)
                     rounds = [session.run_round(300).result for _ in range(3)]
@@ -169,7 +171,7 @@ class TestShardCrash:
     def test_crash_raises_nonretryable_and_pool_heals(self, plan):
         cg, order = plan
         fault_plan = FaultPlan(overrides={1: (FaultKind.SHARD_CRASH,)})
-        config = EngineConfig.gsword().with_shards(2)
+        config = EngineConfig.gsword(backend="fused").with_shards(2)
         with GSWORDEngine(
             AlleyEstimator(), config=config, injector=FaultInjector(fault_plan)
         ) as engine:
@@ -325,7 +327,7 @@ class TestShardConfig:
         assert EngineConfig.gsword(backend="scalar", n_shards=1).n_shards == 1
 
     def test_with_shards(self):
-        config = EngineConfig.gsword().with_shards(4)
+        config = EngineConfig.gsword(backend="fused").with_shards(4)
         assert config.n_shards == 4
         assert config.with_shards(1).n_shards == 1
 
@@ -334,7 +336,7 @@ class TestShardConfig:
         assert default_shards() == 1
         monkeypatch.setenv("REPRO_SHARDS", "4")
         assert default_shards() == 4
-        assert EngineConfig.gsword().n_shards == 4
+        assert EngineConfig.gsword(backend="fused").n_shards == 4
         monkeypatch.setenv("REPRO_SHARDS", "zero")
         with pytest.raises(ConfigError):
             default_shards()
