@@ -29,6 +29,7 @@ from repro.graph.datasets import load_dataset
 from repro.obs.trace import TraceRecorder
 from repro.query.extract import extract_query
 from repro.query.matching_order import quicksi_order
+from repro.utils.rng import clone_state, generator_from_state
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +272,19 @@ class TestFailedRound:
         assert len(rec.spans("sentinel")) == 1
         rec.chrome_trace()  # raises while any span is still open
 
+    def test_failed_round_then_retry_charges_backoff(self, plan_parts):
+        cg, order = plan_parts
+        engine = make_engine(FaultPlan(overrides={0: (FaultKind.CORRUPTION,)}))
+        session = engine.session(cg, order, rng=0)
+        report = session.run_round(128, retry=True)
+        overhead = engine.spec.launch_overhead_ms
+        assert report.result is not None
+        assert report.n_faults == 1 and report.n_retries == 1
+        # The launch died at launch (one overhead), then the single retry
+        # waited backoff(0) before it committed.
+        assert report.fault_ms == pytest.approx(overhead + retry_backoff_ms(0))
+        assert engine.injector.n_launches == 2
+
 
 class TestLaunchCapture:
     def test_capture_after_a_retry_is_the_committed_launch(self, plan_parts):
@@ -287,6 +301,78 @@ class TestLaunchCapture:
         assert launch["stall_factor"] == 1.0
         assert launch["estimate"] == result.estimate
         assert launch["simulated_ms"] == result.simulated_ms()
+
+    def test_capture_is_the_committed_launch(self, plan_parts):
+        """Stalls without a watchdog only slow a launch down, so every
+        round commits its own launch — stalled or not — and the capture
+        must carry that launch's stall factor and observed timing."""
+        cg, order = plan_parts
+        plan = FaultPlan(seed=5, rates={FaultKind.STALL: 0.5},
+                         stall_factor=24.0)
+        session = make_engine(plan).session(cg, order, rng=0)
+        n_stalled = 0
+        for r in range(12):
+            report = session.run_round(128)
+            launch, result = report.launch, report.result
+            assert launch["launch_index"] == r
+            assert launch["round"] == r
+            assert launch["simulated_ms"] == result.simulated_ms()
+            assert launch["estimate"] == result.estimate
+            stalls = plan.faults_for(r).stalls
+            assert launch["stall_factor"] == (
+                plan.stall_factor if stalls else 1.0
+            )
+            n_stalled += int(stalls)
+        assert 0 < n_stalled < 12  # the plan produced both kinds of launch
+
+    def test_timed_out_round_captures_the_killed_launch(self, plan_parts):
+        """A failed round keeps the capture of the last launch that
+        executed: the watchdog kill a postmortem bundle needs to replay."""
+        cg, order = plan_parts
+        plan = FaultPlan(overrides={0: (FaultKind.STALL,)}, stall_factor=1e6)
+        session = make_engine(plan, watchdog_ms=5.0).session(cg, order, rng=0)
+        with pytest.raises(KernelTimeout):
+            session.run_round(128)
+        report = session.last_round
+        assert report.result is None
+        assert report.launch["launch_index"] == 0
+        assert report.launch["stall_factor"] == 1e6
+        assert report.launch["simulated_ms"] > 5.0
+
+    def test_launch_that_never_executed_is_not_captured(self, plan_parts):
+        cg, order = plan_parts
+        engine = make_engine(FaultPlan(rates={FaultKind.CORRUPTION: 1.0}))
+        session = engine.session(cg, order, rng=0)
+        with pytest.raises(DeviceFault):
+            session.run_round(128, retry=True)
+        assert session.last_round.launch is None
+
+    def test_captured_state_replays_the_committed_round(self, plan_parts):
+        cg, order = plan_parts
+        engine = make_engine()
+        session = engine.session(cg, order, rng=11)
+        session.run_round(96)
+        launch = session.run_round(128).launch
+        rng = generator_from_state(clone_state(launch["rng_state"]))
+        replay = make_engine().run(cg, order, launch["n_samples"], rng=rng)
+        assert replay.estimate == launch["estimate"]
+        assert replay.simulated_ms() == launch["simulated_ms"]
+        assert launch["round"] == 1
+
+
+class TestRoundReport:
+    def test_healthy_round_reports_an_empty_fault_bill(self, plan_parts):
+        cg, order = plan_parts
+        session = make_engine().session(cg, order, rng=3)
+        report = session.run_round(192)
+        assert session.last_round is report
+        assert report.result is not None
+        assert report.errors == [] and report.n_faults == 0
+        assert report.n_retries == 0 and report.fault_ms == 0.0
+        # No injector: the launch is captured without a launch index.
+        assert report.launch["launch_index"] is None
+        assert report.launch["n_samples"] == 192
+        assert report.launch["estimate"] == report.result.estimate
 
 
 class TestEngineWiring:

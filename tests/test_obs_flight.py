@@ -20,6 +20,9 @@ from repro.obs import NO_TRACE, TraceRecorder
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
     MAX_BUNDLES,
+    SHED_MIN_EVENTS,
+    SHED_RATE_THRESHOLD,
+    SHED_WINDOW_MS,
     TRIGGER_COOLDOWN_MS,
     TRIGGER_KINDS,
     FlightMonitor,
@@ -225,6 +228,18 @@ class TestFlightMonitor:
         assert bundle is not None
         assert bundle["trigger"]["details"]["shed_rate"] == 0.8
         assert bundle["trigger"]["details"]["reason"] == "q"
+
+    def test_check_shed_fires_at_its_exact_thresholds(self):
+        monitor = FlightMonitor(FlightRecorder(capacity=8))
+        ctx = _context()
+        rate = SHED_RATE_THRESHOLD
+        assert monitor.check_shed(0.0, rate, SHED_MIN_EVENTS - 1, ctx) is None
+        bundle = monitor.check_shed(0.0, rate, SHED_MIN_EVENTS, ctx)
+        assert bundle is not None
+        assert bundle["trigger"]["details"]["window_ms"] == SHED_WINDOW_MS
+        # A second spike inside the cooldown is suppressed, not re-fired.
+        assert monitor.check_shed(1.0, 1.0, 32, ctx) is None
+        assert monitor.n_suppressed == 1
 
     def test_check_q_error(self):
         monitor = FlightMonitor(FlightRecorder(capacity=8))  # bound 2.0

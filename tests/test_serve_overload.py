@@ -12,6 +12,7 @@ from repro.errors import (
     RequestCancelled,
     ServiceClosed,
 )
+from repro.faults import FaultKind, FaultPlan
 from repro.gpu.costmodel import DEFAULT_GPU
 from repro.gpu.device import DeviceModel
 from repro.graph.datasets import load_dataset
@@ -318,6 +319,54 @@ class TestThreadHammer:
         snap = service.metrics_snapshot()
         assert snap["n_completed"] == len(results)
         assert snap["n_failed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Retries
+# ---------------------------------------------------------------------------
+#: Pre-draw faults only: a corrupted launch aborts before it draws its RNG
+#: substream, so a retried round commits what the healthy launch would.
+CORRUPTION = FaultPlan(
+    seed=derive_seed(9, "svc-retry"), rates={FaultKind.CORRUPTION: 0.3}
+)
+
+
+def _estimates(service, yeast, query, n=6):
+    tickets = [
+        service.submit(make_request(yeast, query, tenant=f"t{i}"))
+        for i in range(n)
+    ]
+    service.drain()
+    return [ticket.result().estimate for ticket in tickets]
+
+
+class TestServiceRetries:
+    def test_retried_rounds_bit_identical_to_fault_free(self, yeast, query):
+        healthy = _estimates(make_service(), yeast, query)
+        service = make_service(faults=CORRUPTION, retry=True)
+        faulted = _estimates(service, yeast, query)
+        assert faulted == healthy
+        # The plan really made the service retry.
+        assert service.metrics_snapshot()["resilience"]["n_retries"] > 0
+
+    def test_service_level_resilience_counters(self, yeast, query):
+        service = make_service(faults=CORRUPTION, retry=True)
+        _estimates(service, yeast, query)
+        snap = service.metrics_snapshot()
+        resilience = snap["resilience"]
+        injected = snap["faults_injected"]
+        assert snap["n_completed"] == 6 and snap["n_failed"] == 0
+        assert resilience["n_faults"] == injected["n_faulted_launches"] > 0
+        assert resilience["faults_by_kind"] == {
+            "corruption": resilience["n_faults"]
+        }
+        # Every fault here was retried, and each retry paid a backoff on
+        # top of the launch overhead its abort burned.
+        assert resilience["n_retries"] == resilience["n_faults"]
+        assert resilience["n_round_failures"] == 0
+        assert resilience["fault_ms"] > resilience["n_faults"] * (
+            DEFAULT_GPU.launch_overhead_ms
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,22 @@ class TestFaultAccounting:
         assert session.n_rounds == 0
         self.assert_batch_ms(scheduler, result)
 
+    def test_timed_out_task_bills_the_watchdog(self, plans):
+        scheduler = BatchScheduler(spec=SMALL_SPEC)
+        stall = FaultPlan(overrides={0: (FaultKind.STALL,)}, stall_factor=1e6)
+        session = make_session(plans, fault_plan=stall)
+        result = scheduler.execute(
+            [RoundTask(session, 128, retry=True, watchdog_ms=2.0)]
+        )
+        assert result.failures == [None]
+        assert result.n_faults == 1
+        assert result.n_retries == 1
+        # The killed launch held the device for the full ceiling.
+        assert result.fault_ms == pytest.approx(2.0 + retry_backoff_ms(0))
+        assert result.fault_kinds == ["timeout"]
+        assert session.n_rounds == 1
+        self.assert_batch_ms(scheduler, result)
+
     def test_mixed_batch_sums_every_bill(self, plans):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
         tasks = [
