@@ -12,6 +12,8 @@ admission stack and through the legacy unbounded front door.  Fails
   ``P99_DEADLINE_SLACK`` x the request deadline);
 * goodput (deadline-met completions per simulated second) with shedding
   is at least the no-shedding baseline's;
+* replaying the shed run's newest flight postmortem bundle reproduces
+  its captured round's estimate and simulated ms bit-identically;
 * the shed *rate* lands inside the band pinned in
   ``benchmarks/baselines.json`` (``"overload"`` section, one band per
   mode) — the whole soak is simulated-clock deterministic, so drift means
@@ -167,6 +169,7 @@ def main(argv=None) -> int:
 
     passed = bool(acceptance["passed"]) and band_ok
     print(f"\nverdict: {'PASS' if passed else 'FAIL'}")
+    payload.pop("flight_bundle")  # bulky; `repro soak-bench` can write it
     if not args.no_save:
         path = save_results("overload_soak", payload)
         if path is not None:

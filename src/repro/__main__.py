@@ -9,22 +9,18 @@ These subcommands make the system runnable without writing scripts:
   concurrent queries through :class:`~repro.serve.EstimationService`,
   sweeping concurrency with the plan cache on/off, against the serial
   (one-request-per-batch) baseline;
-* ``repro chaos-bench`` — the fault-injection resilience benchmark:
-  the same service under seeded device-fault storms (corruption, stalls,
-  OOM, lane desync), verifying that retries, the watchdog, the circuit
-  breaker, and the CPU fallback keep every request answered with bounded
-  accuracy loss;
 * ``repro soak-bench`` — the open-loop overload soak: seeded OVERLOAD
   arrivals at a multiple of calibrated capacity through the admission
   stack (bounded queue, per-tenant quotas, deadline shedding)
   vs the unbounded baseline, gating zero stranded tickets, bounded
-  admitted p99, and goodput at least the baseline's;
+  admitted p99, goodput at least the baseline's, and a bit-identical
+  replay of the shed run's flight postmortem bundle;
 * ``repro trace-report`` — per-span time breakdown of a Chrome-trace JSON
   produced by ``repro estimate --trace-out`` (the same file loads in
   Perfetto / ``chrome://tracing``), with anomaly-instant and top-N
   slowest-span sections; flight postmortem bundles are accepted too;
 * ``repro flight-replay`` — re-execute the round captured in a flight
-  postmortem bundle (``repro chaos-bench --flight-bundle-out``, or any
+  postmortem bundle (``repro soak-bench --flight-bundle-out``, or any
   triggered service via ``EstimationService.write_flight_bundle``) and
   verify the estimate and simulated ms reproduce bit-identically;
 * ``repro slo-report`` — run the quick overload soak with the default
@@ -42,7 +38,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.bench.chaos import CHAOS_SEED, run_chaos_benchmark
 from repro.bench.overload import OVERLOAD_ROOT_SEED, run_overload_soak
 from repro.bench.reporting import render_table, save_results
 from repro.bench.serving import (
@@ -58,6 +53,7 @@ from repro.obs import (
     load_trace,
     render_report,
     replay_bundle,
+    write_bundle,
 )
 from repro.query.extract import extract_query
 from repro.serve.request import EstimateRequest
@@ -145,39 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(JSON snapshot per config) to PATH",
     )
 
-    chaos = sub.add_parser(
-        "chaos-bench",
-        help="fault-injection resilience benchmark (retries, breaker, fallback)",
-    )
-    chaos.add_argument(
-        "--requests", type=int, default=48, help="total requests per fault rate"
-    )
-    chaos.add_argument(
-        "--clients", type=int, default=8, help="concurrent clients per wave"
-    )
-    chaos.add_argument(
-        "--rates", default="0.0,0.10,0.25",
-        help="comma-separated launch-fault rates to sweep (0.0 = control)",
-    )
-    chaos.add_argument(
-        "--distinct", type=int, default=6, help="distinct queries in the pool"
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=CHAOS_SEED, help="root chaos seed"
-    )
-    chaos.add_argument(
-        "--watchdog-ms", type=float, default=5.0,
-        help="per-launch simulated-ms watchdog ceiling",
-    )
-    chaos.add_argument(
-        "--no-save", action="store_true", help="do not write results/ JSON"
-    )
-    chaos.add_argument(
-        "--flight-bundle-out", default=None, metavar="PATH",
-        help="write the captured flight postmortem bundle as JSON "
-             "(replayable via 'repro flight-replay PATH')",
-    )
-
     soak = sub.add_parser(
         "soak-bench",
         help="open-loop overload soak (admission, shedding)",
@@ -201,6 +164,11 @@ def _build_parser() -> argparse.ArgumentParser:
     soak.add_argument(
         "--no-save", action="store_true", help="do not write results/ JSON"
     )
+    soak.add_argument(
+        "--flight-bundle-out", default=None, metavar="PATH",
+        help="write the shed run's newest flight postmortem bundle as JSON "
+             "(replayable via 'repro flight-replay PATH')",
+    )
 
     report = sub.add_parser(
         "trace-report",
@@ -217,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-execute a flight postmortem bundle and verify bit-identity",
     )
     replay.add_argument(
-        "bundle", help="flight bundle JSON (chaos-bench --flight-bundle-out)"
+        "bundle", help="flight bundle JSON (soak-bench --flight-bundle-out)"
     )
 
     slo = sub.add_parser(
@@ -366,83 +334,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_rates(spec: str) -> List[float]:
-    try:
-        rates = [float(r) for r in spec.split(",") if r.strip()]
-    except ValueError:
-        raise ReproError(
-            f"--rates expects comma-separated floats, got {spec!r}"
-        ) from None
-    if not rates or any(not 0.0 <= r < 1.0 for r in rates):
-        raise ReproError(f"--rates expects values in [0, 1), got {spec!r}")
-    return rates
-
-
-def _cmd_chaos_bench(args: argparse.Namespace) -> int:
-    payload = run_chaos_benchmark(
-        fault_rates=tuple(_parse_rates(args.rates)),
-        n_requests=args.requests,
-        clients=args.clients,
-        distinct=args.distinct,
-        seed=args.seed,
-        watchdog_ms=args.watchdog_ms,
-    )
-    rows = []
-    for run in payload["runs"]:
-        res = run["resilience"]
-        rows.append([
-            run["fault_rate"],
-            f'{run["n_answered"]}/{run["n_requests"]}',
-            run["n_stranded"],
-            res["n_faults"],
-            res["n_retries"],
-            res["n_fallbacks"],
-            res["n_breaker_trips"],
-            run["n_degraded"],
-            run["mean_q_error"],
-            run["p95_latency_ms"],
-        ])
-    print(render_table(
-        ["fault rate", "answered", "stranded", "faults", "retries",
-         "fallbacks", "trips", "degraded", "mean q-err", "p95 ms"],
-        rows,
-        title=f"Chaos resilience ({args.requests} requests/rate, "
-              f"seed {args.seed})",
-    ))
-    acceptance = payload["acceptance"]
-    verdict = "PASS" if acceptance.get("passed") else "FAIL"
-    print(f"\nacceptance @ rate {acceptance.get('evaluated_rate')}: {verdict}")
-    for key in ("zero_stranded", "all_answered", "q_error_within_2x",
-                "flight_bundle_captured", "flight_replay_bit_identical"):
-        if key in acceptance:
-            print(f"  {key}: {acceptance[key]}")
-    replay = payload.get("flight_replay")
-    if replay is not None:
-        print(
-            f"\nflight postmortem: trigger={replay['trigger'].get('kind')} "
-            f"graph={replay['graph']}\n"
-            f"  replayed estimate {replay['replayed']['estimate']} "
-            f"(expected {replay['expected']['estimate']}), "
-            f"simulated_ms match={replay['simulated_ms_match']}"
-        )
-    if args.flight_bundle_out:
-        bundle = payload.get("flight_bundle")
-        if bundle is None:
-            print("no flight bundle captured; nothing written",
-                  file=sys.stderr)
-            return 1
-        with open(args.flight_bundle_out, "w", encoding="utf-8") as fh:
-            json.dump(bundle, fh)
-        print(f"flight bundle written to {args.flight_bundle_out}")
-    if not args.no_save:
-        payload = dict(payload)
-        payload.pop("flight_bundle", None)  # bulky; exported via the flag
-        path = save_results("chaos_resilience", payload)
-        if path is not None:
-            print(f"\nresults written to {path}")
-    return 0 if acceptance.get("passed") else 1
-
-
 def _cmd_soak_bench(args: argparse.Namespace) -> int:
     payload = run_overload_soak(
         n_requests=args.requests,
@@ -479,6 +370,14 @@ def _cmd_soak_bench(args: argparse.Namespace) -> int:
     for key, value in acceptance.items():
         if isinstance(value, bool) and key != "passed":
             print(f"  {key}: {value}")
+    bundle = payload.pop("flight_bundle")
+    if args.flight_bundle_out:
+        if bundle is None:
+            print("no flight bundle captured; nothing written",
+                  file=sys.stderr)
+            return 1
+        write_bundle(bundle, args.flight_bundle_out)
+        print(f"flight bundle written to {args.flight_bundle_out}")
     if not args.no_save:
         path = save_results("overload_soak", payload)
         if path is not None:
@@ -499,8 +398,7 @@ def _cmd_flight_replay(args: argparse.Namespace) -> int:
     print(f"bundle: trigger={trigger.get('kind')} "
           f"at t={float(trigger.get('sim_ms', 0.0)):.3f}ms "
           f"graph={report['graph']}")
-    print(f"round: {report['n_samples']} samples on {report['backend']}, "
-          f"stall_factor={report['stall_factor']}")
+    print(f"round: {report['n_samples']} samples on {report['backend']}")
     print(f"expected: estimate={report['expected']['estimate']!r} "
           f"simulated_ms={report['expected']['simulated_ms']!r}")
     print(f"replayed: estimate={report['replayed']['estimate']!r} "
@@ -568,8 +466,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_estimate(args)
         if args.command == "serve-bench":
             return _cmd_serve_bench(args)
-        if args.command == "chaos-bench":
-            return _cmd_chaos_bench(args)
         if args.command == "soak-bench":
             return _cmd_soak_bench(args)
         if args.command == "trace-report":

@@ -1,10 +1,6 @@
 """Benchmark harness: workload registry, method runners, and reporting."""
 
-from repro.bench.chaos import (
-    run_chaos_benchmark,
-    run_chaos_run,
-    reference_estimates,
-)
+from repro.bench.arrivals import OVERLOAD, POISSON, ArrivalPlan
 from repro.bench.harness import (
     METHOD_NAMES,
     MethodResult,
@@ -46,9 +42,9 @@ __all__ = [
     "build_request_pool",
     "request_stream",
     "run_serving_benchmark",
-    "run_chaos_benchmark",
-    "run_chaos_run",
-    "reference_estimates",
+    "ArrivalPlan",
+    "POISSON",
+    "OVERLOAD",
     "run_overload_soak",
     "run_overload_comparison",
     "run_open_loop",

@@ -1,12 +1,11 @@
-"""Seeded open-loop arrival processes (the OVERLOAD traffic fault).
+"""Seeded open-loop arrival processes (the overload soak's traffic).
 
-Device faults (:mod:`repro.faults.plan`) break individual launches; the
-*arrival-side* fault that kills real services is traffic itself — open-loop
+The failure that kills real services is often traffic itself: open-loop
 clients that keep sending regardless of backlog.  An :class:`ArrivalPlan`
-is the deterministic analog of a :class:`FaultPlan` for that failure mode:
-a pure function from a seed to a strictly increasing sequence of arrival
-timestamps on the simulated clock, replayed bit-identically run to run so
-the overload soak benchmark's shed counts can be pinned as baselines.
+is a pure function from a seed to a strictly increasing sequence of
+arrival timestamps on the simulated clock, replayed bit-identically run to
+run so the overload soak benchmark's shed counts can be pinned as
+baselines.
 
 Two modes:
 

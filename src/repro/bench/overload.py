@@ -12,7 +12,7 @@ through exactly that regime and measures what the admission layer
 1. **Calibrate** — a closed-loop run measures the device's sustainable
    per-request service time, so the overload factor is relative to
    *measured* capacity, not a guess.
-2. **Soak** — a seeded :class:`~repro.faults.ArrivalPlan` (OVERLOAD
+2. **Soak** — a seeded :class:`~repro.bench.arrivals.ArrivalPlan` (OVERLOAD
    mode: Poisson base rate with periodic burst storms) schedules
    arrivals at ``overload_factor`` × capacity across three tenants (one
    "hot" tenant sends ~70% of traffic).  The same arrivals drive two
@@ -29,12 +29,15 @@ through exactly that regime and measures what the admission layer
    baseline's.  The shed configuration also runs the default SLO set
    (:mod:`repro.obs.slo`): the overload storm must *fire* a burn-rate
    alert and the post-storm drain must *clear* it — both at exact,
-   seed-reproducible simulated instants.
+   seed-reproducible simulated instants.  Its flight recorder
+   (:mod:`repro.obs.flight`) must capture a postmortem bundle, and
+   replaying the newest one must reproduce the captured round's estimate
+   and simulated ms bit-identically.
 
 Everything is simulated-clock deterministic: the arrival schedule, the
-tenant assignment and the per-round RNG streams all key off seeds, so shed counts replay bit-identically and the shed *rate*
-can be pinned as a band in ``benchmarks/baselines.json`` (the
-``soak-smoke`` CI job).
+tenant assignment and the per-round RNG streams all key off seeds, so
+shed counts replay bit-identically and the shed *rate* can be pinned as a
+band in ``benchmarks/baselines.json`` (the ``soak-smoke`` CI job).
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, Overloaded
-from repro.faults import OVERLOAD, ArrivalPlan
+from repro.bench.arrivals import OVERLOAD, ArrivalPlan
+from repro.obs.flight import replay_bundle
 from repro.obs.registry import quantile
 from repro.obs.slo import default_slo_policy
 from repro.serve.admission import AdmissionPolicy, TenantQuota
@@ -219,6 +223,7 @@ def run_open_loop(
                 })
         service.drain()
         snap = service.metrics_snapshot()
+        bundles = service.flight_bundles()
         slo_snap = None
         slo_exposition: Optional[str] = None
         if config.slo is not None and service.slo is not None:
@@ -291,6 +296,7 @@ def run_open_loop(
         "ewma_request_ms": snap["admission_state"].get("ewma_request_ms"),
         "slo": slo_snap,
         "slo_exposition": slo_exposition,
+        "flight_bundle": bundles[-1] if bundles else None,
     }
 
 
@@ -354,9 +360,18 @@ def _slo_state_reached(run: Dict[str, object], state: str) -> bool:
 
 
 def evaluate_gates(payload: Dict[str, object]) -> Dict[str, object]:
-    """The soak's acceptance gates (shared by the bench script and CI)."""
+    """The soak's acceptance gates (shared by the bench script and CI).
+
+    Replays the shed run's newest flight bundle in this process; the
+    replay report is returned under ``flight_replay``."""
     soak = payload["soak"]
     shed = soak["shed"]
+    bundle = payload.get("flight_bundle")
+    replay = (
+        replay_bundle(bundle)
+        if bundle is not None and bundle.get("round") is not None
+        else None
+    )
     baseline = soak["baseline"]
     p99_bound_ms = P99_DEADLINE_SLACK * float(soak["deadline_ms"])
     gates = {
@@ -374,8 +389,10 @@ def evaluate_gates(payload: Dict[str, object]) -> Dict[str, object]:
         ),
         "slo_alert_fired": _slo_state_reached(shed, "fire"),
         "slo_alert_cleared": _slo_state_reached(shed, "clear"),
+        "flight_replay_bit_identical": bool(replay and replay["match"]),
     }
     gates["p99_bound_ms"] = p99_bound_ms
+    gates["flight_replay"] = replay
     gates["passed"] = all(
         value for key, value in gates.items() if isinstance(value, bool)
     )
@@ -395,13 +412,19 @@ def run_overload_soak(
         raise ConfigError("overload_factor must be positive")
     if quick:
         n_requests = min(n_requests, 400)
+    soak = run_overload_comparison(
+        n_requests, overload_factor=overload_factor, seed=seed
+    )
+    bundles = {label: soak[label].pop("flight_bundle")
+               for label in ("shed", "baseline")}
     payload: Dict[str, object] = {
         "seed": seed,
         "quick": quick,
         "n_requests": n_requests,
-        "soak": run_overload_comparison(
-            n_requests, overload_factor=overload_factor, seed=seed
-        ),
+        "soak": soak,
+        # The shed run's newest postmortem bundle: bulky (ring, plan,
+        # graph), so the savers drop it; ``--flight-bundle-out`` writes it.
+        "flight_bundle": bundles["shed"],
     }
     payload["acceptance"] = evaluate_gates(payload)
     return payload

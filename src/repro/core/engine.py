@@ -195,17 +195,13 @@ class GSWORDEngine:
         config: Optional[EngineConfig] = None,
         spec: GPUSpec = DEFAULT_GPU,
         device: Optional["DeviceModel"] = None,
-        injector: Optional[object] = None,
         recorder: Optional[TraceRecorder] = None,
         arena: Optional[object] = None,
     ) -> None:
         """``config=None`` builds a default :class:`EngineConfig` now, so
         its env-driven defaults are read at construction time; ``device``
-        carries the optional memory budget / watchdog guard rails
-        (defaults to a plain :class:`DeviceModel` over ``spec``);
-        ``injector`` is a :class:`~repro.faults.injector.FaultInjector`
-        consulted at every session-round launch (``None`` = healthy
-        device); ``recorder`` is a shared
+        is the clock and launch watchdog (defaults to a
+        :class:`DeviceModel` over ``spec``); ``recorder`` is a shared
         :class:`~repro.obs.trace.TraceRecorder` (``None`` = the engine
         owns one when ``config.trace`` asks for tracing, else the no-op
         singleton); ``arena`` is a :class:`~repro.core.fused.FusedArena`
@@ -219,7 +215,6 @@ class GSWORDEngine:
             raise ConfigError("device.spec must match the engine's spec")
         self.spec = spec
         self.device = device if device is not None else DeviceModel(spec)
-        self.injector = injector
         if recorder is not None:
             self.recorder = recorder
         else:
@@ -839,25 +834,9 @@ class GSWORDEngine:
         return max_chain * spec.mem_latency_cycles + total_loads * spec.issue_cycles
 
 
-#: Relaunches :meth:`EngineSession.run_round` allows a failed round when
-#: ``retry=True``.
-MAX_RETRIES = 3
-#: Backoff before the first retry (simulated ms, charged to the caller's
-#: clock, not slept); each later retry waits ``RETRY_BACKOFF_FACTOR``
-#: times longer.
-RETRY_BACKOFF_MS = 0.5
-RETRY_BACKOFF_FACTOR = 2.0
-
-
-def retry_backoff_ms(attempt: int) -> float:
-    """Simulated-ms backoff before retry ``attempt`` (0-based): the usual
-    exponential schedule that spaces retries out under sustained faults."""
-    return RETRY_BACKOFF_MS * RETRY_BACKOFF_FACTOR ** attempt
-
-
-#: Errors a retried round may recover from.  ``SimulationError`` is the
-#: simulator's lane-desync failure; everything else transient is a
-#: :class:`DeviceFault` subclass.
+#: Errors that fail one round without harming the session.
+#: ``SimulationError`` is the simulator's inconsistent-state failure;
+#: :class:`DeviceFault` covers the watchdog kill and a dead shard worker.
 RECOVERABLE_ERRORS = (DeviceFault, SimulationError)
 
 
@@ -865,28 +844,21 @@ RECOVERABLE_ERRORS = (DeviceFault, SimulationError)
 class RoundReport:
     """Everything one :meth:`EngineSession.run_round` call took.
 
-    ``result`` is the committed round (``None`` when the round failed).
-    Fault bill: ``errors`` holds every failed launch in launch order
-    (``n_faults`` is their count), ``n_retries`` the relaunches after
-    attempt 0, and ``fault_ms`` the simulated critical-path time lost to
-    aborted attempts and retry backoff.
-    ``launch`` is the replay capture of the committed launch — or, on a
-    failed round, of the last launch that executed (``None`` if none did):
-    the RNG substream state, sample count, stall factor and the observed
+    ``result`` is the committed round (``None`` when the round failed);
+    ``error`` is what failed it, and ``fault_ms`` the simulated device
+    time the failed launch occupied.
+    ``launch`` is the replay capture of the launch — on a failed round,
+    of the launch that executed before the watchdog killed it (``None``
+    if none did): the RNG substream state, sample count and the observed
     estimate / simulated ms.  The flight recorder snapshots it
     into postmortem bundles; ``repro flight-replay`` re-executes it
     bit-identically.
     """
 
     result: Optional[GPURunResult] = None
-    n_retries: int = 0
+    error: Optional[BaseException] = None
     fault_ms: float = 0.0
-    errors: List[BaseException] = field(default_factory=list)
     launch: Optional[Dict[str, Any]] = None
-
-    @property
-    def n_faults(self) -> int:
-        return len(self.errors)
 
 
 class EngineSession:
@@ -905,16 +877,14 @@ class EngineSession:
     session seeded with an integer replays identically.
 
     **Checkpoint semantics.**  The cumulative accumulator is only updated
-    by :meth:`_commit_round`, which runs *after* every fault check has
-    passed — a round aborted by injection, the memory budget, or the
-    watchdog contributes nothing, so completed rounds are never lost and a
-    discarded round never half-merges.  **Retry unbiasedness.**  Every
-    attempt (first try or retry) draws the *next* ``SeedSequence.spawn``
-    child of the session root, so a retried round is a fresh i.i.d. draw —
-    never a replay of the failed round's stream — and the Horvitz–Thompson
-    estimator stays unbiased under any fault/retry pattern (Thm. 1 needs
-    i.i.d. samples, not any *particular* samples; see
-    ``tests/test_engine_faults.py`` for the statistical check).
+    by :meth:`_commit_round`, which runs *after* the launch has passed the
+    watchdog — a round killed by the watchdog or by a dead shard worker
+    contributes nothing, so completed rounds are never lost and a
+    discarded round never half-merges.  Every round draws the *next*
+    ``SeedSequence.spawn`` child of the session root, so the round after
+    a failed one is a fresh i.i.d. draw and the Horvitz–Thompson estimator
+    stays unbiased (Thm. 1 needs i.i.d. samples, not any *particular*
+    samples).
     """
 
     def __init__(
@@ -957,25 +927,20 @@ class EngineSession:
         self,
         n_samples: int,
         *,
-        retry: bool = False,
         watchdog_ms: Optional[float] = None,
         collect_states: bool = False,
     ) -> RoundReport:
-        """Run one sampling round, merge it into the session, and report it.
+        """Run one sampling round (one launch), merge it into the session,
+        and report it.
 
         ``report.result`` is the *round's own* result (its profile is what
         a batch scheduler co-schedules); read :meth:`result` for the
-        cumulative view.  Each attempt is one launch; a failed attempt with
-        a recoverable, retryable error is followed, when ``retry`` is set,
-        by up to :data:`MAX_RETRIES` relaunches (otherwise it fails fast),
-        each after ``retry_backoff_ms(i)`` simulated ms and on a fresh
-        substream.
-        Once the budget is spent the round's error is raised; failed
-        attempts never touch the session's cumulative state.
-        ``watchdog_ms`` tightens the device watchdog for this round only
-        (the serving layer propagates a request's remaining deadline here).
+        cumulative view.  A failed launch raises its error after
+        recording it in the report; it never touches the session's
+        cumulative state.
+        ``watchdog_ms`` is the launch's watchdog ceiling (the serving
+        layer propagates a request's remaining deadline here).
         """
-        max_retries = MAX_RETRIES if retry else 0
         report = RoundReport()
         self.last_round = report
         rec = self.engine.recorder
@@ -986,51 +951,24 @@ class EngineSession:
                 args={"round": self._rounds, "n_samples": n_samples},
             )
         try:
-            while True:
-                try:
-                    result = self._attempt_round(
-                        report, n_samples, collect_states,
-                        watchdog_ms=watchdog_ms,
-                    )
-                    break
-                except RECOVERABLE_ERRORS as error:
-                    report.errors.append(error)
-                    if rec.enabled:
-                        self._trace_abort(error)
-                    report.fault_ms += self.abort_charge_ms(error)
-                    # Non-retryable faults (a shard worker is gone until
-                    # the pool heals) surface immediately: relaunching the
-                    # same round cannot succeed, so retries would only
-                    # burn budget.
-                    if report.n_retries >= max_retries or not getattr(
-                        error, "retryable", True
-                    ):
-                        raise
-                backoff = retry_backoff_ms(report.n_retries)
-                report.fault_ms += backoff
-                report.n_retries += 1
-                if round_span is not None:
-                    rec.advance("engine", backoff)
-                    rec.instant(
-                        "retry", track="engine",
-                        args={"attempt": report.n_retries,
-                              "backoff_ms": backoff},
-                    )
+            result = self._launch(
+                report, n_samples, collect_states, watchdog_ms
+            )
         except BaseException as exc:
+            if isinstance(exc, RECOVERABLE_ERRORS):
+                report.error = exc
+                report.fault_ms = self.abort_charge_ms(exc)
+                if round_span is not None:
+                    self._trace_abort(exc, report.fault_ms)
             if round_span is not None:
                 rec.end(round_span, args={
                     "status": "failed", "error": type(exc).__name__,
-                    "n_faults": report.n_faults,
-                    "n_retries": report.n_retries,
                 })
             raise
         self._commit_round(result)
         report.result = result
         if round_span is not None:
-            rec.end(round_span, args={
-                "status": "ok", "n_faults": report.n_faults,
-                "n_retries": report.n_retries, "fault_ms": report.fault_ms,
-            })
+            rec.end(round_span, args={"status": "ok"})
         return report
 
     #: Aliases of :meth:`run_round`, kept only because the layer ledger in
@@ -1040,53 +978,20 @@ class EngineSession:
     # ------------------------------------------------------------------
     # Launch internals
     # ------------------------------------------------------------------
-    def _attempt_round(
+    def _launch(
         self,
         report: RoundReport,
         n_samples: int,
         collect_states: bool,
-        watchdog_ms: Optional[float] = None,
+        watchdog_ms: Optional[float],
     ) -> GPURunResult:
-        """One kernel launch: injection, admission, execution, watchdog.
+        """One kernel launch: execution, capture, watchdog.
 
         Raises a typed error on any failure; returns the (uncommitted)
         round result on success.  An executed launch is captured in
         ``report.launch``.
-
-        ``watchdog_ms`` tightens the device watchdog for this launch
-        (deadline propagation).
         """
         engine = self.engine
-        device = engine.device
-        faults = (
-            engine.injector.next_launch()
-            if engine.injector is not None
-            else None
-        )
-        # Memory admission: the candidate graph must be resident for the
-        # launch; injected OOM shrinks this launch's budget transiently.
-        pressure = faults.oom_pressure_bytes if faults is not None else 0
-        device.check_allocation(self.cg.nbytes, pressure_bytes=pressure)
-        if faults is not None and faults.corrupts:
-            raise DeviceFault(
-                "transient corruption detected in candidate-array reads "
-                f"(launch {faults.launch_index}); launch aborted",
-                kind="corruption",
-            )
-        if faults is not None and faults.desyncs:
-            raise SimulationError(
-                f"lane desynchronisation on launch {faults.launch_index}: "
-                "warp lanes disagree on iteration depth"
-            )
-        if (
-            faults is not None
-            and faults.shard_crashes
-            and engine.config.n_shards > 1
-        ):
-            # Arm the injected shard crash: the chosen worker hard-exits
-            # when this launch's round dispatches to it, exercising the
-            # real death-detection path rather than a synthetic raise.
-            engine._shard_executor().inject_crash(faults.launch_index)
         # Materialising via the captured state (instead of
         # spawn_generators) is stream-identical — default_rng never
         # advances a SeedSequence's child counter — but leaves the state
@@ -1097,49 +1002,19 @@ class EngineSession:
             self.cg, self.order, n_samples, rng=round_rng,
             collect_states=collect_states,
         )
-        if faults is not None and faults.stalls:
-            # The hang model: the launch burns stall_factor× its cycle
-            # budget.  Scaling the profile keeps the overrun visible to
-            # every downstream consumer of the round's timing.
-            rec = engine.recorder
-            pre_ms = round_result.simulated_ms() if rec.enabled else 0.0
-            round_result.profile.scale_cycles(faults.stall_factor)
-            round_result.longest_warp_cycles *= faults.stall_factor
-            if rec.enabled:
-                # The kernel span closed at its pre-stall duration; charge
-                # the overrun to the track so the round span covers it.
-                overrun = round_result.simulated_ms() - pre_ms
-                rec.advance("engine", max(0.0, overrun))
-                rec.instant(
-                    "fault.stall", track="engine",
-                    args={
-                        "stall_factor": faults.stall_factor,
-                        "overrun_ms": overrun,
-                    },
-                )
         # Capture the launch for postmortem replay *before* the watchdog
         # verdict: a timeout round is exactly the one a flight bundle
-        # needs to carry.  (Launches that raised earlier never executed,
-        # so there is nothing replayable to capture.)
-        stall_factor = (
-            float(faults.stall_factor)
-            if faults is not None and faults.stalls
-            else 1.0
-        )
+        # needs to carry.
         report.launch = {
             "rng_state": clone_state(rng_state),
             "n_samples": int(n_samples),
-            "stall_factor": stall_factor,
             "estimate": float(round_result.estimate),
             "simulated_ms": float(round_result.simulated_ms()),
             "backend": round_result.backend_label,
             "n_warps": int(round_result.n_warps),
             "round": int(self._rounds),
-            "launch_index": (
-                int(faults.launch_index) if faults is not None else None
-            ),
         }
-        device.check_watchdog(round_result.simulated_ms(), watchdog_ms)
+        engine.device.check_watchdog(round_result.simulated_ms(), watchdog_ms)
         return round_result
 
     def _commit_round(self, round_result: GPURunResult) -> None:
@@ -1152,28 +1027,31 @@ class EngineSession:
         self._collected.extend(round_result.collected)
         self._rounds += 1
 
-    def _trace_abort(self, error: BaseException) -> None:
-        """Draw a failed attempt on the timeline: a ``kernel.abort`` span
-        covering the simulated time the failure occupied the device, plus a
-        ``fault`` instant carrying the typed fault annotation."""
+    def _trace_abort(self, error: BaseException, charge_ms: float) -> None:
+        """Draw a failed launch on the timeline: a ``kernel.abort`` span
+        covering the ``charge_ms`` the failure occupied the device, plus a
+        ``fault`` instant naming the error and its numbers (watchdog
+        ceiling, dead shard index)."""
         rec = self.engine.recorder
-        from repro.faults.injector import fault_event_args
-
-        args = fault_event_args(error)
+        args: Dict[str, object] = {"error": type(error).__name__}
+        for attr in ("kernel_ms", "watchdog_ms", "shard"):
+            value = getattr(error, attr, None)
+            if value is not None:
+                args[attr] = value
         rec.instant("fault", track="engine", args=args)
         rec.add_span(
             "kernel.abort",
             track="engine",
             sim_t0_ms=rec.sim_now("engine"),
-            sim_dur_ms=self.abort_charge_ms(error),
+            sim_dur_ms=charge_ms,
             args=args,
         )
 
     def abort_charge_ms(self, error: BaseException) -> float:
-        """Simulated device time a failed attempt occupied.
+        """Simulated device time a failed launch occupied.
 
         A watchdog abort held the device for the full ceiling; every other
-        fault is detected at launch and costs one launch overhead.
+        failure costs one launch overhead.
         """
         if isinstance(error, KernelTimeout):
             return error.watchdog_ms

@@ -47,29 +47,17 @@ class ConfigError(ReproError):
 class DeviceFault(ReproError):
     """Raised when the simulated device fails a kernel launch.
 
-    Covers transient faults a resilient runtime is expected to survive —
-    detected data corruption (the ECC analog), lane desynchronisation, and
-    the specialised subclasses below.  ``kind`` is a short machine-readable
-    label (``"corruption"``, ``"timeout"``, ``"oom"``...) used by the
-    serving layer's fault metrics.  ``retryable`` tells the in-round retry
-    loop whether relaunching can help (transient faults) or not (a shard
-    worker is gone until the pool heals).
+    The base of the two failures a running service meets: the deadline
+    watchdog killing a launch (:class:`KernelTimeout`) and a shard worker
+    dying mid-round (:class:`ShardFailure`).  The serving layer answers
+    either with its CPU fallback.
     """
-
-    kind: str = "fault"
-    retryable: bool = True
-
-    def __init__(self, message: str = "", kind: str = "") -> None:
-        super().__init__(message or "simulated device fault")
-        if kind:
-            self.kind = kind
 
 
 class KernelTimeout(DeviceFault):
     """Raised by the per-launch watchdog when a kernel exceeds its
-    simulated-ms ceiling (the hung-kernel / cycle-budget-overrun model)."""
-
-    kind = "timeout"
+    simulated-ms ceiling (the serving layer derives the ceiling from the
+    request's remaining deadline)."""
 
     def __init__(self, kernel_ms: float, watchdog_ms: float) -> None:
         super().__init__(
@@ -80,32 +68,12 @@ class KernelTimeout(DeviceFault):
         self.watchdog_ms = watchdog_ms
 
 
-class DeviceOOM(DeviceFault):
-    """Raised when an allocation exceeds the simulated device memory budget."""
-
-    kind = "oom"
-
-    def __init__(self, requested_bytes: int, budget_bytes: int) -> None:
-        super().__init__(
-            f"device out of memory: allocation of {requested_bytes} bytes "
-            f"exceeds budget of {budget_bytes} bytes"
-        )
-        self.requested_bytes = requested_bytes
-        self.budget_bytes = budget_bytes
-
-
 class ShardFailure(DeviceFault):
     """Raised when a shard worker process dies (or misbehaves) mid-round.
 
-    Unlike transient device faults, relaunching the same round cannot help
-    until the pool has respawned the worker — ``retryable = False`` makes
-    the in-round retry loop surface the failure immediately so the serving
-    layer can degrade to its fallback path instead of burning retries.
-    The pool heals (respawns the dead worker) before the next round.
+    The round fails and the pool heals (respawns the dead worker) before
+    the next round.
     """
-
-    kind = "shard"
-    retryable = False
 
     def __init__(self, message: str = "", shard: Optional[int] = None) -> None:
         super().__init__(message or "shard worker failure")

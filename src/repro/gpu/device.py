@@ -6,17 +6,10 @@ parallel kernel is therefore ``total_warp_cycles / resident_warps`` device
 cycles — the model used here.  Kernels smaller than the resident-warp count
 are bounded by their longest warp instead (no free parallelism).
 
-Beyond timing, the model carries the two guard rails a resilient runtime
-leans on (both optional, both off by default so every pre-existing call
-site is unchanged):
-
-* ``memory_budget_bytes`` — the simulated device's global-memory capacity;
-  :meth:`check_allocation` rejects resident sets that exceed it with a
-  typed :class:`~repro.errors.DeviceOOM` instead of silently modeling a
-  device that always fits.
-* ``watchdog_ms`` — a per-launch duration ceiling; :meth:`check_watchdog`
-  aborts launches that overrun it with :class:`~repro.errors.KernelTimeout`
-  (the hung-kernel killer real drivers implement as a timeout reset).
+One guard rail rides along: :meth:`DeviceModel.check_watchdog` aborts a
+launch that overruns a per-launch ceiling with
+:class:`~repro.errors.KernelTimeout` (the hung-kernel killer real drivers
+implement as a timeout reset).
 """
 
 from __future__ import annotations
@@ -24,60 +17,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.errors import ConfigError, DeviceOOM, KernelTimeout
+from repro.errors import ConfigError, KernelTimeout
 from repro.gpu.costmodel import GPUSpec
 from repro.gpu.profiler import KernelProfile
 
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """Simulated device clock (plus optional memory budget and watchdog)."""
+    """Simulated device clock plus the per-launch watchdog."""
 
     spec: GPUSpec = GPUSpec()
-    memory_budget_bytes: Optional[int] = None
-    watchdog_ms: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
-            raise ConfigError("memory_budget_bytes must be positive when set")
-        if self.watchdog_ms is not None and self.watchdog_ms <= 0:
-            raise ConfigError("watchdog_ms must be positive when set")
-
-    # ------------------------------------------------------------------
-    # Guard rails
-    # ------------------------------------------------------------------
-    def check_allocation(self, nbytes: int, pressure_bytes: int = 0) -> None:
-        """Admit an allocation of ``nbytes`` device bytes or raise
-        :class:`DeviceOOM`.
-
-        ``pressure_bytes`` models transient external memory pressure (a
-        co-tenant's allocation) shrinking the budget for this launch only.
-        No budget configured = the infinite-memory device of the plain
-        timing model.
-        """
-        if self.memory_budget_bytes is None:
-            return
-        available = self.memory_budget_bytes - pressure_bytes
-        if nbytes > available:
-            raise DeviceOOM(nbytes, max(0, available))
 
     def check_watchdog(
         self, kernel_ms: float, ceiling_ms: Optional[float] = None
     ) -> None:
-        """Abort a launch whose simulated duration exceeds the watchdog
-        ceiling (raises :class:`KernelTimeout`).
+        """Abort a launch whose simulated duration exceeds ``ceiling_ms``
+        (raises :class:`KernelTimeout`; ``None`` = no ceiling).
 
-        ``ceiling_ms`` tightens the check for one launch — the serving
-        layer propagates a request's remaining deadline here so a round
-        that cannot finish in time aborts (and degrades) *now* instead of
-        burning the deadline and timing out late.  The effective ceiling is
-        the stricter of the device-wide watchdog and the per-launch budget.
+        The serving layer propagates a request's remaining deadline here
+        so a round that cannot finish in time aborts (and degrades) *now*
+        instead of burning the deadline and timing out late.
         """
-        effective = self.watchdog_ms
-        if ceiling_ms is not None:
-            effective = ceiling_ms if effective is None else min(effective, ceiling_ms)
-        if effective is not None and kernel_ms > effective:
-            raise KernelTimeout(kernel_ms, effective)
+        if ceiling_ms is not None and kernel_ms > ceiling_ms:
+            raise KernelTimeout(kernel_ms, ceiling_ms)
 
     def kernel_ms(
         self,

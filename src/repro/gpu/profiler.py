@@ -90,17 +90,6 @@ class WarpProfile:
         self.iterations += other.iterations
         return self
 
-    def scale_cycles(self, factor: float) -> "WarpProfile":
-        """Multiply every cycle counter by ``factor`` (fault injection's
-        stall model: the warp re-executes the same work ``factor`` times
-        over).  Lane/segment tallies are work counts, not time, and stay."""
-        self.compute_cycles *= factor
-        self.mem_cycles *= factor
-        self.sync_cycles *= factor
-        self.stall_long *= factor
-        self.stall_wait *= factor
-        return self
-
 
 @dataclass
 class KernelProfile:
@@ -127,11 +116,6 @@ class KernelProfile:
         self.n_warps += other.n_warps
         self.n_samples += other.n_samples
         self.n_valid_samples += other.n_valid_samples
-        return self
-
-    def scale_cycles(self, factor: float) -> "KernelProfile":
-        """Stall-inject this kernel: every warp's cycles grow by ``factor``."""
-        self.warp.scale_cycles(factor)
         return self
 
     @property

@@ -8,12 +8,13 @@ every shard's slice and collects the per-warp result tuples back in warp
 order — each with the warp's batch checkpoints, so the parent can resume
 a warp whose quota the fold corrects without replaying it.
 
-Failure semantics: a worker that dies mid-round (SIGKILL, injected crash,
-hard exit) is detected by its pipe hitting EOF.  The round raises
-:class:`~repro.errors.ShardFailure` — a non-retryable
+Failure semantics: a worker that dies mid-round (SIGKILL, a crash armed
+by :meth:`ShardedVectorExecutor.inject_crash`, hard exit) is detected by
+its pipe hitting EOF.  The round raises
+:class:`~repro.errors.ShardFailure` — a
 :class:`~repro.errors.DeviceFault`, so the serving layer degrades to its
-fallback instead of burning retries — and the pool respawns the worker
-before the next round runs.  Surviving shards' replies are still drained,
+CPU fallback — and the pool respawns the worker before the next round
+runs.  Surviving shards' replies are still drained,
 and a token on every request/reply pair discards any stale reply that
 could otherwise leak into a later round.
 """
@@ -142,12 +143,12 @@ class ShardedVectorExecutor:
         self.close()
 
     # ------------------------------------------------------------------
-    # Fault injection
+    # Test hook
     # ------------------------------------------------------------------
-    def inject_crash(self, launch_index: int) -> None:
-        """Schedule one worker (chosen deterministically from the launch
-        index) to hard-exit at the next round — the shard-crash fault."""
-        self._pending_crash = launch_index % self.n_shards
+    def inject_crash(self, shard: int) -> None:
+        """Make worker ``shard`` hard-exit at the next round, so tests can
+        drive the real death-detection path."""
+        self._pending_crash = shard
 
     # ------------------------------------------------------------------
     # Plan publication

@@ -56,15 +56,15 @@ def build_runtime(
     return ShardRuntime(meta, arrays, params)
 
 
-#: Exit code of a deliberately crashed worker (fault injection).
+#: Exit code of a deliberately crashed worker (``inject_crash``).
 CRASH_EXIT_CODE = 17
 
 
 def worker_loop(conn) -> None:  # pragma: no cover - runs in child processes
     """Message pump: ``("setup", token, plan_id, manifest, meta, params)``
     installs a plan; ``("run", token, plan_id, states, quotas, crash)``
-    executes a slice (or hard-exits when ``crash`` — the injected
-    shard-crash fault); ``("stop",)`` ends the loop.  Replies are
+    executes a slice (or hard-exits when ``crash`` — the
+    ``inject_crash`` test hook); ``("stop",)`` ends the loop.  Replies are
     ``("ok", token, payload)`` or ``("err", token, message)``."""
     runtime = None
     plan_id = None

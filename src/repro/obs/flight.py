@@ -1,8 +1,8 @@
 """Flight recording: always-on ring tracing and replayable postmortems.
 
 A production estimator cannot afford full tracing, but when something
-goes wrong — a circuit breaker opens, the watchdog kills a kernel, the
-admission layer starts shedding hard — the question is always *what were
+goes wrong — the watchdog kills a kernel, the admission layer starts
+shedding hard, an estimate drifts — the question is always *what were
 the last few milliseconds doing?*  :class:`FlightRecorder` answers it the
 way an aircraft flight recorder does: it is a :class:`TraceRecorder`
 whose event store is a bounded ring, so it can stay on forever at fixed
@@ -22,9 +22,7 @@ on any machine — an anomaly report you can run, not just read.
 
 Trigger taxonomy (the ``trigger.kind`` field of every bundle):
 
-* ``breaker_open`` — a circuit breaker tripped to OPEN (consecutive
-  round failures crossed the breaker's threshold).
-* ``kernel_timeout`` — the device watchdog killed a launch
+* ``kernel_timeout`` — the deadline-derived watchdog killed a launch
   (:class:`~repro.errors.KernelTimeout`); the bundle carries that very
   launch, captured just before the watchdog verdict.
 * ``shed_spike`` — the admission layer's recent shed rate crossed
@@ -63,7 +61,6 @@ FLIGHT_SCHEMA = "repro.flight/2"
 
 #: The trigger taxonomy (every bundle's ``trigger.kind`` is one of these).
 TRIGGER_KINDS: Tuple[str, ...] = (
-    "breaker_open",
     "kernel_timeout",
     "shed_spike",
     "qerror_drift",
@@ -258,7 +255,6 @@ def serialize_round(launch: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "rng_state": serialize_rng_state(launch["rng_state"]),
         "n_samples": int(launch["n_samples"]),
-        "stall_factor": float(launch["stall_factor"]),
         "expected": {
             "estimate": float(launch["estimate"]),
             "simulated_ms": float(launch["simulated_ms"]),
@@ -266,7 +262,6 @@ def serialize_round(launch: Mapping[str, Any]) -> Dict[str, Any]:
         "backend": launch.get("backend", ""),
         "n_warps": int(launch.get("n_warps", 0)),
         "round": int(launch.get("round", 0)),
-        "launch_index": launch.get("launch_index"),
     }
 
 
@@ -313,7 +308,6 @@ def build_bundle(
     graph: str,
     plan: Optional[Mapping[str, Any]],
     round_capture: Optional[Mapping[str, Any]],
-    faults: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble a postmortem bundle dict (already-serialized sections)."""
     if kind not in TRIGGER_KINDS:
@@ -334,7 +328,6 @@ def build_bundle(
         "metrics": dict(metrics),
         "plan": dict(plan) if plan is not None else None,
         "round": dict(round_capture) if round_capture is not None else None,
-        "faults": dict(faults) if faults is not None else None,
     }
 
 
@@ -453,8 +446,7 @@ class FlightMonitor:
         * ``graph_identity`` — the ``name@v0#<fp>`` string;
         * ``plan`` — pre-serialized plan section (:func:`serialize_plan`);
         * ``round`` — pre-serialized round (:func:`serialize_round`);
-        * ``metrics`` — a metrics-registry snapshot dict;
-        * ``faults`` — injector stats.
+        * ``metrics`` — a metrics-registry snapshot dict.
 
         Returns the bundle on fire, ``None`` when suppressed.
         """
@@ -492,7 +484,6 @@ class FlightMonitor:
             graph=str(context.get("graph_identity", "")),
             plan=context.get("plan"),
             round_capture=context.get("round"),
-            faults=context.get("faults"),
         )
         self.bundles.append(bundle)
         if len(self.bundles) > MAX_BUNDLES:
@@ -519,9 +510,8 @@ def replay_bundle(bundle: Mapping[str, Any]) -> Dict[str, Any]:
     from the bundle's plan section; forces ``n_shards=1`` (estimates and
     single-device simulated ms are bit-identical across shard counts, so
     replay never needs worker processes); materialises the round's RNG
-    substream from its serialized state; runs one round; re-applies the
-    captured stall factor; and compares estimate and simulated ms with
-    exact ``==``.
+    substream from its serialized state; runs one round; and compares
+    estimate and simulated ms with exact ``==``.
 
     Returns a report dict with ``match`` (overall), the expected and
     replayed values, and the rebuilt configuration labels.
@@ -578,7 +568,6 @@ def replay_bundle(bundle: Mapping[str, Any]) -> Dict[str, Any]:
 
     state = deserialize_rng_state(round_capture["rng_state"])
     n_samples = int(round_capture["n_samples"])
-    stall_factor = float(round_capture.get("stall_factor", 1.0))
 
     engine = GSWORDEngine(
         resolve_estimator(plan.get("estimator", "alley")), config, spec=spec
@@ -590,9 +579,6 @@ def replay_bundle(bundle: Mapping[str, Any]) -> Dict[str, Any]:
         )
     finally:
         engine.close()
-    if stall_factor != 1.0:
-        result.profile.scale_cycles(stall_factor)
-        result.longest_warp_cycles *= stall_factor
 
     expected = round_capture["expected"]
     replayed_estimate = float(result.estimate)
@@ -616,7 +602,6 @@ def replay_bundle(bundle: Mapping[str, Any]) -> Dict[str, Any]:
         "graph": bundle.get("graph", ""),
         "backend": result.backend_label,
         "n_samples": n_samples,
-        "stall_factor": stall_factor,
     }
 
 

@@ -7,8 +7,8 @@ same payload shape) — validates it, and renders a per-span-name
 breakdown table: count, total/mean simulated ms, total wall ms, and each
 name's share of its track's busy time.  Two extra sections make
 anomalies inspectable without Perfetto: an **anomaly** tally of the
-instant annotations that indicate trouble (faults, retries, breaker and
-overload events, flight triggers, SLO alerts) and a **top-N slowest
+instant annotations that indicate trouble (device faults, overload
+events, flight triggers, SLO alerts) and a **top-N slowest
 spans** table of the individual worst offenders.
 """
 
@@ -25,8 +25,6 @@ from repro.obs.trace import MICROS_PER_MS, validate_chrome_trace
 #: the report's anomaly section, separate from routine annotations).
 ANOMALY_PREFIXES = (
     "fault",
-    "retry",
-    "breaker.",
     "overload.",
     "flight.",
     "slo.",
@@ -144,7 +142,7 @@ def top_spans(payload: Dict[str, Any], n: int = 5) -> List[Dict[str, Any]]:
 
 
 def count_instants(payload: Dict[str, Any]) -> Dict[str, int]:
-    """Tally instant annotations (faults, retries, breaker events) by name."""
+    """Tally instant annotations (faults, sheds, triggers...) by name."""
     counts: Dict[str, int] = {}
     for event in payload.get("traceEvents", []):
         if event.get("ph") in ("i", "I"):

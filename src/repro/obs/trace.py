@@ -26,7 +26,7 @@ any post-processing.
 
 Each track owns a monotone simulated-time cursor: ``begin`` opens a span at
 the cursor (or an explicit later time), ``end`` closes it and advances the
-cursor, ``advance`` models charged-but-spanless time (retry backoff).
+cursor, ``advance`` models charged-but-spanless time.
 Cursors never move backwards, so sibling spans on a track can never
 partially overlap even when the serving layer's *fused* batch time is
 shorter than the serialized sum of its member rounds.
@@ -177,7 +177,7 @@ class TraceRecorder:
                 self._cursors[track] = sim_ms
 
     def advance(self, track: str, sim_delta_ms: float) -> None:
-        """Charge span-less simulated time to the track (retry backoff)."""
+        """Charge span-less simulated time to the track."""
         if sim_delta_ms < 0:
             raise ObservabilityError("cannot advance a clock backwards")
         with self._lock:
@@ -307,7 +307,7 @@ class TraceRecorder:
         sim_ms: Optional[float] = None,
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Emit an instant ("i") annotation — fault, retry, breaker, and
+        """Emit an instant ("i") annotation — fault, shed, fallback and
         completion events attach to the timeline this way."""
         wall = self._wall_ms(time.perf_counter())
         with self._lock:

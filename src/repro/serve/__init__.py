@@ -39,7 +39,6 @@ from repro.serve.admission import (
     TenantQuota,
     TokenBucket,
 )
-from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.cache import (
     CachedPlan,
     PlanCache,
@@ -84,8 +83,6 @@ __all__ = [
     "ServiceMetrics",
     "resolve_estimator",
     "estimator_name",
-    "BreakerState",
-    "CircuitBreaker",
     "REASON_FALLBACK",
     "AdmissionPolicy",
     "AdmissionController",

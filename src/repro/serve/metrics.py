@@ -18,15 +18,12 @@ capacity (4096), uniform-subsample estimates past it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.registry import Histogram, MetricFamily, MetricsRegistry
 
 #: ``resilience_events_total`` event labels (one per fault-handling event).
-RESILIENCE_EVENTS = (
-    "faults", "retries", "round_failures", "fallbacks", "breaker_trips",
-    "breaker_rejections", "worker_crashes",
-)
+RESILIENCE_EVENTS = ("faults", "round_failures", "fallbacks", "worker_crashes")
 
 
 def _by_label(family: MetricFamily) -> Dict[str, int]:
@@ -113,7 +110,7 @@ class ServiceMetrics:
         self._queue_wait = reg.histogram(
             "queue_wait_ms", "Queue wait summary (simulated ms)"
         ).labels()
-        # Resilience counters (repro.faults / breaker / CPU fallback).
+        # Resilience counters (failed launches, CPU fallback).
         events = reg.counter(
             "resilience_events_total", "Fault-handling events by type",
             labels=("event",),
@@ -122,10 +119,6 @@ class ServiceMetrics:
         self._fault_ms = reg.gauge(
             "fault_ms", "Simulated ms charged to faults"
         ).labels()
-        self._faults_by_kind = reg.counter(
-            "faults_by_kind_total", "Survived-or-fatal faults by kind",
-            labels=("kind",),
-        )
         # Overload / admission (repro.serve.admission): requests shed at
         # submission (by reason), the retry-after hints handed back with
         # them, and caller-side cancellations that released their slots.
@@ -186,31 +179,18 @@ class ServiceMetrics:
         self._discarded_warps.inc(n_discarded)
 
     # Resilience events ------------------------------------------------
-    def record_round_faults(
-        self, n_faults: int, n_retries: int, fault_ms: float,
-        kinds: Optional[List[str]] = None,
-    ) -> None:
-        """Fold one round's fault bill in (survived *and* fatal attempts)."""
+    def record_round_faults(self, n_faults: int, fault_ms: float) -> None:
+        """Fold one batch's failed launches and their device time in."""
         self._events["faults"].inc(n_faults)
-        self._events["retries"].inc(n_retries)
         self._fault_ms.inc(fault_ms)
-        for kind in kinds or []:
-            self._faults_by_kind.labels(kind=kind).inc()
 
     def record_round_failure(self) -> None:
-        """One round failed for good (its retry budget is spent)."""
+        """One request's round failed."""
         self._events["round_failures"].inc()
 
     def record_fallback(self) -> None:
         """One request was answered by the CPU fallback path."""
         self._events["fallbacks"].inc()
-
-    def record_breaker_trip(self) -> None:
-        self._events["breaker_trips"].inc()
-
-    def record_breaker_rejection(self) -> None:
-        """A round skipped the device because its breaker was open."""
-        self._events["breaker_rejections"].inc()
 
     def record_worker_crash(self) -> None:
         """The background worker survived an unexpected processing error."""
@@ -276,6 +256,5 @@ class ServiceMetrics:
             "resilience": {
                 **{f"n_{e}": n for e, n in events.items()},
                 "fault_ms": self._fault_ms.value,
-                "faults_by_kind": _by_label(self._faults_by_kind),
             },
         }

@@ -34,7 +34,6 @@ from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.engine import RECOVERABLE_ERRORS, EngineSession, GPURunResult
 from repro.errors import ServiceError
-from repro.faults import fault_kind
 from repro.gpu.costmodel import DEFAULT_GPU, GPUSpec
 from repro.gpu.device import DeviceModel
 
@@ -44,17 +43,14 @@ class RoundTask:
     """One schedulable unit: run ``n_samples`` on a request's session.
 
     ``payload`` is opaque to the scheduler (the service stores its pending-
-    request record there).  ``retry`` and ``watchdog_ms`` are passed
-    straight to :meth:`~repro.core.engine.EngineSession.run_round`:
-    ``retry`` allows relaunches after a transient device fault (``False``
-    = fail fast), and ``watchdog_ms`` tightens the round's launch watchdog
-    (deadline propagation).  ``tenant``/``weight`` drive weighted-fair
-    queueing in :class:`FairQueue`."""
+    request record there).  ``watchdog_ms`` is passed straight to
+    :meth:`~repro.core.engine.EngineSession.run_round` as the launch's
+    watchdog ceiling (deadline propagation).  ``tenant``/``weight`` drive
+    weighted-fair queueing in :class:`FairQueue`."""
 
     session: EngineSession
     n_samples: int
     payload: object = None
-    retry: bool = False
     tenant: str = "default"
     weight: float = 1.0
     watchdog_ms: Optional[float] = None
@@ -156,10 +152,10 @@ class BatchResult:
     """One executed batch: per-task round results plus fused accounting.
 
     Fault isolation: ``round_results[i]`` is ``None`` exactly when
-    ``failures[i]`` carries the error that killed task ``i``'s round after
-    its retry budget — one sick round never poisons its batchmates.
-    ``fault_ms`` is the simulated time the batch lost to failed attempts
-    and retry backoff (already included in ``batch_ms``).
+    ``failures[i]`` carries the error that killed task ``i``'s round —
+    one sick round never poisons its batchmates.  ``fault_ms`` is the
+    simulated time the batch lost to failed launches (already included
+    in ``batch_ms``); ``n_faults`` counts them.
     """
 
     tasks: List[RoundTask]
@@ -169,13 +165,14 @@ class BatchResult:
     n_samples: int
     failures: List[Optional[BaseException]] = field(default_factory=list)
     fault_ms: float = 0.0
-    n_faults: int = 0
-    n_retries: int = 0
-    fault_kinds: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.failures:
             self.failures = [None] * len(self.tasks)
+
+    @property
+    def n_faults(self) -> int:
+        return sum(error is not None for error in self.failures)
 
     @property
     def samples_per_second(self) -> float:
@@ -238,13 +235,12 @@ class BatchScheduler:
     def execute(self, tasks: List[RoundTask]) -> BatchResult:
         """Run every task's round and account them as one fused launch.
 
-        Transient device faults are isolated per task: a round that fails
-        after its retry budget yields ``round_results[i] = None`` and its
-        error in ``failures[i]``; the rest of the batch completes normally.
-        Retry backoff and aborted attempts are charged to ``batch_ms`` on
-        top of the co-resident duration of the successful rounds — a
-        conservative model in which recovery work serialises after the
-        fused launch rather than hiding inside it.
+        Device failures are isolated per task: a failed round yields
+        ``round_results[i] = None`` and its error in ``failures[i]``; the
+        rest of the batch completes normally.  Failed launches are charged
+        to ``batch_ms`` on top of the co-resident duration of the
+        successful rounds — a conservative model in which they serialise
+        after the fused launch rather than hiding inside it.
         """
         if not tasks:
             raise ServiceError("cannot execute an empty batch")
@@ -256,25 +252,17 @@ class BatchScheduler:
         results: List[Optional[GPURunResult]] = []
         failures: List[Optional[BaseException]] = []
         fault_ms = 0.0
-        n_faults = 0
-        n_retries = 0
-        fault_kinds: List[str] = []
         for task in tasks:
             try:
                 task.session.run_round(
-                    task.n_samples,
-                    retry=task.retry,
-                    watchdog_ms=task.watchdog_ms,
+                    task.n_samples, watchdog_ms=task.watchdog_ms
                 )
-                failures.append(None)
-            except RECOVERABLE_ERRORS as error:
-                failures.append(error)
+            except RECOVERABLE_ERRORS:
+                pass  # the report below carries the error
             report = task.session.last_round
             results.append(report.result)
+            failures.append(report.error)
             fault_ms += report.fault_ms
-            n_faults += report.n_faults
-            n_retries += report.n_retries
-            fault_kinds.extend(fault_kind(e) for e in report.errors)
         ok = [r for r in results if r is not None]
         batch_ms = (
             self.device.coresident_ms(
@@ -292,7 +280,4 @@ class BatchScheduler:
             n_samples=sum(r.n_samples for r in ok),
             failures=failures,
             fault_ms=fault_ms,
-            n_faults=n_faults,
-            n_retries=n_retries,
-            fault_kinds=fault_kinds,
         )

@@ -48,7 +48,6 @@ from repro.errors import (
 from repro.estimators.base import RSVEstimator
 from repro.estimators.cpu_runner import CPUSamplingRunner
 from repro.estimators.ht import HTAccumulator
-from repro.faults import FaultInjector, FaultPlan, maybe_injector
 from repro.gpu.costmodel import DEFAULT_GPU, GPUSpec
 from repro.gpu.device import DeviceModel
 from repro.gpu.profiler import KernelProfile
@@ -66,7 +65,6 @@ from repro.obs.registry import MetricsRegistry, add_stall_summary
 from repro.obs.slo import SLOEngine, SLOPolicy
 from repro.obs.trace import NO_TRACE, TraceRecorder
 from repro.serve.admission import AdmissionController, AdmissionPolicy
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import PlanCache, build_plan
 from repro.serve.controller import AdaptiveBudgetController, BudgetPolicy
 from repro.serve.metrics import ServiceMetrics
@@ -88,9 +86,11 @@ class ServiceConfig:
     """Service-level configuration.
 
     Only values some caller sets are fields; the fixed tuning behind them
-    (retry backoff, breaker threshold and cooldown, flight triggers,
-    :data:`ORDER_METHOD`) is module constants next to the code that reads
-    it.
+    (flight triggers, :data:`ORDER_METHOD`) is module constants next to
+    the code that reads it.  A round the device fails (a watchdog kill or
+    a dead shard worker) always degrades to the
+    :class:`CPUSamplingRunner` CPU baseline over all ``CPUSpec.threads``
+    workers (``degraded=True`` responses) instead of erroring its ticket.
 
     Attributes:
         spec: the shared simulated device all requests co-reside on.
@@ -107,21 +107,6 @@ class ServiceConfig:
         max_batch_requests: scheduler knob, see
             :class:`~repro.serve.scheduler.BatchScheduler`.
         policy: adaptive-budget defaults, see :class:`BudgetPolicy`.
-        faults: optional deterministic fault schedule injected into every
-            engine launch (chaos testing; ``None`` = healthy device).
-        memory_budget_bytes: simulated device memory capacity; candidate
-            graphs that do not fit fail admission with ``DeviceOOM``.
-        watchdog_ms: per-launch simulated-ms ceiling; overruns abort the
-            round with ``KernelTimeout`` instead of hanging the service.
-        retry: retry a round that hit a transient device fault, up to
-            :data:`~repro.core.engine.MAX_RETRIES` times with exponential
-            backoff (``False``: each fault immediately fails the round).
-            Every estimator has a
-            :class:`~repro.serve.breaker.CircuitBreaker` either way.
-        cpu_fallback: degrade failed requests to the
-            :class:`CPUSamplingRunner` CPU baseline over all
-            ``CPUSpec.threads`` workers (``degraded=True`` responses)
-            instead of erroring their tickets.
         admission: bounded-admission policy (queue bound, per-tenant token
             buckets, deadline-infeasibility shedding); ``None`` keeps the
             legacy unbounded front door.  With a policy set, ``submit``
@@ -135,8 +120,8 @@ class ServiceConfig:
             when deadline-bound requests degrade, so it is opt-in.
         flight: always-on flight recording (:mod:`repro.obs.flight`): a
             bounded ring of recent spans/instants plus the trigger
-            monitor that snapshots postmortem bundles on breaker trips,
-            watchdog kills, shed spikes and q-error drift.
+            monitor that snapshots postmortem bundles on watchdog kills,
+            shed spikes and q-error drift.
             On by default — the ring caps memory and the per-event cost
             lives inside the existing <2% tracing budget.  ``False``
             disables it (``engine_config.trace`` also supersedes the ring:
@@ -151,11 +136,6 @@ class ServiceConfig:
     cache_bytes: int = 64 << 20
     max_batch_requests: int = 64
     policy: BudgetPolicy = field(default_factory=BudgetPolicy)
-    faults: Optional[FaultPlan] = None
-    memory_budget_bytes: Optional[int] = None
-    watchdog_ms: Optional[float] = None
-    retry: bool = True
-    cpu_fallback: bool = True
     admission: Optional[AdmissionPolicy] = None
     propagate_deadline: bool = False
     flight: bool = True
@@ -268,12 +248,7 @@ class EstimationService:
             else None
         )
         self.metrics = ServiceMetrics()
-        self.device = DeviceModel(
-            config.spec,
-            memory_budget_bytes=config.memory_budget_bytes,
-            watchdog_ms=config.watchdog_ms,
-        )
-        self.injector: Optional[FaultInjector] = maybe_injector(config.faults)
+        self.device = DeviceModel(config.spec)
         # Recorder ladder: full tracing wins (unbounded history), else the
         # always-on flight ring, else the zero-cost disabled singleton.
         if config.engine_config.trace:
@@ -318,7 +293,6 @@ class EstimationService:
         # One fused scratch arena for all engines: ticks run one at a time,
         # and each engine would otherwise keep a high-water copy.
         self._arena = FusedArena()
-        self._breakers: Dict[str, CircuitBreaker] = {}
         self._fallback_runners: Dict[str, CPUSamplingRunner] = {}
         self._inflight: List[RoundTask] = []
         self._worker: Optional[threading.Thread] = None
@@ -495,18 +469,13 @@ class EstimationService:
         """Service + cache metrics as one plain dict (bench/CLI surface).
 
         Taken under the service lock: the SLO windows, flight monitor,
-        breakers, kernel profile and cache it reads are all mutated by the
-        worker, so it is safe to call from any thread while serving."""
+        kernel profile and cache it reads are all mutated by the worker,
+        so it is safe to call from any thread while serving."""
         with self._lock:
             snap = self.metrics.snapshot()
             snap["queue_depth"] = self._live_depth_locked()
             snap["clock_ms"] = self._clock_ms
             snap["cache"] = self.cache.stats() if self.cache else {"enabled": False}
-            snap["breakers"] = {
-                name: breaker.snapshot(self._clock_ms)
-                for name, breaker in self._breakers.items()
-            }
-            snap["faults_injected"] = self._injector_stats()
             snap["admission_state"] = (
                 self._admission.snapshot()
                 if self._admission is not None
@@ -527,7 +496,7 @@ class EstimationService:
         records into (JSON snapshot + Prometheus exposition).
 
         Before returning it writes in the state other components own: queue
-        depth, clock, plan cache, injected faults, the kernel stall summary,
+        depth, clock, plan cache, the kernel stall summary,
         ``multidev_ms`` and, when SLOs are configured, the ``slo_*``
         families.  Gauges are set and counters advanced to the owner's
         running total, so calling it twice never double-counts.  Safe to
@@ -556,15 +525,6 @@ class EstimationService:
                     cache_state.labels(stat=stat).set(stats[stat])
                 for event in ("hits", "misses", "evictions"):
                     cache_events.labels(event=event).advance_to(stats[event])
-            if self.injector is not None:
-                # Per-kind tallies only; the launch counts and the plan's
-                # expected rate stay in the JSON snapshot.
-                injected = reg.counter(
-                    "faults_injected_total", "Faults injected by the fault plan",
-                    labels=("kind",),
-                )
-                for kind, count in self.injector.stats()["injected"].items():
-                    injected.labels(kind=kind).advance_to(count)
             add_stall_summary(reg, self._kernel_profile.stall_summary())
             reg.gauge(
                 "multidev_ms",
@@ -573,9 +533,6 @@ class EstimationService:
             if self.slo is not None:
                 self.slo.to_registry(self._clock_ms, registry=reg)
         return reg
-
-    def _injector_stats(self) -> Dict[str, object]:
-        return self.injector.stats() if self.injector else {"enabled": False}
 
     # ------------------------------------------------------------------
     # Flight recording & SLOs (repro.obs.flight / repro.obs.slo)
@@ -637,8 +594,6 @@ class EstimationService:
             "gpu_spec": self.config.spec,
             "metrics": self.metrics_snapshot(),
         }
-        if self.injector is not None:
-            ctx["faults"] = self.injector.describe()
         lc = self._launch_context
         if lc is not None:
             ctx["graph_identity"] = graph_identity(
@@ -745,7 +700,6 @@ class EstimationService:
                     "n_samples": result.n_samples,
                     "batch_ms": result.batch_ms,
                     "n_faults": result.n_faults,
-                    "n_retries": result.n_retries,
                     "fault_ms": result.fault_ms,
                 },
             )
@@ -767,12 +721,9 @@ class EstimationService:
                 sum(r.n_rerun_warps for r in done),
                 sum(r.n_discarded_warps for r in done),
             )
-            if result.n_faults or result.n_retries or result.fault_ms:
+            if result.n_faults:
                 self.metrics.record_round_faults(
-                    result.n_faults,
-                    result.n_retries,
-                    result.fault_ms,
-                    result.fault_kinds,
+                    result.n_faults, result.fault_ms
                 )
             if self._admission is not None:
                 self._admission.observe_batch(len(batch), result.batch_ms)
@@ -788,9 +739,6 @@ class EstimationService:
                 if error is not None:
                     self._on_round_failure(pending, error)
                 elif round_result is not None:
-                    self._breaker_for_name(
-                        estimator_name(pending.request.estimator)
-                    ).record_success(self._clock_ms)
                     self._after_round(
                         task, round_result.n_samples, result.batch_ms
                     )
@@ -906,19 +854,11 @@ class EstimationService:
                 self.engine_config,
                 self.config.spec,
                 device=self.device,
-                injector=self.injector,
                 recorder=self.recorder,
                 arena=self._arena,
             )
             self._engines[key] = engine
         return engine
-
-    def _breaker_for_name(self, name: str) -> CircuitBreaker:
-        breaker = self._breakers.get(name)
-        if breaker is None:
-            breaker = CircuitBreaker()
-            self._breakers[name] = breaker
-        return breaker
 
     def _fallback_runner_for(self, pending: _Pending) -> CPUSamplingRunner:
         name = estimator_name(pending.request.estimator)
@@ -997,30 +937,6 @@ class EstimationService:
         if n <= 0:
             self._complete(pending)
             return
-        breaker = self._breaker_for_name(
-            estimator_name(pending.request.estimator)
-        )
-        if not breaker.allow(self._clock_ms):
-            # The device path for this estimator is tripped: don't queue a
-            # round that is expected to fail — degrade immediately.
-            self.metrics.record_breaker_rejection()
-            name = estimator_name(pending.request.estimator)
-            if self.recorder.enabled:
-                self.recorder.instant(
-                    "breaker.reject", track="serve", sim_ms=self._clock_ms,
-                    args={
-                        "estimator": name,
-                        "request_id": pending.ticket.request_id,
-                    },
-                )
-            self._degrade_or_fail(
-                pending,
-                ServiceError(
-                    f"circuit breaker {breaker.state(self._clock_ms).value} "
-                    f"for estimator {name!r}; device path unavailable"
-                ),
-            )
-            return
         if pending.first_service_ms is None:
             pending.queue_ms = self._clock_ms - pending.arrival_ms
             pending.first_service_ms = self._clock_ms
@@ -1039,7 +955,6 @@ class EstimationService:
                 session=pending.session,
                 n_samples=n,
                 payload=pending,
-                retry=self.config.retry,
                 tenant=pending.tenant,
                 weight=weight,
                 watchdog_ms=watchdog_ms,
@@ -1058,60 +973,27 @@ class EstimationService:
         self._enqueue_next_round(pending)
 
     def _on_round_failure(self, pending: _Pending, error: BaseException) -> None:
-        """A round died after its retry budget: update the estimator's
-        breaker, then degrade (CPU fallback) or fail the ticket."""
+        """A round failed on the device: answer on the CPU fallback, or
+        fail the ticket if the fallback fails too."""
         self.metrics.record_round_failure()
         # A watchdog kill is captured in the session just before the
         # verdict, so the bundle carries the offending launch itself.
         self._update_launch_context(pending)
-        breaker = self._breaker_for_name(
-            estimator_name(pending.request.estimator)
-        )
-        if breaker.record_failure(self._clock_ms):
-            self.metrics.record_breaker_trip()
-            if self.recorder.enabled:
-                self.recorder.instant(
-                    "breaker.trip", track="serve", sim_ms=self._clock_ms,
-                    args={
-                        "estimator": estimator_name(pending.request.estimator),
-                        "error": type(error).__name__,
-                    },
-                )
-            if self.flight is not None:
-                self.flight.consider(
-                    "breaker_open", self._clock_ms,
-                    {
-                        "estimator": estimator_name(
-                            pending.request.estimator
-                        ),
-                        "error": type(error).__name__,
-                        "consecutive_failures": (
-                            breaker.consecutive_failures
-                        ),
-                    },
-                    self._flight_context,
-                )
         if self.flight is not None and isinstance(error, KernelTimeout):
             self.flight.consider(
                 "kernel_timeout", self._clock_ms,
                 {
                     "error": str(error),
-                    "kernel_ms": getattr(error, "kernel_ms", None),
-                    "watchdog_ms": getattr(error, "watchdog_ms", None),
+                    "kernel_ms": error.kernel_ms,
+                    "watchdog_ms": error.watchdog_ms,
                     "request_id": pending.ticket.request_id,
                 },
                 self._flight_context,
             )
-        self._degrade_or_fail(pending, error)
-
-    def _degrade_or_fail(self, pending: _Pending, error: BaseException) -> None:
-        if self.config.cpu_fallback and pending.session is not None:
-            try:
-                self._complete_fallback(pending, error)
-                return
-            except Exception as fallback_error:  # noqa: BLE001 - last resort
-                error = fallback_error
-        self._fail_pending(pending, error)
+        try:
+            self._complete_fallback(pending, error)
+        except Exception as fallback_error:  # noqa: BLE001 - last resort
+            self._fail_pending(pending, fallback_error)
 
     def _complete_fallback(
         self, pending: _Pending, error: BaseException

@@ -1,6 +1,6 @@
 """Unit tests for the admission layer (repro/serve/admission.py), the
 weighted-fair queue (repro/serve/scheduler.py), the arrival plans
-(repro/faults/arrivals.py), and the replay-safe RNG state cloning that
+(repro/bench/arrivals.py), and the replay-safe RNG state cloning that
 launch capture and flight replay depend on."""
 
 from collections import deque
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ServiceError
-from repro.faults import OVERLOAD, POISSON, ArrivalPlan
+from repro.bench.arrivals import OVERLOAD, POISSON, ArrivalPlan
 from repro.serve.admission import (
     AdmissionController,
     AdmissionPolicy,

@@ -16,11 +16,10 @@ from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import BACKENDS, EngineConfig, default_backend
 from repro.core.engine import GSWORDEngine
 from repro.core.pipeline import CoProcessingPipeline
-from repro.errors import ConfigError, DeviceFault
+from repro.errors import ConfigError, KernelTimeout
 from repro.estimators.alley import AlleyEstimator
 from repro.estimators.cpu_runner import CPUSamplingRunner
 from repro.estimators.wanderjoin import WanderJoinEstimator
-from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import power_law_cluster_graph, random_labels
 from repro.query.extract import extract_query
@@ -246,41 +245,39 @@ class TestCPURunnerEquivalence:
 
 
 class TestFaultEquivalence:
-    """`repro.faults` plans replay identically on both backends: the same
-    launches fail with the same kinds, and the committed estimates match."""
+    """Watchdog kills replay identically on both backends: the same
+    launches die at the same simulated time, and the committed estimates
+    match."""
 
-    def _session(self, backend, plan, cg, order, seed):
-        engine = GSWORDEngine(
-            AlleyEstimator(),
-            EngineConfig.gsword(backend=backend),
-            injector=FaultInjector(plan),
-        )
-        return engine.session(cg, order, rng=seed)
+    #: Rounds of the six-round session a tiny watchdog kills.
+    KILLED = (1, 2, 4)
 
     @pytest.mark.parametrize("seed", [0, 9])
-    def test_fault_plan_replays_identically(self, plans, seed):
+    def test_watchdog_kills_replay_identically(self, plans, seed):
         cg, order = plans[4]
-        plan = FaultPlan(
-            seed=123,
-            rates={FaultKind.CORRUPTION: 0.4},
-            overrides={2: (FaultKind.CORRUPTION,)},
-        )
         outcomes = {}
         for backend in BACKENDS:
-            session = self._session(backend, plan, cg, order, seed)
+            engine = GSWORDEngine(
+                AlleyEstimator(), EngineConfig.gsword(backend=backend)
+            )
+            session = engine.session(cg, order, rng=seed)
             log = []
-            for _ in range(6):
+            for i in range(6):
                 try:
-                    session.run_round(40, retry=True)
-                except DeviceFault:
+                    session.run_round(
+                        40, watchdog_ms=1e-6 if i in self.KILLED else None
+                    )
+                except KernelTimeout:
                     pass
                 report = session.last_round
                 log.append((
-                    report.result is not None, report.n_faults,
-                    report.n_retries, report.fault_ms,
+                    report.result is not None, report.fault_ms,
+                    report.launch["estimate"], report.launch["simulated_ms"],
                 ))
             result = session.result()
             outcomes[backend] = (log, result.estimate, result.n_samples)
+        log = outcomes["fused"][0]
+        assert [ok for ok, *_ in log] == [i not in self.KILLED for i in range(6)]
         assert outcomes["scalar"] == outcomes["fused"]
 
     def test_clean_session_rounds_identical(self, plans):

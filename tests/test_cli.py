@@ -2,20 +2,20 @@
 
 Every subcommand is driven in-process through :func:`repro.__main__.main`
 on tiny inputs: argument parsing, the exit-2 contract for domain errors,
-and the output of the cheap subcommands (``estimate``, ``serve-bench``,
-``trace-report``, ``flight-replay``)."""
+the output of the cheap subcommands (``estimate``, ``serve-bench``,
+``trace-report``, ``flight-replay``), and the quick soak's flight bundle
+round trip (``soak-bench --flight-bundle-out`` into ``flight-replay``)."""
 
 import json
 
 import pytest
 
-from repro.__main__ import _build_parser, _parse_clients, _parse_rates, main
+from repro.__main__ import _build_parser, _parse_clients, main
 from repro.errors import ReproError
 
 SUBCOMMANDS = (
     "estimate",
     "serve-bench",
-    "chaos-bench",
     "soak-bench",
     "trace-report",
     "flight-replay",
@@ -80,14 +80,6 @@ class TestListArguments:
     def test_clients_must_be_positive(self, spec):
         with pytest.raises(ReproError, match="positive integers"):
             _parse_clients(spec)
-
-    def test_rates_parsed(self):
-        assert _parse_rates("0.0,0.10, 0.25") == [0.0, 0.10, 0.25]
-
-    @pytest.mark.parametrize("spec", ["", "1.0", "0.1,-0.1", "0.1,high"])
-    def test_bad_rates_rejected(self, spec):
-        with pytest.raises(ReproError, match="--rates"):
-            _parse_rates(spec)
 
 
 class TestEstimate:
@@ -155,14 +147,19 @@ class TestServeBench:
         assert "--clients expects positive integers" in err
 
 
-class TestChaosBench:
-    def test_bad_rates_exit_2(self, capsys):
-        code, _, err = run(capsys, ["chaos-bench", "--rates", "0.5,1.0"])
-        assert code == 2
-        assert "--rates expects values in [0, 1)" in err
-
-
 class TestFlightFiles:
+    def test_soak_bundle_replays_bit_identically(self, capsys, tmp_path):
+        path = str(tmp_path / "bundle.json")
+        code, out, _ = run(capsys, [
+            "soak-bench", "--quick", "--no-save", "--flight-bundle-out", path,
+        ])
+        assert code == 0
+        assert "flight_replay_bit_identical: True" in out
+        code, out, _ = run(capsys, ["flight-replay", path])
+        assert code == 0
+        assert "trigger=shed_spike" in out
+        assert "replay: BIT-IDENTICAL" in out
+
     def test_replay_missing_bundle_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["flight-replay", str(tmp_path / "missing.json")]

@@ -267,7 +267,7 @@ class TestServiceSnapshotBridge:
             metrics.record_completion(latency, 1.0, 225, degraded=i == 0)
         metrics.record_backends(["fused"] * 6)
         metrics.record_shards([2] * 6)
-        metrics.record_round_faults(2, 1, 3.0, kinds=["transient"] * 2)
+        metrics.record_round_faults(2, 3.0)
 
         snap = metrics.snapshot()
         assert snap["n_submitted"] == 4 and type(snap["n_submitted"]) is int
@@ -284,8 +284,7 @@ class TestServiceSnapshotBridge:
             "max": 10.0,
         }
         resilience = snap["resilience"]
-        assert resilience["n_faults"] == 2 and resilience["n_retries"] == 1
-        assert resilience["faults_by_kind"] == {"transient": 2}
+        assert resilience["n_faults"] == 2 and resilience["fault_ms"] == 3.0
 
         out = metrics.registry.snapshot()
         states = {e["labels"]["state"]: e["value"]
@@ -297,7 +296,7 @@ class TestServiceSnapshotBridge:
         assert latency["count"] == 4 and latency["sum"] == 20.0
         events = {e["labels"]["event"]: e["value"]
                   for e in out["resilience_events_total"]["series"]}
-        assert events["faults"] == 2.0 and events["retries"] == 1.0
+        assert events["faults"] == 2.0 and events["fallbacks"] == 0.0
         assert out["mean_batch_size"]["series"][0]["value"] == 3.0
         # The whole registry serialises (what --metrics-out writes).
         json.dumps(out)

@@ -1,7 +1,8 @@
 """Tests for repro.obs.flight: the bounded flight-recorder ring, RNG
 state serialization, the trigger monitor (cooldowns, lazy contexts),
 postmortem bundle I/O, bit-identical replay, and the serving layer's
-end-to-end capture-then-replay path under a deterministic fault storm."""
+end-to-end capture-then-replay path under a deterministic shed storm and
+under deadline-watchdog kills."""
 
 import json
 
@@ -11,9 +12,8 @@ import pytest
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig
 from repro.core.engine import GSWORDEngine
-from repro.errors import ObservabilityError, ServiceError
+from repro.errors import ObservabilityError, Overloaded, ServiceError
 from repro.estimators.alley import AlleyEstimator
-from repro.faults import FaultKind, FaultPlan
 from repro.gpu.costmodel import GPUSpec
 from repro.graph.datasets import load_dataset
 from repro.obs import NO_TRACE, TraceRecorder
@@ -24,7 +24,6 @@ from repro.obs.flight import (
     SHED_RATE_THRESHOLD,
     SHED_WINDOW_MS,
     TRIGGER_COOLDOWN_MS,
-    TRIGGER_KINDS,
     FlightMonitor,
     FlightRecorder,
     build_bundle,
@@ -41,7 +40,12 @@ from repro.obs.flight import (
 )
 from repro.query.extract import extract_query
 from repro.query.matching_order import quicksi_order
-from repro.serve import EstimateRequest, EstimationService, ServiceConfig
+from repro.serve import (
+    AdmissionPolicy,
+    EstimateRequest,
+    EstimationService,
+    ServiceConfig,
+)
 from repro.serve.controller import BudgetPolicy
 from repro.utils.rng import clone_state, derive_seed, generator_from_state
 
@@ -150,13 +154,13 @@ class TestFlightMonitor:
         rec.instant("warmup", track="engine")
         monitor = FlightMonitor(rec)
         bundle = monitor.consider(
-            "breaker_open", 3.0, {"estimator": "alley"}, _context()
+            "shed_spike", 3.0, {"reason": "queue_full"}, _context()
         )
         assert bundle is not None and bundle in monitor.bundles
         assert bundle["schema"] == FLIGHT_SCHEMA
-        assert bundle["trigger"]["kind"] == "breaker_open"
+        assert bundle["trigger"]["kind"] == "shed_spike"
         assert bundle["trigger"]["sim_ms"] == 3.0
-        assert bundle["trigger"]["details"]["estimator"] == "alley"
+        assert bundle["trigger"]["details"]["reason"] == "queue_full"
         names = [
             e["name"] for e in bundle["ring"]["traceEvents"]
             if e["ph"] != "M"
@@ -182,15 +186,15 @@ class TestFlightMonitor:
         assert TRIGGER_COOLDOWN_MS == 50.0
         monitor = FlightMonitor(FlightRecorder(capacity=8))
         ctx = _context()
-        assert monitor.consider("breaker_open", 0.0, {}, ctx) is not None
-        assert monitor.consider("breaker_open", 10.0, {}, ctx) is None
+        assert monitor.consider("shed_spike", 0.0, {}, ctx) is not None
+        assert monitor.consider("shed_spike", 10.0, {}, ctx) is None
         # Cooldowns are per kind: a different trigger still fires.
         assert monitor.consider("kernel_timeout", 10.0, {}, ctx) is not None
-        assert monitor.consider("breaker_open", 60.0, {}, ctx) is not None
+        assert monitor.consider("shed_spike", 60.0, {}, ctx) is not None
         assert monitor.n_triggers == 3
         assert monitor.n_suppressed == 1
         assert monitor.snapshot()["bundle_kinds"] == [
-            "breaker_open", "kernel_timeout", "breaker_open"
+            "shed_spike", "kernel_timeout", "shed_spike"
         ]
 
     def test_max_bundles_drops_oldest(self):
@@ -306,13 +310,11 @@ def _make_bundle(workload, config, n_samples=512):
     launch = {
         "rng_state": state,
         "n_samples": n_samples,
-        "stall_factor": 1.0,
         "estimate": float(result.estimate),
         "simulated_ms": float(result.simulated_ms()),
         "backend": result.backend_label,
         "n_warps": int(result.n_warps),
         "round": 1,
-        "launch_index": None,
     }
     return build_bundle(
         kind="kernel_timeout",
@@ -357,31 +359,50 @@ class TestReplay:
 # ----------------------------------------------------------------------
 # Serving-layer integration
 # ----------------------------------------------------------------------
-def _storm_service(seed=99):
-    """The chaos bench's deterministic trigger storm, miniaturised:
-    retries off, heavy stalls, a watchdog far below a 64x-stalled launch."""
-    return EstimationService(ServiceConfig(
+#: Requests the shed storm submits at one simulated instant; with two
+#: admission slots, 10 of 12 shed and cross the shed-spike threshold.
+STORM_BURST = 12
+
+
+def _run_storm(workload, seed=99):
+    """A deterministic shed storm: one request runs (so a launch is
+    captured), then a burst overruns a two-slot admission queue."""
+    service = EstimationService(ServiceConfig(
         policy=BudgetPolicy(min_round_samples=256, max_round_samples=2048),
-        faults=FaultPlan(
-            seed=derive_seed(seed, "flight-test"),
-            rates={FaultKind.STALL: 0.9},
-            stall_factor=64.0,
-        ),
-        watchdog_ms=0.05,
-        retry=False,
-        cpu_fallback=True,
+        admission=AdmissionPolicy(max_pending=2),
     ))
-
-
-def _run_storm(service, workload, n=6):
     graph, query = workload[0], workload[1]
-    for _ in range(n):
+
+    def request(i):
+        return EstimateRequest(
+            graph=graph, query=query, max_samples=2048,
+            request_id=f"storm-{seed}-{i}",
+        )
+
+    service.estimate(request(0))
+    for i in range(1, STORM_BURST + 1):
         try:
-            service.estimate(
-                EstimateRequest(graph=graph, query=query, max_samples=2048)
-            )
-        except Exception:  # noqa: BLE001 - the storm may fail requests
+            service.submit(request(i))
+        except Overloaded:
             pass
+    service.drain()
+    return service
+
+
+def _deadline_killed_service(workload):
+    """Deadline propagation with a deadline the first round fits and the
+    CI-driven second round overruns: the watchdog kills that round."""
+    service = EstimationService(ServiceConfig(
+        policy=BudgetPolicy(min_round_samples=128, max_round_samples=1024),
+        propagate_deadline=True,
+    ))
+    graph = workload[0]
+    query = extract_query(graph, 4, rng=derive_seed(9, 0), name="kill-q4")
+    response = service.estimate(EstimateRequest(
+        graph=graph, query=query, target_rel_ci=0.01, max_samples=65_536,
+        deadline_ms=0.05,
+    ))
+    assert response.stop_reason == "fallback"
     return service
 
 
@@ -410,26 +431,20 @@ class TestServiceFlight:
             service.write_flight_bundle("/dev/null")
 
     def test_storm_captures_replayable_bundles(self, workload, tmp_path):
-        service = _run_storm(_storm_service(), workload)
+        service = _run_storm(workload)
         bundles = service.flight_bundles()
-        assert bundles
-        kinds = {b["trigger"]["kind"] for b in bundles}
-        assert kinds <= set(TRIGGER_KINDS)
-        assert kinds & {"kernel_timeout", "breaker_open"}
+        assert [b["trigger"]["kind"] for b in bundles] == ["shed_spike"]
         snap = service.metrics_snapshot()
         assert snap["flight"]["n_triggers"] >= 1
         assert snap["flight"]["n_bundles"] == len(bundles)
 
-        replayable = [b for b in bundles if b["round"] is not None]
-        assert replayable
-        bundle = replayable[-1]
+        bundle = bundles[-1]
+        assert bundle["trigger"]["details"]["shed_rate"] >= SHED_RATE_THRESHOLD
+        assert bundle["round"] is not None  # the warm-up request's launch
         assert bundle["graph"].startswith("yeast@v0#")
-        assert bundle["faults"] is not None
-        # Replay from the JSON form — bit-identical, with the captured
-        # stall factor re-applied.
+        # Replay from the JSON form — bit-identical.
         report = replay_bundle(json.loads(json.dumps(bundle)))
         assert report["match"]
-        assert report["stall_factor"] == bundle["round"]["stall_factor"]
         # write_flight_bundle persists the newest bundle verbatim.
         path = str(tmp_path / "postmortem.json")
         written = service.write_flight_bundle(path)
@@ -443,9 +458,23 @@ class TestServiceFlight:
                 for b in service.flight_bundles()
             ]
 
-        a = signature(_run_storm(_storm_service(), workload))
-        b = signature(_run_storm(_storm_service(), workload))
+        a = signature(_run_storm(workload))
+        b = signature(_run_storm(workload))
         assert a == b and a
+
+    def test_watchdog_kill_bundle_replays_the_killed_launch(self, workload):
+        service = _deadline_killed_service(workload)
+        [bundle] = service.flight_bundles()
+        trigger = bundle["trigger"]
+        assert trigger["kind"] == "kernel_timeout"
+        details = trigger["details"]
+        assert details["kernel_ms"] > details["watchdog_ms"]
+        # The bundle carries the killed launch itself.
+        assert bundle["round"]["expected"]["simulated_ms"] == (
+            details["kernel_ms"]
+        )
+        report = replay_bundle(json.loads(json.dumps(bundle)))
+        assert report["match"]
 
     def test_qerror_drift_via_report_q_error(self):
         service = EstimationService(ServiceConfig())
@@ -467,8 +496,8 @@ class TestTraceReportExtensions:
                           ("launch.c", 2.0)):
             handle = rec.begin(name, track="engine", args={"n_warps": 4})
             rec.end(handle, sim_dur_ms=dur)
-        rec.instant("fault.stall", track="engine")
-        rec.instant("retry", track="engine")
+        rec.instant("fault", track="engine")
+        rec.instant("overload.shed", track="serve")
         rec.instant("request.submit", track="serve")
         return rec
 
@@ -490,10 +519,10 @@ class TestTraceReportExtensions:
 
         payload = self._recorder_with_spans().ring_snapshot()
         assert count_instants(payload) == {
-            "fault.stall": 1, "retry": 1, "request.submit": 1,
+            "fault": 1, "overload.shed": 1, "request.submit": 1,
         }
         # Routine annotations are excluded from the anomaly tally.
-        assert anomaly_instants(payload) == {"fault.stall": 1, "retry": 1}
+        assert anomaly_instants(payload) == {"fault": 1, "overload.shed": 1}
 
     def test_flight_bundle_inspectable_via_trace_report(self, tmp_path):
         from repro.obs.report import load_trace, render_report
@@ -501,17 +530,17 @@ class TestTraceReportExtensions:
         rec = self._recorder_with_spans()
         monitor = FlightMonitor(rec)
         bundle = monitor.consider(
-            "breaker_open", 6.0, {"estimator": "alley"},
+            "kernel_timeout", 6.0, {"watchdog_ms": 0.05},
             {**_context(), "graph_identity": "yeast@v0#deadbeef"},
         )
         path = str(tmp_path / "bundle.json")
         write_bundle(bundle, path)
         payload = load_trace(path)  # bundles load transparently
         assert payload["otherData"]["flight_trigger"]["kind"] == (
-            "breaker_open"
+            "kernel_timeout"
         )
         text = render_report(payload)
-        assert "flight bundle: trigger=breaker_open" in text
+        assert "flight bundle: trigger=kernel_timeout" in text
         assert "yeast@v0#deadbeef" in text
         assert "top 3 slowest spans" in text or "slowest spans" in text
-        assert "flight.trigger=1" in text and "fault.stall=1" in text
+        assert "flight.trigger=1" in text and "fault=1" in text

@@ -10,7 +10,6 @@ import threading
 import pytest
 
 from repro.errors import ObservabilityError, Overloaded
-from repro.faults import FaultKind, FaultPlan
 from repro.graph.datasets import load_dataset
 from repro.obs.registry import (
     MetricsRegistry,
@@ -258,14 +257,6 @@ class TestServiceBridgeNames:
         for name in ("latency_ms", "queue_wait_ms", "retry_after_ms"):
             assert by_name[name].metric_type == "histogram", name
 
-    def test_fault_free_service_exports_no_fault_series(self, served_registry):
-        """Without a fault plan there is nothing to count: no
-        ``faults_injected_total`` series (in particular no ``enabled``
-        flag exported as a counter)."""
-        family = served_registry.snapshot().get("faults_injected_total")
-        assert family is None or family["series"] == []
-        assert 'kind="enabled"' not in served_registry.prometheus_text()
-
     def test_exposition_parses_and_is_fully_declared(self, served_registry):
         text = served_registry.prometheus_text()
         parsed = parse_prometheus_text(text)  # undeclared samples raise
@@ -331,7 +322,7 @@ def _value(out, name):
 
 
 class TestLiveServiceRegistry:
-    """A service that sheds, absorbs injected faults and fires +
+    """A service that sheds, absorbs deadline-watchdog kills and fires +
     clears an SLO alert exports all of it live."""
 
     @pytest.fixture(scope="class")
@@ -342,18 +333,16 @@ class TestLiveServiceRegistry:
         service = EstimationService(ServiceConfig(
             slo=policy,
             admission=AdmissionPolicy(max_pending=2),
-            faults=FaultPlan(
-                seed=3,
-                rates={FaultKind.STALL: 0.5, FaultKind.CORRUPTION: 0.2},
-                stall_factor=50.0,
-            ),
+            propagate_deadline=True,
             policy=BudgetPolicy(min_round_samples=64, max_round_samples=256),
         ))
         for _ in range(4):
             try:
+                # The tight CI target needs rounds the deadline leaves no
+                # room for, so the watchdog kills them.
                 service.submit(EstimateRequest(
                     graph=graph, query=query, target_rel_ci=0.01,
-                    max_samples=2048,
+                    max_samples=2048, deadline_ms=0.05,
                 ))
             except Overloaded:
                 pass
@@ -367,8 +356,8 @@ class TestLiveServiceRegistry:
     def test_scenario_covers_every_event(self, service):
         snap = service.metrics_snapshot()
         assert snap["admission"]["n_shed"] > 0
-        assert snap["faults_injected"]["n_faulted_launches"] > 0
         assert snap["resilience"]["n_faults"] > 0
+        assert snap["resilience"]["n_fallbacks"] > 0
         alerts = snap["slo"]["alerts"]["q_error"]
         assert alerts["n_fired"] == 1 and alerts["n_cleared"] == 1
 
@@ -426,12 +415,7 @@ class TestLiveServiceRegistry:
             key[2:]: value for key, value in resilience.items()
             if key.startswith("n_")
         }
-        assert _series(out, "faults_by_kind_total", "kind") == (
-            resilience["faults_by_kind"]
-        )
-        injected = _series(out, "faults_injected_total", "kind")
-        assert injected == snap["faults_injected"]["injected"]
-        assert sum(injected.values()) > 0
+        assert _value(out, "fault_ms") == resilience["fault_ms"] > 0
         events = _series(out, "plan_cache_events_total", "event")
         assert events == {
             key: snap["cache"][key] for key in ("hits", "misses", "evictions")
@@ -468,12 +452,11 @@ class TestLiveServiceRegistry:
 
 def test_concurrent_registry_exports_while_serving():
     # Exporters race the worker and each other: the counters they advance
-    # (plan-cache hits/misses, injected faults) grow underneath them, and
+    # (plan-cache hits/misses, rounds, samples) grow underneath them, and
     # a stale total written after a fresher one would be rejected.
     graph = load_dataset("yeast")
     query = extract_query(graph, 4, rng=8)
     service = EstimationService(ServiceConfig(
-        faults=FaultPlan(seed=5, rates={FaultKind.STALL: 0.3}),
         policy=BudgetPolicy(min_round_samples=64, max_round_samples=128),
     ))
     service.start()

@@ -73,20 +73,6 @@ class TestWarpProfile:
         assert a.lane_busy == 48 and a.lane_total == 64
         assert a.iterations == 2
 
-    def test_scale_cycles_scales_time_not_work(self):
-        p = WarpProfile()
-        p.charge_compute(2.0)
-        p.charge_memory(3.0, segments=5, regions=2)
-        p.note_lanes(busy=32, total=32)
-        p.scale_cycles(4.0)
-        assert p.compute_cycles == 8.0
-        assert p.mem_cycles == 12.0
-        assert p.stall_long == 12.0
-        # Work tallies are counts, not time: unscaled.
-        assert p.mem_segments == 5
-        assert p.region_misses == 2
-        assert p.lane_busy == 32 and p.iterations == 1
-
 
 # ---------------------------------------------------------------------------
 # KernelProfile
@@ -121,13 +107,6 @@ class TestKernelProfile:
         assert a.n_samples == 96
         assert a.n_valid_samples == 40
         assert a.total_cycles == pytest.approx(8.0)
-
-    def test_scale_cycles_reaches_the_warp(self):
-        k = KernelProfile()
-        k.add_warp(self._warp(3.0), samples=32, valid=32)
-        k.scale_cycles(2.0)
-        assert k.total_cycles == pytest.approx(6.0)
-        assert k.n_samples == 32  # work counts unscaled
 
     def test_stall_summary_normalises_per_iteration(self):
         k = KernelProfile()

@@ -1,20 +1,27 @@
-"""Service-level resilience: fault survival, fallback, breaker, worker
-crash recovery, and the stranded-ticket guarantee."""
+"""Service-level resilience: watchdog kills and shard crashes answered by
+the CPU fallback, worker crash recovery, and the stranded-ticket
+guarantee."""
 
+import itertools
 import time
 
 import pytest
 
-from repro.errors import DeviceFault, ServiceError, ServiceTimeout
-from repro.faults import FaultKind, FaultPlan
+from repro.core.config import EngineConfig
+from repro.core.engine import GSWORDEngine
+from repro.errors import ServiceError, ServiceTimeout, ShardFailure
+from repro.estimators.cpu_runner import CPUSamplingRunner
 from repro.graph.datasets import load_dataset
 from repro.query.extract import extract_query
 from repro.serve import EstimateRequest, EstimationService, ServiceConfig
-from repro.serve.breaker import COOLDOWN_MS, FAILURE_THRESHOLD
 from repro.serve.controller import REASON_FALLBACK, BudgetPolicy
 from repro.utils.rng import derive_seed
 
 FAST_POLICY = BudgetPolicy(min_round_samples=128, max_round_samples=1024)
+
+#: A deadline the first round fits and a later, CI-driven round overruns,
+#: so ``propagate_deadline`` has the watchdog kill that round.
+KILLING_DEADLINE_MS = 0.05
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +31,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def make_requests(graph):
-    def build(n, max_samples=4096, target_rel_ci=0.3):
+    def build(n, max_samples=4096, target_rel_ci=0.3, deadline_ms=None):
         return [
             EstimateRequest(
                 graph=graph,
@@ -33,6 +40,7 @@ def make_requests(graph):
                 ),
                 target_rel_ci=target_rel_ci,
                 max_samples=max_samples,
+                deadline_ms=deadline_ms,
                 request_id=f"sf-{i}",
             )
             for i in range(n)
@@ -46,131 +54,132 @@ def make_service(**overrides):
     return EstimationService(ServiceConfig(**overrides))
 
 
+def deadline_killed_requests(make_requests, n):
+    """Requests whose tight CI target needs more rounds than the
+    deadline leaves room for."""
+    return make_requests(
+        n, max_samples=65_536, target_rel_ci=0.01,
+        deadline_ms=KILLING_DEADLINE_MS,
+    )
+
+
+def crash_launches(monkeypatch, healthy=0):
+    """Fail every engine launch after the first ``healthy`` with the
+    :class:`ShardFailure` a dead shard worker raises."""
+    real_run = GSWORDEngine.run
+    launches = itertools.count()
+
+    def run(self, *args, **kwargs):
+        if next(launches) >= healthy:
+            raise ShardFailure("shard 0 worker died mid-round", shard=0)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(GSWORDEngine, "run", run)
+
+
 class TestFaultSurvival:
-    def test_all_answered_under_faults(self, make_requests):
-        service = make_service(
-            faults=FaultPlan.uniform(seed=7, rate=0.25),
-            watchdog_ms=5.0,
-            memory_budget_bytes=8 << 30,
+    def test_all_answered_under_watchdog_kills(self, make_requests):
+        service = make_service(propagate_deadline=True)
+        responses = service.estimate_many(
+            deadline_killed_requests(make_requests, 12)
         )
-        responses = service.estimate_many(make_requests(12))
         assert len(responses) == 12
         assert all(r.estimate >= 0 for r in responses)
         snap = service.metrics_snapshot()
         assert snap["n_failed"] == 0
         assert snap["queue_depth"] == 0  # nothing stranded
+        assert snap["resilience"]["n_round_failures"] > 0  # kills happened
 
     def test_fault_metrics_recorded(self, make_requests):
-        service = make_service(
-            faults=FaultPlan.from_rates(seed=3, corruption=0.5),
+        service = make_service(propagate_deadline=True)
+        responses = service.estimate_many(
+            deadline_killed_requests(make_requests, 8)
         )
-        service.estimate_many(make_requests(8))
         res = service.metrics_snapshot()["resilience"]
         assert res["n_faults"] > 0
-        assert res["n_retries"] > 0
-        assert res["faults_by_kind"].get("corruption", 0) > 0
-        assert sum(res["faults_by_kind"].values()) == res["n_faults"]
-
-    def test_injector_stats_surface(self, make_requests):
-        service = make_service(faults=FaultPlan.uniform(seed=1, rate=0.2))
-        service.estimate_many(make_requests(4))
-        injected = service.metrics_snapshot()["faults_injected"]
-        assert injected["n_launches"] > 0
+        # Every killed round degraded its request to the CPU fallback.
+        assert res["n_faults"] == res["n_round_failures"] == res[
+            "n_fallbacks"
+        ]
+        assert res["n_fallbacks"] == sum(
+            r.stop_reason == REASON_FALLBACK for r in responses
+        )
+        # A watchdog kill is billed its ceiling, never more than the
+        # deadline it was derived from.
+        assert 0.0 < res["fault_ms"] <= res["n_faults"] * KILLING_DEADLINE_MS
 
     def test_healthy_service_reports_no_faults(self, make_requests):
         service = make_service()
         service.estimate_many(make_requests(4))
         res = service.metrics_snapshot()["resilience"]
         assert res["n_faults"] == res["n_round_failures"] == 0
-        assert service.metrics_snapshot()["faults_injected"] == {
-            "enabled": False
-        }
+        assert res["n_fallbacks"] == 0 and res["fault_ms"] == 0.0
 
 
 class TestCPUFallback:
-    def test_always_failing_device_degrades_to_cpu(self, make_requests):
-        service = make_service(
-            faults=FaultPlan(rates={FaultKind.CORRUPTION: 1.0}),
-        )
+    def test_always_failing_device_degrades_to_cpu(
+        self, make_requests, monkeypatch
+    ):
+        crash_launches(monkeypatch)
+        service = make_service()
         responses = service.estimate_many(make_requests(4))
         for r in responses:
             assert r.degraded
             assert r.stop_reason == REASON_FALLBACK
             assert r.extras["fallback"] is True
+            assert r.extras["device_error"].startswith("ShardFailure")
             assert r.n_samples > 0 and r.estimate >= 0
         res = service.metrics_snapshot()["resilience"]
         assert res["n_fallbacks"] == 4
 
-    def test_fallback_disabled_fails_tickets(self, make_requests):
-        service = make_service(
-            faults=FaultPlan(rates={FaultKind.CORRUPTION: 1.0}),
-            retry=False,
-            cpu_fallback=False,
-        )
+    def test_failing_fallback_fails_the_ticket(
+        self, make_requests, monkeypatch
+    ):
+        crash_launches(monkeypatch)
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("host sampler broke")
+
+        monkeypatch.setattr(CPUSamplingRunner, "run", broken)
+        service = make_service()
         ticket = service.submit(make_requests(1)[0])
         service.drain()
-        with pytest.raises(DeviceFault):
+        with pytest.raises(RuntimeError, match="host sampler broke"):
             ticket.result(timeout=0)
         assert service.metrics_snapshot()["n_failed"] == 1
 
-    def test_fallback_combines_committed_device_rounds(self, make_requests):
-        # First launch healthy, everything after corrupts; a tight CI
+    def test_fallback_combines_committed_device_rounds(
+        self, make_requests, monkeypatch
+    ):
+        # First launch healthy, every later one crashes; a tight CI
         # target forces a second round, which fails — the fallback answer
         # must include the committed first round's samples.
-        plan = FaultPlan(
-            rates={FaultKind.CORRUPTION: 1.0},
-            overrides={0: ()},
-        )
-        service = make_service(faults=plan, retry=False)
+        crash_launches(monkeypatch, healthy=1)
+        service = make_service()
         [response] = service.estimate_many(
             make_requests(1, max_samples=65_536, target_rel_ci=0.01)
         )
         assert response.stop_reason == REASON_FALLBACK
         assert response.n_samples > response.extras["fallback_samples"]
 
-
-class TestCircuitBreaker:
-    def test_consecutive_failures_trip_breaker(self, make_requests):
-        # The first FAILURE_THRESHOLD launches corrupt (tripping the
-        # breaker mid-batch); the surviving requests need further rounds,
-        # which the now-open breaker rejects pre-enqueue — they degrade to
-        # the CPU fallback.
-        plan = FaultPlan(overrides={
-            i: (FaultKind.CORRUPTION,) for i in range(FAILURE_THRESHOLD)
-        })
-        service = make_service(faults=plan, retry=False)
-        service.estimate_many(
-            make_requests(6, max_samples=65_536, target_rel_ci=0.01)
+    def test_real_shard_crash_degrades_and_pool_heals(self, make_requests):
+        # 256-sample rounds are two warps: one per shard worker.
+        service = make_service(
+            policy=BudgetPolicy(min_round_samples=256, max_round_samples=1024),
+            engine_config=EngineConfig.gsword(backend="fused").with_shards(2),
         )
-        snap = service.metrics_snapshot()
-        assert snap["resilience"]["n_breaker_trips"] >= 1
-        assert snap["breakers"]["alley"]["state"] == "open"
-        # Once open, later rounds are rejected pre-launch and degrade.
-        assert snap["resilience"]["n_breaker_rejections"] > 0
-        assert snap["n_completed"] == 6  # all still answered via fallback
-
-    def test_breaker_recovers_after_cooldown(self, make_requests):
-        # Wave 1 trips the breaker (its first FAILURE_THRESHOLD launches
-        # corrupt); once the clock passes the cooldown the breaker is
-        # HALF_OPEN, and wave 2's first round is the probe — it succeeds
-        # and closes the breaker.
-        plan = FaultPlan(overrides={
-            i: (FaultKind.CORRUPTION,) for i in range(FAILURE_THRESHOLD)
-        })
-        service = make_service(faults=plan, retry=False)
-        requests = make_requests(FAILURE_THRESHOLD + 1)
-        # fails -> trip + fallback
-        service.estimate_many(requests[:FAILURE_THRESHOLD])
-        assert service.metrics_snapshot()["breakers"]["alley"]["state"] == (
-            "open"
-        )
-        service.advance_clock(service.clock_ms + COOLDOWN_MS)
-        # half-open probe succeeds
-        service.estimate_many(requests[FAILURE_THRESHOLD:])
-        breaker = service.metrics_snapshot()["breakers"]["alley"]
-        assert breaker["n_trips"] >= 1
-        assert breaker["n_recoveries"] >= 1
-        assert breaker["state"] == "closed"
+        try:
+            first, second, third = make_requests(3)
+            assert not service.estimate(first).degraded
+            [engine] = service._engines.values()
+            engine._shard_executor().inject_crash(0)
+            crashed = service.estimate(second)
+            assert crashed.degraded
+            assert crashed.stop_reason == REASON_FALLBACK
+            assert crashed.extras["device_error"].startswith("ShardFailure")
+            assert not service.estimate(third).degraded  # the pool healed
+        finally:
+            service.close()
 
 
 class TestWorkerCrashRecovery:
@@ -230,19 +239,18 @@ class TestTicketTimeout:
         assert ticket.result(timeout=0).estimate >= 0
 
 
-class TestDeterministicChaos:
+class TestDeterministicKills:
     def test_same_seed_same_outcome(self, make_requests):
         def run():
-            service = make_service(
-                faults=FaultPlan.uniform(seed=13, rate=0.3),
-                watchdog_ms=5.0,
+            service = make_service(propagate_deadline=True)
+            responses = service.estimate_many(
+                deadline_killed_requests(make_requests, 8)
             )
-            responses = service.estimate_many(make_requests(8))
             res = service.metrics_snapshot()["resilience"]
             return (
                 [r.estimate for r in responses],
                 res["n_faults"],
-                res["faults_by_kind"],
+                res["fault_ms"],
             )
 
         assert run() == run()

@@ -4,10 +4,9 @@ import pytest
 
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig
-from repro.core.engine import MAX_RETRIES, GSWORDEngine, retry_backoff_ms
-from repro.errors import DeviceFault, ServiceError
+from repro.core.engine import GSWORDEngine
+from repro.errors import KernelTimeout, ServiceError, ShardFailure
 from repro.estimators.alley import AlleyEstimator
-from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.gpu.costmodel import GPUSpec
 from repro.graph.datasets import load_dataset
 from repro.query.extract import extract_query
@@ -38,11 +37,9 @@ def fifo(tasks=()):
     return queue
 
 
-def make_session(plans, i=0, spec=SMALL_SPEC, seed=0, fault_plan=None):
+def make_session(plans, i=0, spec=SMALL_SPEC, seed=0):
     cg, order = plans[i % len(plans)]
-    injector = FaultInjector(fault_plan) if fault_plan is not None else None
-    engine = GSWORDEngine(AlleyEstimator(), ENGINE_CONFIG, spec,
-                          injector=injector)
+    engine = GSWORDEngine(AlleyEstimator(), ENGINE_CONFIG, spec)
     return engine.session(cg, order, rng=seed)
 
 
@@ -153,15 +150,24 @@ class TestExecute:
             BatchScheduler(n_shards=0)
 
 
-#: Corruption on the listed launches of one engine (pre-draw faults: the
-#: failed launch costs one launch overhead and no RNG substream).
-def corrupt(*launches):
-    return FaultPlan(overrides={i: (FaultKind.CORRUPTION,) for i in launches})
+def crashed_session(plans, monkeypatch, i=0):
+    """A session whose launches die the way a crashed shard worker's do."""
+    session = make_session(plans, i)
+
+    def run(*args, **kwargs):
+        raise ShardFailure("shard 0 worker died mid-round", shard=0)
+
+    monkeypatch.setattr(session.engine, "run", run)
+    return session
+
+
+#: A per-round watchdog ceiling every 128-sample round overruns.
+TINY_WATCHDOG_MS = 1e-3
 
 
 class TestFaultAccounting:
-    """The batch's fault bill, per kind of task: fail-fast, retried,
-    and retry-exhausted rounds, alone and mixed in one batch."""
+    """The batch's fault bill, per kind of failed round: a crashed shard
+    worker and a watchdog kill, alone and mixed in one batch."""
 
     OVERHEAD = SMALL_SPEC.launch_overhead_ms
 
@@ -178,88 +184,49 @@ class TestFaultAccounting:
             self.coresident_ms(scheduler, result) + result.fault_ms
         )
 
-    def test_fail_fast_task_bills_one_abort(self, plans):
+    def test_crashed_task_bills_one_launch_overhead(self, plans, monkeypatch):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
-        session = make_session(plans, fault_plan=corrupt(0))
+        session = crashed_session(plans, monkeypatch)
         result = scheduler.execute([RoundTask(session, 128)])
         assert result.round_results == [None]
-        assert isinstance(result.failures[0], DeviceFault)
+        assert isinstance(result.failures[0], ShardFailure)
         assert result.n_faults == 1
-        assert result.n_retries == 0
         assert result.fault_ms == pytest.approx(self.OVERHEAD)
-        assert result.fault_kinds == ["corruption"]
-        self.assert_batch_ms(scheduler, result)
-
-    def test_task_recovers_after_retries(self, plans):
-        scheduler = BatchScheduler(spec=SMALL_SPEC)
-        session = make_session(plans, fault_plan=corrupt(0, 1))
-        result = scheduler.execute([RoundTask(session, 128, retry=True)])
-        assert result.failures == [None]
-        assert result.round_results[0] is not None
-        assert result.n_faults == 2
-        assert result.n_retries == 2
-        assert result.fault_ms == pytest.approx(
-            2 * self.OVERHEAD + retry_backoff_ms(0) + retry_backoff_ms(1)
-        )
-        assert result.fault_kinds == ["corruption", "corruption"]
-        assert session.n_rounds == 1
-        self.assert_batch_ms(scheduler, result)
-
-    def test_task_exhausts_retries(self, plans):
-        scheduler = BatchScheduler(spec=SMALL_SPEC)
-        launches = 1 + MAX_RETRIES
-        session = make_session(plans, fault_plan=corrupt(*range(launches)))
-        result = scheduler.execute([RoundTask(session, 128, retry=True)])
-        assert result.round_results == [None]
-        assert isinstance(result.failures[0], DeviceFault)
-        assert result.n_faults == launches
-        assert result.n_retries == MAX_RETRIES
-        assert result.fault_ms == pytest.approx(
-            launches * self.OVERHEAD
-            + sum(retry_backoff_ms(i) for i in range(MAX_RETRIES))
-        )
-        assert result.fault_kinds == ["corruption"] * launches
         assert session.n_rounds == 0
         self.assert_batch_ms(scheduler, result)
 
     def test_timed_out_task_bills_the_watchdog(self, plans):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
-        stall = FaultPlan(overrides={0: (FaultKind.STALL,)}, stall_factor=1e6)
-        session = make_session(plans, fault_plan=stall)
+        session = make_session(plans)
         result = scheduler.execute(
-            [RoundTask(session, 128, retry=True, watchdog_ms=2.0)]
+            [RoundTask(session, 128, watchdog_ms=TINY_WATCHDOG_MS)]
         )
-        assert result.failures == [None]
+        assert result.round_results == [None]
+        assert isinstance(result.failures[0], KernelTimeout)
         assert result.n_faults == 1
-        assert result.n_retries == 1
         # The killed launch held the device for the full ceiling.
-        assert result.fault_ms == pytest.approx(2.0 + retry_backoff_ms(0))
-        assert result.fault_kinds == ["timeout"]
-        assert session.n_rounds == 1
+        assert result.fault_ms == pytest.approx(TINY_WATCHDOG_MS)
+        assert session.n_rounds == 0
         self.assert_batch_ms(scheduler, result)
 
-    def test_mixed_batch_sums_every_bill(self, plans):
+    def test_mixed_batch_sums_every_bill(self, plans, monkeypatch):
         scheduler = BatchScheduler(spec=SMALL_SPEC)
         tasks = [
             RoundTask(make_session(plans, 0, seed=0), 128, payload="healthy"),
-            RoundTask(make_session(plans, 1, fault_plan=corrupt(0)), 128,
-                      payload="fail-fast"),
-            RoundTask(make_session(plans, 2, fault_plan=corrupt(0)), 128,
-                      payload="retried", retry=True),
+            RoundTask(crashed_session(plans, monkeypatch, 1), 128,
+                      payload="crashed"),
+            RoundTask(make_session(plans, 2), 128, payload="killed",
+                      watchdog_ms=TINY_WATCHDOG_MS),
         ]
         result = scheduler.execute(tasks)
         ok = [r is not None for r in result.round_results]
-        assert ok == [True, False, True]
+        assert ok == [True, False, False]
         assert [f is not None for f in result.failures] == [
-            False, True, False
+            False, True, True
         ]
         assert result.n_faults == 2
-        assert result.n_retries == 1
         assert result.fault_ms == pytest.approx(
-            2 * self.OVERHEAD + retry_backoff_ms(0)
+            self.OVERHEAD + TINY_WATCHDOG_MS
         )
-        assert result.fault_kinds == ["corruption"] * 2
-        assert result.n_samples == sum(
-            r.n_samples for r in result.round_results if r is not None
-        )
+        assert result.n_samples == result.round_results[0].n_samples
         self.assert_batch_ms(scheduler, result)

@@ -7,8 +7,8 @@ inheritance decisions, reservoir contents (``collected``), and simulated
 milliseconds — because PR 3 bound one RNG substream per warp, a warp's
 results depend only on its own seed, not on which process hosts it.
 
-Also covered here: the shard-crash fault (a killed worker degrades the
-round with a *non-retryable* :class:`ShardFailure`, and the pool heals),
+Also covered here: the shard crash (a killed worker fails the round with
+a :class:`ShardFailure`, and the pool heals),
 the shared-memory pack, the worker runtime, and the multi-device timing
 model.
 """
@@ -29,7 +29,6 @@ from repro.estimators.fused import (
     kernel_tables,
 )
 from repro.estimators.wanderjoin import WanderJoinEstimator
-from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.graph.datasets import load_dataset
 from repro.multidev import (
     SharedArrayPack,
@@ -165,44 +164,29 @@ class TestShardingEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Shard-crash fault
+# Shard crash
 # ---------------------------------------------------------------------------
 class TestShardCrash:
-    def test_crash_raises_nonretryable_and_pool_heals(self, plan):
+    def test_crash_fails_the_round_and_pool_heals(self, plan):
         cg, order = plan
-        fault_plan = FaultPlan(overrides={1: (FaultKind.SHARD_CRASH,)})
         config = EngineConfig.gsword(backend="fused").with_shards(2)
-        with GSWORDEngine(
-            AlleyEstimator(), config=config, injector=FaultInjector(fault_plan)
-        ) as engine:
+        with GSWORDEngine(AlleyEstimator(), config=config) as engine:
             session = engine.session(cg, order, rng=9)
             first = session.run_round(256).result  # 2 warps: really sharded
             assert first.estimate >= 0.0
+            engine._shard_executor().inject_crash(1)
             with pytest.raises(ShardFailure) as info:
-                session.run_round(256, retry=True)
-            assert info.value.retryable is False
-            assert info.value.kind == "shard"
-            # Non-retryable: no burned retries.
-            assert session.last_round.n_retries == 0
+                session.run_round(256)
+            assert info.value.shard == 1
+            report = session.last_round
+            assert report.error is info.value and report.result is None
+            # The dead worker never replied: nothing to capture, and the
+            # round is billed one launch overhead.
+            assert report.launch is None
+            assert report.fault_ms == engine.spec.launch_overhead_ms
+            assert session.n_rounds == 1
             healed = session.run_round(256).result  # pool respawned the worker
             assert healed.estimate >= 0.0
-
-    def test_crash_schedule_leaves_classic_kinds_untouched(self):
-        """SHARD_CRASH draws from its own stream: enabling it must not
-        perturb which launches the four classic kinds hit."""
-        base = FaultPlan.from_rates(seed=5, corruption=0.3, stall=0.2)
-        with_crash = FaultPlan.from_rates(
-            seed=5, corruption=0.3, stall=0.2, shard_crash=0.5
-        )
-        for launch in range(64):
-            a = base.faults_for(launch)
-            b = with_crash.faults_for(launch)
-            classic_a = tuple(k for k in a.kinds if k != FaultKind.SHARD_CRASH)
-            classic_b = tuple(k for k in b.kinds if k != FaultKind.SHARD_CRASH)
-            assert classic_a == classic_b
-        assert any(
-            with_crash.faults_for(i).shard_crashes for i in range(64)
-        )
 
 
 # ---------------------------------------------------------------------------
