@@ -62,6 +62,14 @@ class TestParser:
             main([])
         assert exit_info.value.code == 2
 
+    def test_soak_bench_takes_the_flight_bundle_path(self):
+        parser = _build_parser()
+        args = parser.parse_args(
+            ["soak-bench", "--flight-bundle-out", "bundle.json"]
+        )
+        assert args.flight_bundle_out == "bundle.json"
+        assert parser.parse_args(["soak-bench"]).flight_bundle_out is None
+
     def test_unknown_dataset_rejected(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["estimate", "--dataset", "not-a-dataset"])

@@ -10,19 +10,29 @@ i.i.d. draw and the Horvitz–Thompson estimator's mean is unchanged
 (class docstring of ``EngineSession``).
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.candidate.candidate_graph import build_candidate_graph
 from repro.core.config import EngineConfig
-from repro.core.engine import GSWORDEngine
+from repro.core.engine import (
+    RECOVERABLE_ERRORS,
+    EngineSession,
+    GSWORDEngine,
+    RoundReport,
+)
 from repro.errors import (
     ConfigError,
     DeviceFault,
     EnumerationBudgetExceeded,
     KernelTimeout,
+    QueryError,
     ReproError,
+    ServiceError,
     ShardFailure,
+    SimulationError,
 )
 from repro.estimators.alley import AlleyEstimator
 from repro.gpu.costmodel import DEFAULT_GPU
@@ -69,6 +79,49 @@ class TestErrorHierarchy:
         error = EnumerationBudgetExceeded(17)
         assert error.partial_count == 17
 
+    def test_timeout_message_names_both_times(self):
+        message = str(KernelTimeout(12.5, 5.0))
+        assert "12.500" in message and "5.000" in message
+
+    def test_shard_failure_carries_the_shard(self):
+        error = ShardFailure("shard 3 worker died mid-round", shard=3)
+        assert error.shard == 3
+        assert str(error) == "shard 3 worker died mid-round"
+
+    def test_shard_failure_defaults(self):
+        error = ShardFailure()
+        assert error.shard is None
+        assert str(error) == "shard worker failure"
+
+
+class TestDeviceWatchdog:
+    @pytest.mark.parametrize(
+        "kernel_ms, ceiling_ms, kills",
+        [
+            (5.0, None, False),
+            (1e9, None, False),
+            (5.0, 10.0, False),
+            (5.0, 5.0, False),
+            (0.0, 0.0, False),
+            (5.0001, 5.0, True),
+        ],
+        ids=[
+            "no-ceiling", "no-ceiling-huge", "under", "at-ceiling",
+            "zero-at-zero", "over",
+        ],
+    )
+    def test_kills_only_a_launch_over_its_ceiling(
+        self, kernel_ms, ceiling_ms, kills
+    ):
+        device = DeviceModel(DEFAULT_GPU)
+        if not kills:
+            device.check_watchdog(kernel_ms, ceiling_ms)
+            return
+        with pytest.raises(KernelTimeout) as excinfo:
+            device.check_watchdog(kernel_ms, ceiling_ms)
+        assert excinfo.value.kernel_ms == kernel_ms
+        assert excinfo.value.watchdog_ms == ceiling_ms
+
 
 class TestWatchdog:
     def test_tiny_watchdog_kills_the_launch(self, plan_parts):
@@ -95,6 +148,153 @@ class TestWatchdog:
         assert isinstance(report.error, KernelTimeout)
         # The aborted launch held the device for the full ceiling.
         assert report.fault_ms == 0.002
+
+
+class TestWatchdogCeiling:
+    """The ceiling is compared with the launch's own simulated ms: a
+    same-seed launch commits at or above its duration and dies below it."""
+
+    @pytest.fixture(scope="class")
+    def launch_ms(self, plan_parts):
+        cg, order = plan_parts
+        report = make_engine().session(cg, order, rng=5).run_round(128)
+        return report.result.simulated_ms()
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 1000.0])
+    def test_ceiling_at_or_above_the_launch_commits(
+        self, plan_parts, launch_ms, factor
+    ):
+        cg, order = plan_parts
+        session = make_engine().session(cg, order, rng=5)
+        report = session.run_round(128, watchdog_ms=launch_ms * factor)
+        assert report.error is None
+        assert report.result.simulated_ms() == launch_ms
+
+    @pytest.mark.parametrize("factor", [0.5, 0.999])
+    def test_ceiling_below_the_launch_kills(
+        self, plan_parts, launch_ms, factor
+    ):
+        cg, order = plan_parts
+        session = make_engine().session(cg, order, rng=5)
+        with pytest.raises(KernelTimeout) as excinfo:
+            session.run_round(128, watchdog_ms=launch_ms * factor)
+        assert excinfo.value.kernel_ms == launch_ms
+        assert session.n_rounds == 0
+
+
+def failing_engine(monkeypatch, error):
+    """An engine whose every launch raises ``error`` before executing
+    (the way a dead shard worker fails a round)."""
+    engine = make_engine()
+
+    def run(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(engine, "run", run)
+    return engine
+
+
+class TestRoundFailures:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ShardFailure("shard 1 worker died mid-round", shard=1),
+            SimulationError("lane mismatch"),
+            DeviceFault("device fault"),
+        ],
+        ids=["shard-failure", "simulation-error", "device-fault"],
+    )
+    def test_recoverable_error_fails_the_round_at_launch_overhead(
+        self, plan_parts, monkeypatch, error
+    ):
+        cg, order = plan_parts
+        session = failing_engine(monkeypatch, error).session(cg, order, rng=0)
+        with pytest.raises(type(error)):
+            session.run_round(128)
+        report = session.last_round
+        assert report.error is error
+        assert report.result is None
+        assert report.fault_ms == DEFAULT_GPU.launch_overhead_ms
+        assert session.n_rounds == 0 and session.n_samples == 0
+
+    @pytest.mark.parametrize(
+        "error",
+        [ConfigError("bad config"), ValueError("programming error")],
+        ids=["config-error", "value-error"],
+    )
+    def test_other_errors_propagate_unbilled(
+        self, plan_parts, monkeypatch, error
+    ):
+        cg, order = plan_parts
+        session = failing_engine(monkeypatch, error).session(cg, order, rng=0)
+        with pytest.raises(type(error)):
+            session.run_round(128)
+        report = session.last_round
+        assert report.error is None and report.fault_ms == 0.0
+        assert report.result is None
+
+    @pytest.mark.parametrize(
+        "error, recoverable",
+        [
+            (KernelTimeout(2.0, 1.0), True),
+            (ShardFailure(), True),
+            (SimulationError(), True),
+            (ConfigError(), False),
+            (QueryError(), False),
+            (ServiceError(), False),
+        ],
+        ids=[
+            "kernel-timeout", "shard-failure", "simulation-error",
+            "config-error", "query-error", "service-error",
+        ],
+    )
+    def test_recoverable_errors_are_the_device_failures(
+        self, error, recoverable
+    ):
+        assert isinstance(error, RECOVERABLE_ERRORS) == recoverable
+
+    def test_session_recovers_after_a_shard_failure(
+        self, plan_parts, monkeypatch
+    ):
+        cg, order = plan_parts
+        engine = make_engine()
+        session = engine.session(cg, order, rng=2)
+        real_run = engine.run
+        calls = []
+
+        def run(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ShardFailure("shard 0 worker died mid-round", shard=0)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run", run)
+        with pytest.raises(ShardFailure):
+            session.run_round(128)
+        report = session.run_round(128)
+        assert report.error is None
+        # The failed round committed nothing, so the next one is the
+        # session's first committed round.
+        assert report.launch["round"] == 0
+        assert session.n_rounds == 1
+
+
+class TestRunRoundSurface:
+    def test_round_report_fields(self):
+        assert [f.name for f in fields(RoundReport)] == [
+            "result", "error", "fault_ms", "launch",
+        ]
+
+    def test_run_round_takes_no_retry_argument(self, plan_parts):
+        cg, order = plan_parts
+        session = make_engine().session(cg, order, rng=0)
+        with pytest.raises(TypeError):
+            session.run_round(128, retry=False)
+        assert session.last_round is None
+
+    def test_ledger_aliases_are_run_round(self):
+        assert EngineSession.run_round_resilient is EngineSession.run_round
+        assert EngineSession.run_round_hedged is EngineSession.run_round
 
 
 class TestCheckpointSemantics:
@@ -201,6 +401,18 @@ class TestLaunchCapture:
         assert report.launch["round"] == 0
         assert report.launch["simulated_ms"] == report.error.kernel_ms
         assert report.launch["simulated_ms"] > TINY_WATCHDOG_MS
+
+    def test_launch_that_never_executed_is_not_captured(
+        self, plan_parts, monkeypatch
+    ):
+        cg, order = plan_parts
+        engine = failing_engine(
+            monkeypatch, ShardFailure("shard 0 worker died mid-round", shard=0)
+        )
+        session = engine.session(cg, order, rng=0)
+        with pytest.raises(ShardFailure):
+            session.run_round(128)
+        assert session.last_round.launch is None
 
     def test_killed_launch_replays_from_its_capture(self, plan_parts):
         cg, order = plan_parts

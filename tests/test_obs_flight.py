@@ -24,6 +24,7 @@ from repro.obs.flight import (
     SHED_RATE_THRESHOLD,
     SHED_WINDOW_MS,
     TRIGGER_COOLDOWN_MS,
+    TRIGGER_KINDS,
     FlightMonitor,
     FlightRecorder,
     build_bundle,
@@ -168,6 +169,14 @@ class TestFlightMonitor:
         # The trigger annotates the ring before snapshotting it.
         assert names[-1] == "flight.trigger"
         json.dumps(bundle)  # self-contained and JSON-safe
+
+    def test_trigger_kinds_are_exactly_these(self):
+        # A run of shard crashes fires nothing: only watchdog kills,
+        # shed spikes and q-error drift snapshot a bundle.
+        assert TRIGGER_KINDS == ("kernel_timeout", "shed_spike", "qerror_drift")
+        monitor = FlightMonitor(NO_TRACE)
+        with pytest.raises(ObservabilityError):
+            monitor.consider("breaker_open", 0.0, {}, _context())
 
     def test_unknown_kind_rejected(self):
         monitor = FlightMonitor(NO_TRACE)

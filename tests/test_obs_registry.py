@@ -22,7 +22,7 @@ from repro.query.extract import extract_query
 from repro.serve import EstimateRequest, EstimationService, ServiceConfig
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.controller import BudgetPolicy
-from repro.serve.metrics import ServiceMetrics
+from repro.serve.metrics import RESILIENCE_EVENTS, ServiceMetrics
 
 
 def _hammer(n_threads, fn):
@@ -256,6 +256,26 @@ class TestServiceBridgeNames:
             assert by_name[name].label_names == labels, name
         for name in ("latency_ms", "queue_wait_ms", "retry_after_ms"):
             assert by_name[name].metric_type == "histogram", name
+
+    def test_fault_free_service_exports_no_fault_series(self, served_registry):
+        """A healthy run counts no fault events, charges no fault time,
+        and exports no per-kind fault, retry or breaker family."""
+        snapshot = served_registry.snapshot()
+        for name in ("faults_injected_total", "faults_by_kind_total",
+                     "retries", "breaker_trips", "breaker_rejections"):
+            assert name not in snapshot, name
+        events = {
+            s["labels"]["event"]: s["value"]
+            for s in snapshot["resilience_events_total"]["series"]
+        }
+        assert set(events) <= set(RESILIENCE_EVENTS)
+        assert all(value == 0 for value in events.values())
+        assert snapshot["fault_ms"]["series"][0]["value"] == 0.0
+
+    def test_resilience_events_are_the_remaining_failures(self):
+        assert RESILIENCE_EVENTS == (
+            "faults", "round_failures", "fallbacks", "worker_crashes",
+        )
 
     def test_exposition_parses_and_is_fully_declared(self, served_registry):
         text = served_registry.prometheus_text()

@@ -2,6 +2,7 @@
 the CPU fallback, worker crash recovery, and the stranded-ticket
 guarantee."""
 
+import dataclasses
 import itertools
 import time
 
@@ -9,7 +10,13 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import GSWORDEngine
-from repro.errors import ServiceError, ServiceTimeout, ShardFailure
+from repro.errors import (
+    KernelTimeout,
+    ServiceError,
+    ServiceTimeout,
+    ShardFailure,
+    SimulationError,
+)
 from repro.estimators.cpu_runner import CPUSamplingRunner
 from repro.graph.datasets import load_dataset
 from repro.query.extract import extract_query
@@ -63,15 +70,17 @@ def deadline_killed_requests(make_requests, n):
     )
 
 
-def crash_launches(monkeypatch, healthy=0):
-    """Fail every engine launch after the first ``healthy`` with the
-    :class:`ShardFailure` a dead shard worker raises."""
+def crash_launches(monkeypatch, healthy=0, error=None):
+    """Fail every engine launch after the first ``healthy`` with ``error``
+    (by default the :class:`ShardFailure` a dead shard worker raises)."""
+    if error is None:
+        error = ShardFailure("shard 0 worker died mid-round", shard=0)
     real_run = GSWORDEngine.run
     launches = itertools.count()
 
     def run(self, *args, **kwargs):
         if next(launches) >= healthy:
-            raise ShardFailure("shard 0 worker died mid-round", shard=0)
+            raise error
         return real_run(self, *args, **kwargs)
 
     monkeypatch.setattr(GSWORDEngine, "run", run)
@@ -132,6 +141,42 @@ class TestCPUFallback:
         res = service.metrics_snapshot()["resilience"]
         assert res["n_fallbacks"] == 4
 
+    @pytest.mark.parametrize(
+        "error, bundle_kinds",
+        [
+            (KernelTimeout(0.5, 0.25), ["kernel_timeout"]),
+            (ShardFailure("shard 1 worker died mid-round", shard=1), []),
+            (SimulationError("lane mismatch"), []),
+        ],
+        ids=["kernel-timeout", "shard-failure", "simulation-error"],
+    )
+    def test_every_device_failure_degrades_to_cpu(
+        self, make_requests, monkeypatch, error, bundle_kinds
+    ):
+        # Only a watchdog kill fires a flight postmortem.
+        crash_launches(monkeypatch, error=error)
+        service = make_service()
+        [response] = service.estimate_many(make_requests(1))
+        assert response.degraded
+        assert response.stop_reason == REASON_FALLBACK
+        assert response.extras["device_error"] == (
+            f"{type(error).__name__}: {error}"
+        )
+        res = service.metrics_snapshot()["resilience"]
+        assert res["n_round_failures"] == res["n_fallbacks"] == 1
+        kinds = [b["trigger"]["kind"] for b in service.flight_bundles()]
+        assert kinds == bundle_kinds
+
+    def test_non_device_error_is_not_degraded(
+        self, make_requests, monkeypatch
+    ):
+        crash_launches(monkeypatch, error=ValueError("programming error"))
+        service = make_service()
+        service.submit(make_requests(1)[0])
+        with pytest.raises(ValueError, match="programming error"):
+            service.drain()
+        assert service.metrics_snapshot()["resilience"]["n_fallbacks"] == 0
+
     def test_failing_fallback_fails_the_ticket(
         self, make_requests, monkeypatch
     ):
@@ -180,6 +225,30 @@ class TestCPUFallback:
             assert not service.estimate(third).degraded  # the pool healed
         finally:
             service.close()
+
+
+class TestServiceConfigSurface:
+    def test_fields_are_exactly_these(self):
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "spec", "engine_config", "cache_bytes", "max_batch_requests",
+            "policy", "admission", "propagate_deadline", "flight", "slo",
+        ]
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("faults", None),
+            ("memory_budget_bytes", 1 << 20),
+            ("watchdog_ms", 1.0),
+            ("retry", True),
+            ("cpu_fallback", False),
+        ],
+    )
+    def test_resilience_knobs_are_not_settable(self, knob, value):
+        # Failure handling has no switches: the watchdog ceiling comes
+        # from request deadlines and the CPU fallback always answers.
+        with pytest.raises(TypeError):
+            ServiceConfig(**{knob: value})
 
 
 class TestWorkerCrashRecovery:
