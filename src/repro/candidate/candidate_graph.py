@@ -186,7 +186,12 @@ class CandidateGraph:
         return any(len(c) == 0 for c in self.global_candidates)
 
     def validate(self) -> None:
-        """Structural audit used by tests: sortedness + soundness checks.
+        """Structural audit: sortedness + soundness checks.
+
+        This is the tests' audit helper; nothing at runtime calls it.  The
+        fused kernels' membership search relies on the strict per-list
+        sort it checks: their ``(slot << shift) | vertex`` keys are sorted
+        only if every local list is.
 
         Every check runs as a whole-array pass, yet the first violation is
         reported exactly as an entry-by-entry scan would meet it: query

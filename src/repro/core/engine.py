@@ -451,15 +451,15 @@ class GSWORDEngine:
         """``(provider, backend)`` via the fallback ladder.
 
         ``fused`` needs a registered fused kernel (the exact built-in
-        estimator types) and a compiled plan whose candidate counts stay
+        estimator types), a compiled plan whose candidate counts stay
         on numpy's 32-bit draw path (the one
-        :class:`~repro.utils.rng.WarpStreams` replays); it runs either
-        sync mode.  The scalar interpreter (``provider=None``) covers
+        :class:`~repro.utils.rng.WarpStreams` replays), and membership
+        keys that fit an int64; it runs either sync mode.  The scalar interpreter (``provider=None``) covers
         everything.  Both rungs are bit-identical, so the ladder only
         changes speed, never results.
         """
         if self.config.backend == "fused":
-            from repro.estimators.fused import fused_kernel_for
+            from repro.estimators.fused import KEY_BITS, fused_kernel_for
 
             kernel_cls = fused_kernel_for(self.estimator)
             if kernel_cls is not None:
@@ -469,7 +469,10 @@ class GSWORDEngine:
                 kernel = self._fused_kernel(kernel_cls, cg, order)
                 params = wave_params_for(self, order, collect_states)
                 plan = kernel.compile_plan(params.target)
-                if plan.max_candidates <= MAX_U32_BOUND:
+                if (
+                    plan.max_candidates <= MAX_U32_BOUND
+                    and kernel.key_bits <= KEY_BITS
+                ):
                     runner = runner_for(kernel, params, self._fused_arena())
                     return (
                         WarpProvider(self, runner, n_samples, rng),

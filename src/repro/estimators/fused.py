@@ -14,13 +14,19 @@ That constancy is what the kernels exploit:
 * the ragged per-lane binary search collapses to one
   ``np.searchsorted(ecand[lo_k:hi_k], v_b)`` per backward pair — a
   contiguous C-speed lower bound over a *constant* slice (first-occurrence
-  semantics, exactly the scalar ``find``);
+  semantics, exactly the scalar ``find``) that yields each lane's local
+  list as a *slot*;
 * GetMinCandidate becomes a first-occurrence ``np.argmin`` over an
   ``(nb, rows, lanes)`` stack (the scalar loop keeps the first backward
   edge achieving the strict minimum — the same tie-break);
-* global-candidate levels skip candidate materialisation entirely: every
-  lane shares the same constant pool slice, so ``finish`` gathers the
-  sampled vertices straight from the pool.
+* membership in another pair's local list (Alley's refine rounds,
+  WanderJoin's validate rounds) is one ``np.searchsorted`` per round over
+  the kernel's sorted keys ``(slot << shift) | vertex``;
+* levels whose refined set is a constant list skip materialisation: on
+  global levels, and on single-pair levels of label-filtered plans,
+  ``finish`` gathers each drawn index straight from the pool or the
+  lane's chosen span.  Only Alley's multi-pair levels and its direct-mode
+  label filter copy survivors out before the draw.
 
 Bit-identity with the scalar path is a tested invariant, which pins down
 the RNG split: an RSV iteration is deterministic except for the single
@@ -51,42 +57,9 @@ from repro.estimators.wanderjoin import WanderJoinEstimator
 from repro.query.matching_order import MatchingOrder
 
 
-def ragged_lower_bound(
-    arr: np.ndarray, lo: np.ndarray, hi: np.ndarray, vals: np.ndarray
-) -> np.ndarray:
-    """Vectorized ``searchsorted(arr[lo_i:hi_i], vals_i) + lo_i`` per element.
-
-    Classic lockstep bisection: every element halves its own ``[lo, hi)``
-    interval per round, so the loop runs ``log2(max span)`` iterations of
-    whole-array gathers — the data-parallel shape of the GPU's
-    ``find(v, lc)`` binary search.
-    """
-    lo = lo.astype(np.int64, copy=True)
-    hi = hi.astype(np.int64, copy=True)
-    idx = np.nonzero(lo < hi)[0]
-    while len(idx):
-        l, h = lo[idx], hi[idx]
-        mid = (l + h) >> 1
-        goes_right = arr[mid] < vals[idx]
-        l = np.where(goes_right, mid + 1, l)
-        h = np.where(goes_right, h, mid)
-        lo[idx] = l
-        hi[idx] = h
-        idx = idx[l < h]
-    return lo
-
-
-def ragged_contains(
-    arr: np.ndarray, lo: np.ndarray, hi: np.ndarray, vals: np.ndarray
-) -> np.ndarray:
-    """Membership of ``vals_i`` in the sorted slice ``arr[lo_i:hi_i]``."""
-    if len(arr) == 0:
-        return np.zeros(len(vals), dtype=bool)
-    pos = ragged_lower_bound(arr, lo, hi, vals)
-    found = pos < hi
-    safe = np.minimum(pos, len(arr) - 1)
-    found &= arr[safe] == vals
-    return found
+#: Bits a membership key ``(slot << shift) | vertex`` may use: a plan
+#: whose keys would not fit a non-negative int64 runs on the scalar rung.
+KEY_BITS = 63
 
 
 def _flat_within(counts: np.ndarray) -> np.ndarray:
@@ -178,17 +151,15 @@ class FusedPrep:
     clen: np.ndarray
     rlen: np.ndarray
     probes: np.ndarray
-    # Backward levels only: per-lane chosen span + the full pair stacks the
-    # validate/refine rounds index into (``None`` on global levels).
+    # Backward levels only: per-lane chosen span, and on multi-pair levels
+    # the ``(nb - 1, rows, lanes)`` slots of the *other* pairs that the
+    # validate/refine rounds test membership in (-1: no local list).
     edge_id: Optional[np.ndarray] = None
     span_lo: Optional[np.ndarray] = None
     span_hi: Optional[np.ndarray] = None
-    best: Optional[np.ndarray] = None
-    slo_stack: Optional[np.ndarray] = None
-    shi_stack: Optional[np.ndarray] = None
-    # Alley only: flat refined survivors + dense per-lane offsets; a level
-    # with ``uniform=True`` samples straight from the constant pool slice.
-    uniform: bool = False
+    other_slots: Optional[np.ndarray] = None
+    # Alley only: flat refined survivors + dense per-lane offsets.  ``None``
+    # when the level samples in place from the pool or chosen span.
     surv_values: Optional[np.ndarray] = None
     surv_off: Optional[np.ndarray] = None
 
@@ -246,12 +217,27 @@ class FusedKernel:
         # so every candidate gather is one base offset into one array.
         self._pool = np.concatenate([self.local, gpool])
         self._g_base = len(self.local) + g_off
+        # Membership keys ``(slot << shift) | vertex``: every local list is
+        # strictly sorted (``CandidateGraph.validate``), so the keys are
+        # sorted and one flat search answers any ``v in local[slot]``.
+        self.shift = max(cg.graph.n_vertices - 1, 1).bit_length()
+        self.keys = self.local[:0]
+        if self.key_bits <= KEY_BITS:
+            owner = np.repeat(
+                np.arange(len(self.local_off) - 1), np.diff(self.local_off)
+            )
+            self.keys = (owner << self.shift) | self.local
         self.direct = not cg.label_filtered
         if self.direct:
             self.labels = np.asarray(cg.graph.labels)
             self.qlab = np.asarray(
                 [cg.query.label(u) for u in order.order], dtype=np.int64
             )
+
+    @property
+    def key_bits(self) -> int:
+        """Bits the largest membership key needs."""
+        return max(len(self.local_off) - 2, 0).bit_length() + self.shift
 
     def compile_plan(self, target: int) -> FusedPlan:
         """Walk the matching order once; cache per target depth."""
@@ -311,6 +297,29 @@ class FusedKernel:
     # ------------------------------------------------------------------
     # Shared dense phases
     # ------------------------------------------------------------------
+    def _pair_slots(
+        self, lv: LevelPlan, k: int, inst3: np.ndarray
+    ) -> np.ndarray:
+        """Each lane's slot in pair ``k``'s constant ``ecand[lo:hi]`` span
+        (the position of its backward vertex), -1 when absent."""
+        lo_k = int(lv.lo[k])
+        hi_k = int(lv.hi[k])
+        v_b = inst3[:, :, lv.j_idx[k]]
+        if hi_k == lo_k:
+            return np.full(v_b.shape, -1, dtype=np.int64)
+        pos = np.searchsorted(self.ecand[lo_k:hi_k], v_b) + lo_k
+        found = (pos < hi_k) & (self.ecand[np.minimum(pos, hi_k - 1)] == v_b)
+        return np.where(found, pos, -1)
+
+    def _member(self, slots: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Is ``vals_i`` in local list ``slots_i``?  One flat search over
+        the sorted keys; a -1 slot packs to a negative key and never hits."""
+        if len(self.keys) == 0:
+            return np.zeros(len(vals), dtype=bool)
+        want = (slots << self.shift) | vals
+        pos = np.minimum(np.searchsorted(self.keys, want), len(self.keys) - 1)
+        return self.keys[pos] == want
+
     def _dense_base(
         self, lv: LevelPlan, inst3: np.ndarray, present: np.ndarray
     ) -> FusedPrep:
@@ -321,68 +330,35 @@ class FusedKernel:
             clen = np.where(present, np.int64(lv.g_len), np.int64(0))
             return FusedPrep(clen=clen, rlen=zeros, probes=zeros)
         nb = lv.nb
-        n_ec = len(self.ecand)
+        other_slots = None
         if nb == 1:
             # Single backward pair: the choice is forced, so the selection
-            # stacks and the argmin collapse entirely.
-            v_b = inst3[:, :, lv.j_idx[0]]
-            lo_k = int(lv.lo[0])
-            hi_k = int(lv.hi[0])
-            pos = (
-                np.searchsorted(self.ecand[lo_k:hi_k], v_b.reshape(-1))
-                .reshape(R, W)
-                .astype(np.int64)
-                + lo_k
+            # stack and the argmin collapse entirely.
+            slot = self._pair_slots(lv, 0, inst3)
+            edge_id = np.full((R, W), lv.eid[0], dtype=np.int64)
+        else:
+            slot_st = np.empty((nb, R, W), dtype=np.int64)
+            for k in range(nb):
+                slot_st[k] = self._pair_slots(lv, k, inst3)
+            plen_st = np.where(
+                slot_st >= 0,
+                self.local_off[slot_st + 1] - self.local_off[slot_st],
+                0,
             )
-            if n_ec:
-                safe = np.minimum(pos, n_ec - 1)
-                found = (pos < hi_k) & (self.ecand[safe] == v_b)
-            else:
-                safe = np.zeros((R, W), dtype=np.int64)
-                found = np.zeros((R, W), dtype=bool)
-            slot = np.where(found, safe, 0)
-            span_lo = np.where(found, self.local_off[slot], 0)
-            span_hi = np.where(found, self.local_off[slot + 1], 0)
-            return FusedPrep(
-                clen=span_hi - span_lo, rlen=zeros, probes=zeros,
-                edge_id=np.full((R, W), lv.eid[0], dtype=np.int64),
-                span_lo=span_lo, span_hi=span_hi,
-            )
-        plen_st = np.empty((nb, R, W), dtype=np.int64)
-        slo_st = np.empty((nb, R, W), dtype=np.int64)
-        shi_st = np.empty((nb, R, W), dtype=np.int64)
-        for k in range(nb):
-            v_b = inst3[:, :, lv.j_idx[k]]
-            lo_k = int(lv.lo[k])
-            hi_k = int(lv.hi[k])
-            pos = (
-                np.searchsorted(self.ecand[lo_k:hi_k], v_b.reshape(-1))
-                .reshape(R, W)
-                .astype(np.int64)
-                + lo_k
-            )
-            if n_ec:
-                safe = np.minimum(pos, n_ec - 1)
-                found = (pos < hi_k) & (self.ecand[safe] == v_b)
-            else:
-                safe = np.zeros((R, W), dtype=np.int64)
-                found = np.zeros((R, W), dtype=bool)
-            slot = np.where(found, safe, 0)
-            slo = np.where(found, self.local_off[slot], 0)
-            shi = np.where(found, self.local_off[slot + 1], 0)
-            slo_st[k] = slo
-            shi_st[k] = shi
-            plen_st[k] = shi - slo
-        # First-occurrence argmin == the scalar loop's strict-< selection.
-        best = np.argmin(plen_st, axis=0)
-        pick = (best, np.arange(R)[:, None], np.arange(W))
-        clen = plen_st[pick]
-        span_lo = slo_st[pick]
-        span_hi = shi_st[pick]
+            # First-occurrence argmin == the scalar loop's strict-< selection.
+            best = np.argmin(plen_st, axis=0)
+            rr, cc = np.arange(R)[:, None], np.arange(W)
+            slot = slot_st[best, rr, cc]
+            ks = np.arange(nb - 1)[:, None, None]
+            other_slots = slot_st[ks + (ks >= best), rr, cc]
+            edge_id = lv.eid[best]
+        found = slot >= 0
+        span_lo = np.where(found, self.local_off[slot], 0)
+        span_hi = np.where(found, self.local_off[slot + 1], 0)
         return FusedPrep(
-            clen=clen, rlen=zeros, probes=zeros,
-            edge_id=lv.eid[best], span_lo=span_lo, span_hi=span_hi,
-            best=best, slo_stack=slo_st, shi_stack=shi_st,
+            clen=span_hi - span_lo, rlen=zeros, probes=zeros,
+            edge_id=edge_id, span_lo=span_lo, span_hi=span_hi,
+            other_slots=other_slots,
         )
 
     def _dense_dup(
@@ -393,23 +369,24 @@ class FusedKernel:
             return np.zeros(v.shape, dtype=bool)
         return (inst3[:, :, :d] == v[..., None]).any(axis=2)
 
+    def _in_place(
+        self,
+        lv: LevelPlan,
+        prep: FusedPrep,
+        idx: np.ndarray,
+        sampled: np.ndarray,
+    ) -> np.ndarray:
+        """The sampled lanes' vertices, gathered straight from the level's
+        global pool or each lane's chosen local span."""
+        if lv.glob:
+            return self._pool[lv.pool_base + idx[sampled]]
+        assert prep.span_lo is not None
+        return self._pool[prep.span_lo[sampled] + idx[sampled]]
+
     def _prob_factor(self, rlen: np.ndarray) -> np.ndarray:
         rlen_f = rlen.astype(np.float64)
         return np.divide(
             1.0, rlen_f, out=np.zeros(rlen.shape), where=rlen > 0
-        )
-
-    def _other_spans(
-        self, prep: FusedPrep, rsel: np.ndarray, csel: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Span of each selected lane's k-th *other* backward pair."""
-        assert prep.best is not None
-        assert prep.slo_stack is not None and prep.shi_stack is not None
-        bsel = prep.best[rsel, csel]
-        other = np.where(k < bsel, k, k + 1)
-        return (
-            prep.slo_stack[other, rsel, csel],
-            prep.shi_stack[other, rsel, csel],
         )
 
     # Estimator-specific phases -----------------------------------------
@@ -432,15 +409,13 @@ class FusedKernel:
 
 class FusedWanderJoinKernel(FusedKernel):
     """WanderJoin on the compiled schedule: pass-through refine, validate
-    probes over the level's constant other-pair spans."""
+    probes as one key search per other backward pair."""
 
     def fused_prepare(
         self, lv: LevelPlan, inst3: np.ndarray, present: np.ndarray
     ) -> FusedPrep:
         prep = self._dense_base(lv, inst3, present)
         prep.rlen = np.where(present, prep.clen, 0)
-        if lv.glob:
-            prep.uniform = True
         return prep
 
     def fused_finish(
@@ -457,11 +432,7 @@ class FusedWanderJoinKernel(FusedKernel):
         prob_factor = self._prob_factor(prep.rlen)
         alive = np.zeros((R, W), dtype=bool)
         if sampled.any():
-            if lv.glob:
-                v[sampled] = self._pool[lv.pool_base + idx[sampled]]
-            else:
-                assert prep.span_lo is not None
-                v[sampled] = self._pool[prep.span_lo[sampled] + idx[sampled]]
+            v[sampled] = self._in_place(lv, prep, idx, sampled)
             # Fig. 19 WJ: one (redundant) probe for the sampled edge at
             # d > 0, charged before the duplicate check.
             if lv.d > 0:
@@ -478,15 +449,15 @@ class FusedWanderJoinKernel(FusedKernel):
             if len(ar) == 0:
                 break
             probes[ar, ac] += 1
-            oslo, oshi = self._other_spans(prep, ar, ac, k)
-            member = ragged_contains(self.local, oslo, oshi, v[ar, ac])
+            assert prep.other_slots is not None
+            member = self._member(prep.other_slots[k, ar, ac], v[ar, ac])
             alive[ar[~member], ac[~member]] = False
         return FusedRes(v=v, valid=alive, probes=probes, prob_factor=prob_factor)
 
 
 class FusedAlleyKernel(FusedKernel):
     """Alley on the compiled schedule: survivor-major refinement rounds
-    over constant pair spans, dup-then-label validate."""
+    (one key search each), dup-then-label validate."""
 
     def fused_prepare(
         self, lv: LevelPlan, inst3: np.ndarray, present: np.ndarray
@@ -496,12 +467,12 @@ class FusedAlleyKernel(FusedKernel):
         probes = np.zeros((R, W), dtype=np.int64)
         if lv.d > 0:
             probes = np.where(present, prep.clen, 0)
-        if lv.glob and not (self.direct and lv.d > 0):
-            # Constant candidate pool, no refinement, no label filter:
-            # nothing to materialise — finish samples the pool directly.
+        prep.probes = probes
+        if lv.nb <= 1 and not (self.direct and lv.d > 0):
+            # No refinement and no label filter: the refined set *is* the
+            # global pool or the one backward pair's local list, so
+            # finish samples it in place.
             prep.rlen = np.where(present, prep.clen, 0)
-            prep.probes = probes
-            prep.uniform = True
             return prep
 
         pr, pc = np.nonzero(present)
@@ -520,31 +491,19 @@ class FusedAlleyKernel(FusedKernel):
             probes[pr, pc] += counts
             keep = self.labels[values] == lv.qlab
             values, lane_of = values[keep], lane_of[keep]
-            counts = np.bincount(lane_of, minlength=n_lanes).astype(np.int64)
+            counts = np.bincount(lane_of, minlength=n_lanes)
         for k in range(lv.nb - 1):
-            # Survivor-major early exit: a lane drops out of round k when
-            # it has no surviving candidates (every lane at this level has
-            # the same backward-pair count, so no per-lane nb check).
-            part = np.nonzero(counts > 0)[0]
-            if len(part) == 0:
+            # Survivor-major early exit: only surviving candidates are
+            # probed in round k (every lane at this level has the same
+            # backward-pair count, so no per-lane nb check).
+            if len(values) == 0:
                 break
-            probes[pr[part], pc[part]] += counts[part]
-            oslo, oshi = self._other_spans(prep, pr[part], pc[part], k)
-            span_lo_l = np.zeros(n_lanes, dtype=np.int64)
-            span_hi_l = np.zeros(n_lanes, dtype=np.int64)
-            span_lo_l[part] = oslo
-            span_hi_l[part] = oshi
-            pmask = np.zeros(n_lanes, dtype=bool)
-            pmask[part] = True
-            ridx = np.nonzero(pmask[lane_of])[0]
-            el = lane_of[ridx]
-            member = ragged_contains(
-                self.local, span_lo_l[el], span_hi_l[el], values[ridx]
-            )
-            keep = np.ones(len(values), dtype=bool)
-            keep[ridx[~member]] = False
+            probes[pr, pc] += counts
+            assert prep.other_slots is not None
+            lane_slots = prep.other_slots[k, pr, pc]
+            keep = self._member(lane_slots[lane_of], values)
             values, lane_of = values[keep], lane_of[keep]
-            counts = np.bincount(lane_of, minlength=n_lanes).astype(np.int64)
+            counts = np.bincount(lane_of, minlength=n_lanes)
 
         rlen = np.zeros((R, W), dtype=np.int64)
         rlen[pr, pc] = counts
@@ -554,7 +513,6 @@ class FusedAlleyKernel(FusedKernel):
         surv_off = np.zeros((R, W), dtype=np.int64)
         surv_off[pr, pc] = offsets
         prep.rlen = rlen
-        prep.probes = probes
         prep.surv_values = values
         prep.surv_off = surv_off
         return prep
@@ -573,10 +531,9 @@ class FusedAlleyKernel(FusedKernel):
         prob_factor = self._prob_factor(prep.rlen)
         alive = np.zeros((R, W), dtype=bool)
         if sampled.any():
-            if prep.uniform:
-                v[sampled] = self._pool[lv.pool_base + idx[sampled]]
+            if prep.surv_values is None:
+                v[sampled] = self._in_place(lv, prep, idx, sampled)
             else:
-                assert prep.surv_values is not None
                 assert prep.surv_off is not None
                 v[sampled] = prep.surv_values[
                     prep.surv_off[sampled] + idx[sampled]
@@ -613,7 +570,7 @@ def fused_kernel_for(
 #: meta dict) compiles the same plans and steps identically.
 _TABLE_ARRAYS: Tuple[str, ...] = (
     "b_off", "b_j", "b_eid", "b_lo", "b_hi", "nbacks",
-    "g_len", "ecand", "local_off", "local", "_pool", "_g_base",
+    "g_len", "ecand", "local_off", "local", "_pool", "_g_base", "keys",
 )
 _LABEL_ARRAYS: Tuple[str, ...] = ("labels", "qlab")
 
@@ -636,6 +593,7 @@ def kernel_tables(
     meta: Dict[str, object] = {
         "cls": type(kernel).__name__,
         "n_q": kernel.n_q,
+        "shift": kernel.shift,
         "direct": kernel.direct,
     }
     return meta, arrays
@@ -650,6 +608,7 @@ def kernel_from_tables(
     cls = _KERNEL_CLASSES[str(meta["cls"])]
     kernel = cls.__new__(cls)
     kernel.n_q = int(meta["n_q"])  # type: ignore[call-overload]
+    kernel.shift = int(meta["shift"])  # type: ignore[call-overload]
     kernel.direct = bool(meta["direct"])
     names = _TABLE_ARRAYS + (_LABEL_ARRAYS if kernel.direct else ())
     for name in names:

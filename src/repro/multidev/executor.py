@@ -146,8 +146,12 @@ class ShardedVectorExecutor:
     # Test hook
     # ------------------------------------------------------------------
     def inject_crash(self, shard: int) -> None:
-        """Make worker ``shard`` hard-exit at the next round, so tests can
-        drive the real death-detection path."""
+        """Make worker ``shard`` hard-exit at the next round dispatched to
+        the pool, so tests can drive the real death-detection path.
+
+        Only a pooled round consumes the crash.  A round's shard count is
+        capped at its warp count, so a one-warp round runs in-process and
+        leaves the crash armed for the next multi-warp round."""
         self._pending_crash = shard
 
     # ------------------------------------------------------------------

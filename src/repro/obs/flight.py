@@ -25,6 +25,10 @@ Trigger taxonomy (the ``trigger.kind`` field of every bundle):
 * ``kernel_timeout`` — the deadline-derived watchdog killed a launch
   (:class:`~repro.errors.KernelTimeout`); the bundle carries that very
   launch, captured just before the watchdog verdict.
+* ``shard_failure`` — a shard worker died mid-round
+  (:class:`~repro.errors.ShardFailure`); that launch never completed, so
+  the bundle carries the ring (its ``fault`` instant names the shard) and
+  the last captured launch.
 * ``shed_spike`` — the admission layer's recent shed rate crossed
   :data:`SHED_RATE_THRESHOLD` (sliding window on the simulated clock).
 * ``qerror_drift`` — a reported estimate drifted beyond the
@@ -62,6 +66,7 @@ FLIGHT_SCHEMA = "repro.flight/2"
 #: The trigger taxonomy (every bundle's ``trigger.kind`` is one of these).
 TRIGGER_KINDS: Tuple[str, ...] = (
     "kernel_timeout",
+    "shard_failure",
     "shed_spike",
     "qerror_drift",
 )

@@ -44,6 +44,7 @@ from repro.errors import (
     ServiceClosed,
     ServiceError,
     ServiceTimeout,
+    ShardFailure,
 )
 from repro.estimators.base import RSVEstimator
 from repro.estimators.cpu_runner import CPUSamplingRunner
@@ -977,15 +978,26 @@ class EstimationService:
         fail the ticket if the fallback fails too."""
         self.metrics.record_round_failure()
         # A watchdog kill is captured in the session just before the
-        # verdict, so the bundle carries the offending launch itself.
+        # verdict, so the bundle carries the offending launch itself.  A
+        # dead shard worker's launch never completed: its bundle carries
+        # the ring, which names the shard, and the last captured launch.
         self._update_launch_context(pending)
-        if self.flight is not None and isinstance(error, KernelTimeout):
-            self.flight.consider(
-                "kernel_timeout", self._clock_ms,
-                {
-                    "error": str(error),
+        if self.flight is not None and isinstance(
+            error, (KernelTimeout, ShardFailure)
+        ):
+            if isinstance(error, KernelTimeout):
+                kind = "kernel_timeout"
+                details = {
                     "kernel_ms": error.kernel_ms,
                     "watchdog_ms": error.watchdog_ms,
+                }
+            else:
+                kind, details = "shard_failure", {"shard": error.shard}
+            self.flight.consider(
+                kind, self._clock_ms,
+                {
+                    "error": str(error),
+                    **details,
                     "request_id": pending.ticket.request_id,
                 },
                 self._flight_context,

@@ -5,8 +5,9 @@ The broad bit-identity matrix lives in ``test_backend_equivalence.py``
 (scalar vs fused across every preset, so both sync modes).  This module
 pins the corners that matrix does not reach: single-level plans,
 estimators with no fused kernel, fallbacks and their ``backend_label``,
-arena allocation plateaus, and the union/contains kernels against their
-reference implementations.
+arena allocation plateaus, the union counter and the key search against
+their reference implementations, and scalar ≡ fused on a plan cut at each
+level shape the kernels special-case.
 """
 
 import json
@@ -30,10 +31,10 @@ from repro.core.fused import (
 from repro.core.vectorized import WaveRunner, runner_for
 from repro.estimators.alley import AlleyEstimator
 from repro.estimators.fused import (
+    KEY_BITS,
     FusedAlleyKernel,
     FusedWanderJoinKernel,
     fused_kernel_for,
-    ragged_contains,
 )
 from repro.estimators.wanderjoin import WanderJoinEstimator
 from repro.gpu.costmodel import DEFAULT_GPU
@@ -191,6 +192,32 @@ class TestFallbackLadder:
         assert res.backend_label == "fused_fallback_scalar"
         assert_identical(res, ref)
 
+    @pytest.mark.parametrize(
+        "preset", [EngineConfig.gsword, EngineConfig.gpu_baseline]
+    )
+    def test_keys_beyond_63_bits_fall_back_to_scalar(
+        self, plan6, preset, monkeypatch
+    ):
+        """The membership keys ``(slot << shift) | vertex`` must fit an
+        int64: a kernel whose vertex ids would push them past 63 bits runs
+        on the scalar rung, labelled as a fallback."""
+        cg, order = plan6
+        ref = _run(AlleyEstimator(), preset(backend="scalar"), cg, order)
+        fused_kernel = GSWORDEngine._fused_kernel
+        seen = []
+
+        def wide(self, kernel_cls, cg, order):
+            kernel = fused_kernel(self, kernel_cls, cg, order)
+            kernel.shift = KEY_BITS  # as if the graph had 2**63 vertices
+            seen.append(kernel.key_bits)
+            return kernel
+
+        monkeypatch.setattr(GSWORDEngine, "_fused_kernel", wide)
+        res = _run(AlleyEstimator(), preset(backend="fused"), cg, order)
+        assert seen and min(seen) > KEY_BITS
+        assert res.backend_label == "fused_fallback_scalar"
+        assert_identical(res, ref)
+
     @pytest.mark.parametrize("kernel_cls", [FusedAlleyKernel, FusedWanderJoinKernel])
     def test_plan_max_candidates_bounds_every_draw(
         self, plan6, kernel_cls, monkeypatch
@@ -338,19 +365,65 @@ class TestArenaReuse:
 
 
 class TestKernelsAgainstReference:
-    def test_fused_contains_matches_ragged_contains(self):
-        """The fused runner's containment probe (``ragged_contains``) is
-        exact membership in each sorted slice ``arr[lo_i:hi_i]``."""
+    def test_key_search_matches_list_membership(self):
+        """One flat search over the packed ``(slot << shift) | vertex``
+        keys is exact membership ``v in local[lo:hi]`` of the slot's list:
+        empty lists, slot -1, a list's first and last entry, and values
+        absent from it."""
+        graph = load_dataset("yeast")
+        query = extract_query(graph, 8, rng=1, name="fused-q8")
+        cg = build_candidate_graph(graph, query)
+        order = quicksi_order(query, graph)
+        kernel = FusedAlleyKernel(cg, order)
+        off, local = kernel.local_off, kernel.local
+        n_v = cg.graph.n_vertices
+        assert kernel.shift == (n_v - 1).bit_length()
+        lens = np.diff(off)
+        assert (lens == 0).any() and (lens > 1).any()
         rng = np.random.default_rng(42)
-        arr = np.sort(rng.integers(0, 500, size=400))
-        lo = rng.integers(0, 380, size=1000)
-        hi = np.minimum(400, lo + rng.integers(0, 40, size=1000))
-        vals = rng.integers(0, 500, size=1000)
-        expected = [v in arr[a:b] for a, b, v in zip(lo, hi, vals)]
+        slots, vals = [], []
+        for slot in range(-1, len(lens)):
+            lst = local[off[slot]:off[slot + 1]] if slot >= 0 else local
+            probe = [0, n_v - 1, *rng.integers(0, n_v, size=6).tolist()]
+            if len(lst):
+                probe += [lst[0], lst[-1]]
+                probe += [max(lst[0] - 1, 0), min(lst[-1] + 1, n_v - 1)]
+            slots += [slot] * len(probe)
+            vals += probe
+        slots, vals = np.asarray(slots), np.asarray(vals)
+        expected = [
+            s >= 0 and v in local[off[s]:off[s + 1]]
+            for s, v in zip(slots.tolist(), vals.tolist())
+        ]
         assert any(expected) and not all(expected)
-        np.testing.assert_array_equal(
-            ragged_contains(arr, lo, hi, vals), expected
-        )
+        np.testing.assert_array_equal(kernel._member(slots, vals), expected)
+
+    @pytest.mark.parametrize("dataset", ["yeast", "hprd"])
+    def test_every_plan_audits_and_keys_are_sorted(self, dataset):
+        """The key search needs the keys sorted, which holds because every
+        local list is strictly sorted: each yeast/hprd plan passes
+        ``CandidateGraph.validate`` and packs a non-decreasing key array,
+        in both candidate modes."""
+        graph = load_dataset(dataset)
+        n_plans = 0
+        for k in (4, 8):
+            for query_type in ("dense", "sparse"):
+                for seed in range(3):
+                    query = extract_query(
+                        graph, k, rng=seed, query_type=query_type
+                    )
+                    order = quicksi_order(query, graph)
+                    for use_label in (True, False):
+                        cg = build_candidate_graph(
+                            graph, query, use_label=use_label
+                        )
+                        cg.validate()
+                        kernel = FusedAlleyKernel(cg, order)
+                        assert kernel.key_bits <= KEY_BITS
+                        assert len(kernel.keys) == len(kernel.local)
+                        assert np.all(np.diff(kernel.keys) >= 0)
+                        n_plans += 1
+        assert n_plans == 24
 
     def test_union_rows_match_batched_union_counts(self):
         """The fused runner's row-wise union sweep must count exactly what
@@ -528,3 +601,71 @@ class TestIsolatedRerun:
             # And replaying does not consume the state (purity).
             again = runner.run_warps([states[w]], [quotas[w]])[0]
             assert again == alone
+
+
+@pytest.fixture(scope="module")
+def plan6_direct():
+    """``plan6``'s query sampled directly on the data graph: local lists
+    are raw adjacency, so every level past the root filters labels."""
+    graph = load_dataset("yeast")
+    query = extract_query(graph, 6, rng=11, name="fused-q6")
+    cg = build_candidate_graph(graph, query, use_label=False)
+    assert not cg.label_filtered
+    return cg, quicksi_order(query, graph)
+
+
+class TestLevelShapes:
+    """Scalar ≡ fused on a plan cut right after the first level of each
+    shape the kernels special-case, in both sync modes: the cut level is
+    the deepest, so every lane that gets there runs its path.
+
+    Alley samples a label-filtered single-pair level in place (no survivor
+    array); a direct-mode single-pair level still materialises, because
+    its label filter changes the refined size.  Multi-pair levels test
+    membership with one key search per round: Alley in refine, WanderJoin
+    in validate.
+    """
+
+    CASES = {
+        "alley-single-pair": (AlleyEstimator, "plan6", 1, True),
+        "alley-single-pair-direct": (AlleyEstimator, "plan6_direct", 1, False),
+        "alley-multi-pair-refine": (AlleyEstimator, "plan6", 2, False),
+        "wanderjoin-multi-pair-validate": (
+            WanderJoinEstimator, "plan6", 2, None,
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "preset", [EngineConfig.gsword, EngineConfig.gpu_baseline]
+    )
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_scalar_matches_fused(self, case, preset, request, monkeypatch):
+        est_cls, fixture, nb, in_place = self.CASES[case]
+        cg, order = request.getfixturevalue(fixture)
+        kernel_cls = fused_kernel_for(est_cls())
+        levels = kernel_cls(cg, order).compile_plan(len(order)).levels
+        depth = next(lv.d for lv in levels if lv.nb == nb)
+        prepare = kernel_cls.fused_prepare
+        preps = []
+
+        def record(self, lv, inst3, present):
+            prep = prepare(self, lv, inst3, present)
+            if lv.d == depth:
+                preps.append(prep)
+            return prep
+
+        monkeypatch.setattr(kernel_cls, "fused_prepare", record)
+        fus = _run(
+            est_cls(), preset(backend="fused", max_depth=depth + 1),
+            cg, order, n=256,
+        )
+        sca = _run(
+            est_cls(), preset(backend="scalar", max_depth=depth + 1),
+            cg, order, n=256,
+        )
+        assert fus.backend == "fused"
+        assert fus.n_valid > 0
+        assert_identical(fus, sca)
+        assert preps
+        if in_place is not None:
+            assert {p.surv_values is None for p in preps} == {in_place}

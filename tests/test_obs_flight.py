@@ -171,9 +171,11 @@ class TestFlightMonitor:
         json.dumps(bundle)  # self-contained and JSON-safe
 
     def test_trigger_kinds_are_exactly_these(self):
-        # A run of shard crashes fires nothing: only watchdog kills,
-        # shed spikes and q-error drift snapshot a bundle.
-        assert TRIGGER_KINDS == ("kernel_timeout", "shed_spike", "qerror_drift")
+        # Watchdog kills, dead shard workers, shed spikes and q-error
+        # drift snapshot a bundle; the deleted breaker does not.
+        assert TRIGGER_KINDS == (
+            "kernel_timeout", "shard_failure", "shed_spike", "qerror_drift"
+        )
         monitor = FlightMonitor(NO_TRACE)
         with pytest.raises(ObservabilityError):
             monitor.consider("breaker_open", 0.0, {}, _context())

@@ -145,7 +145,10 @@ class TestCPUFallback:
         "error, bundle_kinds",
         [
             (KernelTimeout(0.5, 0.25), ["kernel_timeout"]),
-            (ShardFailure("shard 1 worker died mid-round", shard=1), []),
+            (
+                ShardFailure("shard 1 worker died mid-round", shard=1),
+                ["shard_failure"],
+            ),
             (SimulationError("lane mismatch"), []),
         ],
         ids=["kernel-timeout", "shard-failure", "simulation-error"],
@@ -153,7 +156,8 @@ class TestCPUFallback:
     def test_every_device_failure_degrades_to_cpu(
         self, make_requests, monkeypatch, error, bundle_kinds
     ):
-        # Only a watchdog kill fires a flight postmortem.
+        # A watchdog kill or a dead shard worker fires a flight
+        # postmortem; a simulation error does not.
         crash_launches(monkeypatch, error=error)
         service = make_service()
         [response] = service.estimate_many(make_requests(1))
@@ -223,6 +227,34 @@ class TestCPUFallback:
             assert crashed.stop_reason == REASON_FALLBACK
             assert crashed.extras["device_error"].startswith("ShardFailure")
             assert not service.estimate(third).degraded  # the pool healed
+        finally:
+            service.close()
+
+    def test_real_shard_crash_leaves_a_flight_postmortem(self, make_requests):
+        # 256-sample rounds are two warps, so the round after the crash is
+        # dispatched to the pool and its worker dies mid-round.
+        service = make_service(
+            policy=BudgetPolicy(min_round_samples=256, max_round_samples=1024),
+            engine_config=EngineConfig.gsword(backend="fused").with_shards(2),
+        )
+        try:
+            first, second = make_requests(2)
+            assert not service.estimate(first).degraded
+            assert service.flight_bundles() == []
+            [engine] = service._engines.values()
+            engine._shard_executor().inject_crash(0)
+            crashed = service.estimate(second)
+            assert crashed.degraded
+            [bundle] = service.flight_bundles()
+            trigger = bundle["trigger"]
+            assert trigger["kind"] == "shard_failure"
+            assert trigger["details"]["shard"] == 0
+            assert trigger["details"]["request_id"] == second.request_id
+            faults = [
+                e for e in bundle["ring"]["traceEvents"]
+                if e.get("name") == "fault"
+            ]
+            assert faults and faults[-1]["args"]["shard"] == 0
         finally:
             service.close()
 
