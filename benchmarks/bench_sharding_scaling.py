@@ -36,6 +36,7 @@ from repro.bench.workloads import build_workload
 from repro.core.config import EngineConfig
 from repro.core.engine import GSWORDEngine
 from repro.estimators.alley import AlleyEstimator
+from repro.serve.scheduler import host_cores
 
 SEED = 20240613
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -49,14 +50,6 @@ TASKS_PER_WARP = 16
 WALL_REPEATS = int(os.environ.get("REPRO_BENCH_SHARD_REPEATS", "2"))
 GATE_SHARDS = 4
 GATE_SPEEDUP = 1.5
-
-
-def host_cores() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def run_scaling() -> dict:

@@ -88,6 +88,7 @@ from repro.core.engine import GSWORDEngine
 from repro.estimators.alley import AlleyEstimator
 from repro.estimators.wanderjoin import WanderJoinEstimator
 from repro.obs import NO_TRACE, FlightRecorder, TraceRecorder
+from repro.serve.scheduler import host_cores
 
 BASELINE_PATH = Path(__file__).resolve().parent / "baselines.json"
 SEED = 20240613
@@ -450,14 +451,6 @@ def dump_plan_ir(path: Path) -> None:
         )
         + "\n"
     )
-
-
-def host_cores() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _run_sharded(shards: int):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from repro.obs.trace import NO_TRACE, TraceRecorder
 from repro.query.matching_order import MatchingOrder
 from repro.utils.rng import (
     MAX_U32_BOUND,
+    GeneratorState,
     RandomSource,
     as_generator,
     clone_state,
@@ -64,6 +65,9 @@ from repro.utils.rng import (
     spawn_generator_states,
     spawn_generators,
 )
+
+if TYPE_CHECKING:
+    from repro.core.fused import WarpProvider
 
 #: Lane compute-op constants (multiples of ``GPUSpec.op_cycles``).
 _ITER_BASE_OPS = 12
@@ -129,6 +133,11 @@ class GPURunResult:
     #: result.
     n_rerun_warps: int = 0
     n_discarded_warps: int = 0
+    #: Host process whose core ran the warp phase: ``"parent"`` (in
+    #: process, or coordinating an ``n_shards > 1`` pool) or ``"worker"``
+    #: (the batch scheduler placed the whole round on a shard worker).
+    #: Telemetry only.
+    host: str = "parent"
 
     @property
     def backend_label(self) -> str:
@@ -261,20 +270,25 @@ class GSWORDEngine:
         n_samples: int,
         rng: RandomSource = None,
         collect_states: bool = False,
+        warps: "Optional[Tuple[Optional[WarpProvider], str]]" = None,
     ) -> GPURunResult:
         """Execute sampling until ``n_samples`` samples are *collected*.
 
         Collected samples are what the paper's sample budgets count: root
         tasks plus inherited continuations.  Without inheritance the two
-        coincide.
+        coincide.  ``warps`` is what :meth:`prepare` returned for these
+        same arguments (the batch scheduler prepares rounds ahead, to run
+        their warp phases on other cores); ``None`` prepares here.
         """
         if n_samples <= 0:
             raise ConfigError("n_samples must be positive")
         tasks_per_warp = self.config.tasks_per_warp
         max_warps = math.ceil(n_samples / tasks_per_warp)
-        provider, exec_backend = self._warp_provider(
-            cg, order, n_samples, rng, collect_states
-        )
+        if warps is None:
+            warps = self.prepare(cg, order, n_samples, rng, collect_states)
+        provider, exec_backend = warps
+        if provider is not None:
+            provider.execute()
         warp_rngs = [] if provider is not None else spawn_generators(rng, max_warps)
         kernel = KernelProfile()
         acc = HTAccumulator()
@@ -294,6 +308,7 @@ class GSWORDEngine:
 
             shard_profiles = [KernelProfile() for _ in range(n_shards)]
             shard_longest = [0.0] * n_shards
+        host = "parent" if provider is None else provider.host
         rec = self.recorder
         launch_span = None
         warp_spans = 0
@@ -305,13 +320,14 @@ class GSWORDEngine:
                     "backend": exec_backend,
                     "requested_backend": self.config.backend,
                     "n_shards": n_shards,
+                    "host": host,
                 },
             )
         try:
             while remaining > 0 and n_warps < max_warps:
                 quota = min(tasks_per_warp, remaining)
                 if provider is not None:
-                    warp = provider.warp(n_warps, quota)
+                    warp = provider.results[n_warps]
                 else:
                     warp = self._run_warp(
                         cg, order, quota, warp_rngs[n_warps], collect_states
@@ -383,6 +399,7 @@ class GSWORDEngine:
             requested_backend=self.config.backend,
             n_shards=n_shards,
             shard_ms=shard_ms,
+            host=host,
         )
         if provider is not None:
             result.n_rerun_warps = provider.n_reruns
@@ -440,15 +457,16 @@ class GSWORDEngine:
             )
         rec.end(launch_span, sim_dur_ms=sim_ms, args=args)
 
-    def _warp_provider(
+    def prepare(
         self,
         cg: CandidateGraph,
         order: MatchingOrder,
         n_samples: int,
         rng: RandomSource,
         collect_states: bool,
-    ):
-        """``(provider, backend)`` via the fallback ladder.
+    ) -> "Tuple[Optional[WarpProvider], str]":
+        """``(provider, backend)`` of a run via the fallback ladder; the
+        provider's warps have not run yet.
 
         ``fused`` needs a registered fused kernel (the exact built-in
         estimator types), a compiled plan whose candidate counts stay
@@ -844,6 +862,36 @@ RECOVERABLE_ERRORS = (DeviceFault, SimulationError)
 
 
 @dataclass
+class PreparedRound:
+    """A round set up ahead of its launch: the RNG child it draws
+    (:meth:`EngineSession.prepare_round`) and, once
+    :meth:`EngineSession.prepare_warps` ran, its warp phase.
+
+    The batch scheduler draws a batch's rounds in task order — so each gets
+    the child a one-by-one launch would — prepares the warp phases it
+    places on shard workers, and launches every round in task order with
+    :meth:`EngineSession.run_round`.  A round carries its kernel and
+    runner (in ``warps``) to its fold and resumes, so nothing is rebuilt
+    after the engine's kernel cache has moved on.
+    """
+
+    n_samples: int
+    collect_states: bool
+    #: The round's spawned child (the replay capture) and the generator
+    #: materialised from it.
+    rng_state: GeneratorState
+    rng: np.random.Generator
+    #: :meth:`GSWORDEngine.prepare`'s ``(provider, backend)``; ``None``
+    #: until prepared (the launch then prepares it).
+    warps: "Optional[Tuple[Optional[WarpProvider], str]]" = None
+
+    def cancel(self) -> None:
+        """Abandon a warp phase placed on a worker but never launched."""
+        if self.warps is not None and self.warps[0] is not None:
+            self.warps[0].cancel()
+
+
+@dataclass
 class RoundReport:
     """Everything one :meth:`EngineSession.run_round` call took.
 
@@ -932,6 +980,7 @@ class EngineSession:
         *,
         watchdog_ms: Optional[float] = None,
         collect_states: bool = False,
+        prepared: Optional[PreparedRound] = None,
     ) -> RoundReport:
         """Run one sampling round (one launch), merge it into the session,
         and report it.
@@ -943,6 +992,8 @@ class EngineSession:
         cumulative state.
         ``watchdog_ms`` is the launch's watchdog ceiling (the serving
         layer propagates a request's remaining deadline here).
+        ``prepared`` is this round from :meth:`prepare_round` (same
+        ``n_samples`` and ``collect_states``); ``None`` prepares it here.
         """
         report = RoundReport()
         self.last_round = report
@@ -955,7 +1006,7 @@ class EngineSession:
             )
         try:
             result = self._launch(
-                report, n_samples, collect_states, watchdog_ms
+                report, n_samples, collect_states, watchdog_ms, prepared
             )
         except BaseException as exc:
             if isinstance(exc, RECOVERABLE_ERRORS):
@@ -978,6 +1029,32 @@ class EngineSession:
     #: ``perfbench/ledger.py`` wraps these names and fails without them.
     run_round_resilient = run_round_hedged = run_round
 
+    def prepare_round(
+        self, n_samples: int, collect_states: bool = False
+    ) -> PreparedRound:
+        """Draw the next round's RNG child (the next ``SeedSequence.spawn``
+        child of the session root) without launching it.
+
+        Materialising the generator via the captured state (instead of
+        spawn_generators) is stream-identical — default_rng never advances
+        a SeedSequence's child counter — but leaves the state in hand for
+        postmortem replay."""
+        rng_state = spawn_generator_states(self._root, 1)[0]
+        return PreparedRound(
+            n_samples, collect_states, rng_state,
+            generator_from_state(clone_state(rng_state)),
+        )
+
+    def prepare_warps(self, prepared: PreparedRound) -> "Optional[WarpProvider]":
+        """Set up ``prepared``'s warp phase on the engine (idempotent);
+        its fused provider, or ``None`` on the scalar rung."""
+        if prepared.warps is None:
+            prepared.warps = self.engine.prepare(
+                self.cg, self.order, prepared.n_samples, prepared.rng,
+                prepared.collect_states,
+            )
+        return prepared.warps[0]
+
     # ------------------------------------------------------------------
     # Launch internals
     # ------------------------------------------------------------------
@@ -987,6 +1064,7 @@ class EngineSession:
         n_samples: int,
         collect_states: bool,
         watchdog_ms: Optional[float],
+        prepared: Optional[PreparedRound],
     ) -> GPURunResult:
         """One kernel launch: execution, capture, watchdog.
 
@@ -995,21 +1073,17 @@ class EngineSession:
         ``report.launch``.
         """
         engine = self.engine
-        # Materialising via the captured state (instead of
-        # spawn_generators) is stream-identical — default_rng never
-        # advances a SeedSequence's child counter — but leaves the state
-        # in hand for postmortem replay.
-        rng_state = spawn_generator_states(self._root, 1)[0]
-        round_rng = generator_from_state(clone_state(rng_state))
+        if prepared is None:
+            prepared = self.prepare_round(n_samples, collect_states)
         round_result = engine.run(
-            self.cg, self.order, n_samples, rng=round_rng,
-            collect_states=collect_states,
+            self.cg, self.order, n_samples, rng=prepared.rng,
+            collect_states=collect_states, warps=prepared.warps,
         )
         # Capture the launch for postmortem replay *before* the watchdog
         # verdict: a timeout round is exactly the one a flight bundle
         # needs to carry.
         report.launch = {
-            "rng_state": clone_state(rng_state),
+            "rng_state": clone_state(prepared.rng_state),
             "n_samples": int(n_samples),
             "estimate": float(round_result.estimate),
             "simulated_ms": float(round_result.simulated_ms()),

@@ -1145,23 +1145,56 @@ def resume_warp(runner: FusedRunner, run: WarpRun, quota: int) -> WarpResult:
     return run[:5]
 
 
-class WarpProvider:
-    """Runs all of a run's warps up front; hands results to the fold loop.
+def settle_warps(
+    runner: FusedRunner, runs: Sequence[WarpRun], guesses: Sequence[int]
+) -> Tuple[List[WarpResult], int]:
+    """The fold's view of warps run at their optimistic quotas ``guesses``
+    (``min(tpw, n - w·tpw)``: the first is ``min(tpw, n)``, they sum to
+    ``n``).
 
-    Construction runs every warp at its optimistic quota ``min(tpw,
-    n - w·tpw)`` — in-process when ``n_shards == 1``, or partitioned
-    round-robin by warp index across the engine's shard pool otherwise
-    (bit-identical either way, because each warp's result depends only on
-    its own spawned generator state; shard workers return each warp's
-    batch checkpoints with its result).  The scalar loop sizes warp
-    ``w``'s quota from the live remaining count, which only differs from
-    the guess when inheritance over-collects: :meth:`warp` returns the
-    cached result when the fold confirms the quota, and otherwise resumes
-    that single warp locally from its last batch checkpoint the true
-    quota agrees with (:func:`resume_warp`) — at most one batch of level
-    steps, not a replay from the spawned state.  ``n_reruns`` counts those
-    quota corrections; warps past the last one the fold reaches are
-    computed and discarded.
+    The fold gives warp ``w`` the quota ``min(tpw, remaining)``, which
+    only differs from the guess when inheritance over-collects; such a
+    warp is resumed at its true quota (:func:`resume_warp`).  Returns the
+    result of every warp the fold reaches, in order, and the number of
+    resumed warps.  It needs nothing but the runs, so a shard worker
+    settles a round it ran whole before shipping it back.
+    """
+    tpw = guesses[0] if guesses else 0
+    remaining = sum(guesses)
+    results: List[WarpResult] = []
+    n_reruns = 0
+    for run, guess in zip(runs, guesses):
+        if remaining <= 0:
+            break
+        quota = min(tpw, remaining)
+        if quota == guess:
+            result = run[:5]
+        else:
+            result = resume_warp(runner, run, quota)
+            n_reruns += 1
+        results.append(result)
+        remaining -= result[4]
+    return results, n_reruns
+
+
+class WarpProvider:
+    """A run's warp phase: every warp at its optimistic quota, up front;
+    hands the results to the fold loop.
+
+    Construction spawns the warps' generator states and sizes each warp's
+    optimistic quota ``min(tpw, n - w·tpw)``; :meth:`execute` runs them
+    — in-process when ``n_shards == 1``, partitioned round-robin by warp
+    index across the engine's shard pool otherwise, or on the shard worker
+    :meth:`place` sent them to (bit-identical every way, because each
+    warp's result depends only on its own spawned generator state; shard
+    workers return each warp's batch checkpoints with its result) — and
+    settles them to the quotas the fold gives (:func:`settle_warps`): a
+    warp inheritance over-collected resumes from its last batch checkpoint
+    the true quota agrees with, at most one batch of level steps, not a
+    replay from the spawned state.  A worker that ran the whole round
+    settles it itself.  ``results[w]`` is then warp ``w``'s
+    :data:`WarpResult`; ``n_reruns`` counts the quota corrections, and
+    warps past the last one the fold reaches are computed and discarded.
     """
 
     def __init__(
@@ -1171,6 +1204,7 @@ class WarpProvider:
         n_samples: int,
         rng: RandomSource,
     ) -> None:
+        self.engine = engine
         self.runner = runner
         tpw = engine.config.tasks_per_warp
         self.max_warps = math.ceil(n_samples / tpw)
@@ -1182,17 +1216,42 @@ class WarpProvider:
         ]
         self.n_reruns = 0
         self.n_shards = min(engine.config.n_shards, max(1, self.max_warps))
+        #: Where the warp phase ran: ``"parent"`` or ``"worker"``.
+        self.host = "parent"
+        self.results: List[WarpResult] = []
+        self._placed: Optional[Tuple[object, object]] = None
+
+    def place(self, executor, worker: int) -> None:
+        """Start the warp phase on ``executor``'s worker ``worker`` now;
+        :meth:`execute` collects it."""
+        ticket = executor.submit(
+            worker, self.runner.kernel, self.runner.p, self.states,
+            self.guesses, settle=True,
+        )
+        self._placed = (executor, ticket)
+        self.host = "worker"
+
+    def cancel(self) -> None:
+        """Abandon a placed warp phase that will never be executed."""
+        if self._placed is not None:
+            executor, ticket = self._placed
+            self._placed = None
+            executor.cancel(ticket)
+
+    def execute(self) -> None:
+        """Run (or collect) every warp at its optimistic quota.  Raises
+        :class:`~repro.errors.ShardFailure` when a worker died first."""
+        if self._placed is not None:
+            executor, ticket = self._placed
+            self._placed = None
+            self.results, self.n_reruns = executor.collect(ticket)
+            return
         if self.n_shards > 1:
-            executor = engine._shard_executor()
-            self.results = executor.run_round(
-                runner.kernel, runner.p, self.states, self.guesses
+            runs = self.engine._shard_executor().run_round(
+                self.runner.kernel, self.runner.p, self.states, self.guesses
             )
         else:
-            self.results = runner.run_warps(self.states, self.guesses)
-
-    def warp(self, w: int, quota: int) -> WarpResult:
-        run = self.results[w]
-        if quota == self.guesses[w]:
-            return run[:5]
-        self.n_reruns += 1
-        return resume_warp(self.runner, run, quota)
+            runs = self.runner.run_warps(self.states, self.guesses)
+        self.results, self.n_reruns = settle_warps(
+            self.runner, runs, self.guesses
+        )

@@ -4,7 +4,10 @@ The parent packs the fused kernel's derived tables (triple-CSR candidate
 structure, combined candidate pool, labels) into one shared-memory segment;
 each shard worker attaches and maps read-only numpy views at the recorded
 offsets.  Per round only generator states and task quotas are pickled —
-never the edge arrays.
+never the edge arrays.  A segment can be repacked with another kernel's
+tables once no view of the old ones is in use, which saves creating,
+faulting in and unlinking a fresh segment per plan; workers keep their
+attachment and map the new layout over it.
 """
 
 from __future__ import annotations
@@ -37,9 +40,18 @@ class PackEntry:
 PackManifest = Tuple[str, Tuple[PackEntry, ...]]
 
 
-def _map_views(
+def packed_size(arrays: Mapping[str, np.ndarray]) -> int:
+    """Segment bytes :class:`SharedArrayPack` needs for ``arrays``."""
+    offset = 0
+    for arr in arrays.values():
+        offset = _aligned(offset) + arr.nbytes
+    return offset
+
+
+def map_views(
     buf: memoryview, entries: Tuple[PackEntry, ...]
 ) -> Dict[str, np.ndarray]:
+    """Read-only views of ``entries`` over a segment's buffer."""
     views: Dict[str, np.ndarray] = {}
     for entry in entries:
         view = np.ndarray(
@@ -61,30 +73,35 @@ class SharedArrayPack:
     picklable :attr:`manifest`.
     """
 
-    def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
+    def __init__(
+        self, arrays: Mapping[str, np.ndarray], capacity: int = 0
+    ) -> None:
+        """Publish ``arrays`` in a new segment of at least ``capacity``
+        bytes (room for a later :meth:`repack`)."""
+        self._shm = shared_memory.SharedMemory(
+            create=True, size=max(1, packed_size(arrays), capacity)
+        )
+        self._closed = False
+        self.repack(arrays)
+
+    def repack(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Overwrite the segment with ``arrays`` (the caller guarantees no
+        view of the previous contents is still read)."""
+        if packed_size(arrays) > self.nbytes:
+            raise ValueError("arrays exceed the segment's capacity")
         entries = []
         offset = 0
         for name, arr in arrays.items():
             arr = np.ascontiguousarray(arr)
             offset = _aligned(offset)
-            entries.append(
-                PackEntry(name, arr.dtype.str, tuple(arr.shape), offset)
-            )
+            entry = PackEntry(name, arr.dtype.str, tuple(arr.shape), offset)
+            entries.append(entry)
+            np.ndarray(
+                entry.shape, dtype=arr.dtype, buffer=self._shm.buf,
+                offset=entry.offset,
+            )[...] = arr
             offset += arr.nbytes
         self._entries: Tuple[PackEntry, ...] = tuple(entries)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(1, offset)
-        )
-        for entry, (name, arr) in zip(self._entries, arrays.items()):
-            arr = np.ascontiguousarray(arr)
-            dst = np.ndarray(
-                entry.shape,
-                dtype=arr.dtype,
-                buffer=self._shm.buf,
-                offset=entry.offset,
-            )
-            dst[...] = arr
-        self._closed = False
 
     @property
     def manifest(self) -> PackManifest:
@@ -96,7 +113,7 @@ class SharedArrayPack:
 
     def views(self) -> Dict[str, np.ndarray]:
         """Read-only views over the owner's mapping."""
-        return _map_views(self._shm.buf, self._entries)
+        return map_views(self._shm.buf, self._entries)
 
     def close(self) -> None:
         """Detach and unlink (idempotent)."""
@@ -120,6 +137,14 @@ def attach_pack(
     Returns the segment handle (the caller must keep it alive as long as
     the views are in use, and ``close()`` it afterwards — never
     ``unlink()``, which the owner does) plus the name → view mapping.
+    """
+    name, entries = manifest
+    shm = attach_segment(name)
+    return shm, map_views(shm.buf, entries)
+
+
+def attach_segment(name: str) -> shared_memory.SharedMemory:
+    """Attach to the owner's segment ``name`` without registering it.
 
     Python < 3.13 registers every ``SharedMemory`` attach with a resource
     tracker.  That is wrong for a non-owning attach either way: under
@@ -130,7 +155,6 @@ def attach_pack(
     attach below temporarily suppresses shared-memory registration — the
     owner's registration remains the single tracker entry.
     """
-    name, entries = manifest
     try:
         from multiprocessing import resource_tracker
 
@@ -147,4 +171,4 @@ def attach_pack(
             resource_tracker.register = original_register
     except ImportError:  # pragma: no cover - tracker module absent
         shm = shared_memory.SharedMemory(name=name)
-    return shm, _map_views(shm.buf, entries)
+    return shm

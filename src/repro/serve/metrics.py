@@ -76,6 +76,13 @@ class ServiceMetrics:
             "rounds_by_shard_count_total", "Rounds per shard count used",
             labels=("shards",),
         )
+        # Rounds completed per host whose core ran the warp phase: the
+        # parent process, or a shard worker the batch scheduler placed the
+        # whole round on.
+        self._by_host = reg.counter(
+            "rounds_by_host_total", "Rounds per host that ran the warp phase",
+            labels=("host",),
+        )
         # Wasted warp work of the vector backends (``GPURunResult``): warps
         # re-run at a smaller true quota, and optimistic warps discarded
         # because the fold never reached them.
@@ -173,6 +180,11 @@ class ServiceMetrics:
         for n in shard_counts:
             self._by_shards.labels(shards=n).inc()
 
+    def record_hosts(self, hosts: List[str]) -> None:
+        """Count one completed round per entry of ``hosts``."""
+        for host in hosts:
+            self._by_host.labels(host=host).inc()
+
     def record_wasted_warps(self, n_rerun: int, n_discarded: int) -> None:
         """Fold one batch's re-run and discarded warp counts in."""
         self._rerun_warps.inc(n_rerun)
@@ -243,6 +255,7 @@ class ServiceMetrics:
                 sorted(_by_label(self._by_shards).items(),
                        key=lambda item: int(item[0]))
             ),
+            "rounds_by_host": _by_label(self._by_host),
             "n_rerun_warps": int(self._rerun_warps.value),
             "n_discarded_warps": int(self._discarded_warps.value),
             "latency_ms": _summary(self._latency),

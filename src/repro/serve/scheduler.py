@@ -16,6 +16,16 @@ the shared occupancy.  Any batching speedup over serial execution is
 therefore emergent from the same occupancy model every other timing in the
 repository uses.
 
+The host mirrors the device: a batch's rounds are independent, so when
+the process may run on several cores, :meth:`BatchScheduler.execute`
+runs the warp phases (the ~90% of a round's host time spent running
+warps) of a batch of two or more fused rounds on the parent and on the
+shard workers of one lazily started
+:class:`~repro.multidev.ShardedVectorExecutor`, and folds every round in
+task order — so commits, spans, the flight ring and metrics keep the
+order a one-core host gives them, and every result is bit-identical
+(:class:`_Placement`).
+
 Fairness is structural: admission is FIFO and a task's continuation
 re-enters at the tail of the queue (the service does this), so a query
 needing many rounds interleaves with newly-arrived small queries instead
@@ -28,14 +38,23 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.engine import RECOVERABLE_ERRORS, EngineSession, GPURunResult
+from repro.core.engine import (
+    RECOVERABLE_ERRORS,
+    EngineSession,
+    GPURunResult,
+    PreparedRound,
+)
 from repro.errors import ServiceError
 from repro.gpu.costmodel import DEFAULT_GPU, GPUSpec
 from repro.gpu.device import DeviceModel
+
+if TYPE_CHECKING:
+    from repro.multidev.executor import ShardedVectorExecutor
 
 
 @dataclass
@@ -181,6 +200,76 @@ class BatchResult:
         return self.n_samples / self.batch_ms * 1000.0
 
 
+def host_cores() -> int:
+    """Cores this process may run on (its CPU affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity masks
+        return os.cpu_count() or 1
+
+
+#: Rounds a shard worker holds submitted ahead of the parent's fold.  A
+#: submitted round keeps its kernel and published tables in memory until
+#: the parent folds it, so the window bounds what round placement adds to
+#: the parent's peak memory; two keep a worker busy between the parent's
+#: launches.
+PLACEMENT_WINDOW = 2
+
+
+class _Placement:
+    """A batch's rounds spread over the parent and shard workers.
+
+    Every round's RNG child is drawn up front, in task order.  The parent
+    launches the rounds from the front of the task order; before each
+    launch, every worker with a free slot in its window of
+    :data:`PLACEMENT_WINDOW` submitted rounds is fed the hindmost round
+    nobody has taken yet (its warp phase is prepared and submitted then).
+    Parent and workers meet where their loads balance, whatever the rounds
+    cost, and the parent only waits for a worker at the meeting point.  A
+    round whose warp phase is not a one-shard fused one stays with the
+    parent."""
+
+    def __init__(self, tasks: List[RoundTask], pool_for, n_workers: int) -> None:
+        self.tasks = tasks
+        self.rounds: List[Optional[PreparedRound]] = [
+            t.session.prepare_round(t.n_samples) for t in tasks
+        ]
+        #: Worker each round was submitted to (-1: the parent runs it).
+        self.worker_of = [-1] * len(tasks)
+        self.in_flight = [0] * n_workers
+        self.back = len(tasks)  # rounds[back:] are taken
+        self._pool_for = pool_for
+
+    def top_up(self, front: int) -> None:
+        """Fill the workers' windows from the back, short of round
+        ``front``, which the parent launches next."""
+        for w, n in enumerate(self.in_flight):
+            while n < PLACEMENT_WINDOW and self.back - 1 > front:
+                self.back -= 1
+                i = self.back
+                provider = self.tasks[i].session.prepare_warps(
+                    self.rounds[i]  # type: ignore[arg-type]
+                )
+                if provider is None or provider.n_shards != 1:
+                    continue
+                provider.place(self._pool_for(len(self.in_flight)), w)
+                self.worker_of[i] = w
+                n += 1
+            self.in_flight[w] = n
+
+    def launched(self, i: int) -> None:
+        """Round ``i`` was launched and folded: release it."""
+        self.rounds[i] = None
+        if self.worker_of[i] >= 0:
+            self.in_flight[self.worker_of[i]] -= 1
+
+    def cancel(self) -> None:
+        """Abandon the rounds an unexpected error left unlaunched."""
+        for prepared in self.rounds:
+            if prepared is not None:
+                prepared.cancel()
+
+
 #: Batch admission stops once a batch's warps exceed ``resident_warps ×
 #: WARP_OVERCOMMIT`` per shard: 1.0 fills the device exactly.
 WARP_OVERCOMMIT = 1.0
@@ -204,6 +293,9 @@ class BatchScheduler:
     max_batch_requests: int = 64
     n_shards: int = 1
     device: DeviceModel = field(init=False)
+    _pool: "Optional[ShardedVectorExecutor]" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.max_batch_requests <= 0:
@@ -211,6 +303,38 @@ class BatchScheduler:
         if self.n_shards < 1:
             raise ServiceError("n_shards must be >= 1")
         self.device = DeviceModel(self.spec)
+
+    def close(self) -> None:
+        """Stop the round-placement worker pool, if it started
+        (idempotent; a later batch starts a new one)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+
+    def _worker_pool(self, n_workers: int) -> "ShardedVectorExecutor":
+        """The lazily started pool that round placement submits to."""
+        if self._pool is None or self._pool.n_shards != n_workers:
+            from repro.multidev.executor import ShardedVectorExecutor
+
+            self.close()
+            self._pool = ShardedVectorExecutor(n_workers)
+        return self._pool
+
+    def _placement(self, tasks: List[RoundTask]) -> Optional[_Placement]:
+        """Round placement for a batch holding two or more fused rounds on
+        ``n_shards == 1`` engines, on a host with two or more cores;
+        ``None`` runs the batch on the parent alone."""
+        if len(tasks) < 2:
+            return None
+        cores = host_cores()
+        movable = sum(
+            t.session.engine.config.backend == "fused"
+            and t.session.engine.config.n_shards == 1
+            for t in tasks
+        )
+        if cores < 2 or movable < 2:
+            return None
+        return _Placement(tasks, self._worker_pool, cores - 1)
 
     # ------------------------------------------------------------------
     def form_batch(self, queue: FairQueue) -> List[RoundTask]:
@@ -252,17 +376,31 @@ class BatchScheduler:
         results: List[Optional[GPURunResult]] = []
         failures: List[Optional[BaseException]] = []
         fault_ms = 0.0
-        for task in tasks:
-            try:
-                task.session.run_round(
-                    task.n_samples, watchdog_ms=task.watchdog_ms
-                )
-            except RECOVERABLE_ERRORS:
-                pass  # the report below carries the error
-            report = task.session.last_round
-            results.append(report.result)
-            failures.append(report.error)
-            fault_ms += report.fault_ms
+        placement = self._placement(tasks)
+        try:
+            for i, task in enumerate(tasks):
+                if placement is not None:
+                    placement.top_up(i)
+                try:
+                    task.session.run_round(
+                        task.n_samples,
+                        watchdog_ms=task.watchdog_ms,
+                        prepared=(
+                            placement.rounds[i] if placement is not None
+                            else None
+                        ),
+                    )
+                except RECOVERABLE_ERRORS:
+                    pass  # the report below carries the error
+                if placement is not None:
+                    placement.launched(i)
+                report = task.session.last_round
+                results.append(report.result)
+                failures.append(report.error)
+                fault_ms += report.fault_ms
+        finally:
+            if placement is not None:
+                placement.cancel()
         ok = [r for r in results if r is not None]
         batch_ms = (
             self.device.coresident_ms(

@@ -718,6 +718,7 @@ class EstimationService:
             done = [r for r in result.round_results if r is not None]
             self.metrics.record_backends([r.backend_label for r in done])
             self.metrics.record_shards([r.n_shards for r in done])
+            self.metrics.record_hosts([r.host for r in done])
             self.metrics.record_wasted_warps(
                 sum(r.n_rerun_warps for r in done),
                 sum(r.n_discarded_warps for r in done),
@@ -804,6 +805,7 @@ class EstimationService:
             engines = list(self._engines.values())
         for engine in engines:
             engine.close()
+        self.scheduler.close()
 
     def __enter__(self) -> "EstimationService":
         return self

@@ -267,6 +267,7 @@ class TestServiceSnapshotBridge:
             metrics.record_completion(latency, 1.0, 225, degraded=i == 0)
         metrics.record_backends(["fused"] * 6)
         metrics.record_shards([2] * 6)
+        metrics.record_hosts(["parent"] * 4 + ["worker"] * 2)
         metrics.record_round_faults(2, 3.0)
 
         snap = metrics.snapshot()
@@ -278,6 +279,7 @@ class TestServiceSnapshotBridge:
         assert snap["samples_per_second"] == 1024 / 12.5 * 1000.0
         assert snap["rounds_by_backend"] == {"fused": 6}
         assert snap["rounds_by_shard_count"] == {"2": 6}
+        assert snap["rounds_by_host"] == {"parent": 4, "worker": 2}
         assert snap["latency_ms"] == {
             "count": 4, "mean": 5.0, "p50": 4.0,
             "p95": pytest.approx(9.1), "p99": pytest.approx(9.82),
@@ -426,6 +428,7 @@ class TestEngineTracing:
             result.simulated_ms() * 1000.0
         )
         assert launches[0]["args"]["status"] == "ok"
+        assert launches[0]["args"]["host"] == "parent" == result.host
         # Sampled warp spans sit inside the engine timeline.
         assert rec.spans("warp")
         validate_chrome_trace(rec.chrome_trace())

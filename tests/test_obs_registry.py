@@ -226,6 +226,7 @@ class TestServiceBridgeNames:
         "requests_total": ("state",),
         "rounds_by_backend_total": ("backend",),
         "rounds_by_shard_count_total": ("shards",),
+        "rounds_by_host_total": ("host",),
         "samples_total": ("kind",),
         "latency_ms": (),
         "queue_wait_ms": (),
@@ -244,6 +245,7 @@ class TestServiceBridgeNames:
         expected_names = {
             "requests_total", "batches_total", "rounds_total",
             "rounds_by_backend_total", "rounds_by_shard_count_total",
+            "rounds_by_host_total",
             "samples_total", "device_busy_ms", "samples_per_second",
             "mean_batch_size", "max_queue_depth", "service_clock_ms",
             "latency_ms", "queue_wait_ms", "resilience_events_total",
@@ -425,6 +427,13 @@ class TestLiveServiceRegistry:
         )
         assert _series(out, "rounds_by_backend_total", "backend") == (
             snap["rounds_by_backend"]
+        )
+        assert _series(out, "rounds_by_host_total", "host") == (
+            snap["rounds_by_host"]
+        )
+        # Both count every completed round once.
+        assert sum(snap["rounds_by_host"].values()) == sum(
+            snap["rounds_by_backend"].values()
         )
         admission = snap["admission"]
         assert _series(out, "admission_shed_total", "reason") == (

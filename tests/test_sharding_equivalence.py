@@ -35,6 +35,7 @@ from repro.multidev import (
     ShardedVectorExecutor,
     allreduce_ms,
     attach_pack,
+    map_views,
     multidev_makespan_ms,
     shard_of,
 )
@@ -216,6 +217,30 @@ class TestSharedArrayPack:
             pack.close()
         pack.close()  # idempotent
 
+    def test_repack_reuses_the_segment(self):
+        pack = SharedArrayPack({"a": np.arange(4, dtype=np.int64)}, 4096)
+        try:
+            name = pack.manifest[0]
+            shm, _ = attach_pack(pack.manifest)
+            try:
+                new = {
+                    "b": np.linspace(0.0, 1.0, 9),
+                    "c": np.arange(6, dtype=np.int32).reshape(2, 3),
+                }
+                pack.repack(new)
+                assert pack.manifest[0] == name
+                # A worker keeps its attachment and maps the new layout.
+                views = map_views(shm.buf, pack.manifest[1])
+                for key, arr in new.items():
+                    np.testing.assert_array_equal(views[key], arr)
+                del views
+                with pytest.raises(ValueError):
+                    pack.repack({"big": np.zeros(1024, dtype=np.int64)})
+            finally:
+                shm.close()
+        finally:
+            pack.close()
+
     def test_empty_pack(self):
         pack = SharedArrayPack({})
         try:
@@ -272,9 +297,9 @@ class TestWorkerRuntime:
 
 
 class TestExecutor:
-    def test_requires_at_least_two_shards(self):
+    def test_requires_at_least_one_worker(self):
         with pytest.raises(ConfigError):
-            ShardedVectorExecutor(1)
+            ShardedVectorExecutor(0)
 
     def test_closed_executor_rejects_rounds(self, plan):
         executor = ShardedVectorExecutor(2)
